@@ -98,11 +98,6 @@ class TopK:
         self.coefs = self.coefs[order]
         self.masks = self.masks[order]
 
-    def best(self):
-        if self.ratios.size == 0:
-            return 0.0, None, None
-        return float(self.ratios[0]), self.coefs[0], self.masks[0]
-
     def distinct_starts(self, tol: float = 1e-13):
         """Entries with pairwise-distinct ratios; trims redundant ascent seeds."""
         picked = []

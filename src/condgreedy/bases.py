@@ -101,7 +101,7 @@ class BasisTruncation:
         return A @ self.columns.T
 
     def synth_norms(self, coeff_rows) -> np.ndarray:
-        return norms(self.space, self.synth_rows(coeff_rows))
+        return norms(self.space, self.synth_rows(coeff_rows), overwrite=True)
 
     def column_norms(self) -> np.ndarray:
         return norms(self.space, self.columns.T)

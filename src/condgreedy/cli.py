@@ -75,7 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--m", required=True, metavar="LADDER",
                    help="rungs: 2..10 or a comma list like 4,8,16")
     c.add_argument("--oracle", action="store_true",
-                   help="exhaustive route at every rung")
+                   help="exhaustive route at every rung (L ladders only)")
     c.add_argument("--estimate", action="store_true",
                    help="search route at every rung")
     c.add_argument("--budget", type=int, default=None)
@@ -153,6 +153,8 @@ def _cmd_constants(ns) -> int:
     if ns.oracle and ns.estimate:
         raise _UsageError("--oracle and --estimate are mutually exclusive")
     mode = "oracle" if ns.oracle else ("estimate" if ns.estimate else "auto")
+    if ns.kind == "k" and mode == "oracle":
+        raise _UsageError("--oracle is not available for --kind k")
     guard = ns.guard
     if guard is None:
         # an explicit oracle request overrides the default exhaustive cap

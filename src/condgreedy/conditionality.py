@@ -248,7 +248,7 @@ class _SupportEval:
         self.colsT = np.ascontiguousarray(sub.T)
 
     def coef_norms(self, rows: np.ndarray) -> np.ndarray:
-        return norms(self.space, rows @ self.colsT)
+        return norms(self.space, rows @ self.colsT, overwrite=True)
 
     def mask_sweep(self, a: np.ndarray, masks: np.ndarray, chunk: int = 8192):
         """Best ||S_A f||/||f|| over the mask rows; returns (ratio, row index)."""
@@ -875,6 +875,8 @@ def lb_ladder(
         raise ConditionalityError(f"ladder kind must be 'L' or 'k', got {kind!r}")
     if mode not in ("auto", "oracle", "estimate"):
         raise ConditionalityError(f"unknown ladder mode {mode!r}")
+    if kind == "k" and mode == "oracle":
+        raise ConditionalityError("k ladders have no oracle route; use mode 'auto' or 'estimate'")
     out = []
     carry_val, carry_wit = 0.0, None
     for m in ms:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, islice
 
 import numpy as np
 
@@ -123,14 +123,6 @@ def project(b: BasisTruncation, coeffs, A) -> np.ndarray:
     return out
 
 
-def _is_greedy(a: np.ndarray, idx0: np.ndarray) -> bool:
-    mask = np.zeros(a.size, dtype=bool)
-    mask[idx0] = True
-    inside = np.abs(a[mask]).min() if mask.any() else math.inf
-    outside = np.abs(a[~mask]).max() if (~mask).any() else 0.0
-    return inside >= outside
-
-
 def _floor_witness(b: BasisTruncation) -> tuple:
     # f = x_1, A = empty: ||f - 0|| / ||f|| = 1 for any basis
     coeffs = np.zeros(b.d)
@@ -140,18 +132,22 @@ def _floor_witness(b: BasisTruncation) -> tuple:
 
 def _prefix_residual_ratios(b: BasisTruncation, rows: np.ndarray):
     """Residual ratios ||f - S_A f||/||f|| for the d+1 canonical greedy
-    prefixes of each coefficient row.  Returns (ratios (n, d+1), order)."""
+    prefixes of each coefficient row.
+
+    Returns (ratios (n, d+1), order, full) where ``full`` holds ||f||: the
+    empty prefix keeps every coefficient, so it is residual column 0.
+    """
     n, d = rows.shape
     order = np.argsort(-np.abs(rows), axis=1, kind="stable")
     rank = np.empty_like(order)
-    np.put_along_axis(rank, order, np.broadcast_to(np.arange(d), (n, d)).copy(), axis=1)
+    rank[np.arange(n)[:, None], order] = np.arange(d)
     keep = rank[:, None, :] >= np.arange(d + 1)[None, :, None]
     resid = rows[:, None, :] * keep
     resid_norms = b.synth_norms(resid.reshape(n * (d + 1), d)).reshape(n, d + 1)
-    full = b.synth_norms(rows)
+    full = resid_norms[:, 0]
     ok = full > _TINY
     ratios = np.where(ok[:, None], resid_norms / np.where(ok, full, 1.0)[:, None], 0.0)
-    return ratios, order
+    return ratios, order, full
 
 
 def _qg_exhaustive(b: BasisTruncation):
@@ -183,7 +179,7 @@ def _qg_sign_grid(b: BasisTruncation, seed: int):
     signs = np.array([0.0, 1.0, -1.0])
     for ci, start in enumerate(range(0, total, chunk)):
         rows = signs[_search.digit_rows(start, min(start + chunk, total), d, 3)]
-        ratios, order = _prefix_residual_ratios(b, rows)
+        ratios, order, full = _prefix_residual_ratios(b, rows)
         i, mrow = np.unravel_index(np.argmax(ratios), ratios.shape)
         if ratios[i, mrow] > best + _TINY:
             best = float(ratios[i, mrow])
@@ -191,7 +187,6 @@ def _qg_sign_grid(b: BasisTruncation, seed: int):
             best_wit = Witness(tuple(rows[i].tolist()), A, best, "quasi-greedy")
         # stochastic tie resolution: random sub-supports are greedy sets here
         rng = rng_stream(seed, "qg-ties", ci)
-        full = b.synth_norms(rows)
         ok = full > _TINY
         for _ in range(4):
             drop = rng.random(rows.shape) < 0.5
@@ -206,7 +201,7 @@ def _qg_sign_grid(b: BasisTruncation, seed: int):
 
 
 def _qg_ratio_of(b: BasisTruncation, a: np.ndarray):
-    ratios, order = _prefix_residual_ratios(b, a[None, :])
+    ratios, order, _ = _prefix_residual_ratios(b, a[None, :])
     mrow = int(np.argmax(ratios[0]))
     return float(ratios[0, mrow]), tuple(sorted(int(j) + 1 for j in order[0, :mrow]))
 
@@ -222,18 +217,15 @@ def _qg_random_block(b: BasisTruncation, seed: int, block_i: int):
     # half the block: pure sign vectors with random greedy subsets
     half = BLOCK // 2
     rows[half:] = signs[half:] * keep[half:]
-    ratios, order = _prefix_residual_ratios(b, rows)
-    best = 0.0
-    best_pair = None
+    ratios, order, full = _prefix_residual_ratios(b, rows)
     i, mrow = np.unravel_index(np.argmax(ratios), ratios.shape)
     best = float(ratios[i, mrow])
     best_pair = (rows[i].copy(), tuple(sorted(int(j) + 1 for j in order[i, :mrow])))
-    full = b.synth_norms(rows[half:])
-    ok = full > _TINY
+    ok = full[half:] > _TINY
     for t in range(4):
         drop = rng.random((BLOCK - half, d)) < 0.5
         resid = b.synth_norms(rows[half:] * drop)
-        r1 = np.where(ok, resid / np.where(ok, full, 1.0), 0.0)
+        r1 = np.where(ok, resid / np.where(ok, full[half:], 1.0), 0.0)
         i = int(np.argmax(r1))
         if r1[i] > best + _TINY:
             best = float(r1[i])
@@ -342,14 +334,21 @@ def _ag_exhaustive(b: BasisTruncation):
     return best, best_wit
 
 
+def _exact_denominators(b: BasisTruncation, a: np.ndarray, masks: np.ndarray, sizes: np.ndarray):
+    """min ||f - S_B f|| over |B| <= t for t = 0..d; ``masks`` holds every B."""
+    nrm = b.synth_norms((1.0 - masks) * a)
+    denom = np.full(b.d + 1, np.inf)
+    np.minimum.at(denom, sizes, nrm)  # minimum over |B| == t
+    return np.minimum.accumulate(denom)
+
+
 def _ag_random_block(b: BasisTruncation, seed: int, block_i: int, exact_denom: bool):
     d = b.d
     rng = rng_stream(seed, "ag", block_i)
     mags = rng.uniform(0.5, 2.0, size=(BLOCK, d))
     sig = np.where(rng.random((BLOCK, d)) < 0.5, 1.0, -1.0)
     rows = mags * sig
-    ratios, order = _prefix_residual_ratios(b, rows)  # numerators / ||f||
-    full = b.synth_norms(rows)
+    ratios, order, full = _prefix_residual_ratios(b, rows)  # numerators / ||f||
     resid = ratios * full[:, None]  # ||f - S_{A_m} f|| for prefixes
     if exact_denom:
         masks = _search.all_subset_masks(d)
@@ -358,17 +357,7 @@ def _ag_random_block(b: BasisTruncation, seed: int, block_i: int, exact_denom: b
     best_payload = None
     for i in range(BLOCK):
         if exact_denom:
-            nrm = b.synth_norms((1.0 - masks) * rows[i])  # drop-B residuals
-            by_size = np.argsort(sizes, kind="stable")
-            run = np.minimum.accumulate(nrm[by_size])
-            denom = np.empty(d + 1)
-            seen = -1
-            for pos in range(len(by_size)):
-                t = sizes[by_size[pos]]
-                while seen < t:
-                    seen += 1
-                    denom[seen] = run[pos]
-            denom = np.minimum.accumulate(denom)
+            denom = _exact_denominators(b, rows[i], masks, sizes)
             bsets = None
         else:
             # candidate minimisers: greedy prefixes and seeded random subsets;
@@ -451,8 +440,6 @@ def almost_greedy_constant_lb(
     best, best_wit = 1.0, Witness(tuple(coeffs0.tolist()), (), 1.0, "almost-greedy", b_indices=())
     if payload is not None and val > best:
         a, A, Bset = payload
-        if val == math.inf:
-            return math.inf, Witness(tuple(a.tolist()), A, math.inf, "almost-greedy", b_indices=Bset)
         best, best_wit = val, Witness(tuple(a.tolist()), A, val, "almost-greedy", b_indices=Bset)
     return best, best_wit
 
@@ -463,10 +450,13 @@ def almost_greedy_constant_lb(
 
 
 def _indicator_rows(d: int, combos) -> np.ndarray:
+    """0/1 rows, one per index combination; all combinations share one size."""
     combos = list(combos)
     rows = np.zeros((len(combos), d))
-    for i, c in enumerate(combos):
-        rows[i, list(c)] = 1.0
+    if combos:
+        k = len(combos[0])
+        idx = np.fromiter(chain.from_iterable(combos), dtype=np.int64, count=len(combos) * k)
+        rows[np.arange(len(combos))[:, None], idx.reshape(len(combos), k)] = 1.0
     return rows
 
 
@@ -484,22 +474,12 @@ def _sum_norm_extremum(b: BasisTruncation, m: int, want_max: bool, exact_sizes):
     for k in exact_sizes:
         if k == 0:
             continue
-        buf = []
-
-        def flush():
-            nonlocal best, best_set, buf
-            if buf:
-                vals = b.synth_norms(_indicator_rows(b.d, buf))
-                best, i = _scan_extremum(vals, want_max, best)
-                if i >= 0:
-                    best_set = buf[i]
-                buf = []
-
-        for c in combinations(range(b.d), k):
-            buf.append(c)
-            if len(buf) == 4096:
-                flush()
-        flush()
+        it = combinations(range(b.d), k)
+        while buf := list(islice(it, 4096)):
+            vals = b.synth_norms(_indicator_rows(b.d, buf))
+            best, i = _scan_extremum(vals, want_max, best)
+            if i >= 0:
+                best_set = buf[i]
     return best, tuple(int(i) + 1 for i in best_set)
 
 

@@ -204,33 +204,49 @@ def _powsum_norm(X: np.ndarray, p: float) -> np.ndarray:
     return out
 
 
-def norms(space: SpaceDesc, V) -> np.ndarray:
-    """Row-wise norms of a 2-d array under ``space``."""
+def norms(space: SpaceDesc, V, *, overwrite: bool = False) -> np.ndarray:
+    """Row-wise norms of a 2-d array under ``space``.
+
+    ``V`` is checked once here (shape, length, NaN); a :class:`MixedSum` is
+    then evaluated block by block without re-entering this function.  With
+    ``overwrite=True`` the caller hands over ``V``: its entries may be
+    replaced by their absolute values instead of copied, which saves one
+    array of V's size per call.  Pass it only for an array nothing else
+    reads afterwards.
+    """
     V = _check_matrix(V)
     k = V.shape[1]
     req = space_dim(space)
     if req is not None and k != req:
         raise SpaceError(f"space {format_space(space)} wants length {req}, got {k}")
+    return _norms_unchecked(space, V, overwrite)
+
+
+def _abs(V: np.ndarray, overwrite: bool) -> np.ndarray:
+    return np.abs(V, out=V) if overwrite else np.abs(V)
+
+
+def _norms_unchecked(space: SpaceDesc, V: np.ndarray, overwrite: bool) -> np.ndarray:
+    k = V.shape[1]
     if isinstance(space, Lp):
-        A = np.abs(V)
+        A = _abs(V, overwrite)
         if space.p == INF:
             return A.max(axis=1) if k else np.zeros(V.shape[0])
         return _powsum_norm(A, space.p)
     if isinstance(space, C0Trunc):
-        return np.abs(V).max(axis=1)
+        return _abs(V, overwrite).max(axis=1)
     if isinstance(space, MixedSum):
-        cols = []
+        block_norms = np.empty((V.shape[0], len(space.blocks)))
         off = 0
-        for sub, d in space.blocks:
-            cols.append(norms(sub, V[:, off : off + d]))
+        for j, (sub, d) in enumerate(space.blocks):
+            block_norms[:, j] = _norms_unchecked(sub, V[:, off : off + d], overwrite)
             off += d
-        block_norms = np.stack(cols, axis=1)
         if space.outer_q == 0.0:
             return block_norms.max(axis=1)
         return _powsum_norm(block_norms, space.outer_q)
     if isinstance(space, Lorentz):
         w = space.weights.values(k)
-        A = np.sort(np.abs(V), axis=1)[:, ::-1]
+        A = np.sort(_abs(V, overwrite), axis=1)[:, ::-1]
         if space.q == 1.0:
             return A @ w
         m = A[:, 0] if k else np.zeros(V.shape[0])

@@ -124,6 +124,15 @@ def test_constants_k_kind(capsys):
     assert float(rows[1][1]) >= 7.0 - 1e-9  # k_4 >= 2*4-1
 
 
+def test_constants_k_kind_rejects_oracle(capsys):
+    rc = main(["constants", "--basis", "difference:8", "--kind", "k",
+               "--m", "2,4", "--oracle"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--oracle is not available for --kind k" in captured.err
+
+
 def test_constants_flag_conflicts(capsys):
     rc = main(["constants", "--basis", "difference:6", "--m", "2..6",
                "--oracle", "--estimate"])

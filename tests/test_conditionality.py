@@ -386,6 +386,12 @@ def test_lb_ladder_k_kind():
         assert val >= 2.0 * m - 1.0 - 1e-12
 
 
+def test_lb_ladder_k_kind_rejects_oracle_mode():
+    b = difference(8)
+    with pytest.raises(ConditionalityError, match="oracle"):
+        lb_ladder(b, (2, 4), kind="k", mode="oracle")
+
+
 def test_lb_ladder_validation():
     b = difference(8)
     with pytest.raises(ConditionalityError):

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -15,11 +18,20 @@ from condgreedy import (
     fundamental_function,
     greedy_sets,
     lindenstrauss,
+    norm,
     project,
     quasi_greedy_constant_lb,
     summing,
     unit_vector_system,
     verify_witness,
+)
+from condgreedy._search import all_subset_masks
+from condgreedy.bases import parse_basis
+from condgreedy.greedy import (
+    _exact_denominators,
+    _indicator_rows,
+    _popcounts,
+    _sum_norm_extremum,
 )
 
 # measured once on the exhaustive tier and pinned; any drift is a regression
@@ -207,6 +219,35 @@ def test_ag_search_tier_reproducible():
     assert np.isfinite(a) and a >= 1.0
 
 
+@pytest.mark.parametrize("d", [9, 12])
+def test_ag_exact_denominators_match_brute_force(d):
+    b = lindenstrauss(d)
+    masks, sizes = all_subset_masks(d), _popcounts(d)
+    rng = np.random.default_rng(d)
+    for _ in range(3):
+        a = rng.uniform(0.5, 2.0, d) * rng.choice([-1.0, 1.0], d)
+        got = _exact_denominators(b, a, masks, sizes)
+        # per size t, min ||f - S_B f|| over |B| == t, one vector at a time
+        by_size = []
+        for t in range(d + 1):
+            vals = []
+            for B in combinations(range(d), t):
+                f_minus = a.copy()
+                f_minus[list(B)] = 0.0
+                vals.append(norm(b.space, b.synth(f_minus)))
+            by_size.append(min(vals))
+        for m in range(d + 1):
+            assert got[m] == pytest.approx(min(by_size[: m + 1]), rel=1e-12)
+
+
+def test_ag_exact_denominator_tier_reverifies():
+    b = lindenstrauss(9)
+    val, wit = almost_greedy_constant_lb(b, budget=256, seed=4)
+    assert val > 1.0
+    assert len(wit.b_indices) <= len(wit.indices)
+    assert verify_witness(b, wit) == pytest.approx(val, rel=1e-12)
+
+
 def test_ag_witness_reverifies_on_search_tier():
     b = lindenstrauss(14)
     val, wit = almost_greedy_constant_lb(b, budget=256, seed=9)
@@ -259,6 +300,16 @@ def test_phi_search_mode_is_lower_estimate():
         assert est >= 2.0  # greedy growth always reaches the best column
 
 
+def test_indicator_rows_match_per_row_loop():
+    for d, k in ((6, 1), (9, 4), (12, 12)):
+        combos = list(combinations(range(d), k))
+        want = np.zeros((len(combos), d))
+        for i, c in enumerate(combos):
+            want[i, list(c)] = 1.0
+        assert np.array_equal(_indicator_rows(d, combos), want)
+    assert _indicator_rows(5, []).shape == (0, 5)
+
+
 def test_phi_validation():
     b = lindenstrauss(4)
     with pytest.raises(GreedyError):
@@ -293,3 +344,33 @@ def test_democracy_search_mode_runs():
     b = lindenstrauss(24)
     val = democracy_ratio(b, 6, mode="search", budget=256, seed=13)
     assert np.isfinite(val) and val >= 1.0 - 1e-12
+
+
+# ---------------------------------------------------------------------------
+# golden results: any kernel change that moves a greedy value shows here
+# ---------------------------------------------------------------------------
+
+
+def _coeff_digest(coeffs) -> str:
+    return hashlib.sha256(repr(tuple(coeffs)).encode()).hexdigest()[:16]
+
+
+def test_golden_qg_blocksum_random_tier():
+    b = parse_basis("blocksum(lindenstrauss,dims=2^1..2^4,p=1)")
+    val, wit = quasi_greedy_constant_lb(b, budget=256, seed=1)
+    assert val == 1.2636718040935908
+    assert wit.indices == (9,)
+    assert _coeff_digest(wit.coeffs) == "fd89cf2205e52a58"
+
+
+def test_golden_qg_lindenstrauss10_sign_grid():
+    val, wit = quasi_greedy_constant_lb(lindenstrauss(10), seed=1)
+    assert val == 1.2
+    assert wit.indices == (2,)
+    assert wit.coeffs == (1.0, 1.0, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+
+
+def test_golden_phi_difference18():
+    b = difference(18)
+    assert fundamental_function(b, 9) == 18.0
+    assert _sum_norm_extremum(b, 9, True, range(1, 10)) == (18.0, (2, 4, 6, 8, 10, 12, 14, 16, 18))

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from condgreedy.bases import parse_basis
 from condgreedy.spaces import (
     BV,
     C0Trunc,
@@ -21,6 +22,7 @@ from condgreedy.spaces import (
     norm,
     norms,
     parse_space,
+    space_dim,
 )
 
 INF = float("inf")
@@ -154,6 +156,67 @@ def test_norms_batch_matches_scalar():
 def test_norm_rejects_nan():
     with pytest.raises(SpaceError):
         norm(Lp(1.0), [1.0, float("nan")])
+
+
+# ---------------------------------------------------------------------------
+# flat MixedSum evaluation and the overwrite switch
+# ---------------------------------------------------------------------------
+
+
+def _reference_norms(space, V):
+    """Block-by-block evaluation through the public function, one call per block."""
+    if not isinstance(space, MixedSum):
+        return norms(space, V)
+    cols, off = [], 0
+    for sub, d in space.blocks:
+        cols.append(_reference_norms(sub, V[:, off : off + d]))
+        off += d
+    block_norms = np.stack(cols, axis=1)
+    if space.outer_q == 0.0:
+        return block_norms.max(axis=1)
+    return norms(Lp(space.outer_q), block_norms)
+
+
+NESTED_SPECS = [
+    "pqhalf(lindenstrauss,dims=2^1..2^2,p=1,q=1)",
+    "interleave(difference:8,unit:8@lp:2)",
+    "blocksum(lindenstrauss,dims=2^1..2^3,p=2)",
+]
+
+
+@pytest.mark.parametrize("spec", NESTED_SPECS)
+def test_nested_mixed_norms_match_reference_bitwise(spec):
+    space = parse_basis(spec).space
+    width = space_dim(space)
+    rng = np.random.default_rng(31)
+    for n in (1, 7, 300):
+        V = rng.standard_normal((n, width)) * rng.uniform(0.0, 3.0, (n, 1))
+        want = _reference_norms(space, V)
+        assert np.array_equal(norms(space, V), want)
+        assert np.array_equal(norms(space, V.copy(), overwrite=True), want)
+
+
+def test_nested_mixed_nan_in_inner_block_raises():
+    inner = MixedSum(1.0, ((Lp(1.0), 2), (BV(), 3)))
+    space = MixedSum(0.0, ((Lp(2.0), 2), (inner, 5)))
+    V = np.ones((4, 7))
+    V[2, 5] = float("nan")
+    for overwrite in (False, True):
+        with pytest.raises(SpaceError):
+            norms(space, V.copy(), overwrite=overwrite)
+
+
+NESTED = MixedSum(2.0, ((Lp(1.0), 2), (MixedSum(0.0, ((BV(), 2), (C0Trunc(2), 2))), 4)))
+
+
+@pytest.mark.parametrize("space", SPACES + [NESTED], ids=format_space)
+def test_norms_leave_input_unchanged_without_overwrite(space):
+    rng = np.random.default_rng(41)
+    V = rng.standard_normal((25, 6))
+    before = V.copy()
+    got = norms(space, V)
+    assert np.array_equal(V, before)
+    assert np.array_equal(norms(space, V.copy(), overwrite=True), got)
 
 
 @pytest.mark.parametrize("space", SPACES, ids=format_space)
