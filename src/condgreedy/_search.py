@@ -52,16 +52,55 @@ def digit_rows(start: int, stop: int, n_digits: int, base: int) -> np.ndarray:
     return out
 
 
+# ternary sign coding per coordinate: 0 -> 0, 1 -> +1, 2 -> -1
+SIGN_VALUES = np.array([0.0, 1.0, -1.0])
+
+
+def sign_rows(m: int) -> np.ndarray:
+    """All 3^m vectors of {-1,0,1}^m; row c carries the ternary digits of c."""
+    return SIGN_VALUES[digit_rows(0, 3**m, m, 3)]
+
+
 # base-5 joint coding of (coefficient, membership) per coordinate:
 #   0 -> coeff  0 (membership irrelevant)
 #   1 -> coeff +1, in the set        2 -> coeff +1, out
 #   3 -> coeff -1, in the set        4 -> coeff -1, out
 PAIR_COEF = np.array([0, 1, 1, -1, -1], dtype=np.int8)
 PAIR_IN = np.array([False, True, False, True, False])
+# ternary sign digit of f and of S_A f for each pair digit
+_PAIR_F = np.array([0, 1, 1, 2, 2], dtype=np.int32)
+_PAIR_S = np.array([0, 1, 0, 2, 0], dtype=np.int32)
+
+
+def _pair_codes(n_digits: int, shift: int):
+    """Sign codes of f and S_A f for every n_digits-long pair index, scaled
+    to start at ternary digit ``shift``."""
+    digits = digit_rows(0, 5**n_digits, n_digits, 5)
+    weights = (3 ** np.arange(shift, shift + n_digits)).astype(np.int32)
+    return _PAIR_F[digits] @ weights, _PAIR_S[digits] @ weights
 
 
 def pair_chunk(start: int, stop: int, m: int):
-    digits = digit_rows(start, stop, m, 5)
+    """Sign codes (cf, cs) of f and S_A f for pair indices start..stop-1.
+
+    Both index ``sign_rows(m)``; since the codes are digit-wise linear, the
+    residual f - S_A f has code ``cf - cs``.  A pair index splits into its
+    high and low base-5 digits, so the codes are sums of two half-digit
+    tables over the few high-digit values the range spans; nothing of
+    length 5^m is allocated.
+    """
+    low = m // 2
+    lo_f, lo_s = _pair_codes(low, 0)
+    hi_f, hi_s = _pair_codes(m - low, low)
+    h0, l0 = divmod(start, 5**low)
+    h1 = -(-stop // 5**low)
+    cut = slice(l0, l0 + stop - start)
+    return (hi_f[h0:h1, None] + lo_f).ravel()[cut], (hi_s[h0:h1, None] + lo_s).ravel()[cut]
+
+
+def pair_rows(idx, m: int):
+    """(coefficients, membership) rows of the given pair indices."""
+    digits = (np.asarray(idx, dtype=np.int64)[:, None] // 5 ** np.arange(m)) % 5
     return PAIR_COEF[digits].astype(np.float64), PAIR_IN[digits]
 
 
@@ -83,16 +122,20 @@ class TopK:
         self.coefs = np.empty((0, width))
         self.masks = np.empty((0, width), dtype=bool)
 
+    def select(self, ratios: np.ndarray) -> np.ndarray:
+        """Positions of the best k ratios, best first, ties in position order."""
+        if ratios.size <= self.k:
+            return np.arange(ratios.size)
+        part = np.argpartition(-ratios, self.k - 1)[: self.k]
+        return part[np.argsort(-ratios[part], kind="stable")]
+
     def update(self, ratios, coefs, masks):
         if ratios.size == 0:
             return
-        if ratios.size > self.k:
-            part = np.argpartition(-ratios, self.k - 1)[: self.k]
-            part = part[np.argsort(-ratios[part], kind="stable")]
-            ratios, coefs, masks = ratios[part], coefs[part], masks[part]
-        self.ratios = np.concatenate([self.ratios, ratios])
-        self.coefs = np.vstack([self.coefs, coefs])
-        self.masks = np.vstack([self.masks, masks.astype(bool)])
+        sel = self.select(ratios)
+        self.ratios = np.concatenate([self.ratios, ratios[sel]])
+        self.coefs = np.vstack([self.coefs, coefs[sel]])
+        self.masks = np.vstack([self.masks, masks[sel].astype(bool)])
         order = np.argsort(-self.ratios, kind="stable")[: self.k]
         self.ratios = self.ratios[order]
         self.coefs = self.coefs[order]

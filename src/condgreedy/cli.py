@@ -39,6 +39,7 @@ from .scenarios import (
     list_scenarios,
     load_scenarios_config,
     parse_ladder,
+    parse_target,
     result_files,
     run_config_scenario,
     run_scenario,
@@ -53,6 +54,16 @@ class _UsageError(ValueError):
 
 def _seed_arg(txt: str) -> int:
     return int(txt, 0)  # accepts decimal and 0x... forms
+
+
+def _positive_int(txt: str) -> int:
+    try:
+        n = int(txt)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {txt!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -78,9 +89,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="exhaustive route at every rung (L ladders only)")
     c.add_argument("--estimate", action="store_true",
                    help="search route at every rung")
-    c.add_argument("--budget", type=int, default=None)
+    c.add_argument("--budget", type=_positive_int, default=None)
     c.add_argument("--seed", type=_seed_arg, default=DEFAULT_SEED)
-    c.add_argument("--guard", type=int, default=None,
+    c.add_argument("--guard", type=_positive_int, default=None,
                    help="largest m the oracle route may take on")
     c.add_argument("--target", default="log",
                    help="growth target for the delta_m column: log, linear, power:a")
@@ -91,7 +102,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="greedy property suite: quasi-greedy, almost-greedy, "
                             "fundamental function, democracy")
     c.add_argument("--basis", required=True, metavar="SPEC")
-    c.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    c.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET)
     c.add_argument("--seed", type=_seed_arg, default=DEFAULT_SEED)
     c.add_argument("--phi-max", type=int, default=None,
                    help="largest m for the fundamental-function scan")
@@ -103,7 +114,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="scenario names ('all' for every registered one)")
     c.add_argument("--config", default=None, metavar="FILE",
                    help="INI file with [scenario:NAME] sections to run instead")
-    c.add_argument("--budget", type=int, default=None)
+    c.add_argument("--budget", type=_positive_int, default=None)
     c.add_argument("--seed", type=_seed_arg, default=DEFAULT_SEED)
     c.add_argument("--out", default="./reports", help="bundle directory")
     c.add_argument("--no-timestamp", action="store_true",
@@ -129,12 +140,9 @@ def _parse_basis_arg(spec: str):
 
 
 def _parse_target_arg(txt: str) -> GrowthTarget:
-    txt = txt.strip().lower()
     try:
-        if txt.startswith("power:"):
-            return GrowthTarget("power", float(txt.split(":", 1)[1]))
-        return GrowthTarget(txt)
-    except Exception as exc:  # noqa: BLE001
+        return parse_target(txt)
+    except ValueError as exc:
         raise _UsageError(f"bad growth target {txt!r}: {exc}") from exc
 
 

@@ -13,7 +13,9 @@ witness:
   grid over {-1,0,1} coefficients and subset membership when 5^m is small
   enough (deterministic reduced sampling otherwise), then multiplicative
   coordinate ascent on the leading candidates, each rescanned against all
-  2^m subsets.  Deterministic; no user seed enters.
+  2^m subsets.  Deterministic; no user seed enters.  On the full grid both
+  f and S_A f are sign vectors, so the 5^m pairs are integer codes into
+  one norm table over the 3^m sign vectors, evaluated once per m.
 * ``L_m_estimate`` -- the oracle route when m is inside the guard and the
   budget covers the full grid; otherwise template evaluation plus seeded
   random sampling with ascent against a fixed family of structured sets.
@@ -39,8 +41,10 @@ from ._search import (
     TopK,
     all_subset_masks,
     pair_chunk,
+    pair_rows,
     parallel_block_max,
     rng_stream,
+    sign_rows,
 )
 from .bases import BasisTruncation, _prefix_restriction, block_offsets, interleave_positions
 from .spaces import norms
@@ -330,7 +334,15 @@ class _Best:
 
 
 def L_m_oracle(b: BasisTruncation, m: int, guard: int = DEFAULT_GUARD):
-    """Reference lower bound for L_m; deterministic, independent of any seed."""
+    """Reference lower bound for L_m; deterministic, independent of any seed.
+
+    The full joint grid (5^m <= FULL_GRID_CAP) enumerates (coefficient,
+    membership) pairs as base-5 indices; ``pair_chunk`` turns them into the
+    ternary codes of f and S_A f, which index one table of the norms of all
+    3^m sign vectors.  A norm does not depend on the batch it is evaluated
+    in, so the ratios, the leaders and the witness equal those of
+    synthesising every pair.
+    """
     if not (1 <= m <= b.d):
         raise ConditionalityError(f"m must lie in 1..{b.d}, got {m}")
     if m > guard:
@@ -368,17 +380,7 @@ def L_m_oracle(b: BasisTruncation, m: int, guard: int = DEFAULT_GUARD):
 
     # joint coefficient/membership grid
     if 5**m <= FULL_GRID_CAP:
-        total = 5**m
-        step = 1 << 18
-        for start in range(0, total, step):
-            coefs, inmask = pair_chunk(start, min(start + step, total), m)
-            dens = ev.coef_norms(coefs)
-            nums = ev.coef_norms(coefs * inmask)
-            ok = dens > _TINY
-            ratios = np.where(ok, nums / np.where(ok, dens, 1.0), 0.0)
-            i = int(np.argmax(ratios))
-            best.offer(ratios[i], coefs[i], _mask_to_set(inmask[i]))
-            top.update(ratios[ok], coefs[ok], inmask[ok])
+        _oracle_grid(ev, best, top)
     else:
         rng = rng_stream(_ORACLE_SEED, "oracle-pairs", m)
         for _ in range(REDUCED_PAIRS // 4096):
@@ -399,6 +401,32 @@ def L_m_oracle(b: BasisTruncation, m: int, guard: int = DEFAULT_GUARD):
             best.offer(r, a_fin, _mask_to_set(masks[mi]))
 
     return best.ratio, best.witness()
+
+
+def _oracle_grid(ev: _SupportEval, best: _Best, top: TopK):
+    """Sweep all 5^m (coefficient, membership) pairs of the support m.
+
+    f and S_A f are both sign vectors, so every norm is read from one table
+    over the 3^m sign vectors; only the argmax row and the rows TopK keeps
+    are decoded back into coefficients and sets.
+    """
+    m = ev.m
+    table = ev.coef_norms(sign_rows(m))
+    total = 5**m
+    step = 1 << 18
+    for start in range(0, total, step):
+        cf, cs = pair_chunk(start, min(start + step, total), m)
+        dens = table[cf]
+        nums = table[cs]
+        ok = dens > _TINY
+        ratios = np.where(ok, nums / np.where(ok, dens, 1.0), 0.0)
+        i = int(np.argmax(ratios))
+        coefs, inmask = pair_rows([start + i], m)
+        best.offer(ratios[i], coefs[0], _mask_to_set(inmask[0]))
+        kept = np.flatnonzero(ok)
+        sel = kept[top.select(ratios[kept])]
+        coefs, inmask = pair_rows(start + sel, m)
+        top.update(ratios[sel], coefs, inmask)
 
 
 def _pad_mask(mask_row: np.ndarray, m: int) -> np.ndarray:

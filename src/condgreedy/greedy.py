@@ -51,6 +51,7 @@ QG_GRID_MAX_D = 12
 AG_EXHAUSTIVE_MAX_D = 8
 AG_EXACT_DENOM_MAX_D = 12
 FUND_EXACT_MAX_D = 20
+_QG_SLICE = 2048  # sign-grid rows per prefix-residual evaluation
 _TINY = 1e-12
 
 
@@ -151,23 +152,49 @@ def _prefix_residual_ratios(b: BasisTruncation, rows: np.ndarray):
 
 
 def _qg_exhaustive(b: BasisTruncation):
-    """Complete sweep over sign vectors and all their greedy sets (d <= 8)."""
+    """Complete sweep over sign vectors and all their greedy sets (d <= 8).
+
+    f and f - S_A f are sign vectors, so their norms come from one table over
+    the 3^d sign vectors, indexed by the pair codes.
+    """
     d = b.d
     best, best_wit = _floor_witness(b)
+    table = b.synth_norms(_search.sign_rows(d))
     total = 5**d
     chunk = 1 << 18
     for start in range(0, total, chunk):
-        coefs, inmask = _search.pair_chunk(start, min(start + chunk, total), d)
-        full = b.synth_norms(coefs)
-        resid = b.synth_norms(coefs * ~inmask)
+        cf, cs = _search.pair_chunk(start, min(start + chunk, total), d)
+        full = table[cf]
+        resid = table[cf - cs]
         ok = full > _TINY
         ratios = np.where(ok, resid / np.where(ok, full, 1.0), 0.0)
         i = int(np.argmax(ratios))
         if ratios[i] > best + _TINY:
             best = float(ratios[i])
-            A = tuple(int(j) + 1 for j in np.flatnonzero(inmask[i]))
-            best_wit = Witness(tuple(coefs[i].tolist()), A, best, "quasi-greedy")
+            coefs, inmask = _search.pair_rows([start + i], d)
+            A = tuple(int(j) + 1 for j in np.flatnonzero(inmask[0]))
+            best_wit = Witness(tuple(coefs[0].tolist()), A, best, "quasi-greedy")
     return best, best_wit
+
+
+def _prefix_max(b: BasisTruncation, rows: np.ndarray):
+    """Best canonical-prefix residual ratio over the rows, evaluated in
+    slices of _QG_SLICE rows to bound memory.
+
+    Returns (ratio, row index, prefix set, ||f|| per row); ties go to the
+    first row and the shortest prefix, as one argmax over all rows would.
+    """
+    full = np.empty(rows.shape[0])
+    best, best_i, best_A = -np.inf, -1, ()
+    for s0 in range(0, rows.shape[0], _QG_SLICE):
+        ratios, order, full[s0 : s0 + _QG_SLICE] = _prefix_residual_ratios(
+            b, rows[s0 : s0 + _QG_SLICE]
+        )
+        i, mrow = np.unravel_index(np.argmax(ratios), ratios.shape)
+        if ratios[i, mrow] > best:
+            best, best_i = float(ratios[i, mrow]), s0 + int(i)
+            best_A = tuple(sorted(int(j) + 1 for j in order[i, :mrow]))
+    return best, best_i, best_A, full
 
 
 def _qg_sign_grid(b: BasisTruncation, seed: int):
@@ -176,14 +203,11 @@ def _qg_sign_grid(b: BasisTruncation, seed: int):
     best, best_wit = _floor_witness(b)
     total = 3**d
     chunk = 1 << 14
-    signs = np.array([0.0, 1.0, -1.0])
     for ci, start in enumerate(range(0, total, chunk)):
-        rows = signs[_search.digit_rows(start, min(start + chunk, total), d, 3)]
-        ratios, order, full = _prefix_residual_ratios(b, rows)
-        i, mrow = np.unravel_index(np.argmax(ratios), ratios.shape)
-        if ratios[i, mrow] > best + _TINY:
-            best = float(ratios[i, mrow])
-            A = tuple(sorted(int(j) + 1 for j in order[i, :mrow]))
+        rows = _search.SIGN_VALUES[_search.digit_rows(start, min(start + chunk, total), d, 3)]
+        val, i, A, full = _prefix_max(b, rows)
+        if val > best + _TINY:
+            best = val
             best_wit = Witness(tuple(rows[i].tolist()), A, best, "quasi-greedy")
         # stochastic tie resolution: random sub-supports are greedy sets here
         rng = rng_stream(seed, "qg-ties", ci)
@@ -297,9 +321,9 @@ def _ag_exhaustive(b: BasisTruncation):
     coeffs0[0] = 1.0
     best_wit = Witness(tuple(coeffs0.tolist()), (), 1.0, "almost-greedy", b_indices=())
     mask_cache = {}
-    signs = np.array([0.0, 1.0, -1.0])
+    sign_table = _search.sign_rows(d)
     for code in range(1, 3**d):
-        sig = signs[(code // 3 ** np.arange(d)) % 3]
+        sig = sign_table[code]
         supp = np.flatnonzero(sig != 0.0)
         k = supp.size
         if k not in mask_cache:

@@ -414,7 +414,8 @@ def parse_ladder(txt: str) -> tuple:
     return tuple(int(x) for x in txt.split(","))
 
 
-def _parse_target(txt: str) -> GrowthTarget:
+def parse_target(txt: str) -> GrowthTarget:
+    """Growth target spec: ``log``, ``linear`` or ``power:a``."""
     txt = txt.strip().lower()
     if txt.startswith("power:"):
         return GrowthTarget("power", float(txt.split(":", 1)[1]))
@@ -437,7 +438,7 @@ def load_scenarios_config(path: str) -> list:
             "recipe": sec.get("recipe"),
             "ladder": parse_ladder(sec.get("ladder", "2..8")),
             "kind": sec.get("kind", "L"),
-            "target": _parse_target(sec.get("target", "log")),
+            "target": parse_target(sec.get("target", "log")),
             "budget": sec.getint("budget", fallback=None),
             "seed": sec.getint("seed", fallback=DEFAULT_SEED),
             "r2_min": sec.getfloat("r2_min", fallback=0.95),

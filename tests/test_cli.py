@@ -151,6 +151,32 @@ def test_constants_bad_target(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_constants_rejects_nonpositive_budget(budget, capsys):
+    rc = main(["constants", "--basis", "difference:6", "--kind", "k", "--m", "2..3",
+               "--budget", budget])
+    assert rc == 2
+    assert "--budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("guard", ["0", "-1"])
+def test_constants_rejects_nonpositive_guard(guard, capsys):
+    rc = main(["constants", "--basis", "difference:6", "--m", "2..3", "--guard", guard])
+    assert rc == 2
+    assert "--guard" in capsys.readouterr().err
+
+
+def test_constants_target_forms_match_config_parser(capsys):
+    for target in ("log", " Linear ", "power:0.5"):
+        assert main(["constants", "--basis", "difference:6", "--m", "2..3",
+                     "--target", target]) == 0
+    for target in ("power:", "power:2", "power:x"):
+        assert main(["constants", "--basis", "difference:6", "--m", "2..3",
+                     "--target", target]) == 2
+        assert "bad growth target" in capsys.readouterr().err
+    capsys.readouterr()
+
+
 # ---------------------------------------------------------------------------
 # greedy-check
 # ---------------------------------------------------------------------------
@@ -179,6 +205,12 @@ def test_greedy_check_summing_json(capsys):
 def test_greedy_check_phi_max_validation(capsys):
     assert main(["greedy-check", "--basis", "difference:8", "--phi-max", "12"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_greedy_check_rejects_nonpositive_budget(budget, capsys):
+    assert main(["greedy-check", "--basis", "unit:4@lp:2", "--budget", budget]) == 2
+    assert "--budget" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +257,14 @@ def test_experiment_unknown_scenario(tmp_path, capsys):
     rc = main(["experiment", "no-such-thing", "--out", str(tmp_path / "r")])
     assert rc == 2
     assert "unknown scenario" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_experiment_rejects_nonpositive_budget(budget, tmp_path, capsys):
+    out = tmp_path / "r"
+    assert main(["experiment", "unit-control", "--budget", budget, "--out", str(out)]) == 2
+    assert "--budget" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_experiment_requires_names_or_config(tmp_path, capsys):

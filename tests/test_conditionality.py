@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,6 +33,18 @@ from condgreedy import (
     verify_witness,
     witness_from_doc,
 )
+from condgreedy import conditionality as cond_mod
+from condgreedy._search import (
+    PAIR_COEF,
+    PAIR_IN,
+    TopK,
+    digit_rows,
+    pair_chunk,
+    pair_rows,
+    sign_rows,
+)
+from condgreedy.bases import external_basis, parse_basis
+from condgreedy.spaces import parse_space
 
 # reference staircase pinned from the full joint sweep; flat segments are the
 # odd dyadic generations, the risers interpolate inside the even ones
@@ -161,6 +174,110 @@ def test_oracle_validation():
         L_m_oracle(b, 11)
     with pytest.raises(ConditionalityError):
         L_m_oracle(difference(20), 15)  # beyond the default guard
+
+
+# ---------------------------------------------------------------------------
+# pair codes and the sign-table oracle grid
+# ---------------------------------------------------------------------------
+
+
+def _dense_pairs(start, stop, m):
+    digits = digit_rows(start, stop, m, 5)
+    return PAIR_COEF[digits].astype(np.float64), PAIR_IN[digits]
+
+
+def _dense_oracle_grid(ev, best, top):
+    """Reference sweep: synthesise f and S_A f for every pair of every chunk."""
+    m = ev.m
+    total = 5**m
+    step = 1 << 18
+    for start in range(0, total, step):
+        coefs, inmask = _dense_pairs(start, min(start + step, total), m)
+        dens = ev.coef_norms(coefs)
+        nums = ev.coef_norms(coefs * inmask)
+        ok = dens > cond_mod._TINY
+        ratios = np.where(ok, nums / np.where(ok, dens, 1.0), 0.0)
+        i = int(np.argmax(ratios))
+        best.offer(ratios[i], coefs[i], cond_mod._mask_to_set(inmask[i]))
+        top.update(ratios[ok], coefs[ok], inmask[ok])
+
+
+def _random_external(space: str, m: int):
+    rng = np.random.default_rng([7, m, len(space)])
+    return external_basis(rng.standard_normal((m + 2, m)), parse_space(space), space)
+
+
+GRID_BASES = [
+    ("difference:7", lambda: parse_basis("difference:7")),
+    ("summing:7", lambda: parse_basis("summing:7")),
+    ("lindenstrauss:7", lambda: parse_basis("lindenstrauss:7")),
+    ("interleave", lambda: parse_basis("interleave(difference:4,unit:4@lp:2)")),
+    ("pqhalf", lambda: parse_basis("pqhalf(lindenstrauss,dims=2^1..2^2,p=1,q=1)")),
+] + [(f"external {sp}", lambda sp=sp: _random_external(sp, 7))
+     for sp in ("lp:1", "lp:2", "lp:3", "bv", "lorentz:p=2,q=1")]
+
+
+@pytest.mark.parametrize("name,make", GRID_BASES, ids=[n for n, _ in GRID_BASES])
+def test_oracle_grid_matches_dense_reference(name, make, monkeypatch):
+    b = make()
+    for m in range(1, min(b.d, 7) + 1):
+        ev = cond_mod._SupportEval(b, m)
+        got_best, ref_best = cond_mod._Best(b.d, "oracle"), cond_mod._Best(b.d, "oracle")
+        got_top, ref_top = TopK(cond_mod.ORACLE_TOPK, m), TopK(cond_mod.ORACLE_TOPK, m)
+        cond_mod._oracle_grid(ev, got_best, got_top)
+        _dense_oracle_grid(ev, ref_best, ref_top)
+        assert got_best.ratio == ref_best.ratio
+        assert np.array_equal(got_best.coeffs, ref_best.coeffs)
+        assert got_best.indices == ref_best.indices
+        assert np.array_equal(got_top.ratios, ref_top.ratios)
+        assert np.array_equal(got_top.coefs, ref_top.coefs)
+        assert np.array_equal(got_top.masks, ref_top.masks)
+    got = [L_m_oracle(b, m) for m in range(1, min(b.d, 7) + 1)]
+    monkeypatch.setattr(cond_mod, "_oracle_grid", _dense_oracle_grid)
+    ref = [L_m_oracle(b, m) for m in range(1, min(b.d, 7) + 1)]
+    assert got == ref
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_pair_codes_round_trip_whole_grid(m):
+    coefs, inmask = _dense_pairs(0, 5**m, m)
+    cf, cs = pair_chunk(0, 5**m, m)
+    table = sign_rows(m)
+    assert table.shape == (3**m, m)
+    assert np.array_equal(table[cf], coefs)
+    assert np.array_equal(table[cs], coefs * inmask)
+    assert np.array_equal(table[cf - cs], coefs * ~inmask)
+    got_coefs, got_in = pair_rows(np.arange(5**m), m)
+    assert np.array_equal(got_coefs, coefs) and np.array_equal(got_in, inmask)
+
+
+@pytest.mark.parametrize("m,start,stop", [
+    (1, 2, 5),
+    (7, 100, 300),  # crosses the 5^3 low-half boundary
+    (7, 130, 140),  # inside one high-digit block
+    (8, 5**4 - 3, 2 * 5**4 + 3),
+    (10, 3 * 5**5 - 11, 3 * 5**5 + 17),
+    (10, 5**10 - 40, 5**10),  # last rows of the grid
+])
+def test_pair_codes_straddle_half_tables(m, start, stop):
+    coefs, inmask = _dense_pairs(start, stop, m)
+    cf, cs = pair_chunk(start, stop, m)
+    table = sign_rows(m)
+    assert cf.dtype == np.int32 and cs.dtype == np.int32
+    assert np.array_equal(table[cf], coefs)
+    assert np.array_equal(table[cs], coefs * inmask)
+
+
+def test_oracle_memory_stays_below_the_pair_grid():
+    # a 5^10-long array of float64 alone takes 74.5 MiB
+    b = summing(10)
+    tracemalloc.start()
+    try:
+        L_m_oracle(b, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -24,15 +25,29 @@ from condgreedy import (
     summing,
     unit_vector_system,
     verify_witness,
+    Witness,
 )
-from condgreedy._search import all_subset_masks
-from condgreedy.bases import parse_basis
+from condgreedy._search import (
+    PAIR_COEF,
+    PAIR_IN,
+    all_subset_masks,
+    digit_rows,
+    rng_stream,
+    sign_rows,
+)
+from condgreedy.bases import external_basis, parse_basis
 from condgreedy.greedy import (
     _exact_denominators,
+    _floor_witness,
     _indicator_rows,
     _popcounts,
+    _prefix_max,
+    _prefix_residual_ratios,
+    _qg_exhaustive,
+    _qg_sign_grid,
     _sum_norm_extremum,
 )
+from condgreedy.spaces import parse_space
 
 # measured once on the exhaustive tier and pinned; any drift is a regression
 QG_LIND8 = 1.25
@@ -374,3 +389,117 @@ def test_golden_phi_difference18():
     b = difference(18)
     assert fundamental_function(b, 9) == 18.0
     assert _sum_norm_extremum(b, 9, True, range(1, 10)) == (18.0, (2, 4, 6, 8, 10, 12, 14, 16, 18))
+
+
+# ---------------------------------------------------------------------------
+# sign-table exhaustive tier and sliced sign grid against dense references
+# ---------------------------------------------------------------------------
+
+_TINY = 1e-12
+
+
+def _qg_exhaustive_dense(b):
+    """Reference: synthesise f and f - S_A f for every pair of the 5^d grid."""
+    d = b.d
+    best, best_wit = _floor_witness(b)
+    total = 5**d
+    chunk = 1 << 18
+    for start in range(0, total, chunk):
+        digits = digit_rows(start, min(start + chunk, total), d, 5)
+        coefs, inmask = PAIR_COEF[digits].astype(np.float64), PAIR_IN[digits]
+        full = b.synth_norms(coefs)
+        resid = b.synth_norms(coefs * ~inmask)
+        ok = full > _TINY
+        ratios = np.where(ok, resid / np.where(ok, full, 1.0), 0.0)
+        i = int(np.argmax(ratios))
+        if ratios[i] > best + _TINY:
+            best = float(ratios[i])
+            A = tuple(int(j) + 1 for j in np.flatnonzero(inmask[i]))
+            best_wit = Witness(tuple(coefs[i].tolist()), A, best, "quasi-greedy")
+    return best, best_wit
+
+
+def _qg_sign_grid_whole(b, seed):
+    """Reference: prefix residuals of each 16384-row chunk in one evaluation."""
+    d = b.d
+    best, best_wit = _floor_witness(b)
+    total = 3**d
+    chunk = 1 << 14
+    signs = np.array([0.0, 1.0, -1.0])
+    for ci, start in enumerate(range(0, total, chunk)):
+        rows = signs[digit_rows(start, min(start + chunk, total), d, 3)]
+        ratios, order, full = _prefix_residual_ratios(b, rows)
+        i, mrow = np.unravel_index(np.argmax(ratios), ratios.shape)
+        if ratios[i, mrow] > best + _TINY:
+            best = float(ratios[i, mrow])
+            A = tuple(sorted(int(j) + 1 for j in order[i, :mrow]))
+            best_wit = Witness(tuple(rows[i].tolist()), A, best, "quasi-greedy")
+        rng = rng_stream(seed, "qg-ties", ci)
+        ok = full > _TINY
+        for _ in range(4):
+            drop = rng.random(rows.shape) < 0.5
+            resid = b.synth_norms(rows * drop)
+            ratios1 = np.where(ok, resid / np.where(ok, full, 1.0), 0.0)
+            i = int(np.argmax(ratios1))
+            if ratios1[i] > best + _TINY:
+                best = float(ratios1[i])
+                A = tuple(int(j) + 1 for j in np.flatnonzero(~drop[i] & (rows[i] != 0.0)))
+                best_wit = Witness(tuple(rows[i].tolist()), A, best, "quasi-greedy")
+    return best, best_wit
+
+
+def _random_external(space: str, d: int):
+    rng = np.random.default_rng([11, d, len(space)])
+    return external_basis(rng.standard_normal((d + 2, d)), parse_space(space), space)
+
+
+@pytest.mark.parametrize("spec", [
+    "lindenstrauss", "difference", "summing", "external lp:1", "external lp:3",
+    "external bv", "external lorentz:p=2,q=1",
+])
+def test_qg_exhaustive_matches_dense_reference(spec):
+    for d in range(1, 7):
+        if spec.startswith("external "):
+            b = _random_external(spec.split(" ", 1)[1], d)
+        else:
+            b = parse_basis(f"{spec}:{d}")
+        assert _qg_exhaustive(b) == _qg_exhaustive_dense(b)
+    b = parse_basis("interleave(difference:3,unit:3@lp:2)")
+    assert _qg_exhaustive(b) == _qg_exhaustive_dense(b)
+
+
+@pytest.mark.parametrize("spec", ["lindenstrauss:9", "difference:9", "summing:9",
+                                  "interleave(difference:5,unit:4@lp:2)"])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_qg_sign_grid_slices_match_whole_chunks(spec, seed):
+    b = parse_basis(spec)
+    assert _qg_sign_grid(b, seed) == _qg_sign_grid_whole(b, seed)
+
+
+@pytest.mark.parametrize("spec", ["difference:9", "interleave(difference:5,unit:4@lp:2)",
+                                  "lindenstrauss:9"])
+def test_prefix_max_slices_match_one_argmax(spec):
+    # difference:9 and the interleave reach their chunk maximum in several
+    # slices, so only the first-maximum rule gives the whole-chunk argmax
+    b = parse_basis(spec)
+    rows = sign_rows(b.d)
+    for start in range(0, rows.shape[0], 1 << 14):
+        chunk = rows[start : start + (1 << 14)]
+        ratios, order, full = _prefix_residual_ratios(b, chunk)
+        i, mrow = np.unravel_index(np.argmax(ratios), ratios.shape)
+        want_A = tuple(sorted(int(j) + 1 for j in order[i, :mrow]))
+        val, got_i, got_A, got_full = _prefix_max(b, chunk)
+        assert (val, got_i, got_A) == (ratios[i, mrow], i, want_A)
+        assert np.array_equal(got_full, full)
+
+
+def test_qg_sign_grid_memory_is_bounded():
+    # one whole 16384-row chunk of lindenstrauss(10) peaks at about 56 MiB
+    b = lindenstrauss(10)
+    tracemalloc.start()
+    try:
+        quasi_greedy_constant_lb(b, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20
