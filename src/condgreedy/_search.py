@@ -1,4 +1,7 @@
-"""Shared machinery for the lower-bound searches.
+"""The search engine of every lower-bound estimator: the block sampler
+``sample_block``, ``guarded_ratio``, the coordinate ascent ``ascend`` on any
+objective ``a -> (ratio, payload)`` with its move sets, the block maximum
+``parallel_block_max``, and the sign-vector tables of the exhaustive routes.
 
 Determinism contract: every random draw comes from a counter-based Philox
 stream keyed by (seed, tag, indices), so results do not depend on chunk
@@ -20,6 +23,7 @@ DEFAULT_BUDGET = 2048
 BLOCK = 256  # coefficient samples per random block
 ASCENT_TOL = 1e-10
 MAX_SWEEPS = 200
+TINY = 1e-12  # norms at or below this count as zero
 
 
 def thread_count() -> int:
@@ -41,6 +45,77 @@ def rng_stream(seed: int, *key) -> np.random.Generator:
         else:
             parts.append(int(part) & 0xFFFFFFFF)
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(parts)))
+
+
+def check_budget(budget, error: type) -> None:
+    """Raise ``error`` for a sample budget below 1 (None means the default)."""
+    if budget is not None and budget < 1:
+        raise error(f"budget must be at least 1, got {budget}")
+
+
+def guarded_ratio(nums, dens) -> np.ndarray:
+    """nums / dens where dens > TINY, else 0; dens broadcasts over the
+    trailing axes of nums."""
+    dens = np.asarray(dens).reshape(np.shape(dens) + (1,) * (np.ndim(nums) - np.ndim(dens)))
+    ok = dens > TINY
+    return np.where(ok, nums / np.where(ok, dens, 1.0), 0.0)
+
+
+def sample_block(rng: np.random.Generator, d: int, keep: float | None = None) -> np.ndarray:
+    """BLOCK rows of random magnitudes in [0.5, 2] times random signs, the
+    second half bare signs; with ``keep`` each coordinate survives with that
+    probability, at least one per row.  Draws magnitudes, signs, then keep."""
+    mags = rng.uniform(0.5, 2.0, size=(BLOCK, d))
+    signs = np.where(rng.random((BLOCK, d)) < 0.5, 1.0, -1.0)
+    rows = mags * signs
+    if keep is not None:
+        kept = rng.random((BLOCK, d)) < keep
+        kept[~kept.any(axis=1), 0] = True
+        rows = rows * kept
+        signs = signs * kept
+    half = BLOCK // 2
+    rows[half:] = signs[half:]
+    return rows
+
+
+def signed_moves(x: float) -> tuple:
+    """Halve, double, flip or zero a coefficient; a zero one tries +-1."""
+    return (x * 0.5, x * 2.0, -x, 0.0) if x != 0.0 else (1.0, -1.0)
+
+
+def scale_moves(x: float) -> tuple:
+    """Halve or double a nonzero coefficient; zeros stay put."""
+    return (x * 0.5, x * 2.0) if x != 0.0 else ()
+
+
+def ascend(a0, score, moves):
+    """First-improvement coordinate ascent; returns (ratio, a, payload).
+
+    ``score(a)`` gives (ratio, payload).  Each sweep takes, per coordinate,
+    the first of ``moves(a[i])`` that gains at least ASCENT_TOL, skipping
+    all-zero candidates, until a sweep finds none or MAX_SWEEPS.  A start
+    whose payload is None comes back unchanged.
+    """
+    a = np.asarray(a0, dtype=np.float64).copy()
+    cur, payload = score(a)
+    if payload is None:
+        return cur, a, payload
+    for _ in range(MAX_SWEEPS):
+        improved = False
+        for i in range(a.size):
+            for val in moves(a[i]):
+                cand = a.copy()
+                cand[i] = val
+                if not cand.any():
+                    continue
+                r, p = score(cand)
+                if r >= cur + ASCENT_TOL:
+                    a, cur, payload = cand, r, p
+                    improved = True
+                    break
+        if not improved:
+            break
+    return cur, a, payload
 
 
 def digit_rows(start: int, stop: int, n_digits: int, base: int) -> np.ndarray:

@@ -22,6 +22,10 @@ witness:
 * ``k_m_estimate`` -- like the estimate but with full-support samples and
   sets capped at m elements; coincides with L_d when m = d.
 
+The objective of every route is ``_SupportEval.mask_sweep``; the sampler,
+the coordinate ascent and the block maximum come from ``_search``, and both
+estimates share one body, ``_seeded_search``.
+
 Estimates are reproducible for fixed (inputs, seed) under any thread
 count, and never decrease when the budget grows with the seed held fixed.
 """
@@ -33,18 +37,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _search
 from ._search import (
     BLOCK,
     DEFAULT_BUDGET,
     DEFAULT_SEED,
+    TINY,
     TopK,
     all_subset_masks,
+    ascend,
+    check_budget,
+    guarded_ratio,
     pair_chunk,
     pair_rows,
     parallel_block_max,
     rng_stream,
+    sample_block,
     sign_rows,
+    signed_moves,
 )
 from .bases import BasisTruncation, _prefix_restriction, block_offsets, interleave_positions
 from .spaces import norms
@@ -75,7 +84,6 @@ FULL_GRID_CAP = 10_000_000  # largest 5^m swept jointly; m <= 10
 REDUCED_PAIRS = 131_072
 ORACLE_TOPK = 6
 _ORACLE_SEED = 0x0C0FFEE  # internal; keeps the reference sweep user-seed free
-_TINY = 1e-12
 
 
 class ConditionalityError(ValueError):
@@ -139,7 +147,7 @@ def sa_ratio(b: BasisTruncation, coeffs, indices) -> float:
         raise ConditionalityError(f"expected {b.d} coefficients")
     pair = np.vstack([_restrict(a, indices), a])
     num, den = b.synth_norms(pair)
-    if den <= _TINY:
+    if den <= TINY:
         raise ConditionalityError("zero vector has no projection ratio")
     return float(num) / float(den)
 
@@ -157,7 +165,7 @@ def verify_witness(b: BasisTruncation, w: Witness) -> float:
     else:
         raise ConditionalityError(f"unknown witness kind {w.kind!r}")
     num, den = b.synth_norms(np.vstack(rows))
-    if den <= _TINY:
+    if den <= TINY:
         raise ConditionalityError("witness denominator vanishes")
     return float(num) / float(den)
 
@@ -254,48 +262,20 @@ class _SupportEval:
     def coef_norms(self, rows: np.ndarray) -> np.ndarray:
         return norms(self.space, rows @ self.colsT, overwrite=True)
 
-    def mask_sweep(self, a: np.ndarray, masks: np.ndarray, chunk: int = 8192):
-        """Best ||S_A f||/||f|| over the mask rows; returns (ratio, row index)."""
+    def mask_sweep(self, a: np.ndarray, sets: np.ndarray, chunk: int = 8192):
+        """Best ||S_A f||/||f|| over the 0/1 set rows; returns (ratio, row
+        index), or (0.0, None) when f vanishes.  The ascent objective of the
+        oracle and of both estimates."""
         den = float(self.coef_norms(a[None, :])[0])
-        if den <= _TINY:
-            return 0.0, -1
-        best, best_i = -1.0, -1
-        for start in range(0, masks.shape[0], chunk):
-            nums = self.coef_norms(masks[start : start + chunk] * a)
+        if den <= TINY:
+            return 0.0, None
+        best, best_i = -1.0, None
+        for start in range(0, sets.shape[0], chunk):
+            nums = self.coef_norms(sets[start : start + chunk] * a)
             i = int(np.argmax(nums))
             if nums[i] > best:
                 best, best_i = float(nums[i]), start + i
         return best / den, best_i
-
-
-def _ascend_masks(ev: _SupportEval, a0: np.ndarray, masks: np.ndarray):
-    """Coordinate-wise multiplicative ascent, rescanning every mask per step.
-
-    A step is accepted only when the ratio improves by >= 1e-10, so the walk
-    terminates; the result is a certified (f, A) pair like any other sample.
-    """
-    a = np.asarray(a0, dtype=np.float64).copy()
-    cur, mi = ev.mask_sweep(a, masks)
-    if mi < 0:
-        return cur, a, mi
-    for _ in range(_search.MAX_SWEEPS):
-        improved = False
-        for i in range(ev.m):
-            base = a[i]
-            moves = (base * 0.5, base * 2.0, -base, 0.0) if base != 0.0 else (1.0, -1.0)
-            for val in moves:
-                cand = a.copy()
-                cand[i] = val
-                if not cand.any():
-                    continue
-                r, mj = ev.mask_sweep(cand, masks)
-                if r >= cur + _search.ASCENT_TOL:
-                    a, cur, mi = cand, r, mj
-                    improved = True
-                    break
-        if not improved:
-            break
-    return cur, a, mi
 
 
 def _mask_to_set(mask_row) -> tuple:
@@ -364,11 +344,10 @@ def L_m_oracle(b: BasisTruncation, m: int, guard: int = DEFAULT_GUARD):
         for profile in PROFILES:
             a_s = profile(s)
             r, mi = ev_s.mask_sweep(a_s, masks_s)
-            if mi >= 0:
-                a_full = np.zeros(m)
-                a_full[:s] = a_s
-                best.offer(r, a_full, _mask_to_set(masks_s[mi]))
-                top.update(np.array([r]), a_full[None, :], _pad_mask(masks_s[mi], m)[None, :])
+            if mi is not None:
+                a_full, A = _pad_to(a_s, m), _mask_to_set(masks_s[mi])
+                best.offer(r, a_full, A)
+                top.update(np.array([r]), a_full[None, :], _set_to_mask(m, A)[None, :] > 0.5)
 
     # recipe templates, swept over the same support sizes
     for s in range(1, m + 1):
@@ -387,17 +366,16 @@ def L_m_oracle(b: BasisTruncation, m: int, guard: int = DEFAULT_GUARD):
             coefs = rng.integers(-1, 2, size=(4096, m)).astype(np.float64)
             inmask = rng.random((4096, m)) < 0.5
             dens = ev.coef_norms(coefs)
-            nums = ev.coef_norms(coefs * inmask)
-            ok = dens > _TINY
-            ratios = np.where(ok, nums / np.where(ok, dens, 1.0), 0.0)
+            ratios = guarded_ratio(ev.coef_norms(coefs * inmask), dens)
+            ok = dens > TINY
             i = int(np.argmax(ratios))
             best.offer(ratios[i], coefs[i], _mask_to_set(inmask[i]))
             top.update(ratios[ok], coefs[ok], inmask[ok])
 
     # ascent from the distinct leaders, rescanning all subsets each step
     for a_start, _ in top.distinct_starts():
-        r, a_fin, mi = _ascend_masks(ev, a_start, masks)
-        if mi >= 0:
+        r, a_fin, mi = ascend(a_start, lambda a: ev.mask_sweep(a, masks), signed_moves)
+        if mi is not None:
             best.offer(r, a_fin, _mask_to_set(masks[mi]))
 
     return best.ratio, best.witness()
@@ -417,9 +395,8 @@ def _oracle_grid(ev: _SupportEval, best: _Best, top: TopK):
     for start in range(0, total, step):
         cf, cs = pair_chunk(start, min(start + step, total), m)
         dens = table[cf]
-        nums = table[cs]
-        ok = dens > _TINY
-        ratios = np.where(ok, nums / np.where(ok, dens, 1.0), 0.0)
+        ratios = guarded_ratio(table[cs], dens)
+        ok = dens > TINY
         i = int(np.argmax(ratios))
         coefs, inmask = pair_rows([start + i], m)
         best.offer(ratios[i], coefs[0], _mask_to_set(inmask[0]))
@@ -427,12 +404,6 @@ def _oracle_grid(ev: _SupportEval, best: _Best, top: TopK):
         sel = kept[top.select(ratios[kept])]
         coefs, inmask = pair_rows(start + sel, m)
         top.update(ratios[sel], coefs, inmask)
-
-
-def _pad_mask(mask_row: np.ndarray, m: int) -> np.ndarray:
-    out = np.zeros(m, dtype=bool)
-    out[: mask_row.size] = mask_row > 0.5
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -443,55 +414,52 @@ def _pad_mask(mask_row: np.ndarray, m: int) -> np.ndarray:
 def _sets_sweep(ev: _SupportEval, rows: np.ndarray, sets: np.ndarray):
     """Ratio table over sample rows x candidate sets: (n, S) ratios."""
     n, m = rows.shape
-    dens = ev.coef_norms(rows)
     prods = rows[:, None, :] * sets[None, :, :]
     nums = ev.coef_norms(prods.reshape(n * sets.shape[0], m)).reshape(n, sets.shape[0])
-    ok = dens > _TINY
-    return np.where(ok[:, None], nums / np.where(ok, dens, 1.0)[:, None], 0.0)
+    return guarded_ratio(nums, ev.coef_norms(rows))
 
 
-def _ascend_sets(ev: _SupportEval, a0: np.ndarray, sets: np.ndarray):
-    """Ascent against a fixed small family of sets (large-m workhorse)."""
-    a = np.asarray(a0, dtype=np.float64).copy()
-    ratios = _sets_sweep(ev, a[None, :], sets)[0]
-    si = int(np.argmax(ratios))
-    cur = float(ratios[si])
-    for _ in range(_search.MAX_SWEEPS):
-        improved = False
-        for i in range(ev.m):
-            base = a[i]
-            moves = (base * 0.5, base * 2.0, -base, 0.0) if base != 0.0 else (1.0, -1.0)
-            for val in moves:
-                cand = a.copy()
-                cand[i] = val
-                if not cand.any():
-                    continue
-                cr = _sets_sweep(ev, cand[None, :], sets)[0]
-                cj = int(np.argmax(cr))
-                if cr[cj] >= cur + _search.ASCENT_TOL:
-                    a, cur, si = cand, float(cr[cj]), cj
-                    improved = True
-                    break
-        if not improved:
-            break
-    return cur, a, si
+def _seeded_search(b: BasisTruncation, ev: _SupportEval, floor_set, sets, pairs, block_fn,
+                   budget: int | None):
+    """Body of both seeded estimates on the support of ``ev``.
+
+    Offers the floor (e_1, ``floor_set``) and every template pair, whose sets
+    join the family ``sets``; ascends from the best of them; then keeps the
+    best of ceil(budget / BLOCK) random blocks ``block_fn(sets, i)``
+    (DEFAULT_BUDGET when ``budget`` is None).
+    """
+    m = ev.m
+    best = _Best(b.d, "template")
+    a0 = np.zeros(m)
+    a0[0] = 1.0
+    best.offer(1.0, a0, floor_set, kind="random")
+    family = [sets]
+    for a_t, A_t in pairs:
+        best.offer(sa_ratio(b, a_t, A_t), np.asarray(a_t)[:m], A_t, kind="template")
+        family.append(_set_to_mask(m, A_t)[None, :])
+    sets = np.unique(np.vstack(family), axis=0)
+
+    # deterministic ascent from the best template before spending the budget
+    r, a_fin, si = ascend(best.coeffs, lambda a: ev.mask_sweep(a, sets), signed_moves)
+    if r > best.ratio:
+        best.offer(r, a_fin, _mask_to_set(sets[si]), kind="random")
+
+    n_blocks = math.ceil((DEFAULT_BUDGET if budget is None else budget) / BLOCK)
+    val, payload = parallel_block_max(lambda i: block_fn(sets, i), n_blocks)
+    if payload is not None and val > best.ratio:
+        best.offer(val, payload[0], _mask_to_set(payload[1]), kind="random")
+    return best.ratio, best.witness()
 
 
 def _L_block(ev: _SupportEval, sets: np.ndarray, seed: int, bi: int):
     m = ev.m
     rng = rng_stream(seed, "L", m, bi)
-    mags = rng.uniform(0.5, 2.0, size=(BLOCK, m))
-    signs = np.where(rng.random((BLOCK, m)) < 0.5, 1.0, -1.0)
-    keep = rng.random((BLOCK, m)) < 0.8
-    keep[~keep.any(axis=1), 0] = True
-    rows = mags * signs * keep
-    half = BLOCK // 2
-    rows[half:] = signs[half:] * keep[half:]
+    rows = sample_block(rng, m, keep=0.8)
     extra = (rng.random((8, m)) < 0.5).astype(np.float64)
     block_sets = np.vstack([sets, extra])
     ratios = _sets_sweep(ev, rows, block_sets)
     i, j = np.unravel_index(np.argmax(ratios), ratios.shape)
-    r, a, si = _ascend_sets(ev, rows[i], block_sets)
+    r, a, si = ascend(rows[i], lambda a: ev.mask_sweep(a, block_sets), signed_moves)
     if r >= ratios[i, j]:
         return r, (a, block_sets[si])
     return float(ratios[i, j]), (rows[i].copy(), block_sets[j])
@@ -509,6 +477,7 @@ def L_m_estimate(
     when m is within the guard and the budget covers the full grid)."""
     if not (1 <= m <= b.d):
         raise ConditionalityError(f"m must lie in 1..{b.d}, got {m}")
+    check_budget(budget, ConditionalityError)
     pairs = list(templates) if templates is not None else []
     pairs.extend(template_pairs(b.recipe, b.d, m))
 
@@ -521,28 +490,10 @@ def L_m_estimate(
         return best.ratio, best.witness()
 
     ev = _SupportEval(b, m)
-    best = _Best(b.d, "template")
-    a0 = np.zeros(m)
-    a0[0] = 1.0
-    best.offer(1.0, a0, tuple(range(1, m + 1)), kind="random")
-
-    sets = [_structured_masks(m)]
-    for a_t, A_t in pairs:
-        best.offer(sa_ratio(b, a_t, A_t), np.asarray(a_t)[:m], A_t, kind="template")
-        sets.append(_set_to_mask(m, A_t)[None, :])
-    sets = np.unique(np.vstack(sets), axis=0)
-
-    # deterministic ascent from the best template before spending the budget
-    if best.coeffs is not None and best.coeffs.any():
-        r, a_fin, si = _ascend_sets(ev, best.coeffs, sets)
-        if r > best.ratio:
-            best.offer(r, a_fin, _mask_to_set(sets[si]), kind="random")
-
-    n_blocks = max(1, math.ceil((budget if budget is not None else DEFAULT_BUDGET) / BLOCK))
-    val, payload = parallel_block_max(lambda i: _L_block(ev, sets, seed, i), n_blocks)
-    if payload is not None and val > best.ratio:
-        best.offer(val, payload[0], _mask_to_set(payload[1]), kind="random")
-    return best.ratio, best.witness()
+    return _seeded_search(
+        b, ev, tuple(range(1, m + 1)), _structured_masks(m), pairs,
+        lambda sets, i: _L_block(ev, sets, seed, i), budget,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -570,11 +521,7 @@ def _cap_sets(sets: np.ndarray, m: int) -> np.ndarray:
 def _k_block(ev: _SupportEval, sets: np.ndarray, m: int, seed: int, bi: int):
     d = ev.m
     rng = rng_stream(seed, "k", m, bi)
-    mags = rng.uniform(0.5, 2.0, size=(BLOCK, d))
-    signs = np.where(rng.random((BLOCK, d)) < 0.5, 1.0, -1.0)
-    rows = mags * signs
-    half = BLOCK // 2
-    rows[half:] = signs[half:]
+    rows = sample_block(rng, d)
     extra = _cap_sets((rng.random((8, d)) < min(0.5, m / d)).astype(np.float64), m)
     block_sets = np.vstack([sets, extra])
     ratios = _sets_sweep(ev, rows, block_sets)
@@ -583,15 +530,12 @@ def _k_block(ev: _SupportEval, sets: np.ndarray, m: int, seed: int, bi: int):
     payload = (rows[best_i].copy(), block_sets[best_j])
     # per-row largest-coefficient sets obey |A| <= m by construction
     tops = np.array([_top_mask(rows[i], m) for i in range(BLOCK)])
-    dens = ev.coef_norms(rows)
-    nums = ev.coef_norms(rows * tops)
-    ok = dens > _TINY
-    tr = np.where(ok, nums / np.where(ok, dens, 1.0), 0.0)
+    tr = guarded_ratio(ev.coef_norms(rows * tops), ev.coef_norms(rows))
     ti = int(np.argmax(tr))
     if tr[ti] > best_r:
         best_r = float(tr[ti])
         payload = (rows[ti].copy(), tops[ti])
-    r, a, si = _ascend_sets(ev, payload[0], block_sets)
+    r, a, si = ascend(payload[0], lambda a: ev.mask_sweep(a, block_sets), signed_moves)
     if r > best_r:
         return r, (a, block_sets[si])
     return best_r, payload
@@ -603,32 +547,16 @@ def k_m_estimate(
     """Lower bound for k_m = sup over |A| <= m of the projection norm."""
     if not (1 <= m <= b.d):
         raise ConditionalityError(f"m must lie in 1..{b.d}, got {m}")
+    check_budget(budget, ConditionalityError)
     if m == b.d:
         # identical optimisation domain: A free inside {1..d}, support free
         return L_m_estimate(b, m, budget=budget, seed=seed)
     d = b.d
     ev = _SupportEval(b, d)
-    best = _Best(d, "template")
-    a0 = np.zeros(d)
-    a0[0] = 1.0
-    best.offer(1.0, a0, (1,), kind="random")
-
-    sets = [_cap_sets(_structured_masks(d), m)]
-    for a_t, A_t in k_template_pairs(b.recipe, d, m):
-        best.offer(sa_ratio(b, a_t, A_t), np.asarray(a_t), A_t, kind="template")
-        sets.append(_set_to_mask(d, A_t)[None, :])
-    sets = np.unique(np.vstack(sets), axis=0)
-
-    if best.coeffs is not None and best.coeffs.any():
-        r, a_fin, si = _ascend_sets(ev, best.coeffs, sets)
-        if r > best.ratio:
-            best.offer(r, a_fin, _mask_to_set(sets[si]), kind="random")
-
-    n_blocks = max(1, math.ceil(budget / BLOCK))
-    val, payload = parallel_block_max(lambda i: _k_block(ev, sets, m, seed, i), n_blocks)
-    if payload is not None and val > best.ratio:
-        best.offer(val, payload[0], _mask_to_set(payload[1]), kind="random")
-    return best.ratio, best.witness()
+    return _seeded_search(
+        b, ev, (1,), _cap_sets(_structured_masks(d), m), k_template_pairs(b.recipe, d, m),
+        lambda sets, i: _k_block(ev, sets, m, seed, i), budget,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -792,7 +720,7 @@ def target_doubling(target: GrowthTarget, ms) -> tuple:
     deltas = [target.delta(m) for m in ms]
     increasing = all(b > a for a, b in zip(deltas, deltas[1:]))
     ratios = [
-        target.delta(2 * m) / target.delta(m) for m in ms if target.delta(m) > _TINY
+        target.delta(2 * m) / target.delta(m) for m in ms if target.delta(m) > TINY
     ]
     return increasing, (max(ratios) if ratios else None)
 
@@ -905,11 +833,12 @@ def lb_ladder(
         raise ConditionalityError(f"unknown ladder mode {mode!r}")
     if kind == "k" and mode == "oracle":
         raise ConditionalityError("k ladders have no oracle route; use mode 'auto' or 'estimate'")
+    check_budget(budget, ConditionalityError)
     out = []
     carry_val, carry_wit = 0.0, None
     for m in ms:
         if kind == "k":
-            val, wit = k_m_estimate(b, m, budget=budget or DEFAULT_BUDGET, seed=seed)
+            val, wit = k_m_estimate(b, m, budget=budget, seed=seed)
         elif mode == "oracle" or (mode == "auto" and m <= guard):
             val, wit = L_m_oracle(b, m, guard=guard)
         else:

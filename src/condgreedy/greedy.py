@@ -17,6 +17,9 @@ Estimator tiers, chosen by the basis length d:
 * d >  12  -- seeded random magnitude/sign sampling in blocks, with
               multiplicative coordinate ascent on the block winners.
 
+The block sampler, the ascent and the block maximum are the shared search
+engine of ``_search``; the ascent objective here is ``_qg_ratio_of``.
+
 All reported values are running-max lower bounds and are reproducible for a
 fixed seed regardless of CONDGREEDY_THREADS.
 """
@@ -30,7 +33,8 @@ from itertools import chain, combinations, islice
 import numpy as np
 
 from . import _search
-from ._search import BLOCK, DEFAULT_BUDGET, DEFAULT_SEED, rng_stream
+from ._search import (BLOCK, DEFAULT_BUDGET, DEFAULT_SEED, TINY, ascend, check_budget,
+                      guarded_ratio, rng_stream, sample_block, scale_moves)
 from .bases import BasisTruncation
 from .conditionality import Witness
 from .spaces import norms
@@ -52,7 +56,6 @@ AG_EXHAUSTIVE_MAX_D = 8
 AG_EXACT_DENOM_MAX_D = 12
 FUND_EXACT_MAX_D = 20
 _QG_SLICE = 2048  # sign-grid rows per prefix-residual evaluation
-_TINY = 1e-12
 
 
 class GreedyError(ValueError):
@@ -146,9 +149,7 @@ def _prefix_residual_ratios(b: BasisTruncation, rows: np.ndarray):
     resid = rows[:, None, :] * keep
     resid_norms = b.synth_norms(resid.reshape(n * (d + 1), d)).reshape(n, d + 1)
     full = resid_norms[:, 0]
-    ok = full > _TINY
-    ratios = np.where(ok[:, None], resid_norms / np.where(ok, full, 1.0)[:, None], 0.0)
-    return ratios, order, full
+    return guarded_ratio(resid_norms, full), order, full
 
 
 def _qg_exhaustive(b: BasisTruncation):
@@ -164,12 +165,9 @@ def _qg_exhaustive(b: BasisTruncation):
     chunk = 1 << 18
     for start in range(0, total, chunk):
         cf, cs = _search.pair_chunk(start, min(start + chunk, total), d)
-        full = table[cf]
-        resid = table[cf - cs]
-        ok = full > _TINY
-        ratios = np.where(ok, resid / np.where(ok, full, 1.0), 0.0)
+        ratios = guarded_ratio(table[cf - cs], table[cf])
         i = int(np.argmax(ratios))
-        if ratios[i] > best + _TINY:
+        if ratios[i] > best + TINY:
             best = float(ratios[i])
             coefs, inmask = _search.pair_rows([start + i], d)
             A = tuple(int(j) + 1 for j in np.flatnonzero(inmask[0]))
@@ -206,18 +204,16 @@ def _qg_sign_grid(b: BasisTruncation, seed: int):
     for ci, start in enumerate(range(0, total, chunk)):
         rows = _search.SIGN_VALUES[_search.digit_rows(start, min(start + chunk, total), d, 3)]
         val, i, A, full = _prefix_max(b, rows)
-        if val > best + _TINY:
+        if val > best + TINY:
             best = val
             best_wit = Witness(tuple(rows[i].tolist()), A, best, "quasi-greedy")
         # stochastic tie resolution: random sub-supports are greedy sets here
         rng = rng_stream(seed, "qg-ties", ci)
-        ok = full > _TINY
         for _ in range(4):
             drop = rng.random(rows.shape) < 0.5
-            resid = b.synth_norms(rows * drop)
-            ratios1 = np.where(ok, resid / np.where(ok, full, 1.0), 0.0)
+            ratios1 = guarded_ratio(b.synth_norms(rows * drop), full)
             i = int(np.argmax(ratios1))
-            if ratios1[i] > best + _TINY:
+            if ratios1[i] > best + TINY:
                 best = float(ratios1[i])
                 A = tuple(int(j) + 1 for j in np.flatnonzero(~drop[i] & (rows[i] != 0.0)))
                 best_wit = Witness(tuple(rows[i].tolist()), A, best, "quasi-greedy")
@@ -233,48 +229,21 @@ def _qg_ratio_of(b: BasisTruncation, a: np.ndarray):
 def _qg_random_block(b: BasisTruncation, seed: int, block_i: int):
     d = b.d
     rng = rng_stream(seed, "qg", block_i)
-    mags = rng.uniform(0.5, 2.0, size=(BLOCK, d))
-    signs = np.where(rng.random((BLOCK, d)) < 0.5, 1.0, -1.0)
-    keep = rng.random((BLOCK, d)) < 0.85
-    keep[~keep.any(axis=1), 0] = True
-    rows = mags * signs * keep
-    # half the block: pure sign vectors with random greedy subsets
+    rows = sample_block(rng, d, keep=0.85)
+    best, i, A, full = _prefix_max(b, rows)
+    best_pair = (rows[i].copy(), A)
+    # the sign half of the block: random sub-supports are greedy sets there
     half = BLOCK // 2
-    rows[half:] = signs[half:] * keep[half:]
-    ratios, order, full = _prefix_residual_ratios(b, rows)
-    i, mrow = np.unravel_index(np.argmax(ratios), ratios.shape)
-    best = float(ratios[i, mrow])
-    best_pair = (rows[i].copy(), tuple(sorted(int(j) + 1 for j in order[i, :mrow])))
-    ok = full[half:] > _TINY
     for t in range(4):
         drop = rng.random((BLOCK - half, d)) < 0.5
-        resid = b.synth_norms(rows[half:] * drop)
-        r1 = np.where(ok, resid / np.where(ok, full[half:], 1.0), 0.0)
+        r1 = guarded_ratio(b.synth_norms(rows[half:] * drop), full[half:])
         i = int(np.argmax(r1))
-        if r1[i] > best + _TINY:
+        if r1[i] > best + TINY:
             best = float(r1[i])
             A = tuple(int(j) + 1 for j in np.flatnonzero(~drop[i] & (rows[half + i] != 0.0)))
             best_pair = (rows[half + i].copy(), A)
     # multiplicative ascent on the block winner
-    a, A = best_pair
-    a = a.copy()
-    cur, curA = _qg_ratio_of(b, a)
-    if cur > best:
-        best, best_pair = cur, (a.copy(), curA)
-    for _ in range(_search.MAX_SWEEPS):
-        improved = False
-        for i in range(d):
-            if a[i] == 0.0:
-                continue
-            for move in (0.5, 2.0):
-                cand = a.copy()
-                cand[i] *= move
-                val, valA = _qg_ratio_of(b, cand)
-                if val >= cur + _search.ASCENT_TOL:
-                    a, cur, curA = cand, val, valA
-                    improved = True
-        if not improved:
-            break
+    cur, a, curA = ascend(best_pair[0], lambda a: _qg_ratio_of(b, a), scale_moves)
     if cur > best:
         best, best_pair = cur, (a, curA)
     return best, best_pair
@@ -284,15 +253,15 @@ def quasi_greedy_constant_lb(
     b: BasisTruncation, budget: int = DEFAULT_BUDGET, seed: int = DEFAULT_SEED
 ):
     """Lower bound for the quasi-greedy constant with its witness."""
+    check_budget(budget, GreedyError)
     d = b.d
     if d <= QG_EXHAUSTIVE_MAX_D:
         return _qg_exhaustive(b)
     if d <= QG_GRID_MAX_D:
         return _qg_sign_grid(b, seed)
     best, best_wit = _floor_witness(b)
-    n_blocks = max(1, math.ceil(budget / BLOCK))
     val, pair = _search.parallel_block_max(
-        lambda i: _qg_random_block(b, seed, i), n_blocks
+        lambda i: _qg_random_block(b, seed, i), math.ceil(budget / BLOCK)
     )
     if pair is not None and val > best:
         best = val
@@ -314,42 +283,41 @@ def _popcounts(n_bits: int) -> np.ndarray:
 
 
 def _ag_exhaustive(b: BasisTruncation):
-    """Sign-grid sweep with exact denominators (d <= 8)."""
+    """Sign-grid sweep with exact denominators (d <= 8).
+
+    Every numerator and denominator is the norm of f restricted to a subset
+    T of its support, a sign vector with the ternary code
+    ``masks @ (digits[supp] * 3**supp)``, so one table over the 3^d sign
+    vectors serves the whole sweep.
+    """
     d = b.d
     best = 1.0
     coeffs0 = np.zeros(d)
     coeffs0[0] = 1.0
     best_wit = Witness(tuple(coeffs0.tolist()), (), 1.0, "almost-greedy", b_indices=())
+    digits = _search.digit_rows(0, 3**d, d, 3)
+    signs = _search.SIGN_VALUES[digits]
+    table = b.synth_norms(signs)
+    place = 3 ** np.arange(d)
     mask_cache = {}
-    sign_table = _search.sign_rows(d)
     for code in range(1, 3**d):
-        sig = sign_table[code]
+        sig = signs[code]
         supp = np.flatnonzero(sig != 0.0)
         k = supp.size
         if k not in mask_cache:
-            mask_cache[k] = (_search.all_subset_masks(k), _popcounts(k))
+            mask_cache[k] = (_search.all_subset_masks(k).astype(np.int64), _popcounts(k))
         masks, sizes = mask_cache[k]
-        kept = masks * sig[supp]  # row T: coefficients restricted to T
-        nrm = norms(b.space, kept @ b.columns[:, supp].T)
+        nrm = table[masks @ (digits[code, supp] * place[supp])]  # row T: f restricted to T
         # min ||f - S_B f|| over |B| <= s equals min over kept sets of size >= k - s
-        by_size_desc = np.argsort(-sizes, kind="stable")
-        run_min = np.minimum.accumulate(nrm[by_size_desc])
         min_for_keep = np.full(k + 1, np.inf)  # index: required kept size
-        for pos, t in enumerate(sizes[by_size_desc]):
-            min_for_keep[t] = min(min_for_keep[t], run_min[pos])
-        for t in range(k - 1, -1, -1):
-            min_for_keep[t] = min(min_for_keep[t], min_for_keep[t + 1])
-        full_idx = (1 << k) - 1
-        num = nrm[np.arange(1 << k) ^ full_idx]  # residual of A = complement of kept
-        s = sizes  # |A| per code
-        denom = min_for_keep[np.maximum(k - s, 0)]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = np.where((denom > _TINY) & (num > _TINY), num / denom, 0.0)
+        np.minimum.at(min_for_keep, sizes, nrm)
+        min_for_keep = np.minimum.accumulate(min_for_keep[::-1])[::-1]
+        num = nrm[np.arange(1 << k) ^ ((1 << k) - 1)]  # residual of A = complement of kept
+        ratios = guarded_ratio(num, min_for_keep[k - sizes])  # |A| = sizes per code
         i = int(np.argmax(ratios))
-        if ratios[i] > best + _TINY:
+        if ratios[i] > best + TINY:
             best = float(ratios[i])
-            a_bits = i
-            A = tuple(int(supp[j]) + 1 for j in range(k) if (a_bits >> j) & 1)
+            A = tuple(int(supp[j]) + 1 for j in range(k) if (i >> j) & 1)
             # witness for the minimising B
             cand = np.flatnonzero(sizes >= k - sizes[i])
             bsel = cand[int(np.argmin(nrm[cand]))]
@@ -405,10 +373,10 @@ def _ag_random_block(b: BasisTruncation, seed: int, block_i: int, exact_denom: b
                         denom[t] = v
                         bsets[t] = tuple(int(x) + 1 for x in np.flatnonzero(extra[row]))
         for m in range(d + 1):
-            if denom[m] <= _TINY or resid[i, m] <= _TINY:
+            if denom[m] <= TINY or resid[i, m] <= TINY:
                 continue
             r = resid[i, m] / denom[m]
-            if r > best + _TINY:
+            if r > best + TINY:
                 best = float(r)
                 A = tuple(sorted(int(j) + 1 for j in order[i, :m]))
                 Bm = bsets[m] if bsets is not None else None
@@ -423,23 +391,16 @@ def _ag_random_block(b: BasisTruncation, seed: int, block_i: int, exact_denom: b
 
 
 def _denominator_set(b: BasisTruncation, a: np.ndarray, m: int, target: float):
-    """Find a set B, |B| <= m, with ||f - S_B f|| equal to the located minimum."""
+    """Find a set B, |B| <= m, with ||f - S_B f|| equal to the located minimum
+    (exact-denominator tier, d <= AG_EXACT_DENOM_MAX_D)."""
     d = b.d
-    if d <= AG_EXACT_DENOM_MAX_D:
-        masks = _search.all_subset_masks(d)
-        sizes = _popcounts(d)
-        sel = sizes <= m
-        nrm = b.synth_norms((1.0 - masks[sel]) * a)
-        j = int(np.argmin(np.abs(nrm - target)))
-        code = np.flatnonzero(sel)[j]
-        return tuple(int(i) + 1 for i in range(d) if (code >> i) & 1)
-    order = _canonical_order(a)
-    for t in range(m + 1):
-        keep = np.ones(d, dtype=bool)
-        keep[order[:t]] = False
-        if abs(float(b.synth_norms((a * keep)[None])[0]) - target) <= 1e-9 * max(1.0, target):
-            return tuple(sorted(int(i) + 1 for i in order[:t]))
-    return tuple(sorted(int(i) + 1 for i in order[:m]))
+    masks = _search.all_subset_masks(d)
+    sizes = _popcounts(d)
+    sel = sizes <= m
+    nrm = b.synth_norms((1.0 - masks[sel]) * a)
+    j = int(np.argmin(np.abs(nrm - target)))
+    code = np.flatnonzero(sel)[j]
+    return tuple(int(i) + 1 for i in range(d) if (code >> i) & 1)
 
 
 def almost_greedy_constant_lb(
@@ -451,13 +412,13 @@ def almost_greedy_constant_lb(
     d <= 12 and by seeded candidate search beyond that, so each reported
     ratio is a certified lower bound for its (f, A) pair.
     """
+    check_budget(budget, GreedyError)
     d = b.d
     if d <= AG_EXHAUSTIVE_MAX_D:
         return _ag_exhaustive(b)
     exact = d <= AG_EXACT_DENOM_MAX_D
-    n_blocks = max(1, math.ceil(budget / BLOCK))
     val, payload = _search.parallel_block_max(
-        lambda i: _ag_random_block(b, seed, i, exact), n_blocks
+        lambda i: _ag_random_block(b, seed, i, exact), math.ceil(budget / BLOCK)
     )
     coeffs0 = np.zeros(d)
     coeffs0[0] = 1.0
@@ -508,6 +469,7 @@ def _sum_norm_extremum(b: BasisTruncation, m: int, want_max: bool, exact_sizes):
 
 
 def _sum_norm_search(b: BasisTruncation, m: int, want_max: bool, budget: int, seed: int):
+    check_budget(budget, GreedyError)
     d = b.d
     best = -math.inf if want_max else math.inf
     best_set0: tuple = ()
@@ -528,10 +490,9 @@ def _sum_norm_search(b: BasisTruncation, m: int, want_max: bool, budget: int, se
                 best_set0 = tuple(sorted(chosen))
     # seeded random subsets
     rng = rng_stream(seed, "fund", int(want_max), m)
-    n = max(1, budget)
-    sizes = rng.integers(1, m + 1, size=n) if want_max else np.full(n, m)
-    rows = np.zeros((n, d))
-    for i in range(n):
+    sizes = rng.integers(1, m + 1, size=budget) if want_max else np.full(budget, m)
+    rows = np.zeros((budget, d))
+    for i in range(budget):
         rows[i, rng.permutation(d)[: sizes[i]]] = 1.0
     vals = norms(b.space, rows @ b.columns.T)
     best, i = _scan_extremum(vals, want_max, best)
@@ -583,6 +544,6 @@ def democracy_ratio(
     else:
         top, _ = _sum_norm_search(b, m, True, budget, seed)
         low, _ = _sum_norm_search(b, m, False, budget, seed)
-    if low <= _TINY:
+    if low <= TINY:
         raise GreedyError("degenerate minimal sum norm")
     return top / low

@@ -445,6 +445,8 @@ def load_scenarios_config(path: str) -> list:
         }
         if not spec["recipe"]:
             raise ValueError(f"section {section} needs a recipe")
+        if spec["budget"] is not None and spec["budget"] < 1:
+            raise ValueError(f"section {section} needs a budget of at least 1")
         specs.append(spec)
     return specs
 

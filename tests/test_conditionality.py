@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import tracemalloc
 
@@ -35,13 +36,18 @@ from condgreedy import (
 )
 from condgreedy import conditionality as cond_mod
 from condgreedy._search import (
+    ASCENT_TOL,
+    MAX_SWEEPS,
     PAIR_COEF,
     PAIR_IN,
+    TINY,
     TopK,
+    ascend,
     digit_rows,
     pair_chunk,
     pair_rows,
     sign_rows,
+    signed_moves,
 )
 from condgreedy.bases import external_basis, parse_basis
 from condgreedy.spaces import parse_space
@@ -195,7 +201,7 @@ def _dense_oracle_grid(ev, best, top):
         coefs, inmask = _dense_pairs(start, min(start + step, total), m)
         dens = ev.coef_norms(coefs)
         nums = ev.coef_norms(coefs * inmask)
-        ok = dens > cond_mod._TINY
+        ok = dens > TINY
         ratios = np.where(ok, nums / np.where(ok, dens, 1.0), 0.0)
         i = int(np.argmax(ratios))
         best.offer(ratios[i], coefs[i], cond_mod._mask_to_set(inmask[i]))
@@ -517,3 +523,188 @@ def test_lb_ladder_validation():
         lb_ladder(b, (2, 4), kind="x")
     with pytest.raises(ConditionalityError):
         lb_ladder(b, (2, 4), mode="bogus")
+
+
+# ---------------------------------------------------------------------------
+# golden seeded routes: any search change that moves a value or witness shows
+# here
+# ---------------------------------------------------------------------------
+
+PQHALF = "pqhalf(lindenstrauss,dims=2^1..2^2,p=1,q=1)"
+
+
+def _coeff_digest(coeffs) -> str:
+    return hashlib.sha256(repr(tuple(coeffs)).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("fn,spec,m,want,indices,kind,digest", [
+    (L_m_estimate, PQHALF, 6, 1.3060025725803714, (2, 3), "random", "54b1d10461b5344a"),
+    (L_m_estimate, "lindenstrauss:16", 13, 2.0, (1, 4, 5, 6, 7), "template", "e29886b3c345e030"),
+    (k_m_estimate, PQHALF, 3, 1.4162053578738152, (1, 3, 6), "random", "35ad48b158b688d9"),
+    (k_m_estimate, "lindenstrauss:16", 4, 1.75, (1, 4, 5, 6), "template", "845d6a7f33e03c45"),
+], ids=["L pqhalf m=6", "L lindenstrauss16 m=13", "k pqhalf k=3", "k lindenstrauss16 k=4"])
+def test_golden_seeded_estimates(fn, spec, m, want, indices, kind, digest):
+    val, wit = fn(parse_basis(spec), m, budget=512, seed=1)
+    assert val == want
+    assert wit.indices == indices
+    assert wit.kind == kind
+    assert _coeff_digest(wit.coeffs) == digest
+
+
+@pytest.mark.parametrize("fn,spec,m", [
+    (L_m_estimate, PQHALF, 6),
+    (L_m_estimate, "lindenstrauss:16", 13),
+    (k_m_estimate, PQHALF, 3),
+], ids=["L pqhalf", "L lindenstrauss16", "k pqhalf"])
+def test_estimates_thread_count_invariant(fn, spec, m, monkeypatch):
+    b = parse_basis(spec)
+    monkeypatch.setenv("CONDGREEDY_THREADS", "1")
+    one = fn(b, m, budget=1024, seed=3)
+    monkeypatch.setenv("CONDGREEDY_THREADS", "2")
+    two = fn(b, m, budget=1024, seed=3)
+    assert one == two
+
+
+# ---------------------------------------------------------------------------
+# the shared ascent against the two loops it replaced
+# ---------------------------------------------------------------------------
+
+
+def _mask_sweep_ref(ev, a, masks, chunk=8192):
+    den = float(ev.coef_norms(a[None, :])[0])
+    if den <= TINY:
+        return 0.0, -1
+    best, best_i = -1.0, -1
+    for start in range(0, masks.shape[0], chunk):
+        nums = ev.coef_norms(masks[start : start + chunk] * a)
+        i = int(np.argmax(nums))
+        if nums[i] > best:
+            best, best_i = float(nums[i]), start + i
+    return best / den, best_i
+
+
+def _ascend_masks_ref(ev, a0, masks):
+    """Reference: the oracle's ascent, rescanning every mask per step."""
+    a = np.asarray(a0, dtype=np.float64).copy()
+    cur, mi = _mask_sweep_ref(ev, a, masks)
+    if mi < 0:
+        return cur, a, mi
+    for _ in range(MAX_SWEEPS):
+        improved = False
+        for i in range(ev.m):
+            base = a[i]
+            moves = (base * 0.5, base * 2.0, -base, 0.0) if base != 0.0 else (1.0, -1.0)
+            for val in moves:
+                cand = a.copy()
+                cand[i] = val
+                if not cand.any():
+                    continue
+                r, mj = _mask_sweep_ref(ev, cand, masks)
+                if r >= cur + ASCENT_TOL:
+                    a, cur, mi = cand, r, mj
+                    improved = True
+                    break
+        if not improved:
+            break
+    return cur, a, mi
+
+
+def _sets_sweep_ref(ev, rows, sets):
+    n, m = rows.shape
+    dens = ev.coef_norms(rows)
+    prods = rows[:, None, :] * sets[None, :, :]
+    nums = ev.coef_norms(prods.reshape(n * sets.shape[0], m)).reshape(n, sets.shape[0])
+    ok = dens > TINY
+    return np.where(ok[:, None], nums / np.where(ok, dens, 1.0)[:, None], 0.0)
+
+
+def _ascend_sets_ref(ev, a0, sets):
+    """Reference: the estimates' ascent against a fixed family of sets."""
+    a = np.asarray(a0, dtype=np.float64).copy()
+    ratios = _sets_sweep_ref(ev, a[None, :], sets)[0]
+    si = int(np.argmax(ratios))
+    cur = float(ratios[si])
+    for _ in range(MAX_SWEEPS):
+        improved = False
+        for i in range(ev.m):
+            base = a[i]
+            moves = (base * 0.5, base * 2.0, -base, 0.0) if base != 0.0 else (1.0, -1.0)
+            for val in moves:
+                cand = a.copy()
+                cand[i] = val
+                if not cand.any():
+                    continue
+                cr = _sets_sweep_ref(ev, cand[None, :], sets)[0]
+                cj = int(np.argmax(cr))
+                if cr[cj] >= cur + ASCENT_TOL:
+                    a, cur, si = cand, float(cr[cj]), cj
+                    improved = True
+                    break
+        if not improved:
+            break
+    return cur, a, si
+
+
+def _seeded_starts(m, seed, n=4):
+    rng = np.random.default_rng([seed, m])
+    starts = rng.uniform(0.5, 2.0, (n, m)) * rng.choice([-1.0, 0.0, 1.0], (n, m))
+    starts[~starts.any(axis=1), 0] = 1.0
+    return starts
+
+
+ASCENT_BASES = [
+    ("difference:7", lambda: parse_basis("difference:7")),
+    ("summing:7", lambda: parse_basis("summing:7")),
+    ("lindenstrauss:9", lambda: parse_basis("lindenstrauss:9")),
+    ("pqhalf", lambda: parse_basis(PQHALF)),
+    ("interleave", lambda: parse_basis("interleave(difference:4,unit:4@lp:2)")),
+    ("external lp:3", lambda: _random_external("lp:3", 7)),
+    ("external bv", lambda: _random_external("bv", 7)),
+]
+
+
+@pytest.mark.parametrize("name,make", ASCENT_BASES, ids=[n for n, _ in ASCENT_BASES])
+def test_ascend_matches_oracle_mask_loop(name, make):
+    b = make()
+    m = min(b.d, 6)
+    ev = cond_mod._SupportEval(b, m)
+    masks = cond_mod.all_subset_masks(m)
+    for a0 in _seeded_starts(m, 1):
+        r, a, mi = ascend(a0, lambda a: ev.mask_sweep(a, masks), signed_moves)
+        ref_r, ref_a, ref_mi = _ascend_masks_ref(ev, a0, masks)
+        assert (r, mi) == (ref_r, ref_mi)
+        assert np.array_equal(a, ref_a) and np.array_equal(np.signbit(a), np.signbit(ref_a))
+    zero = np.zeros(m)
+    assert ascend(zero, lambda a: ev.mask_sweep(a, masks), signed_moves)[2] is None
+    assert _ascend_masks_ref(ev, zero, masks)[2] == -1
+
+
+@pytest.mark.parametrize("name,make", ASCENT_BASES, ids=[n for n, _ in ASCENT_BASES])
+def test_ascend_matches_estimate_sets_loop(name, make):
+    b = make()
+    m = b.d
+    ev = cond_mod._SupportEval(b, m)
+    rng = np.random.default_rng([3, m])
+    extra = (rng.random((8, m)) < 0.5).astype(np.float64)
+    sets = np.unique(np.vstack([cond_mod._structured_masks(m), extra]), axis=0)
+    for a0 in _seeded_starts(m, 2):
+        r, a, si = ascend(a0, lambda a: ev.mask_sweep(a, sets), signed_moves)
+        ref_r, ref_a, ref_si = _ascend_sets_ref(ev, a0, sets)
+        assert (r, si) == (ref_r, ref_si)
+        assert np.array_equal(a, ref_a) and np.array_equal(np.signbit(a), np.signbit(ref_a))
+
+
+@pytest.mark.parametrize("budget", [0, -5])
+def test_estimates_reject_budget_below_one(budget):
+    b = lindenstrauss(16)
+    with pytest.raises(ConditionalityError, match="budget"):
+        L_m_estimate(b, 13, budget=budget)
+    with pytest.raises(ConditionalityError, match="budget"):
+        k_m_estimate(b, 4, budget=budget)
+
+
+@pytest.mark.parametrize("kind", ["L", "k"])
+@pytest.mark.parametrize("budget", [0, -5])
+def test_lb_ladder_rejects_budget_below_one(kind, budget):
+    with pytest.raises(ConditionalityError, match="budget"):
+        lb_ladder(lindenstrauss(16), (2, 4), kind=kind, budget=budget)

@@ -28,15 +28,20 @@ from condgreedy import (
     Witness,
 )
 from condgreedy._search import (
+    ASCENT_TOL,
+    MAX_SWEEPS,
     PAIR_COEF,
     PAIR_IN,
     all_subset_masks,
+    ascend,
     digit_rows,
     rng_stream,
+    scale_moves,
     sign_rows,
 )
 from condgreedy.bases import external_basis, parse_basis
 from condgreedy.greedy import (
+    _ag_exhaustive,
     _exact_denominators,
     _floor_witness,
     _indicator_rows,
@@ -44,10 +49,11 @@ from condgreedy.greedy import (
     _prefix_max,
     _prefix_residual_ratios,
     _qg_exhaustive,
+    _qg_ratio_of,
     _qg_sign_grid,
     _sum_norm_extremum,
 )
-from condgreedy.spaces import parse_space
+from condgreedy.spaces import norms, parse_space
 
 # measured once on the exhaustive tier and pinned; any drift is a regression
 QG_LIND8 = 1.25
@@ -234,6 +240,16 @@ def test_ag_search_tier_reproducible():
     assert np.isfinite(a) and a >= 1.0
 
 
+@pytest.mark.parametrize("d", [10, 13], ids=["exact denominators", "candidate search"])
+def test_ag_thread_count_invariant(d, monkeypatch):
+    b = lindenstrauss(d)
+    monkeypatch.setenv("CONDGREEDY_THREADS", "1")
+    one = almost_greedy_constant_lb(b, budget=512, seed=3)
+    monkeypatch.setenv("CONDGREEDY_THREADS", "2")
+    two = almost_greedy_constant_lb(b, budget=512, seed=3)
+    assert one == two
+
+
 @pytest.mark.parametrize("d", [9, 12])
 def test_ag_exact_denominators_match_brute_force(d):
     b = lindenstrauss(d)
@@ -378,6 +394,14 @@ def test_golden_qg_blocksum_random_tier():
     assert _coeff_digest(wit.coeffs) == "fd89cf2205e52a58"
 
 
+def test_golden_qg_blocksum_to_32_budget_512():
+    b = parse_basis("blocksum(lindenstrauss,dims=2^1..2^5)")
+    val, wit = quasi_greedy_constant_lb(b, budget=512, seed=1)
+    assert val == 1.279900609917841
+    assert wit.indices == (21,)
+    assert _coeff_digest(wit.coeffs) == "d5b56e9586ae5aeb"
+
+
 def test_golden_qg_lindenstrauss10_sign_grid():
     val, wit = quasi_greedy_constant_lb(lindenstrauss(10), seed=1)
     assert val == 1.2
@@ -503,3 +527,146 @@ def test_qg_sign_grid_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 24 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# the shared ascent against the quasi-greedy loop it replaced
+# ---------------------------------------------------------------------------
+
+
+def _qg_ascent_ref(b, a0, ratio_of=_qg_ratio_of):
+    """Reference: the quasi-greedy block's inline ascent (both moves tried
+    at each coordinate, even after the first one is accepted)."""
+    a = np.asarray(a0, dtype=np.float64).copy()
+    cur, curA = ratio_of(b, a)
+    for _ in range(MAX_SWEEPS):
+        improved = False
+        for i in range(b.d):
+            if a[i] == 0.0:
+                continue
+            for move in (0.5, 2.0):
+                cand = a.copy()
+                cand[i] *= move
+                val, valA = ratio_of(b, cand)
+                if val >= cur + ASCENT_TOL:
+                    a, cur, curA = cand, val, valA
+                    improved = True
+        if not improved:
+            break
+    return cur, a, curA
+
+
+@pytest.mark.parametrize("spec", [
+    "blocksum(lindenstrauss,dims=2^1..2^3)", "lindenstrauss:14", "difference:13",
+    "summing:13", "external lp:3",
+])
+def test_ascend_matches_qg_loop(spec):
+    b = _random_external("lp:3", 13) if spec.startswith("external") else parse_basis(spec)
+    rng = np.random.default_rng([5, b.d])
+    starts = rng.uniform(0.5, 2.0, (3, b.d)) * rng.choice([-1.0, 0.0, 1.0], (3, b.d))
+    starts[~starts.any(axis=1), 0] = 1.0
+    calls = {"ref": 0, "got": 0}
+
+    def counted(key):
+        def ratio_of(b, a):
+            calls[key] += 1
+            return _qg_ratio_of(b, a)
+        return ratio_of
+
+    for a0 in starts:
+        ref = _qg_ascent_ref(b, a0, counted("ref"))
+        got = ascend(a0, lambda a: counted("got")(b, a), scale_moves)
+        assert got[0] == ref[0] and got[2] == ref[2]
+        assert np.array_equal(got[1], ref[1])
+    # the replaced loop also retried x2 right after an accepted x0.5
+    assert calls["got"] <= calls["ref"]
+
+
+# ---------------------------------------------------------------------------
+# almost-greedy exhaustive tier against one norms call per sign code
+# ---------------------------------------------------------------------------
+
+
+def _ag_exhaustive_per_code(b):
+    """Reference: synthesise every kept subset of every sign vector."""
+    d = b.d
+    best = 1.0
+    coeffs0 = np.zeros(d)
+    coeffs0[0] = 1.0
+    best_wit = Witness(tuple(coeffs0.tolist()), (), 1.0, "almost-greedy", b_indices=())
+    sign_table = sign_rows(d)
+    for code in range(1, 3**d):
+        sig = sign_table[code]
+        supp = np.flatnonzero(sig != 0.0)
+        k = supp.size
+        masks, sizes = all_subset_masks(k), _popcounts(k)
+        nrm = norms(b.space, (masks * sig[supp]) @ b.columns[:, supp].T)
+        by_size_desc = np.argsort(-sizes, kind="stable")
+        run_min = np.minimum.accumulate(nrm[by_size_desc])
+        min_for_keep = np.full(k + 1, np.inf)
+        for pos, t in enumerate(sizes[by_size_desc]):
+            min_for_keep[t] = min(min_for_keep[t], run_min[pos])
+        for t in range(k - 1, -1, -1):
+            min_for_keep[t] = min(min_for_keep[t], min_for_keep[t + 1])
+        num = nrm[np.arange(1 << k) ^ ((1 << k) - 1)]
+        denom = min_for_keep[np.maximum(k - sizes, 0)]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratios = np.where((denom > _TINY) & (num > _TINY), num / denom, 0.0)
+        i = int(np.argmax(ratios))
+        if ratios[i] > best + _TINY:
+            best = float(ratios[i])
+            A = tuple(int(supp[j]) + 1 for j in range(k) if (i >> j) & 1)
+            cand = np.flatnonzero(sizes >= k - sizes[i])
+            bsel = cand[int(np.argmin(nrm[cand]))]
+            Bset = tuple(int(supp[j]) + 1 for j in range(k) if not ((bsel >> j) & 1))
+            best_wit = Witness(tuple(sig.tolist()), A, best, "almost-greedy", b_indices=Bset)
+    return best, best_wit
+
+
+@pytest.mark.parametrize("spec", [
+    "lindenstrauss:7", "difference:7", "summing:7", "interleave(difference:3,unit:3@lp:2)",
+    "external lp:1", "external lp:3", "external bv",
+])
+def test_ag_exhaustive_matches_per_code_reference(spec):
+    if spec.startswith("external "):
+        space = spec.split(" ", 1)[1]
+        # several small seeded bases: on some of them the minimising B is
+        # larger than |A|, which only the suffix minimum finds
+        bases = [external_basis(np.random.default_rng([seed, d, len(space)])
+                                .standard_normal((d + 2, d)), parse_space(space), space)
+                 for d in range(2, 8) for seed in range(3)]
+    else:
+        bases = [parse_basis(spec)]
+    for b in bases:
+        assert _ag_exhaustive(b) == _ag_exhaustive_per_code(b)
+
+
+# ---------------------------------------------------------------------------
+# a budget below 1 is an error in every tier
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("budget", [0, -5])
+@pytest.mark.parametrize("d", [6, 10, 14], ids=["exhaustive", "sign grid", "random"])
+def test_qg_rejects_budget_below_one(d, budget):
+    with pytest.raises(GreedyError, match="budget"):
+        quasi_greedy_constant_lb(lindenstrauss(d), budget=budget)
+
+
+@pytest.mark.parametrize("budget", [0, -5])
+@pytest.mark.parametrize("d", [6, 10, 14], ids=["exhaustive", "exact denominators", "random"])
+def test_ag_rejects_budget_below_one(d, budget):
+    with pytest.raises(GreedyError, match="budget"):
+        almost_greedy_constant_lb(lindenstrauss(d), budget=budget)
+
+
+@pytest.mark.parametrize("budget", [0, -5])
+def test_phi_search_rejects_budget_below_one(budget):
+    with pytest.raises(GreedyError, match="budget"):
+        fundamental_function(lindenstrauss(12), 4, mode="search", budget=budget)
+
+
+@pytest.mark.parametrize("budget", [0, -5])
+def test_democracy_search_rejects_budget_below_one(budget):
+    with pytest.raises(GreedyError, match="budget"):
+        democracy_ratio(lindenstrauss(12), 4, mode="search", budget=budget)

@@ -204,6 +204,15 @@ def test_config_requires_recipe(tmp_path):
         load_scenarios_config(str(path))
 
 
+@pytest.mark.parametrize("budget", ["0", "-3"])
+def test_config_rejects_budget_below_one(budget, tmp_path):
+    path = tmp_path / "bad.ini"
+    path.write_text(f"[scenario:tiny]\nrecipe = difference:8\nbudget = {budget}\n",
+                    encoding="utf-8")
+    with pytest.raises(ValueError, match="scenario:tiny"):
+        load_scenarios_config(str(path))
+
+
 def test_config_scenario_bad_recipe_becomes_fail():
     res = run_config_scenario({"name": "broken", "recipe": "nope:4", "ladder": (2, 3, 4, 5)})
     assert res.verdict == "FAIL"
