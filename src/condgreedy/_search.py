@@ -2,6 +2,9 @@
 ``sample_block``, ``guarded_ratio``, the coordinate ascent ``ascend`` on any
 objective ``a -> (ratio, payload)`` with its move sets, the block maximum
 ``parallel_block_max``, and the sign-vector tables of the exhaustive routes.
+What is specific to one family of constants stays beside its estimators:
+``conditionality._seeded_search`` for L_m and k_m, ``greedy._drop_search``
+and ``greedy._min_denominators`` for the greedy constants.
 
 Determinism contract: every random draw comes from a counter-based Philox
 stream keyed by (seed, tag, indices), so results do not depend on chunk

@@ -33,6 +33,7 @@ from .spaces import (
     MixedSum,
     SpaceDesc,
     SpaceError,
+    _split_top,
     format_space,
     norms,
     parse_space,
@@ -403,52 +404,36 @@ def basis_from_doc(doc) -> BasisTruncation:
 # ---------------------------------------------------------------------------
 
 
-def _split_top(s: str) -> list:
-    """Split on commas outside any parentheses/brackets."""
-    parts, depth, cur = [], 0, []
-    for ch in s:
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-        if ch == "," and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    parts.append("".join(cur))
-    return [p.strip() for p in parts if p.strip()]
-
-
 def parse_dims(txt: str) -> tuple:
     """Block dimension spec: ``2^1..2^6`` (dyadic ladder), ``a..b`` (integer
     range), or an explicit comma list."""
     txt = txt.strip()
-    if ".." in txt:
-        lo_txt, hi_txt = txt.split("..", 1)
-
-        def side(t: str):
-            t = t.strip()
-            if t.startswith("2^"):
-                return True, int(t[2:])
-            return False, int(t)
-
-        (lo_exp, lo), (hi_exp, hi) = side(lo_txt), side(hi_txt)
-        if lo_exp != hi_exp:
-            raise BasisError(f"mixed dims spec {txt!r}")
-        if lo_exp:
-            return tuple(2**n for n in range(lo, hi + 1))
-        return tuple(range(lo, hi + 1))
-    return tuple(int(x) for x in txt.split(","))
+    try:
+        if ".." not in txt:
+            return tuple(int(x) for x in txt.split(","))
+        bounds = [t.strip() for t in txt.split("..", 1)]
+        dyadic = [t.startswith("2^") for t in bounds]
+        lo, hi = (int(t[2:] if e else t) for t, e in zip(bounds, dyadic))
+    except ValueError:
+        raise BasisError(f"non-integer dims spec {txt!r}") from None
+    if dyadic[0] != dyadic[1]:
+        raise BasisError(f"mixed dims spec {txt!r}")
+    if hi < lo:
+        raise BasisError(f"descending dims range {txt!r}")
+    return tuple(2**n if dyadic[0] else n for n in range(lo, hi + 1))
 
 
-def _kv_args(parts) -> dict:
+def _kv_args(head: str, parts, keys) -> dict:
     out = {}
     for part in parts:
         if "=" not in part:
             raise BasisError(f"expected key=value, got {part!r}")
-        key, val = part.split("=", 1)
-        out[key.strip()] = val.strip()
+        key, val = (t.strip() for t in part.split("=", 1))
+        if key not in keys:
+            raise BasisError(f"{head} takes {', '.join(keys)}, not {key!r}")
+        if key in out:
+            raise BasisError(f"duplicate key {key!r} in {head}")
+        out[key] = val
     return out
 
 
@@ -462,16 +447,19 @@ def parse_basis(spec: str) -> BasisTruncation:
     ``blocksum``/``pqhalf`` gets its length from the largest block.
     """
     spec = spec.strip()
-    for head, want in (("interleave", 2), ("blocksum", None), ("pqhalf", None)):
+    for head, keys in (("interleave", ()), ("blocksum", ("dims", "p")),
+                       ("pqhalf", ("dims", "p", "q"))):
         if spec.startswith(head + "(") and spec.endswith(")"):
-            parts = _split_top(spec[len(head) + 1 : -1])
+            parts = [p.strip() for p in _split_top(spec[len(head) + 1 : -1], BasisError)]
+            if not all(parts):
+                raise BasisError(f"empty part in basis spec {spec!r}")
             if head == "interleave":
-                if len(parts) != want:
+                if len(parts) != 2:
                     raise BasisError("interleave needs exactly two components")
                 return interleave(parse_basis(parts[0]), parse_basis(parts[1]))
             if len(parts) < 2:
                 raise BasisError(f"{head} needs a base and dims")
-            kv = _kv_args(parts[1:])
+            kv = _kv_args(head, parts[1:], keys)
             if "dims" not in kv:
                 raise BasisError(f"{head} needs dims=...")
             dims = parse_dims(kv["dims"])

@@ -203,6 +203,9 @@ def _cmd_constants(ns) -> int:
 
 def _cmd_greedy_check(ns) -> int:
     b = _parse_basis_arg(ns.basis)
+    phi_max = ns.phi_max if ns.phi_max is not None else min(b.d, 8)
+    if not (1 <= phi_max <= b.d):
+        raise _UsageError(f"--phi-max must lie in 1..{b.d}")
     tol = 1e-9
     checks = []
 
@@ -214,9 +217,6 @@ def _cmd_greedy_check(ns) -> int:
                    ag >= 1.0 - tol and np.isfinite(ag),
                    f"value {ag:.6g}"))
 
-    phi_max = ns.phi_max if ns.phi_max is not None else min(b.d, 8)
-    if not (1 <= phi_max <= b.d):
-        raise _UsageError(f"--phi-max must lie in 1..{b.d}")
     mode = "exact" if b.d <= FUND_EXACT_MAX_D else "search"
     phis = [fundamental_function(b, m, mode=mode, budget=ns.budget, seed=ns.seed)
             for m in range(1, phi_max + 1)]

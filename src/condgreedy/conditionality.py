@@ -412,11 +412,13 @@ def _oracle_grid(ev: _SupportEval, best: _Best, top: TopK):
 
 
 def _sets_sweep(ev: _SupportEval, rows: np.ndarray, sets: np.ndarray):
-    """Ratio table over sample rows x candidate sets: (n, S) ratios."""
+    """Ratio table over sample rows x candidate sets: (n, S) ratios, plus
+    the row norms ||f|| (n,) that divide them."""
     n, m = rows.shape
     prods = rows[:, None, :] * sets[None, :, :]
     nums = ev.coef_norms(prods.reshape(n * sets.shape[0], m)).reshape(n, sets.shape[0])
-    return guarded_ratio(nums, ev.coef_norms(rows))
+    dens = ev.coef_norms(rows)
+    return guarded_ratio(nums, dens), dens
 
 
 def _seeded_search(b: BasisTruncation, ev: _SupportEval, floor_set, sets, pairs, block_fn,
@@ -457,7 +459,7 @@ def _L_block(ev: _SupportEval, sets: np.ndarray, seed: int, bi: int):
     rows = sample_block(rng, m, keep=0.8)
     extra = (rng.random((8, m)) < 0.5).astype(np.float64)
     block_sets = np.vstack([sets, extra])
-    ratios = _sets_sweep(ev, rows, block_sets)
+    ratios, _ = _sets_sweep(ev, rows, block_sets)
     i, j = np.unravel_index(np.argmax(ratios), ratios.shape)
     r, a, si = ascend(rows[i], lambda a: ev.mask_sweep(a, block_sets), signed_moves)
     if r >= ratios[i, j]:
@@ -524,13 +526,13 @@ def _k_block(ev: _SupportEval, sets: np.ndarray, m: int, seed: int, bi: int):
     rows = sample_block(rng, d)
     extra = _cap_sets((rng.random((8, d)) < min(0.5, m / d)).astype(np.float64), m)
     block_sets = np.vstack([sets, extra])
-    ratios = _sets_sweep(ev, rows, block_sets)
+    ratios, dens = _sets_sweep(ev, rows, block_sets)
     best_i, best_j = np.unravel_index(np.argmax(ratios), ratios.shape)
     best_r = float(ratios[best_i, best_j])
     payload = (rows[best_i].copy(), block_sets[best_j])
     # per-row largest-coefficient sets obey |A| <= m by construction
     tops = np.array([_top_mask(rows[i], m) for i in range(BLOCK)])
-    tr = guarded_ratio(ev.coef_norms(rows * tops), ev.coef_norms(rows))
+    tr = guarded_ratio(ev.coef_norms(rows * tops), dens)
     ti = int(np.argmax(tr))
     if tr[ti] > best_r:
         best_r = float(tr[ti])

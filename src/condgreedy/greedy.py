@@ -13,12 +13,17 @@ Estimator tiers, chosen by the basis length d:
               set (for sign vectors every subset of the support is greedy);
               the budget is not consulted.
 * d <= 12  -- full sign grid with canonical greedy prefixes plus a seeded
-              stochastic tie resolution per sign pattern.
+              stochastic tie resolution per sign pattern (almost-greedy:
+              random blocks as below, but with exact denominators).
 * d >  12  -- seeded random magnitude/sign sampling in blocks, with
               multiplicative coordinate ascent on the block winners.
 
 The block sampler, the ascent and the block maximum are the shared search
-engine of ``_search``; the ascent objective here is ``_qg_ratio_of``.
+engine of ``_search``; the ascent objective here is ``_qg_ratio_of``.  Each
+remaining step is written once: ``_drop_search`` is the random sub-support
+search on sign rows of both quasi-greedy sampling tiers, and
+``_min_denominators`` the minimum over |B| <= t of both exact almost-greedy
+tiers, which also hands back the minimising B of the witness.
 
 All reported values are running-max lower bounds and are reproducible for a
 fixed seed regardless of CONDGREEDY_THREADS.
@@ -207,17 +212,30 @@ def _qg_sign_grid(b: BasisTruncation, seed: int):
         if val > best + TINY:
             best = val
             best_wit = Witness(tuple(rows[i].tolist()), A, best, "quasi-greedy")
-        # stochastic tie resolution: random sub-supports are greedy sets here
-        rng = rng_stream(seed, "qg-ties", ci)
-        for _ in range(4):
-            drop = rng.random(rows.shape) < 0.5
-            ratios1 = guarded_ratio(b.synth_norms(rows * drop), full)
-            i = int(np.argmax(ratios1))
-            if ratios1[i] > best + TINY:
-                best = float(ratios1[i])
-                A = tuple(int(j) + 1 for j in np.flatnonzero(~drop[i] & (rows[i] != 0.0)))
-                best_wit = Witness(tuple(rows[i].tolist()), A, best, "quasi-greedy")
+        # stochastic tie resolution
+        val, i, A = _drop_search(b, rows, full, rng_stream(seed, "qg-ties", ci), best)
+        if i >= 0:
+            best = val
+            best_wit = Witness(tuple(rows[i].tolist()), A, best, "quasi-greedy")
     return best, best_wit
+
+
+def _drop_search(b: BasisTruncation, rows: np.ndarray, full: np.ndarray, rng, best: float):
+    """Four rounds of random sub-supports A of the sign rows, whose norms are
+    ``full``; every subset of a sign row's support is a greedy set.
+
+    Returns (ratio, row, A) of the last strict gain over ``best + TINY``,
+    or (best, -1, None) when no round gains.
+    """
+    hit, hit_A = -1, None
+    for _ in range(4):
+        drop = rng.random(rows.shape) < 0.5
+        ratios = guarded_ratio(b.synth_norms(rows * drop), full)
+        i = int(np.argmax(ratios))
+        if ratios[i] > best + TINY:
+            best, hit = float(ratios[i]), i
+            hit_A = tuple(int(j) + 1 for j in np.flatnonzero(~drop[i] & (rows[i] != 0.0)))
+    return best, hit, hit_A
 
 
 def _qg_ratio_of(b: BasisTruncation, a: np.ndarray):
@@ -227,21 +245,15 @@ def _qg_ratio_of(b: BasisTruncation, a: np.ndarray):
 
 
 def _qg_random_block(b: BasisTruncation, seed: int, block_i: int):
-    d = b.d
     rng = rng_stream(seed, "qg", block_i)
-    rows = sample_block(rng, d, keep=0.85)
+    rows = sample_block(rng, b.d, keep=0.85)
     best, i, A, full = _prefix_max(b, rows)
     best_pair = (rows[i].copy(), A)
-    # the sign half of the block: random sub-supports are greedy sets there
+    # the sign half of the block
     half = BLOCK // 2
-    for t in range(4):
-        drop = rng.random((BLOCK - half, d)) < 0.5
-        r1 = guarded_ratio(b.synth_norms(rows[half:] * drop), full[half:])
-        i = int(np.argmax(r1))
-        if r1[i] > best + TINY:
-            best = float(r1[i])
-            A = tuple(int(j) + 1 for j in np.flatnonzero(~drop[i] & (rows[half + i] != 0.0)))
-            best_pair = (rows[half + i].copy(), A)
+    best, i, A = _drop_search(b, rows[half:], full[half:], rng, best)
+    if i >= 0:
+        best_pair = (rows[half + i].copy(), A)
     # multiplicative ascent on the block winner
     cur, a, curA = ascend(best_pair[0], lambda a: _qg_ratio_of(b, a), scale_moves)
     if cur > best:
@@ -282,6 +294,11 @@ def _popcounts(n_bits: int) -> np.ndarray:
     return out
 
 
+def _code_set(code: int, idx) -> tuple:
+    """The 1-based indices idx[j] + 1 of the set bits j of ``code``."""
+    return tuple(int(idx[j]) + 1 for j in range(len(idx)) if (code >> j) & 1)
+
+
 def _ag_exhaustive(b: BasisTruncation):
     """Sign-grid sweep with exact denominators (d <= 8).
 
@@ -307,31 +324,32 @@ def _ag_exhaustive(b: BasisTruncation):
         if k not in mask_cache:
             mask_cache[k] = (_search.all_subset_masks(k).astype(np.int64), _popcounts(k))
         masks, sizes = mask_cache[k]
-        nrm = table[masks @ (digits[code, supp] * place[supp])]  # row T: f restricted to T
-        # min ||f - S_B f|| over |B| <= s equals min over kept sets of size >= k - s
-        min_for_keep = np.full(k + 1, np.inf)  # index: required kept size
-        np.minimum.at(min_for_keep, sizes, nrm)
-        min_for_keep = np.minimum.accumulate(min_for_keep[::-1])[::-1]
-        num = nrm[np.arange(1 << k) ^ ((1 << k) - 1)]  # residual of A = complement of kept
-        ratios = guarded_ratio(num, min_for_keep[k - sizes])  # |A| = sizes per code
+        # nrm[T] = ||f restricted to T|| is the residual of the complement of
+        # T: the kernel reads it with |B| = k - |T|, and nrm[::-1][i] is the
+        # residual of A = code i
+        nrm = table[masks @ (digits[code, supp] * place[supp])]
+        denom, first = _min_denominators(nrm, k - sizes, k)
+        ratios = guarded_ratio(nrm[::-1], denom[sizes])
         i = int(np.argmax(ratios))
         if ratios[i] > best + TINY:
             best = float(ratios[i])
-            A = tuple(int(supp[j]) + 1 for j in range(k) if (i >> j) & 1)
-            # witness for the minimising B
-            cand = np.flatnonzero(sizes >= k - sizes[i])
-            bsel = cand[int(np.argmin(nrm[cand]))]
-            Bset = tuple(int(supp[j]) + 1 for j in range(k) if not ((bsel >> j) & 1))
-            best_wit = Witness(tuple(sig.tolist()), A, best, "almost-greedy", b_indices=Bset)
+            Bset = _code_set((1 << k) - 1 - first(sizes[i]), supp)
+            best_wit = Witness(tuple(sig.tolist()), _code_set(i, supp), best, "almost-greedy",
+                               b_indices=Bset)
     return best, best_wit
 
 
-def _exact_denominators(b: BasisTruncation, a: np.ndarray, masks: np.ndarray, sizes: np.ndarray):
-    """min ||f - S_B f|| over |B| <= t for t = 0..d; ``masks`` holds every B."""
-    nrm = b.synth_norms((1.0 - masks) * a)
-    denom = np.full(b.d + 1, np.inf)
+def _min_denominators(nrm: np.ndarray, sizes: np.ndarray, n: int):
+    """min ||f - S_B f|| over |B| <= t for t = 0..n, from the residual norms
+    ``nrm`` of candidate sets B of sizes ``sizes``.
+
+    Also returns ``first(t)``: the position of the first candidate with
+    |B| <= t that attains the minimum.
+    """
+    denom = np.full(n + 1, np.inf)
     np.minimum.at(denom, sizes, nrm)  # minimum over |B| == t
-    return np.minimum.accumulate(denom)
+    denom = np.minimum.accumulate(denom)
+    return denom, lambda t: int(np.flatnonzero((sizes <= t) & (nrm == denom[t]))[0])
 
 
 def _ag_random_block(b: BasisTruncation, seed: int, block_i: int, exact_denom: bool):
@@ -349,7 +367,7 @@ def _ag_random_block(b: BasisTruncation, seed: int, block_i: int, exact_denom: b
     best_payload = None
     for i in range(BLOCK):
         if exact_denom:
-            denom = _exact_denominators(b, rows[i], masks, sizes)
+            denom, first = _min_denominators(b.synth_norms((1.0 - masks) * rows[i]), sizes, d)
             bsets = None
         else:
             # candidate minimisers: greedy prefixes and seeded random subsets;
@@ -379,28 +397,9 @@ def _ag_random_block(b: BasisTruncation, seed: int, block_i: int, exact_denom: b
             if r > best + TINY:
                 best = float(r)
                 A = tuple(sorted(int(j) + 1 for j in order[i, :m]))
-                Bm = bsets[m] if bsets is not None else None
-                best_payload = (rows[i].copy(), A, m, float(denom[m]), Bm)
-    if best_payload is None:
-        return 0.0, None
-    a, A, m, dval, Bset = best_payload
-    if Bset is None:
-        # exact-denominator tier: recover a minimising B by enumeration
-        Bset = _denominator_set(b, a, m, dval)
-    return best, (a, A, Bset)
-
-
-def _denominator_set(b: BasisTruncation, a: np.ndarray, m: int, target: float):
-    """Find a set B, |B| <= m, with ||f - S_B f|| equal to the located minimum
-    (exact-denominator tier, d <= AG_EXACT_DENOM_MAX_D)."""
-    d = b.d
-    masks = _search.all_subset_masks(d)
-    sizes = _popcounts(d)
-    sel = sizes <= m
-    nrm = b.synth_norms((1.0 - masks[sel]) * a)
-    j = int(np.argmin(np.abs(nrm - target)))
-    code = np.flatnonzero(sel)[j]
-    return tuple(int(i) + 1 for i in range(d) if (code >> i) & 1)
+                B = _code_set(first(m), range(d)) if bsets is None else bsets[m]
+                best_payload = (rows[i].copy(), A, B)
+    return best, best_payload  # (0.0, None) when no ratio was positive
 
 
 def almost_greedy_constant_lb(

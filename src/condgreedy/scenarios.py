@@ -241,6 +241,14 @@ def _run_interleave_transfer(budget, seed):
                    meta={"basis": bi.label, "seed": seed})
 
 
+def _index_relation(dims, c: float) -> bool:
+    """m <= c * d_r for every m in 2..sum(dims), where r >= 1 counts the
+    blocks lying fully inside 1..m."""
+    cums = np.cumsum(dims)
+    return all(m <= c * dims[max(int(np.searchsorted(cums, m, side="right")), 1) - 1]
+               for m in range(2, int(cums[-1]) + 1))
+
+
 def _run_blocksum_l1(budget, seed):
     budget = budget if budget is not None else 4096
     dims = tuple(2**n for n in range(1, 7))
@@ -248,16 +256,8 @@ def _run_blocksum_l1(budget, seed):
     bs = block_sum(base, dims, 1.0)
     checks = _Checks()
 
-    total = sum(dims)
-    cums = np.cumsum(dims)
-    ok_idx = True
-    for m in range(2, total + 1):
-        r = int(np.searchsorted(cums, m, side="right"))  # blocks fully below m
-        r = max(r, 1)
-        if m > 4 * dims[r - 1]:
-            ok_idx = False
-            break
-    checks.add("index-relation", ok_idx, f"m <= 4*d_r for all m <= {total}")
+    checks.add("index-relation", _index_relation(dims, 4),
+               f"m <= 4*d_r for all m <= {sum(dims)}")
 
     split_ok = all(
         block_index_split(dims, k) == (r, j)
@@ -326,12 +326,8 @@ def _run_pq_split(budget, seed):
 
     c4 = constant_chain(1.0, 1.0, 2.0)
     checks.add("constant-chain", abs(c4 - 4.0) <= _ABS_TOL, f"C4 = {c4:g}")
-    cums = np.cumsum(dims)
-    ok_idx = all(
-        m <= c4 * dims[max(int(np.searchsorted(cums, m, side="right")), 1) - 1]
-        for m in range(2, int(cums[-1]) + 1)
-    )
-    checks.add("index-relation", ok_idx, f"m <= C4*d_r for all m <= {int(cums[-1])}")
+    checks.add("index-relation", _index_relation(dims, c4),
+               f"m <= C4*d_r for all m <= {sum(dims)}")
 
     val, wit = L_m_oracle(pq, 4)
     re = verify_witness(pq, wit)

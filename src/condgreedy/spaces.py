@@ -303,8 +303,9 @@ def format_space(space: SpaceDesc) -> str:
     raise SpaceError(f"unknown space descriptor {space!r}")
 
 
-def _split_top(s: str, sep: str) -> list:
-    """Split on ``sep`` outside any brackets."""
+def _split_top(s: str, error: type) -> list:
+    """Split on commas outside any brackets; raise ``error`` on unbalanced
+    brackets.  Parts are returned as written, empty ones included."""
     parts, depth, cur = [], 0, []
     for ch in s:
         if ch in "([":
@@ -312,14 +313,14 @@ def _split_top(s: str, sep: str) -> list:
         elif ch in ")]":
             depth -= 1
             if depth < 0:
-                raise SpaceError(f"unbalanced brackets in {s!r}")
-        if ch == sep and depth == 0:
+                raise error(f"unbalanced brackets in {s!r}")
+        if ch == "," and depth == 0:
             parts.append("".join(cur))
             cur = []
         else:
             cur.append(ch)
     if depth != 0:
-        raise SpaceError(f"unbalanced brackets in {s!r}")
+        raise error(f"unbalanced brackets in {s!r}")
     parts.append("".join(cur))
     return parts
 
@@ -349,7 +350,7 @@ def parse_space(text: str) -> SpaceDesc:
     if s.startswith("lorentz:"):
         body = s[len("lorentz:") :]
         kv = {}
-        for part in _split_top(body, ","):
+        for part in _split_top(body, SpaceError):
             if "=" not in part:
                 raise SpaceError(f"bad lorentz parameter {part!r}")
             key, val = part.split("=", 1)
@@ -375,7 +376,7 @@ def parse_space(text: str) -> SpaceDesc:
             raise SpaceError(f"mixed needs a [block,...] list: {text!r}")
         q = _parse_num(body[2:lb])
         blocks = []
-        for part in _split_top(body[lb + 1 : -1], ","):
+        for part in _split_top(body[lb + 1 : -1], SpaceError):
             if "^" not in part:
                 raise SpaceError(f"mixed block {part!r} needs space^dim")
             sub, dim = part.rsplit("^", 1)

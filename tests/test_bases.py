@@ -422,8 +422,9 @@ def test_parse_dims_forms():
     assert parse_dims("3,5,8") == (3, 5, 8)
     with pytest.raises(BasisError):
         parse_dims("2^1..6")
-    with pytest.raises((BasisError, ValueError)):
-        parse_dims("a..b")
+    for bad in ("a..b", "2^1..x", "2^3..2^1", "5..2", "3,x"):
+        with pytest.raises(BasisError):
+            parse_dims(bad)
 
 
 def test_parse_basis_atoms():
@@ -453,6 +454,16 @@ def test_parse_basis_composites():
         "interleave(difference:4)",
         "blocksum(difference:4)",
         "blocksum(difference:4,p=1)",
+        "blocksum(lindenstrauss,dims=2^1..2^3,r=5)",
+        "blocksum(lindenstrauss,dims=2^1..2^3,p=1,q=0)",
+        "blocksum(lindenstrauss,dims=2^1..2^3,p=1,p=2)",
+        "pqhalf(difference,dims=2^1..2^2,q=1,q=1)",
+        "interleave(difference:4,unit:4,)",
+        "blocksum(lindenstrauss,,dims=2^1..2^3)",
+        "blocksum(lindenstrauss,dims=2^3..2^1)",
+        "blocksum(lindenstrauss,dims=5..2)",
+        "blocksum(lindenstrauss,dims=2^1..x)",
+        "interleave(difference:4,unit:4@lp:2))",
     ],
 )
 def test_parse_basis_rejects_malformed(bad):

@@ -7,6 +7,7 @@ import math
 
 import pytest
 
+from condgreedy import cli
 from condgreedy.cli import main
 
 
@@ -202,9 +203,20 @@ def test_greedy_check_summing_json(capsys):
     assert "value 4" in by_name["quasi-greedy-lb"]["detail"]
 
 
-def test_greedy_check_phi_max_validation(capsys):
+def test_greedy_check_phi_max_validation(capsys, monkeypatch):
     assert main(["greedy-check", "--basis", "difference:8", "--phi-max", "12"]) == 2
     capsys.readouterr()
+
+    # the flag is checked before any estimate is spent
+    def unreachable(*args, **kwargs):
+        raise AssertionError("estimator ran before --phi-max was checked")
+
+    for name in ("quasi_greedy_constant_lb", "almost_greedy_constant_lb",
+                 "fundamental_function", "democracy_ratio"):
+        monkeypatch.setattr(cli, name, unreachable)
+    for phi_max in ("100", "0"):
+        assert main(["greedy-check", "--basis", "lindenstrauss:64", "--phi-max", phi_max]) == 2
+        assert "--phi-max" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("budget", ["0", "-5"])

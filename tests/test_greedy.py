@@ -42,9 +42,9 @@ from condgreedy._search import (
 from condgreedy.bases import external_basis, parse_basis
 from condgreedy.greedy import (
     _ag_exhaustive,
-    _exact_denominators,
     _floor_witness,
     _indicator_rows,
+    _min_denominators,
     _popcounts,
     _prefix_max,
     _prefix_residual_ratios,
@@ -257,7 +257,8 @@ def test_ag_exact_denominators_match_brute_force(d):
     rng = np.random.default_rng(d)
     for _ in range(3):
         a = rng.uniform(0.5, 2.0, d) * rng.choice([-1.0, 1.0], d)
-        got = _exact_denominators(b, a, masks, sizes)
+        nrm = b.synth_norms((1.0 - masks) * a)
+        got, first = _min_denominators(nrm, sizes, d)
         # per size t, min ||f - S_B f|| over |B| == t, one vector at a time
         by_size = []
         for t in range(d + 1):
@@ -269,6 +270,10 @@ def test_ag_exact_denominators_match_brute_force(d):
             by_size.append(min(vals))
         for m in range(d + 1):
             assert got[m] == pytest.approx(min(by_size[: m + 1]), rel=1e-12)
+            # the handed-back B: the first set of size <= m attaining the minimum
+            code = first(m)
+            assert sizes[code] <= m and nrm[code] == got[m]
+            assert not ((sizes[:code] <= m) & (nrm[:code] == got[m])).any()
 
 
 def test_ag_exact_denominator_tier_reverifies():
@@ -276,6 +281,33 @@ def test_ag_exact_denominator_tier_reverifies():
     val, wit = almost_greedy_constant_lb(b, budget=256, seed=4)
     assert val > 1.0
     assert len(wit.b_indices) <= len(wit.indices)
+    assert verify_witness(b, wit) == pytest.approx(val, rel=1e-12)
+
+
+# (spec, seed) -> (value, A, B) measured on the exact tiers and pinned: the
+# comparison set B is part of the certificate, so it must not drift either
+AG_EXACT_PINS = {
+    ("lindenstrauss:8", None): (1.7142857142857142, (2, 3), (4, 8)),
+    ("lindenstrauss:12", 1): (1.7357045936923563, (1, 4, 5, 6, 7, 9, 10, 11, 12),
+                              (4, 5, 6, 7, 8, 9, 10, 11, 12)),
+    ("lindenstrauss:12", 2): (1.7591047578117858, (1, 2, 4, 5, 6, 12), (1, 3, 6, 7, 9, 12)),
+    ("lindenstrauss:12", 3): (1.8026664268459553, (1, 2, 3, 8, 11), (7, 8, 9, 10, 11)),
+    ("summing:10", 1): (6.715694291122727, (1, 4, 8), (2, 7, 9)),
+    ("summing:10", 2): (6.670412364512161, (3, 6, 9), (1,)),
+    ("summing:10", 3): (6.717873674596702, (2, 4, 6, 8), (5, 6, 10)),
+}
+
+
+@pytest.mark.parametrize("spec,seed", list(AG_EXACT_PINS))
+def test_ag_exact_tiers_pinned(spec, seed):
+    b = parse_basis(spec)
+    if seed is None:
+        val, wit = almost_greedy_constant_lb(b)
+    else:
+        val, wit = almost_greedy_constant_lb(b, budget=512, seed=seed)
+    want, A, B = AG_EXACT_PINS[(spec, seed)]
+    assert val == pytest.approx(want, rel=1e-12)
+    assert (wit.indices, wit.b_indices) == (A, B)
     assert verify_witness(b, wit) == pytest.approx(val, rel=1e-12)
 
 
