@@ -1,7 +1,7 @@
 """The search engine of every lower-bound estimator: the block sampler
-``sample_block``, ``guarded_ratio``, the coordinate ascent ``ascend`` on any
-objective ``a -> (ratio, payload)`` with its move sets, the block maximum
-``parallel_block_max``, and the sign-vector tables of the exhaustive routes.
+``sample_block``, ``guarded_ratio``, the batched coordinate ascent ``ascend``
+with its move sets, the block maximum ``parallel_block_max``, and the
+sign-vector tables of the exhaustive routes.
 What is specific to one family of constants stays beside its estimators:
 ``conditionality._seeded_search`` for L_m and k_m, ``greedy._drop_search``
 and ``greedy._min_denominators`` for the greedy constants.
@@ -26,6 +26,7 @@ DEFAULT_BUDGET = 2048
 BLOCK = 256  # coefficient samples per random block
 ASCENT_TOL = 1e-10
 MAX_SWEEPS = 200
+BATCH_ENTRIES = 8192  # product entries per batched ascent call
 TINY = 1e-12  # norms at or below this count as zero
 
 
@@ -91,34 +92,57 @@ def scale_moves(x: float) -> tuple:
     return (x * 0.5, x * 2.0) if x != 0.0 else ()
 
 
-def ascend(a0, score, moves):
+def ascend(a0, score, moves, cost):
     """First-improvement coordinate ascent; returns (ratio, a, payload).
 
-    ``score(a)`` gives (ratio, payload).  Each sweep takes, per coordinate,
-    the first of ``moves(a[i])`` that gains at least ASCENT_TOL, skipping
-    all-zero candidates, until a sweep finds none or MAX_SWEEPS.  A start
-    whose payload is None comes back unchanged.
+    ``score(rows)`` is a batch scorer: (n, d) candidate rows -> (ratios (n,),
+    payload), with ``payload(k)`` built on demand for row k.  A sweep lists
+    the moves ``moves(a[i])`` of every coordinate once (a move taken at j
+    changes only a[j]) and scores them in order, skipping all-zero ones, as
+    many per call as fit in BATCH_ENTRIES product entries at ``cost`` each.
+    The first that gains at least ASCENT_TOL is taken and the sweep goes on
+    at coordinate j + 1.  Sweeps repeat until one takes no move or
+    MAX_SWEEPS; a start whose payload is None comes back unchanged.  For a
+    batch-invariant scorer this is the trajectory of one candidate per
+    call.  BLAS may round a row differently with its batch, which can only
+    turn a gain within rounding of ASCENT_TOL; a final vector scored beside
+    others is scored again alone, so the returned ratio and payload are
+    those of a one-row call.
     """
     a = np.asarray(a0, dtype=np.float64).copy()
-    cur, payload = score(a)
-    if payload is None:
-        return cur, a, payload
+    ratios, payload = score(a[None])
+    cur, pay = float(ratios[0]), payload(0)
+    if pay is None:
+        return cur, a, pay
+    batch = max(1, BATCH_ENTRIES // cost)
+    rescore = False
     for _ in range(MAX_SWEEPS):
-        improved = False
-        for i in range(a.size):
-            for val in moves(a[i]):
-                cand = a.copy()
-                cand[i] = val
-                if not cand.any():
-                    continue
-                r, p = score(cand)
-                if r >= cur + ASCENT_TOL:
-                    a, cur, payload = cand, r, p
-                    improved = True
-                    break
+        cands = [(i, v) for i in range(a.size) for v in moves(a[i])]
+        improved, k, nz = False, 0, np.count_nonzero(a)
+        while k < len(cands):
+            # a move to 0.0 leaves the zero vector when a[i] is a's only nonzero
+            part = [(i, v) for i, v in cands[k : k + batch] if v != 0.0 or nz > (a[i] != 0.0)]
+            k += batch
+            if not part:
+                continue
+            rows = np.empty((len(part), a.size))
+            rows[:] = a
+            for r, (i, v) in enumerate(part):
+                rows[r, i] = v
+            ratios, payload = score(rows)
+            h = next((n for n, r in enumerate(ratios.tolist()) if r >= cur + ASCENT_TOL), None)
+            if h is not None:
+                j = part[h][0]
+                a, cur, pay = rows[h].copy(), float(ratios[h]), payload(h)
+                improved, rescore, nz = True, len(part) > 1, np.count_nonzero(a)
+                # go on at the first move of coordinate j + 1
+                k = next((n for n in range(k - batch, len(cands)) if cands[n][0] > j), len(cands))
         if not improved:
             break
-    return cur, a, payload
+    if rescore:
+        ratios, payload = score(a[None])
+        cur, pay = float(ratios[0]), payload(0)
+    return cur, a, pay
 
 
 def digit_rows(start: int, stop: int, n_digits: int, base: int) -> np.ndarray:

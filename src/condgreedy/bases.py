@@ -19,7 +19,6 @@ coordinate lift/retract pair for Lorentz-style embeddings lives here too.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -265,10 +264,25 @@ def _check_dims(b: BasisTruncation, dims) -> tuple:
     return dims
 
 
+def _number(key: str, value) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise BasisError(f"{key} must be a number, got {value!r}") from None
+
+
+def _outer_sum(key: str, outer: float, specs) -> MixedSum:
+    """``MixedSum(outer, specs)``, whose range error names the exponent ``key``."""
+    try:
+        return MixedSum(outer, specs)
+    except SpaceError:
+        raise BasisError(f"{key} must be 0 or in [1, inf), got {outer!r}") from None
+
+
 def block_sum(b: BasisTruncation, dims, p: float) -> BasisTruncation:
     """Direct sum of the d_n-truncations of ``b`` with an outer l_p (0 = sup)."""
     dims = _check_dims(b, dims)
-    p = float(p)
+    p = _number("p", p)
     subs = [_prefix_restriction(b, dn) for dn in dims]
     amb_dims = [s[0].shape[0] for s in subs]
     total_amb = sum(amb_dims)
@@ -279,7 +293,7 @@ def block_sum(b: BasisTruncation, dims, p: float) -> BasisTruncation:
         cols[aoff : aoff + adim, koff : koff + dn] = sub
         aoff += adim
         koff += dn
-    space = MixedSum(p, tuple((s[1], adim) for s, adim in zip(subs, amb_dims)))
+    space = _outer_sum("p", p, tuple((s[1], adim) for s, adim in zip(subs, amb_dims)))
     dims_txt = ",".join(str(x) for x in dims)
     label = f"blocksum({b.label},dims=[{dims_txt}],p={p:g})"
     return _make(cols, space, label, ("block_sum", b.recipe, dims, p))
@@ -302,10 +316,11 @@ class BlockMapPair:
 
 def pq_block_sum(b: BasisTruncation, blocks, p: float, q: float) -> BasisTruncation:
     """Split block sum: block r lands as (P_r x_j, Q_r x_j) in a max-norm pair
-    of a p-summed Y-stack and a q-summed Z-stack."""
+    of a p-summed Y-stack and a q-summed Z-stack; an empty stack builds no
+    space, so its exponent is never range-checked."""
     dims = _check_dims(b, [dn for dn, _ in blocks])
     pairs = [bm for _, bm in blocks]
-    p, q = float(p), float(q)
+    p, q = _number("p", p), _number("q", q)
 
     y_parts, z_parts = [], []
     for dn, bm in zip(dims, pairs):
@@ -319,16 +334,16 @@ def pq_block_sum(b: BasisTruncation, blocks, p: float, q: float) -> BasisTruncat
         y_parts.append((P @ sub, bm.target_y))
         z_parts.append((Q @ sub, bm.target_z))
 
-    def stack(parts, outer):
+    def stack(parts, key, outer):
         sizes = [m.shape[0] for m, _ in parts]
         total = sum(sizes)
         if total == 0:
             return None, 0, []
         specs = tuple((sp, sz) for (m, sp), sz in zip(parts, sizes) if sz > 0)
-        return MixedSum(outer, specs), total, sizes
+        return _outer_sum(key, outer, specs), total, sizes
 
-    yspace, ytot, _ = stack(y_parts, p)
-    zspace, ztot, _ = stack(z_parts, q)
+    yspace, ytot, _ = stack(y_parts, "p", p)
+    zspace, ztot, _ = stack(z_parts, "q", q)
     if ytot == 0 and ztot == 0:
         raise BasisError("both map stacks are empty")
 
@@ -468,9 +483,9 @@ def parse_basis(spec: str) -> BasisTruncation:
                 base_spec = f"{base_spec}:{max(dims)}"
             base = parse_basis(base_spec)
             if head == "blocksum":
-                return block_sum(base, dims, float(kv.get("p", 1)))
+                return block_sum(base, dims, kv.get("p", 1))
             blocks = [(dn, half_split_maps(base, dn)) for dn in dims]
-            return pq_block_sum(base, blocks, float(kv.get("p", 1)), float(kv.get("q", 1)))
+            return pq_block_sum(base, blocks, kv.get("p", 1), kv.get("q", 1))
 
     if "@" in spec:
         left, space_txt = spec.split("@", 1)

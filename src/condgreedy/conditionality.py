@@ -22,7 +22,8 @@ witness:
 * ``k_m_estimate`` -- like the estimate but with full-support samples and
   sets capped at m elements; coincides with L_d when m = d.
 
-The objective of every route is ``_SupportEval.mask_sweep``; the sampler,
+The objective of every route is ``_SupportEval.mask_sweep``, which scores
+a batch of coefficient rows against a family of sets; the sampler,
 the coordinate ascent and the block maximum come from ``_search``, and both
 estimates share one body, ``_seeded_search``.
 
@@ -262,20 +263,29 @@ class _SupportEval:
     def coef_norms(self, rows: np.ndarray) -> np.ndarray:
         return norms(self.space, rows @ self.colsT, overwrite=True)
 
-    def mask_sweep(self, a: np.ndarray, sets: np.ndarray, chunk: int = 8192):
-        """Best ||S_A f||/||f|| over the 0/1 set rows; returns (ratio, row
-        index), or (0.0, None) when f vanishes.  The ascent objective of the
-        oracle and of both estimates."""
-        den = float(self.coef_norms(a[None, :])[0])
-        if den <= TINY:
-            return 0.0, None
-        best, best_i = -1.0, None
-        for start in range(0, sets.shape[0], chunk):
-            nums = self.coef_norms(sets[start : start + chunk] * a)
-            i = int(np.argmax(nums))
-            if nums[i] > best:
-                best, best_i = float(nums[i]), start + i
-        return best / den, best_i
+    def set_norms(self, rows: np.ndarray, sets: np.ndarray, chunk: int = 8192):
+        """Norms ||S_A f|| (n, S) over the 0/1 set rows A, and ||f|| (n,),
+        of the coefficient rows f; the sets go in slices of ``chunk``, which
+        bounds the temporaries of the oracle's 2^m-set sweeps."""
+        n, m = rows.shape
+        parts = [self.coef_norms((rows[:, None, :] * sets[s : s + chunk]).reshape(-1, m)).reshape(n, -1)
+                 for s in range(0, sets.shape[0], chunk)]
+        nums = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+        return nums, self.coef_norms(rows)
+
+    def mask_sweep(self, rows: np.ndarray, sets: np.ndarray):
+        """Batch ascent objective of the oracle and of both estimates: the
+        best ||S_A f||/||f|| over the set rows for each row f, and a payload
+        k -> the index of row k's first best set (None when f vanishes)."""
+        nums, dens = self.set_norms(rows, sets)
+        best = nums.argmax(axis=1)
+        ratios = guarded_ratio(nums[np.arange(best.size), best], dens)
+        return ratios, lambda k: int(best[k]) if dens[k] > TINY else None
+
+    def ascend(self, a0: np.ndarray, sets: np.ndarray):
+        """Signed-move ``ascend`` from ``a0`` on ``mask_sweep`` over ``sets``."""
+        cost = (sets.shape[0] + 1) * self.colsT.shape[1]
+        return ascend(a0, lambda rows: self.mask_sweep(rows, sets), signed_moves, cost)
 
 
 def _mask_to_set(mask_row) -> tuple:
@@ -319,9 +329,11 @@ def L_m_oracle(b: BasisTruncation, m: int, guard: int = DEFAULT_GUARD):
     The full joint grid (5^m <= FULL_GRID_CAP) enumerates (coefficient,
     membership) pairs as base-5 indices; ``pair_chunk`` turns them into the
     ternary codes of f and S_A f, which index one table of the norms of all
-    3^m sign vectors.  A norm does not depend on the batch it is evaluated
-    in, so the ratios, the leaders and the witness equal those of
-    synthesising every pair.
+    3^m sign vectors.  Where every synthesised coordinate is exact, as on
+    the shipped recipes, the ratios, the leaders and the witness equal those
+    of synthesising every pair.  Otherwise BLAS may round a row differently
+    with the batch it sits in, and they agree to a few ulps, well inside the
+    1e-12 to which a witness re-verifies.
     """
     if not (1 <= m <= b.d):
         raise ConditionalityError(f"m must lie in 1..{b.d}, got {m}")
@@ -343,7 +355,8 @@ def L_m_oracle(b: BasisTruncation, m: int, guard: int = DEFAULT_GUARD):
         masks_s = masks if s == m else all_subset_masks(s)
         for profile in PROFILES:
             a_s = profile(s)
-            r, mi = ev_s.mask_sweep(a_s, masks_s)
+            ratios, payload = ev_s.mask_sweep(a_s[None], masks_s)
+            r, mi = ratios[0], payload(0)
             if mi is not None:
                 a_full, A = _pad_to(a_s, m), _mask_to_set(masks_s[mi])
                 best.offer(r, a_full, A)
@@ -374,7 +387,7 @@ def L_m_oracle(b: BasisTruncation, m: int, guard: int = DEFAULT_GUARD):
 
     # ascent from the distinct leaders, rescanning all subsets each step
     for a_start, _ in top.distinct_starts():
-        r, a_fin, mi = ascend(a_start, lambda a: ev.mask_sweep(a, masks), signed_moves)
+        r, a_fin, mi = ev.ascend(a_start, masks)
         if mi is not None:
             best.offer(r, a_fin, _mask_to_set(masks[mi]))
 
@@ -411,16 +424,6 @@ def _oracle_grid(ev: _SupportEval, best: _Best, top: TopK):
 # ---------------------------------------------------------------------------
 
 
-def _sets_sweep(ev: _SupportEval, rows: np.ndarray, sets: np.ndarray):
-    """Ratio table over sample rows x candidate sets: (n, S) ratios, plus
-    the row norms ||f|| (n,) that divide them."""
-    n, m = rows.shape
-    prods = rows[:, None, :] * sets[None, :, :]
-    nums = ev.coef_norms(prods.reshape(n * sets.shape[0], m)).reshape(n, sets.shape[0])
-    dens = ev.coef_norms(rows)
-    return guarded_ratio(nums, dens), dens
-
-
 def _seeded_search(b: BasisTruncation, ev: _SupportEval, floor_set, sets, pairs, block_fn,
                    budget: int | None):
     """Body of both seeded estimates on the support of ``ev``.
@@ -442,7 +445,7 @@ def _seeded_search(b: BasisTruncation, ev: _SupportEval, floor_set, sets, pairs,
     sets = np.unique(np.vstack(family), axis=0)
 
     # deterministic ascent from the best template before spending the budget
-    r, a_fin, si = ascend(best.coeffs, lambda a: ev.mask_sweep(a, sets), signed_moves)
+    r, a_fin, si = ev.ascend(best.coeffs, sets)
     if r > best.ratio:
         best.offer(r, a_fin, _mask_to_set(sets[si]), kind="random")
 
@@ -459,9 +462,9 @@ def _L_block(ev: _SupportEval, sets: np.ndarray, seed: int, bi: int):
     rows = sample_block(rng, m, keep=0.8)
     extra = (rng.random((8, m)) < 0.5).astype(np.float64)
     block_sets = np.vstack([sets, extra])
-    ratios, _ = _sets_sweep(ev, rows, block_sets)
+    ratios = guarded_ratio(*ev.set_norms(rows, block_sets))
     i, j = np.unravel_index(np.argmax(ratios), ratios.shape)
-    r, a, si = ascend(rows[i], lambda a: ev.mask_sweep(a, block_sets), signed_moves)
+    r, a, si = ev.ascend(rows[i], block_sets)
     if r >= ratios[i, j]:
         return r, (a, block_sets[si])
     return float(ratios[i, j]), (rows[i].copy(), block_sets[j])
@@ -526,7 +529,8 @@ def _k_block(ev: _SupportEval, sets: np.ndarray, m: int, seed: int, bi: int):
     rows = sample_block(rng, d)
     extra = _cap_sets((rng.random((8, d)) < min(0.5, m / d)).astype(np.float64), m)
     block_sets = np.vstack([sets, extra])
-    ratios, dens = _sets_sweep(ev, rows, block_sets)
+    nums, dens = ev.set_norms(rows, block_sets)
+    ratios = guarded_ratio(nums, dens)
     best_i, best_j = np.unravel_index(np.argmax(ratios), ratios.shape)
     best_r = float(ratios[best_i, best_j])
     payload = (rows[best_i].copy(), block_sets[best_j])
@@ -537,7 +541,7 @@ def _k_block(ev: _SupportEval, sets: np.ndarray, m: int, seed: int, bi: int):
     if tr[ti] > best_r:
         best_r = float(tr[ti])
         payload = (rows[ti].copy(), tops[ti])
-    r, a, si = ascend(payload[0], lambda a: ev.mask_sweep(a, block_sets), signed_moves)
+    r, a, si = ev.ascend(payload[0], block_sets)
     if r > best_r:
         return r, (a, block_sets[si])
     return best_r, payload

@@ -19,7 +19,7 @@ Estimator tiers, chosen by the basis length d:
               multiplicative coordinate ascent on the block winners.
 
 The block sampler, the ascent and the block maximum are the shared search
-engine of ``_search``; the ascent objective here is ``_qg_ratio_of``.  Each
+engine of ``_search``; the ascent objective here is ``_qg_ratios``.  Each
 remaining step is written once: ``_drop_search`` is the random sub-support
 search on sign rows of both quasi-greedy sampling tiers, and
 ``_min_denominators`` the minimum over |B| <= t of both exact almost-greedy
@@ -38,8 +38,8 @@ from itertools import chain, combinations, islice
 import numpy as np
 
 from . import _search
-from ._search import (BLOCK, DEFAULT_BUDGET, DEFAULT_SEED, TINY, ascend, check_budget,
-                      guarded_ratio, rng_stream, sample_block, scale_moves)
+from ._search import (BATCH_ENTRIES, BLOCK, DEFAULT_BUDGET, DEFAULT_SEED, TINY, ascend,
+                      check_budget, guarded_ratio, rng_stream, sample_block, scale_moves)
 from .bases import BasisTruncation
 from .conditionality import Witness
 from .spaces import norms
@@ -238,10 +238,13 @@ def _drop_search(b: BasisTruncation, rows: np.ndarray, full: np.ndarray, rng, be
     return best, hit, hit_A
 
 
-def _qg_ratio_of(b: BasisTruncation, a: np.ndarray):
-    ratios, order, _ = _prefix_residual_ratios(b, a[None, :])
-    mrow = int(np.argmax(ratios[0]))
-    return float(ratios[0, mrow]), tuple(sorted(int(j) + 1 for j in order[0, :mrow]))
+def _qg_ratios(b: BasisTruncation, rows: np.ndarray):
+    """Batch ascent objective: the best canonical-prefix residual ratio of
+    each row, and a payload k -> that prefix of row k as a 1-based set."""
+    ratios, order, _ = _prefix_residual_ratios(b, rows)
+    best = ratios.argmax(axis=1)
+    return ratios[np.arange(best.size), best], lambda k: tuple(
+        sorted(int(j) + 1 for j in order[k, : best[k]]))
 
 
 def _qg_random_block(b: BasisTruncation, seed: int, block_i: int):
@@ -254,8 +257,10 @@ def _qg_random_block(b: BasisTruncation, seed: int, block_i: int):
     best, i, A = _drop_search(b, rows[half:], full[half:], rng, best)
     if i >= 0:
         best_pair = (rows[half + i].copy(), A)
-    # multiplicative ascent on the block winner
-    cur, a, curA = ascend(best_pair[0], lambda a: _qg_ratio_of(b, a), scale_moves)
+    # multiplicative ascent on the block winner, one candidate per call: the
+    # next candidate is nearly always the one taken, so a batch wastes rows
+    cur, a, curA = ascend(best_pair[0], lambda rows: _qg_ratios(b, rows), scale_moves,
+                          BATCH_ENTRIES)
     if cur > best:
         best, best_pair = cur, (a, curA)
     return best, best_pair

@@ -471,6 +471,48 @@ def test_parse_basis_rejects_malformed(bad):
         parse_basis(bad)
 
 
+@pytest.mark.parametrize("spec,key", [
+    ("blocksum(lindenstrauss,dims=2^1..2^3,p=x)", "p"),
+    ("blocksum(lindenstrauss,dims=2^1..2^3,p=0.5)", "p"),
+    ("blocksum(lindenstrauss,dims=2^1..2^3,p=-1)", "p"),
+    ("blocksum(lindenstrauss,dims=2^1..2^3,p=nan)", "p"),
+    ("blocksum(lindenstrauss,dims=2^1..2^3,p=inf)", "p"),
+    ("pqhalf(lindenstrauss,dims=2^1..2^2,p=x,q=1)", "p"),
+    ("pqhalf(lindenstrauss,dims=2^1..2^2,p=0.5,q=1)", "p"),
+    ("pqhalf(lindenstrauss,dims=2^1..2^2,p=1,q=y)", "q"),
+    ("pqhalf(lindenstrauss,dims=2^1..2^2,p=1,q=inf)", "q"),
+    ("pqhalf(lindenstrauss,dims=2^1..2^2,p=1,q=-1)", "q"),
+    ("pqhalf(lindenstrauss,dims=2^1..2^2,p=1,q=nan)", "q"),
+])
+def test_parse_basis_rejects_bad_exponents(spec, key):
+    with pytest.raises(BasisError, match=rf"^{key} must be"):
+        parse_basis(spec)
+
+
+@pytest.mark.parametrize("spec,outer", [
+    ("blocksum(lindenstrauss,dims=2^1..2^3,p=0)", 0.0),
+    ("blocksum(lindenstrauss,dims=2^1..2^3,p=1e0)", 1.0),
+    ("blocksum(lindenstrauss,dims=2^1..2^3,p= 2.5)", 2.5),
+    ("blocksum(lindenstrauss,dims=2^1..2^3)", 1.0),
+    ("pqhalf(lindenstrauss,dims=2^1..2^2,p=3,q=0)", None),
+    # a one-coordinate block leaves the Z-stack empty: its q is never used
+    ("pqhalf(summing,dims=1,q=0.5)", None),
+    ("pqhalf(unit:2,dims=1,q=nan)", None),
+])
+def test_parse_basis_keeps_accepted_exponents(spec, outer):
+    b = parse_basis(spec)
+    if outer is not None:
+        assert b.space.outer_q == outer
+
+
+def test_block_sum_exponent_errors_name_the_key():
+    with pytest.raises(BasisError, match="^p must be 0 or in"):
+        block_sum(lindenstrauss(4), (2, 4), 0.5)
+    pair = half_split_maps(lindenstrauss(4), 4)
+    with pytest.raises(BasisError, match="^q must be a number"):
+        pq_block_sum(lindenstrauss(4), [(4, pair)], 1.0, "x")
+
+
 @pytest.mark.parametrize(
     "spec",
     ["difference:6", "lindenstrauss:5", "blocksum(difference:4,dims=2^1..2^2,p=1)"],

@@ -34,7 +34,9 @@ from condgreedy import (
     verify_witness,
     witness_from_doc,
 )
+from condgreedy import bases as bases_mod
 from condgreedy import conditionality as cond_mod
+from condgreedy import spaces as spaces_mod
 from condgreedy._search import (
     ASCENT_TOL,
     MAX_SWEEPS,
@@ -42,12 +44,10 @@ from condgreedy._search import (
     PAIR_IN,
     TINY,
     TopK,
-    ascend,
     digit_rows,
     pair_chunk,
     pair_rows,
     sign_rows,
-    signed_moves,
 )
 from condgreedy.bases import external_basis, parse_basis
 from condgreedy.spaces import parse_space
@@ -284,6 +284,19 @@ def test_oracle_memory_stays_below_the_pair_grid():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
+
+
+def test_oracle_set_sweeps_stay_chunked():
+    # 2^14 masks against 64 ambient coordinates: one norms call over all
+    # masks would hold 2^14 x (14 + 64) floats, about 9.8 MiB, at once
+    b = parse_basis("blocksum(lindenstrauss,dims=2^1..2^4,p=1)")
+    tracemalloc.start()
+    try:
+        L_m_oracle(b, 14, guard=14)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10.5 * 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -670,12 +683,12 @@ def test_ascend_matches_oracle_mask_loop(name, make):
     ev = cond_mod._SupportEval(b, m)
     masks = cond_mod.all_subset_masks(m)
     for a0 in _seeded_starts(m, 1):
-        r, a, mi = ascend(a0, lambda a: ev.mask_sweep(a, masks), signed_moves)
+        r, a, mi = ev.ascend(a0, masks)
         ref_r, ref_a, ref_mi = _ascend_masks_ref(ev, a0, masks)
         assert (r, mi) == (ref_r, ref_mi)
         assert np.array_equal(a, ref_a) and np.array_equal(np.signbit(a), np.signbit(ref_a))
     zero = np.zeros(m)
-    assert ascend(zero, lambda a: ev.mask_sweep(a, masks), signed_moves)[2] is None
+    assert ev.ascend(zero, masks)[2] is None
     assert _ascend_masks_ref(ev, zero, masks)[2] == -1
 
 
@@ -688,10 +701,41 @@ def test_ascend_matches_estimate_sets_loop(name, make):
     extra = (rng.random((8, m)) < 0.5).astype(np.float64)
     sets = np.unique(np.vstack([cond_mod._structured_masks(m), extra]), axis=0)
     for a0 in _seeded_starts(m, 2):
-        r, a, si = ascend(a0, lambda a: ev.mask_sweep(a, sets), signed_moves)
+        r, a, si = ev.ascend(a0, sets)
         ref_r, ref_a, ref_si = _ascend_sets_ref(ev, a0, sets)
         assert (r, si) == (ref_r, ref_si)
         assert np.array_equal(a, ref_a) and np.array_equal(np.signbit(a), np.signbit(ref_a))
+
+
+# ---------------------------------------------------------------------------
+# norms-call ceilings: the batched ascent scores several candidates per call
+# ---------------------------------------------------------------------------
+
+
+def _norms_calls(monkeypatch, run):
+    """Number of ``spaces.norms`` calls made by ``run()``, through every
+    module that binds the name."""
+    calls = [0]
+    real = spaces_mod.norms
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    for mod in (spaces_mod, bases_mod, cond_mod):
+        monkeypatch.setattr(mod, "norms", counted)
+    run()
+    return calls[0]
+
+
+# measured with the batched ascent; one call per candidate made 10,082 and
+# 6,984 calls (the basis build not counted)
+@pytest.mark.parametrize("fn,m,ceiling", [(L_m_estimate, 13, 1_028), (k_m_estimate, 4, 828)],
+                         ids=["L m=13", "k k=4"])
+def test_seeded_estimate_norms_calls_ceiling(fn, m, ceiling, monkeypatch):
+    b = lindenstrauss(16)
+    calls = _norms_calls(monkeypatch, lambda: fn(b, m, budget=512, seed=1))
+    assert calls <= ceiling
 
 
 @pytest.mark.parametrize("budget", [0, -5])

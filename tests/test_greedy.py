@@ -27,6 +27,7 @@ from condgreedy import (
     verify_witness,
     Witness,
 )
+from condgreedy import greedy as greedy_mod
 from condgreedy._search import (
     ASCENT_TOL,
     MAX_SWEEPS,
@@ -49,7 +50,7 @@ from condgreedy.greedy import (
     _prefix_max,
     _prefix_residual_ratios,
     _qg_exhaustive,
-    _qg_ratio_of,
+    _qg_ratios,
     _qg_sign_grid,
     _sum_norm_extremum,
 )
@@ -566,6 +567,12 @@ def test_qg_sign_grid_memory_is_bounded():
 # ---------------------------------------------------------------------------
 
 
+def _qg_ratio_of(b, a):
+    """The batch objective on one row, scored alone."""
+    ratios, payload = _qg_ratios(b, a[None, :])
+    return float(ratios[0]), payload(0)
+
+
 def _qg_ascent_ref(b, a0, ratio_of=_qg_ratio_of):
     """Reference: the quasi-greedy block's inline ascent (both moves tried
     at each coordinate, even after the first one is accepted)."""
@@ -599,19 +606,46 @@ def test_ascend_matches_qg_loop(spec):
     starts[~starts.any(axis=1), 0] = 1.0
     calls = {"ref": 0, "got": 0}
 
-    def counted(key):
-        def ratio_of(b, a):
-            calls[key] += 1
-            return _qg_ratio_of(b, a)
-        return ratio_of
+    def ratio_of(b, a):
+        calls["ref"] += 1
+        return _qg_ratio_of(b, a)
+
+    def batched(rows):
+        calls["got"] += 1
+        return _qg_ratios(b, rows)
 
     for a0 in starts:
-        ref = _qg_ascent_ref(b, a0, counted("ref"))
-        got = ascend(a0, lambda a: counted("got")(b, a), scale_moves)
+        ref = _qg_ascent_ref(b, a0, ratio_of)
+        got = ascend(a0, batched, scale_moves, (b.d + 1) * b.ambient_dim)
         assert got[0] == ref[0] and got[2] == ref[2]
         assert np.array_equal(got[1], ref[1])
-    # the replaced loop also retried x2 right after an accepted x0.5
+    # the replaced loop also retried x2 right after an accepted x0.5, and
+    # the batched ascent scores several candidates per call
     assert calls["got"] <= calls["ref"]
+
+
+@pytest.mark.parametrize("spec,ceiling", [
+    ("lindenstrauss:16", 5_740),
+    ("lindenstrauss:32", 8_590),
+    ("blocksum(lindenstrauss,dims=2^1..2^4,p=1)", 7_632),
+    ("blocksum(lindenstrauss,dims=2^1..2^5,p=1)", 13_929),
+])
+def test_qg_ascent_prefix_rows_ceiling(monkeypatch, spec, ceiling):
+    # the quasi-greedy ascent scores one candidate per call: the next
+    # candidate is nearly always the one taken, so batching more of them
+    # scores rows that a first-improvement ascent throws away
+    rows = [0]
+    real = greedy_mod._prefix_residual_ratios
+
+    def counted(b, coeff_rows):
+        rows[0] += coeff_rows.shape[0]
+        return real(b, coeff_rows)
+
+    monkeypatch.setattr(greedy_mod, "_prefix_residual_ratios", counted)
+    b = parse_basis(spec)
+    for seed in (1, 2, 3):
+        quasi_greedy_constant_lb(b, budget=512, seed=seed)
+    assert rows[0] <= ceiling
 
 
 # ---------------------------------------------------------------------------

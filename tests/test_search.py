@@ -1,4 +1,4 @@
-"""The shared search engine: ascent, guarded ratio and block sampler."""
+"""The shared search engine: batched ascent, guarded ratio and block sampler."""
 
 from __future__ import annotations
 
@@ -7,6 +7,7 @@ import pytest
 
 from condgreedy._search import (
     ASCENT_TOL,
+    BATCH_ENTRIES,
     BLOCK,
     MAX_SWEEPS,
     TINY,
@@ -19,37 +20,119 @@ from condgreedy._search import (
 )
 
 # ---------------------------------------------------------------------------
-# ascend on toy objectives
+# ascend on toy objectives, against the scalar loop it replaced
 # ---------------------------------------------------------------------------
+
+ONE = BATCH_ENTRIES  # cost that allows one candidate per call
+COSTS = (ONE, BATCH_ENTRIES // 3, BATCH_ENTRIES // 7, 1)  # batches of 1, 3, 7, 8192
+
+
+def _scalar_ascend(a0, score, moves, log=None):
+    """Reference: the one-candidate-per-call ascent; ``score(a)`` gives
+    (ratio, payload).  ``log`` collects (row, accepted) per scored row."""
+    a = np.asarray(a0, dtype=np.float64).copy()
+    cur, payload = score(a)
+    if log is not None:
+        log.append((a.copy(), False))
+    if payload is None:
+        return cur, a, payload
+    for _ in range(MAX_SWEEPS):
+        improved = False
+        for i in range(a.size):
+            for val in moves(a[i]):
+                cand = a.copy()
+                cand[i] = val
+                if not cand.any():
+                    continue
+                r, p = score(cand)
+                taken = r >= cur + ASCENT_TOL
+                if log is not None:
+                    log.append((cand.copy(), taken))
+                if taken:
+                    a, cur, payload = cand, r, p
+                    improved = True
+                    break
+        if not improved:
+            break
+    return cur, a, payload
+
+
+def batch_of(fn):
+    """Batch scorer that applies the scalar objective ``fn`` row by row."""
+    def score(rows):
+        out = [fn(row) for row in rows]
+        return np.array([r for r, _ in out]), lambda k: out[k][1]
+    return score
 
 
 class Recorder:
-    """Objective a -> (scale * a[0], "p") that keeps every vector it sees."""
+    """Batch objective rows -> scale * rows[:, 0] with a fixed payload that
+    keeps every call's rows."""
 
     def __init__(self, scale=1.0, payload="p"):
         self.scale = scale
         self.payload = payload
-        self.seen = []
+        self.calls = []
 
-    def __call__(self, a):
-        self.seen.append(a.copy())
-        return self.scale * float(a[0]), self.payload
+    def __call__(self, rows):
+        self.calls.append(rows.copy())
+        return self.scale * rows[:, 0], lambda k: self.payload
+
+    @property
+    def seen(self):
+        return [row for call in self.calls for row in call]
+
+
+def assert_sequential(calls, log, final):
+    """Each call's rows up to its accepted move are the next rows the
+    scalar loop scored; rows after an accepted move are dropped, and a
+    last one-row call may re-score the final vector."""
+    pos = 0
+    for n, call in enumerate(calls):
+        if pos == len(log):
+            assert n == len(calls) - 1 and len(call) == 1
+            assert np.array_equal(call[0], final)
+            return
+        for row in call:
+            want, taken = log[pos]
+            assert np.array_equal(row, want) and np.array_equal(np.signbit(row), np.signbit(want))
+            pos += 1
+            if taken:
+                break
+    assert pos == len(log)
 
 
 def test_ascend_rejects_gains_below_tolerance():
     # doubling a[0] = 1 gains 0.5 * ASCENT_TOL: never taken
-    score = Recorder(scale=0.5 * ASCENT_TOL)
-    r, a, p = ascend(np.array([1.0, 0.0]), score, scale_moves)
-    assert a.tolist() == [1.0, 0.0]
-    assert r == 0.5 * ASCENT_TOL and p == "p"
-    assert len(score.seen) == 3  # the start, x0.5 and x2 on the nonzero coordinate
+    for cost in (ONE, 1):
+        score = Recorder(scale=0.5 * ASCENT_TOL)
+        r, a, p = ascend(np.array([1.0, 0.0]), score, scale_moves, cost)
+        assert a.tolist() == [1.0, 0.0]
+        assert r == 0.5 * ASCENT_TOL and p == "p"
+        # the start, x0.5 and x2 on the nonzero coordinate; nothing to re-score
+        assert [v.tolist() for v in score.seen] == [[1.0, 0.0], [0.5, 0.0], [2.0, 0.0]]
 
 
 def test_ascend_takes_first_improving_move_per_coordinate():
     score = Recorder()
-    ascend(np.array([1.0]), score, signed_moves)
+    ascend(np.array([1.0]), score, signed_moves, ONE)
     # start, then x0.5 (worse) and x2 (taken); the next sweep starts over at 2
     assert [float(v[0]) for v in score.seen[:5]] == [1.0, 0.5, 2.0, 1.0, 4.0]
+    batched = Recorder()
+    ascend(np.array([1.0]), batched, signed_moves, 1)
+    # the whole sweep in one call, the move to 0.0 left out; x2 is taken
+    assert [c[:, 0].tolist() for c in batched.calls[:3]] == [
+        [1.0], [0.5, 2.0, -1.0], [1.0, 4.0, -2.0]]
+
+
+@pytest.mark.parametrize("cost", COSTS)
+def test_ascend_scores_in_sequential_order(cost):
+    for a0 in ([1.0], [1.0, 0.0, -2.0], [0.0, 3.0]):
+        log, score = [], Recorder()
+        want = _scalar_ascend(a0, lambda a: (float(a[0]), "p"), signed_moves, log)
+        got = ascend(np.array(a0), score, signed_moves, cost)
+        assert got[0] == want[0] and np.array_equal(got[1], want[1])
+        assert_sequential(score.calls, log, got[1])
 
 
 def test_ascend_skips_all_zero_candidates():
@@ -59,25 +142,126 @@ def test_ascend_skips_all_zero_candidates():
         seen.append(float(a[0]))
         return -abs(float(a[0]) - 1.0), "p"
 
-    r, a, _ = ascend(np.array([1.0]), peak_at_one, signed_moves)
-    assert a.tolist() == [1.0] and r == 0.0
-    assert seen == [1.0, 0.5, 2.0, -1.0]  # the move to 0.0 is never scored
+    for cost in (ONE, 1):
+        seen.clear()
+        r, a, _ = ascend(np.array([1.0]), batch_of(peak_at_one), signed_moves, cost)
+        assert a.tolist() == [1.0] and r == 0.0
+        assert seen == [1.0, 0.5, 2.0, -1.0]  # the move to 0.0 is never scored
+
+
+def test_ascend_scores_zero_moves_with_another_nonzero_coordinate():
+    # a[0] -> 0 leaves a[1] nonzero, so it is a real candidate; once
+    # accepted, a[1] -> 0 would vanish and is skipped
+    def fn(a):
+        return float(a[1]) - abs(float(a[0])), "p"
+
+    for cost in COSTS:
+        calls, log = [], []
+        score = batch_of(fn)
+        got = ascend(np.array([1.0, 1.0]), lambda rows: calls.append(rows.copy()) or score(rows),
+                     signed_moves, cost)
+        want = _scalar_ascend([1.0, 1.0], fn, signed_moves, log)
+        assert got[0] == want[0] and np.array_equal(got[1], want[1])
+        assert not any((~row.any()) for call in calls for row in call)
+        assert_sequential(calls, log, got[1])
 
 
 def test_ascend_returns_none_payload_start_unchanged():
-    score = Recorder(payload=None)
-    a0 = np.array([3.0, -1.0])
-    r, a, p = ascend(a0, score, signed_moves)
-    assert (r, p) == (3.0, None)
-    assert a.tolist() == [3.0, -1.0] and a is not a0
-    assert len(score.seen) == 1
+    for cost in (ONE, 1):
+        score = Recorder(payload=None)
+        a0 = np.array([3.0, -1.0])
+        r, a, p = ascend(a0, score, signed_moves, cost)
+        assert (r, p) == (3.0, None)
+        assert a.tolist() == [3.0, -1.0] and a is not a0
+        assert len(score.seen) == 1
 
 
 def test_ascend_stops_after_max_sweeps():
     score = Recorder()  # unbounded: every sweep doubles a[0] once
-    r, a, _ = ascend(np.array([1.0]), score, scale_moves)
+    r, a, _ = ascend(np.array([1.0]), score, scale_moves, ONE)
     assert a[0] == 2.0**MAX_SWEEPS and r == 2.0**MAX_SWEEPS
     assert len(score.seen) == 1 + 2 * MAX_SWEEPS
+    batched = Recorder()
+    r, a, _ = ascend(np.array([1.0]), batched, scale_moves, 1)
+    assert a[0] == 2.0**MAX_SWEEPS and r == 2.0**MAX_SWEEPS
+    # one call per sweep, then the final vector is scored again alone
+    assert len(batched.calls) == 1 + MAX_SWEEPS + 1
+    assert [len(c) for c in batched.calls] == [1] + [2] * MAX_SWEEPS + [1]
+
+
+def _table_objective(table, default=0.0):
+    def fn(a):
+        return table.get(tuple(a.tolist()), default), "p"
+    return fn
+
+
+@pytest.mark.parametrize("cost", COSTS)
+def test_ascend_tolerance_boundary(cost):
+    cur = 0.5
+    edge = cur + ASCENT_TOL
+    below, above = np.nextafter(edge, -np.inf), np.nextafter(edge, np.inf)
+    next_edge = edge + ASCENT_TOL
+    table = {
+        (1.0, 1.0): cur,
+        (0.5, 1.0): below,  # one ulp short of the gain: rejected
+        (2.0, 1.0): edge,  # exactly ASCENT_TOL (as computed): taken
+        (-1.0, 1.0): above,  # would be taken, but comes after the first gain
+        (2.0, 0.5): np.nextafter(next_edge, -np.inf),  # rejected
+        (2.0, 2.0): np.nextafter(next_edge, np.inf),  # one ulp over: taken
+    }
+    fn = _table_objective(table)
+    want = _scalar_ascend([1.0, 1.0], fn, signed_moves)
+    got = ascend(np.array([1.0, 1.0]), batch_of(fn), signed_moves, cost)
+    assert got[1].tolist() == [2.0, 2.0] == want[1].tolist()
+    assert got[0] == want[0] == np.nextafter(next_edge, np.inf)
+
+
+def _toy(seed, d):
+    """Seeded smooth objective with a payload; None when a[0] vanishes."""
+    rng = np.random.default_rng([seed, d])
+    w, c = rng.uniform(0.5, 2.0, d), rng.uniform(-4.0, 4.0, d)
+
+    def fn(a):
+        val = float(w @ np.abs(a)) / (1.0 + float(((a - c) ** 2).sum()))
+        return val, (None if a[0] == 0.0 else int(np.argmax(np.abs(a))))
+    return fn
+
+
+@pytest.mark.parametrize("cost", COSTS)
+@pytest.mark.parametrize("moves", [signed_moves, scale_moves], ids=["signed", "scale"])
+def test_ascend_matches_scalar_loop_on_seeded_toys(cost, moves):
+    for seed in range(6):
+        d = 1 + seed
+        fn = _toy(seed, d)
+        rng = np.random.default_rng([seed, 99])
+        for a0 in rng.uniform(0.5, 2.0, (3, d)) * rng.choice([-1.0, 0.0, 1.0], (3, d)):
+            log, calls = [], []
+            want = _scalar_ascend(a0, fn, moves, log)
+            score = batch_of(fn)
+            got = ascend(a0, lambda rows: calls.append(rows.copy()) or score(rows), moves, cost)
+            assert got[0] == want[0] and got[2] == want[2]
+            assert np.array_equal(got[1], want[1])
+            assert np.array_equal(np.signbit(got[1]), np.signbit(want[1]))
+            assert_sequential(calls, log, got[1])
+
+
+def test_ascend_rescores_the_final_vector_alone():
+    # a scorer that is not batch-invariant: rows scored beside others read
+    # one ulp high and carry another payload
+    def score(rows):
+        vals = rows[:, 0].copy()
+        if len(rows) > 1:
+            vals = np.nextafter(vals, np.inf)
+        return vals, lambda k: len(rows)
+
+    r, a, p = ascend(np.array([1.0]), score, scale_moves, 1)
+    assert r == a[0] == 2.0**MAX_SWEEPS and p == 1
+    # when the last accepted move was scored alone there is nothing to redo
+    calls = []
+    r, a, p = ascend(np.array([1.0]), lambda rows: calls.append(len(rows)) or score(rows),
+                     scale_moves, ONE)
+    assert r == 2.0**MAX_SWEEPS and p == 1 and set(calls) == {1}
+    assert len(calls) == 1 + 2 * MAX_SWEEPS
 
 
 def test_move_sets():
