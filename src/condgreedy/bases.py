@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -31,10 +32,10 @@ from .spaces import (
     Lp,
     MixedSum,
     SpaceDesc,
-    SpaceError,
     _split_top,
     format_space,
     norms,
+    outer_q_ok,
     parse_space,
     space_dim,
 )
@@ -105,6 +106,39 @@ class BasisTruncation:
 
     def column_norms(self) -> np.ndarray:
         return norms(self.space, self.columns.T)
+
+    @cached_property
+    def l1_pairs(self):
+        """Nonzeros of ``columns`` paired within their ambient row, or None.
+
+        Defined when the ambient norm is a plain l1 sum and every ambient row
+        touches at most two columns.  Returns (col, coef, partner, pcoef),
+        one entry per nonzero C[i, j] in row-major order: j, C[i, j], the
+        other column p of row i and C[i, p]; a row's only nonzero is its own
+        partner with pcoef 0.
+        """
+        if not _is_l1_sum(self.space):
+            return None
+        rows, col = np.nonzero(self.columns)
+        counts = np.bincount(rows, minlength=self.ambient_dim)
+        if counts.max() > 2:
+            return None
+        pair = counts[rows] == 2
+        partner = np.arange(rows.size)
+        starts = np.r_[True, rows[1:] != rows[:-1]]
+        partner[pair & starts] += 1
+        partner[pair & ~starts] -= 1
+        coef = self.columns[rows, col]
+        return col, coef, col[partner], np.where(pair, coef[partner], 0.0)
+
+
+def _is_l1_sum(space: SpaceDesc) -> bool:
+    """Whether ``space`` is the sum of |v_i| over all coordinates."""
+    if isinstance(space, Lp):
+        return space.p == 1.0
+    if isinstance(space, MixedSum):
+        return space.outer_q == 1.0 and all(_is_l1_sum(s) for s, _ in space.blocks)
+    return False
 
 
 def _make(columns: np.ndarray, space: SpaceDesc, label: str, recipe: tuple) -> BasisTruncation:
@@ -264,25 +298,21 @@ def _check_dims(b: BasisTruncation, dims) -> tuple:
     return dims
 
 
-def _number(key: str, value) -> float:
+def _exponent(key: str, value) -> float:
+    """The outer exponent ``key`` of a block sum as a float: 0 or in [1, inf)."""
     try:
-        return float(value)
+        outer = float(value)
     except (TypeError, ValueError):
         raise BasisError(f"{key} must be a number, got {value!r}") from None
-
-
-def _outer_sum(key: str, outer: float, specs) -> MixedSum:
-    """``MixedSum(outer, specs)``, whose range error names the exponent ``key``."""
-    try:
-        return MixedSum(outer, specs)
-    except SpaceError:
-        raise BasisError(f"{key} must be 0 or in [1, inf), got {outer!r}") from None
+    if not outer_q_ok(outer):
+        raise BasisError(f"{key} must be 0 or in [1, inf), got {outer!r}")
+    return outer
 
 
 def block_sum(b: BasisTruncation, dims, p: float) -> BasisTruncation:
     """Direct sum of the d_n-truncations of ``b`` with an outer l_p (0 = sup)."""
     dims = _check_dims(b, dims)
-    p = _number("p", p)
+    p = _exponent("p", p)
     subs = [_prefix_restriction(b, dn) for dn in dims]
     amb_dims = [s[0].shape[0] for s in subs]
     total_amb = sum(amb_dims)
@@ -293,7 +323,7 @@ def block_sum(b: BasisTruncation, dims, p: float) -> BasisTruncation:
         cols[aoff : aoff + adim, koff : koff + dn] = sub
         aoff += adim
         koff += dn
-    space = _outer_sum("p", p, tuple((s[1], adim) for s, adim in zip(subs, amb_dims)))
+    space = MixedSum(p, tuple((s[1], adim) for s, adim in zip(subs, amb_dims)))
     dims_txt = ",".join(str(x) for x in dims)
     label = f"blocksum({b.label},dims=[{dims_txt}],p={p:g})"
     return _make(cols, space, label, ("block_sum", b.recipe, dims, p))
@@ -316,11 +346,11 @@ class BlockMapPair:
 
 def pq_block_sum(b: BasisTruncation, blocks, p: float, q: float) -> BasisTruncation:
     """Split block sum: block r lands as (P_r x_j, Q_r x_j) in a max-norm pair
-    of a p-summed Y-stack and a q-summed Z-stack; an empty stack builds no
-    space, so its exponent is never range-checked."""
+    of a p-summed Y-stack and a q-summed Z-stack; both exponents are checked
+    even when a stack is empty and builds no space."""
     dims = _check_dims(b, [dn for dn, _ in blocks])
     pairs = [bm for _, bm in blocks]
-    p, q = _number("p", p), _number("q", q)
+    p, q = _exponent("p", p), _exponent("q", q)
 
     y_parts, z_parts = [], []
     for dn, bm in zip(dims, pairs):
@@ -334,16 +364,16 @@ def pq_block_sum(b: BasisTruncation, blocks, p: float, q: float) -> BasisTruncat
         y_parts.append((P @ sub, bm.target_y))
         z_parts.append((Q @ sub, bm.target_z))
 
-    def stack(parts, key, outer):
+    def stack(parts, outer):
         sizes = [m.shape[0] for m, _ in parts]
         total = sum(sizes)
         if total == 0:
             return None, 0, []
         specs = tuple((sp, sz) for (m, sp), sz in zip(parts, sizes) if sz > 0)
-        return _outer_sum(key, outer, specs), total, sizes
+        return MixedSum(outer, specs), total, sizes
 
-    yspace, ytot, _ = stack(y_parts, "p", p)
-    zspace, ztot, _ = stack(z_parts, "q", q)
+    yspace, ytot, _ = stack(y_parts, p)
+    zspace, ztot, _ = stack(z_parts, q)
     if ytot == 0 and ztot == 0:
         raise BasisError("both map stacks are empty")
 

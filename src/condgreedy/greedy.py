@@ -19,7 +19,21 @@ Estimator tiers, chosen by the basis length d:
               multiplicative coordinate ascent on the block winners.
 
 The block sampler, the ascent and the block maximum are the shared search
-engine of ``_search``; the ascent objective here is ``_qg_ratios``.  Each
+engine of ``_search``; the ascent objective here is ``_qg_ratios``.
+
+The quasi-greedy search scores the d+1 canonical greedy prefixes of a row
+with one of two evaluators, chosen by the basis alone.  ``_swept_ratios``
+is an event sweep in O(nnz) per row; it applies when the ambient norm is a
+plain l1 sum (``Lp(1)``, or a ``MixedSum`` with ``outer_q == 1`` over such
+blocks) and every ambient row of the columns touches at most two of them
+(``BasisTruncation.l1_pairs``): Lindenstrauss, difference, unit@lp:1 and
+their p=1 block sums.  Every other basis uses the dense
+``_prefix_residual_ratios``, which synthesises all d+1 residuals.  The
+sweep only selects: the value of a ``_prefix_max`` winner and of the
+ascent's final vector is scored again densely, and the ||f|| handed to
+``_drop_search`` is the dense ``synth_norms``, so every reported value and
+every value compared with one is dense.  The almost-greedy tiers use the
+dense evaluator throughout.  Each
 remaining step is written once: ``_drop_search`` is the random sub-support
 search on sign rows of both quasi-greedy sampling tiers, and
 ``_min_denominators`` the minimum over |B| <= t of both exact almost-greedy
@@ -139,6 +153,15 @@ def _floor_witness(b: BasisTruncation) -> tuple:
     return 1.0, Witness(tuple(coeffs.tolist()), (), 1.0, "quasi-greedy")
 
 
+def _greedy_rank(rows: np.ndarray):
+    """Canonical greedy order of each row and the rank of each coordinate in it."""
+    n, d = rows.shape
+    order = np.argsort(-np.abs(rows), axis=1, kind="stable")
+    rank = np.empty_like(order)
+    rank[np.arange(n)[:, None], order] = np.arange(d)
+    return order, rank
+
+
 def _prefix_residual_ratios(b: BasisTruncation, rows: np.ndarray):
     """Residual ratios ||f - S_A f||/||f|| for the d+1 canonical greedy
     prefixes of each coefficient row.
@@ -147,9 +170,7 @@ def _prefix_residual_ratios(b: BasisTruncation, rows: np.ndarray):
     empty prefix keeps every coefficient, so it is residual column 0.
     """
     n, d = rows.shape
-    order = np.argsort(-np.abs(rows), axis=1, kind="stable")
-    rank = np.empty_like(order)
-    rank[np.arange(n)[:, None], order] = np.arange(d)
+    order, rank = _greedy_rank(rows)
     keep = rank[:, None, :] >= np.arange(d + 1)[None, :, None]
     resid = rows[:, None, :] * keep
     resid_norms = b.synth_norms(resid.reshape(n * (d + 1), d)).reshape(n, d + 1)
@@ -180,22 +201,60 @@ def _qg_exhaustive(b: BasisTruncation):
     return best, best_wit
 
 
+def _swept_ratios(b: BasisTruncation, rows: np.ndarray):
+    """Canonical-prefix residual ratios by event sweep over ``b.l1_pairs``.
+
+    Returns (ratios (n, d+1), order, resid) as ``_prefix_residual_ratios``
+    does, but with every residual norm ``resid`` (n, d+1) in place of ||f||.
+
+    Removing a_j x_j changes only the ambient rows that x_j touches, and a
+    row touching columns j and p contributes |e_j + e_p| while both are kept,
+    |e_p| once only p is, and 0 after (e = a C[i, .]).  Each nonzero C[i, j]
+    adds its share |e_j + e_p| - |e_p| (e_p = 0 unless p is removed after j)
+    to the bin of its removal step; the reversed cumulative sum of the bins
+    is N_k = ||f - S_{A_k} f|| for k = 0..d.  Every row's bins add up in the
+    same order in any batch, so a row's values do not depend on its batch.
+    Ratios are taken over the sweep's own N_0.
+    """
+    col, coef, partner, pcoef = b.l1_pairs
+    n, d = rows.shape
+    order, rank = _greedy_rank(rows)
+    e_p = np.where(rank[:, partner] > rank[:, col], rows[:, partner] * pcoef, 0.0)
+    share = np.abs(rows[:, col] * coef + e_p) - np.abs(e_p)
+    bins = rank[:, col] + (d + 1) * np.arange(n)[:, None]
+    sums = np.bincount(bins.ravel(), weights=share.ravel(), minlength=n * (d + 1))
+    resid = np.cumsum(sums.reshape(n, d + 1)[:, ::-1], axis=1)[:, ::-1]
+    return guarded_ratio(resid, resid[:, 0]), order, resid
+
+
+def _dense_ratio(b: BasisTruncation, row: np.ndarray, k: int) -> float:
+    """||f - S_A f|| / ||f|| for the canonical prefix of length k, dense."""
+    return float(_prefix_residual_ratios(b, row[None])[0][0, k])
+
+
 def _prefix_max(b: BasisTruncation, rows: np.ndarray):
     """Best canonical-prefix residual ratio over the rows, evaluated in
     slices of _QG_SLICE rows to bound memory.
 
     Returns (ratio, row index, prefix set, ||f|| per row); ties go to the
     first row and the shortest prefix, as one argmax over all rows would.
+    Where the event sweep selects, the winner of each slice is scored again
+    densely and ``full`` is the dense ``synth_norms``.
     """
     full = np.empty(rows.shape[0])
     best, best_i, best_A = -np.inf, -1, ()
+    swept = b.l1_pairs is not None
     for s0 in range(0, rows.shape[0], _QG_SLICE):
-        ratios, order, full[s0 : s0 + _QG_SLICE] = _prefix_residual_ratios(
-            b, rows[s0 : s0 + _QG_SLICE]
-        )
+        part = rows[s0 : s0 + _QG_SLICE]
+        if swept:
+            ratios, order, _ = _swept_ratios(b, part)
+            full[s0 : s0 + _QG_SLICE] = b.synth_norms(part)
+        else:
+            ratios, order, full[s0 : s0 + _QG_SLICE] = _prefix_residual_ratios(b, part)
         i, mrow = np.unravel_index(np.argmax(ratios), ratios.shape)
-        if ratios[i, mrow] > best:
-            best, best_i = float(ratios[i, mrow]), s0 + int(i)
+        val = _dense_ratio(b, part[i], mrow) if swept else float(ratios[i, mrow])
+        if val > best:
+            best, best_i = val, s0 + int(i)
             best_A = tuple(sorted(int(j) + 1 for j in order[i, :mrow]))
     return best, best_i, best_A, full
 
@@ -241,7 +300,8 @@ def _drop_search(b: BasisTruncation, rows: np.ndarray, full: np.ndarray, rng, be
 def _qg_ratios(b: BasisTruncation, rows: np.ndarray):
     """Batch ascent objective: the best canonical-prefix residual ratio of
     each row, and a payload k -> that prefix of row k as a 1-based set."""
-    ratios, order, _ = _prefix_residual_ratios(b, rows)
+    evaluate = _prefix_residual_ratios if b.l1_pairs is None else _swept_ratios
+    ratios, order, _ = evaluate(b, rows)
     best = ratios.argmax(axis=1)
     return ratios[np.arange(best.size), best], lambda k: tuple(
         sorted(int(j) + 1 for j in order[k, : best[k]]))
@@ -261,6 +321,7 @@ def _qg_random_block(b: BasisTruncation, seed: int, block_i: int):
     # next candidate is nearly always the one taken, so a batch wastes rows
     cur, a, curA = ascend(best_pair[0], lambda rows: _qg_ratios(b, rows), scale_moves,
                           BATCH_ENTRIES)
+    cur = _dense_ratio(b, a, len(curA))  # the reported value is the dense one
     if cur > best:
         best, best_pair = cur, (a, curA)
     return best, best_pair

@@ -75,6 +75,12 @@ class C0Trunc:
         object.__setattr__(self, "dim", int(self.dim))
 
 
+def outer_q_ok(q) -> bool:
+    """Whether ``q`` is a valid outer exponent of a MixedSum: 0 or in [1, inf)."""
+    q = float(q)
+    return q == 0.0 or 1.0 <= q < INF
+
+
 @dataclass(frozen=True)
 class MixedSum:
     """Outer l_q combination of block norms; ``outer_q = 0`` is the sup."""
@@ -83,8 +89,7 @@ class MixedSum:
     blocks: tuple  # tuple of (SpaceDesc, dim) pairs
 
     def __post_init__(self):
-        q = float(self.outer_q)
-        if q != 0.0 and not (1.0 <= q < INF):
+        if not outer_q_ok(self.outer_q):
             raise SpaceError(f"outer_q must be 0 or in [1, inf), got {self.outer_q!r}")
         blocks = tuple((s, int(d)) for s, d in self.blocks)
         if not blocks:
@@ -95,7 +100,7 @@ class MixedSum:
             inner = space_dim(s)
             if inner is not None and inner != d:
                 raise SpaceError(f"block space {format_space(s)} wants dim {inner}, got {d}")
-        object.__setattr__(self, "outer_q", q)
+        object.__setattr__(self, "outer_q", float(self.outer_q))
         object.__setattr__(self, "blocks", blocks)
 
 

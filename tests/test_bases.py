@@ -483,6 +483,9 @@ def test_parse_basis_rejects_malformed(bad):
     ("pqhalf(lindenstrauss,dims=2^1..2^2,p=1,q=inf)", "q"),
     ("pqhalf(lindenstrauss,dims=2^1..2^2,p=1,q=-1)", "q"),
     ("pqhalf(lindenstrauss,dims=2^1..2^2,p=1,q=nan)", "q"),
+    # a one-coordinate block leaves the Z-stack empty; its q is checked all the same
+    ("pqhalf(summing,dims=1,q=0.5)", "q"),
+    ("pqhalf(unit:2,dims=1,q=nan)", "q"),
 ])
 def test_parse_basis_rejects_bad_exponents(spec, key):
     with pytest.raises(BasisError, match=rf"^{key} must be"):
@@ -495,9 +498,8 @@ def test_parse_basis_rejects_bad_exponents(spec, key):
     ("blocksum(lindenstrauss,dims=2^1..2^3,p= 2.5)", 2.5),
     ("blocksum(lindenstrauss,dims=2^1..2^3)", 1.0),
     ("pqhalf(lindenstrauss,dims=2^1..2^2,p=3,q=0)", None),
-    # a one-coordinate block leaves the Z-stack empty: its q is never used
-    ("pqhalf(summing,dims=1,q=0.5)", None),
-    ("pqhalf(unit:2,dims=1,q=nan)", None),
+    # a one-coordinate block leaves the Z-stack empty
+    ("pqhalf(summing,dims=1,q=1)", None),
 ])
 def test_parse_basis_keeps_accepted_exponents(spec, outer):
     b = parse_basis(spec)

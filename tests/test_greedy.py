@@ -33,6 +33,7 @@ from condgreedy._search import (
     MAX_SWEEPS,
     PAIR_COEF,
     PAIR_IN,
+    SIGN_VALUES,
     all_subset_masks,
     ascend,
     digit_rows,
@@ -40,7 +41,7 @@ from condgreedy._search import (
     scale_moves,
     sign_rows,
 )
-from condgreedy.bases import external_basis, parse_basis
+from condgreedy.bases import BasisTruncation, external_basis, parse_basis
 from condgreedy.greedy import (
     _ag_exhaustive,
     _floor_witness,
@@ -53,6 +54,7 @@ from condgreedy.greedy import (
     _qg_ratios,
     _qg_sign_grid,
     _sum_norm_extremum,
+    _swept_ratios,
 )
 from condgreedy.spaces import norms, parse_space
 
@@ -550,6 +552,83 @@ def test_prefix_max_slices_match_one_argmax(spec):
         assert np.array_equal(got_full, full)
 
 
+# ---------------------------------------------------------------------------
+# the event-sweep prefix kernel against the dense prefix residuals
+# ---------------------------------------------------------------------------
+
+SWEPT_SPECS = ["lindenstrauss:9", "difference:9", "blocksum(lindenstrauss,dims=2^1..2^3,p=1)"]
+
+
+def _dense_prefix_norms(b, rows):
+    """Reference: every canonical-prefix residual synthesised and normed."""
+    n, d = rows.shape
+    order = np.argsort(-np.abs(rows), axis=1, kind="stable")
+    resid = np.repeat(rows[:, None, :], d + 1, axis=1)
+    for k in range(1, d + 1):
+        resid[np.arange(n)[:, None], k:, order[:, :k]] = 0.0
+    return b.synth_norms(resid.reshape(n * (d + 1), d)).reshape(n, d + 1), order
+
+
+@pytest.mark.parametrize("spec", SWEPT_SPECS)
+def test_swept_norms_equal_dense_on_sign_rows(spec):
+    # sign rows on dyadic columns: both sums are exact; beyond d = 9 a
+    # seeded sample of 3^9 of them
+    b = parse_basis(spec)
+    rng = np.random.default_rng([2, b.d])
+    rows = sign_rows(b.d) if b.d <= 9 else SIGN_VALUES[rng.integers(0, 3, (3**9, b.d))]
+    ratios, order, resid = _swept_ratios(b, rows)
+    want, want_order = _dense_prefix_norms(b, rows)
+    assert np.array_equal(resid, want) and np.array_equal(order, want_order)
+    assert np.array_equal(ratios, _prefix_residual_ratios(b, rows)[0])
+
+
+@pytest.mark.parametrize("spec", SWEPT_SPECS + ["unit:9@lp:1", "blocksum(difference,dims=2^1..2^3,p=1)"])
+def test_swept_norms_match_dense_on_random_rows(spec):
+    b = parse_basis(spec)
+    rng = np.random.default_rng([3, b.d])
+    rows = rng.uniform(0.5, 2.0, (64, b.d)) * rng.choice([-1.0, 1.0], (64, b.d))
+    rows[rng.random(rows.shape) < 0.3] = 0.0
+    rows[rng.random(rows.shape) < 0.1] = -0.0
+    rows[:4, :3] = 1.25  # ties in magnitude keep the index order
+    _, order, resid = _swept_ratios(b, rows)
+    want, want_order = _dense_prefix_norms(b, rows)
+    assert np.array_equal(order, want_order)
+    assert np.allclose(resid, want, rtol=1e-13, atol=0.0)
+    assert np.all(resid[:, -1] == 0.0)
+
+
+@pytest.mark.parametrize("spec", SWEPT_SPECS)
+def test_swept_ratios_are_batch_invariant(spec):
+    b = parse_basis(spec)
+    rng = np.random.default_rng([4, b.d])
+    rows = rng.uniform(0.5, 2.0, (40, b.d)) * rng.choice([-1.0, 0.0, 1.0], (40, b.d))
+    ratios, order, resid = _swept_ratios(b, rows)
+    for i in range(rows.shape[0]):
+        one = _swept_ratios(b, rows[i : i + 1])
+        assert np.array_equal(one[0][0], ratios[i]) and np.array_equal(one[2][0], resid[i])
+        assert np.array_equal(one[1][0], order[i])
+
+
+@pytest.mark.parametrize("spec,swept", [
+    ("lindenstrauss:12", True),
+    ("difference:12", True),
+    ("unit:12@lp:1", True),
+    ("blocksum(lindenstrauss,dims=2^1..2^3,p=1)", True),
+    ("blocksum(difference,dims=2^1..2^3,p=1)", True),
+    ("blocksum(unit:8@lp:1,dims=2^1..2^3,p=1)", True),
+    ("summing:12", False),
+    ("unit:12@lp:2", False),
+    ("blocksum(lindenstrauss,dims=2^1..2^3,p=2)", False),
+    ("blocksum(lindenstrauss,dims=2^1..2^3,p=0)", False),
+    ("pqhalf(lindenstrauss,dims=2^1..2^3,p=1,q=1)", False),
+    ("interleave(difference:6,unit:6@lp:1)", False),
+    ("external lp:1", False),
+])
+def test_swept_kernel_selection(spec, swept):
+    b = _random_external("lp:1", 12) if spec.startswith("external") else parse_basis(spec)
+    assert (b.l1_pairs is not None) == swept
+
+
 def test_qg_sign_grid_memory_is_bounded():
     # one whole 16384-row chunk of lindenstrauss(10) peaks at about 56 MiB
     b = lindenstrauss(10)
@@ -635,17 +714,35 @@ def test_qg_ascent_prefix_rows_ceiling(monkeypatch, spec, ceiling):
     # candidate is nearly always the one taken, so batching more of them
     # scores rows that a first-improvement ascent throws away
     rows = [0]
-    real = greedy_mod._prefix_residual_ratios
+    real = greedy_mod._swept_ratios
 
     def counted(b, coeff_rows):
         rows[0] += coeff_rows.shape[0]
         return real(b, coeff_rows)
 
-    monkeypatch.setattr(greedy_mod, "_prefix_residual_ratios", counted)
+    monkeypatch.setattr(greedy_mod, "_swept_ratios", counted)
     b = parse_basis(spec)
     for seed in (1, 2, 3):
         quasi_greedy_constant_lb(b, budget=512, seed=seed)
-    assert rows[0] <= ceiling
+    assert 0 < rows[0] <= ceiling
+
+
+def test_qg_swept_basis_keeps_dense_rows_few(monkeypatch):
+    # on an l1 block sum only ||f||, the drop search and the re-scores of
+    # reported values are synthesised densely; a fallback to dense prefix
+    # residuals for every scored row synthesises 880,599 rows
+    rows = [0]
+    real = BasisTruncation.synth_rows
+
+    def counted(self, coeff_rows):
+        rows[0] += np.shape(coeff_rows)[0]
+        return real(self, coeff_rows)
+
+    b = parse_basis("blocksum(lindenstrauss,dims=2^1..2^5,p=1)")
+    monkeypatch.setattr(BasisTruncation, "synth_rows", counted)
+    for seed in (1, 2, 3):
+        quasi_greedy_constant_lb(b, budget=512, seed=seed)
+    assert 0 < rows[0] <= 5_364
 
 
 # ---------------------------------------------------------------------------
