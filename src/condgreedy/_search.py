@@ -8,16 +8,14 @@ and ``greedy._min_denominators`` for the greedy constants.
 
 Determinism contract: every random draw comes from a counter-based Philox
 stream keyed by (seed, tag, indices), so results do not depend on chunk
-sizes, thread counts, or evaluation order.  Estimates are running maxima and
+sizes or evaluation order.  Estimates are running maxima and
 sample index ranges are nested in the budget, which makes every estimator
 monotone in its budget.
 """
 
 from __future__ import annotations
 
-import os
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -28,16 +26,6 @@ ASCENT_TOL = 1e-10
 MAX_SWEEPS = 200
 BATCH_ENTRIES = 8192  # product entries per batched ascent call
 TINY = 1e-12  # norms at or below this count as zero
-
-
-def thread_count() -> int:
-    """Worker cap from CONDGREEDY_THREADS (default 1)."""
-    raw = os.environ.get("CONDGREEDY_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
 
 
 def rng_stream(seed: int, *key) -> np.random.Generator:
@@ -255,16 +243,12 @@ class TopK:
 def parallel_block_max(block_fn, n_blocks: int):
     """Evaluate ``block_fn(i)`` for i in range(n_blocks) and keep the best.
 
-    ``block_fn`` returns (ratio, payload).  Ties break toward the lowest
-    block index, so the result is identical under any thread count.
+    ``block_fn`` returns (ratio, payload); ties break toward the lowest
+    block index.  Returns (0.0, None) when there are no blocks.
     """
-    if n_blocks <= 0:
-        return 0.0, None
-    workers = min(thread_count(), n_blocks)
-    if workers == 1:
-        results = [block_fn(i) for i in range(n_blocks)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(block_fn, range(n_blocks)))
-    best_i = max(range(n_blocks), key=lambda i: (results[i][0], -i))
-    return results[best_i]
+    best = (0.0, None)
+    for i in range(n_blocks):
+        result = block_fn(i)
+        if i == 0 or result[0] > best[0]:
+            best = result
+    return best

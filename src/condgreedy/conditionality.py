@@ -27,8 +27,8 @@ a batch of coefficient rows against a family of sets; the sampler,
 the coordinate ascent and the block maximum come from ``_search``, and both
 estimates share one body, ``_seeded_search``.
 
-Estimates are reproducible for fixed (inputs, seed) under any thread
-count, and never decrease when the budget grows with the seed held fixed.
+Estimates are reproducible for fixed (inputs, seed), and never decrease
+when the budget grows with the seed held fixed.
 """
 
 from __future__ import annotations
@@ -84,6 +84,7 @@ DEFAULT_GUARD = 12
 FULL_GRID_CAP = 10_000_000  # largest 5^m swept jointly; m <= 10
 REDUCED_PAIRS = 131_072
 ORACLE_TOPK = 6
+SET_CHUNK = 8192  # sets per norms call of ``_SupportEval.set_norms``
 _ORACLE_SEED = 0x0C0FFEE  # internal; keeps the reference sweep user-seed free
 
 
@@ -263,13 +264,13 @@ class _SupportEval:
     def coef_norms(self, rows: np.ndarray) -> np.ndarray:
         return norms(self.space, rows @ self.colsT, overwrite=True)
 
-    def set_norms(self, rows: np.ndarray, sets: np.ndarray, chunk: int = 8192):
+    def set_norms(self, rows: np.ndarray, sets: np.ndarray):
         """Norms ||S_A f|| (n, S) over the 0/1 set rows A, and ||f|| (n,),
-        of the coefficient rows f; the sets go in slices of ``chunk``, which
+        of the coefficient rows f; the sets go in slices of SET_CHUNK, which
         bounds the temporaries of the oracle's 2^m-set sweeps."""
         n, m = rows.shape
-        parts = [self.coef_norms((rows[:, None, :] * sets[s : s + chunk]).reshape(-1, m)).reshape(n, -1)
-                 for s in range(0, sets.shape[0], chunk)]
+        parts = [self.coef_norms((rows[:, None, :] * sets[s : s + SET_CHUNK]).reshape(-1, m)).reshape(n, -1)
+                 for s in range(0, sets.shape[0], SET_CHUNK)]
         nums = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
         return nums, self.coef_norms(rows)
 

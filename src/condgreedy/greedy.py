@@ -13,7 +13,8 @@ Estimator tiers, chosen by the basis length d:
               set (for sign vectors every subset of the support is greedy);
               the budget is not consulted.
 * d <= 12  -- full sign grid with canonical greedy prefixes plus a seeded
-              stochastic tie resolution per sign pattern (almost-greedy:
+              stochastic tie resolution per sign pattern, every norm read
+              from one table over the 3^d sign vectors (almost-greedy:
               random blocks as below, but with exact denominators).
 * d >  12  -- seeded random magnitude/sign sampling in blocks, with
               multiplicative coordinate ascent on the block winners.
@@ -21,26 +22,25 @@ Estimator tiers, chosen by the basis length d:
 The block sampler, the ascent and the block maximum are the shared search
 engine of ``_search``; the ascent objective here is ``_qg_ratios``.
 
-The quasi-greedy search scores the d+1 canonical greedy prefixes of a row
-with one of two evaluators, chosen by the basis alone.  ``_swept_ratios``
-is an event sweep in O(nnz) per row; it applies when the ambient norm is a
-plain l1 sum (``Lp(1)``, or a ``MixedSum`` with ``outer_q == 1`` over such
-blocks) and every ambient row of the columns touches at most two of them
-(``BasisTruncation.l1_pairs``): Lindenstrauss, difference, unit@lp:1 and
-their p=1 block sums.  Every other basis uses the dense
-``_prefix_residual_ratios``, which synthesises all d+1 residuals.  The
-sweep only selects: the value of a ``_prefix_max`` winner and of the
-ascent's final vector is scored again densely, and the ||f|| handed to
-``_drop_search`` is the dense ``synth_norms``, so every reported value and
-every value compared with one is dense.  The almost-greedy tiers use the
-dense evaluator throughout.  Each
-remaining step is written once: ``_drop_search`` is the random sub-support
-search on sign rows of both quasi-greedy sampling tiers, and
-``_min_denominators`` the minimum over |B| <= t of both exact almost-greedy
-tiers, which also hands back the minimising B of the witness.
+The quasi-greedy random tier scores the d+1 canonical greedy prefixes of a
+row with one of two evaluators, chosen by the basis alone.
+``_swept_ratios`` is an event sweep in O(nnz) per row; it applies when the
+ambient norm is a plain l1 sum (``Lp(1)``, or a ``MixedSum`` with
+``outer_q == 1`` over such blocks) and every ambient row of the columns
+touches at most two of them (``BasisTruncation.l1_pairs``): Lindenstrauss,
+difference, unit@lp:1 and their p=1 block sums.  Every other basis uses the
+dense ``_prefix_residual_ratios``, which synthesises all d+1 residuals.
+The sweep only selects: the value of the block winner and of the ascent's
+final vector is scored again densely, so every reported value and every
+value compared with one is dense.  The almost-greedy tiers use the dense
+evaluator throughout.  Each remaining step is written once:
+``_drop_search`` is the random sub-support search on sign rows of both
+quasi-greedy sampling tiers, and ``_min_denominators`` the minimum over
+|B| <= t of every almost-greedy tier, which also hands back the minimising
+B of the witness.
 
 All reported values are running-max lower bounds and are reproducible for a
-fixed seed regardless of CONDGREEDY_THREADS.
+fixed seed.
 """
 
 from __future__ import annotations
@@ -74,7 +74,6 @@ QG_GRID_MAX_D = 12
 AG_EXHAUSTIVE_MAX_D = 8
 AG_EXACT_DENOM_MAX_D = 12
 FUND_EXACT_MAX_D = 20
-_QG_SLICE = 2048  # sign-grid rows per prefix-residual evaluation
 
 
 class GreedyError(ValueError):
@@ -146,11 +145,12 @@ def project(b: BasisTruncation, coeffs, A) -> np.ndarray:
     return out
 
 
-def _floor_witness(b: BasisTruncation) -> tuple:
-    # f = x_1, A = empty: ||f - 0|| / ||f|| = 1 for any basis
+def _floor_witness(b: BasisTruncation, kind: str) -> tuple:
+    # f = x_1, A = B = empty: ||f - 0|| / ||f|| = 1 for any basis
     coeffs = np.zeros(b.d)
     coeffs[0] = 1.0
-    return 1.0, Witness(tuple(coeffs.tolist()), (), 1.0, "quasi-greedy")
+    b_indices = () if kind == "almost-greedy" else None
+    return 1.0, Witness(tuple(coeffs.tolist()), (), 1.0, kind, b_indices=b_indices)
 
 
 def _greedy_rank(rows: np.ndarray):
@@ -185,7 +185,7 @@ def _qg_exhaustive(b: BasisTruncation):
     the 3^d sign vectors, indexed by the pair codes.
     """
     d = b.d
-    best, best_wit = _floor_witness(b)
+    best, best_wit = _floor_witness(b, "quasi-greedy")
     table = b.synth_norms(_search.sign_rows(d))
     total = 5**d
     chunk = 1 << 18
@@ -232,68 +232,63 @@ def _dense_ratio(b: BasisTruncation, row: np.ndarray, k: int) -> float:
     return float(_prefix_residual_ratios(b, row[None])[0][0, k])
 
 
-def _prefix_max(b: BasisTruncation, rows: np.ndarray):
-    """Best canonical-prefix residual ratio over the rows, evaluated in
-    slices of _QG_SLICE rows to bound memory.
-
-    Returns (ratio, row index, prefix set, ||f|| per row); ties go to the
-    first row and the shortest prefix, as one argmax over all rows would.
-    Where the event sweep selects, the winner of each slice is scored again
-    densely and ``full`` is the dense ``synth_norms``.
-    """
-    full = np.empty(rows.shape[0])
-    best, best_i, best_A = -np.inf, -1, ()
-    swept = b.l1_pairs is not None
-    for s0 in range(0, rows.shape[0], _QG_SLICE):
-        part = rows[s0 : s0 + _QG_SLICE]
-        if swept:
-            ratios, order, _ = _swept_ratios(b, part)
-            full[s0 : s0 + _QG_SLICE] = b.synth_norms(part)
-        else:
-            ratios, order, full[s0 : s0 + _QG_SLICE] = _prefix_residual_ratios(b, part)
-        i, mrow = np.unravel_index(np.argmax(ratios), ratios.shape)
-        val = _dense_ratio(b, part[i], mrow) if swept else float(ratios[i, mrow])
-        if val > best:
-            best, best_i = val, s0 + int(i)
-            best_A = tuple(sorted(int(j) + 1 for j in order[i, :mrow]))
-    return best, best_i, best_A, full
-
-
 def _qg_sign_grid(b: BasisTruncation, seed: int):
-    """Full sign grid with canonical prefixes plus seeded tie subsets."""
+    """Full sign grid with canonical prefixes plus seeded tie subsets.
+
+    The norms of the 3^d sign vectors fill one table, chunk by chunk.
+    Zeroing the first j coordinates of sign vector c (code c - c % 3^j)
+    removes its leading nonzeros, a canonical greedy prefix, and every such
+    code is at most c, so its entry is filled before c is read.  The first
+    best j of a row gives its shortest best prefix.
+    """
     d = b.d
-    best, best_wit = _floor_witness(b)
+    best, best_wit = _floor_witness(b, "quasi-greedy")
     total = 3**d
     chunk = 1 << 14
+    place = (3 ** np.arange(d + 1)).astype(np.int32)
+    table = np.empty(total)
     for ci, start in enumerate(range(0, total, chunk)):
-        rows = _search.SIGN_VALUES[_search.digit_rows(start, min(start + chunk, total), d, 3)]
-        val, i, A, full = _prefix_max(b, rows)
+        stop = min(start + chunk, total)
+        digits = _search.digit_rows(start, stop, d, 3)
+        table[start:stop] = b.synth_norms(_search.SIGN_VALUES[digits])
+        codes = np.arange(start, stop, dtype=np.int32)[:, None]
+        full = table[start:stop]
+        ratios = guarded_ratio(table[codes - codes % place], full)
+        i, j = np.unravel_index(np.argmax(ratios), ratios.shape)
+        val = float(ratios[i, j])
+        del ratios  # bounds the peak: the next chunk's fill needs the room
         if val > best + TINY:
             best = val
-            best_wit = Witness(tuple(rows[i].tolist()), A, best, "quasi-greedy")
+            sig = _search.SIGN_VALUES[digits[i]]
+            A = tuple(int(k) + 1 for k in np.flatnonzero(sig[:j]))
+            best_wit = Witness(tuple(sig.tolist()), A, best, "quasi-greedy")
         # stochastic tie resolution
-        val, i, A = _drop_search(b, rows, full, rng_stream(seed, "qg-ties", ci), best)
+        val, i, A = _drop_search(lambda keep: table[(digits * keep) @ place[:d]], digits != 0,
+                                 full, rng_stream(seed, "qg-ties", ci), best)
         if i >= 0:
             best = val
-            best_wit = Witness(tuple(rows[i].tolist()), A, best, "quasi-greedy")
+            best_wit = Witness(tuple(_search.SIGN_VALUES[digits[i]].tolist()), A, best,
+                               "quasi-greedy")
     return best, best_wit
 
 
-def _drop_search(b: BasisTruncation, rows: np.ndarray, full: np.ndarray, rng, best: float):
-    """Four rounds of random sub-supports A of the sign rows, whose norms are
-    ``full``; every subset of a sign row's support is a greedy set.
+def _drop_search(kept_norms, support: np.ndarray, full: np.ndarray, rng, best: float):
+    """Four rounds of random sub-supports A of sign rows with the given
+    ``support`` masks and norms ``full``; ``kept_norms(keep)`` gives the
+    norms of the rows restricted to the 0/1 masks ``keep``, and every
+    subset of a sign row's support is a greedy set.
 
     Returns (ratio, row, A) of the last strict gain over ``best + TINY``,
     or (best, -1, None) when no round gains.
     """
     hit, hit_A = -1, None
     for _ in range(4):
-        drop = rng.random(rows.shape) < 0.5
-        ratios = guarded_ratio(b.synth_norms(rows * drop), full)
+        drop = rng.random(support.shape) < 0.5
+        ratios = guarded_ratio(kept_norms(drop), full)
         i = int(np.argmax(ratios))
         if ratios[i] > best + TINY:
             best, hit = float(ratios[i]), i
-            hit_A = tuple(int(j) + 1 for j in np.flatnonzero(~drop[i] & (rows[i] != 0.0)))
+            hit_A = tuple(int(j) + 1 for j in np.flatnonzero(~drop[i] & support[i]))
     return best, hit, hit_A
 
 
@@ -310,13 +305,17 @@ def _qg_ratios(b: BasisTruncation, rows: np.ndarray):
 def _qg_random_block(b: BasisTruncation, seed: int, block_i: int):
     rng = rng_stream(seed, "qg", block_i)
     rows = sample_block(rng, b.d, keep=0.85)
-    best, i, A, full = _prefix_max(b, rows)
-    best_pair = (rows[i].copy(), A)
+    # the first best row and, in it, the shortest best prefix
+    ratios, prefix = _qg_ratios(b, rows)
+    i = int(np.argmax(ratios))
+    best_pair = (rows[i].copy(), prefix(i))
+    best = float(ratios[i]) if b.l1_pairs is None else _dense_ratio(b, rows[i], len(best_pair[1]))
     # the sign half of the block
-    half = BLOCK // 2
-    best, i, A = _drop_search(b, rows[half:], full[half:], rng, best)
+    signs = rows[BLOCK // 2 :]
+    best, i, A = _drop_search(lambda keep: b.synth_norms(signs * keep), signs != 0.0,
+                              b.synth_norms(signs), rng, best)
     if i >= 0:
-        best_pair = (rows[half + i].copy(), A)
+        best_pair = (signs[i].copy(), A)
     # multiplicative ascent on the block winner, one candidate per call: the
     # next candidate is nearly always the one taken, so a batch wastes rows
     cur, a, curA = ascend(best_pair[0], lambda rows: _qg_ratios(b, rows), scale_moves,
@@ -337,7 +336,7 @@ def quasi_greedy_constant_lb(
         return _qg_exhaustive(b)
     if d <= QG_GRID_MAX_D:
         return _qg_sign_grid(b, seed)
-    best, best_wit = _floor_witness(b)
+    best, best_wit = _floor_witness(b, "quasi-greedy")
     val, pair = _search.parallel_block_max(
         lambda i: _qg_random_block(b, seed, i), math.ceil(budget / BLOCK)
     )
@@ -350,14 +349,6 @@ def quasi_greedy_constant_lb(
 # ---------------------------------------------------------------------------
 # almost greedy
 # ---------------------------------------------------------------------------
-
-
-def _popcounts(n_bits: int) -> np.ndarray:
-    idx = np.arange(1 << n_bits, dtype=np.int64)
-    out = np.zeros(idx.size, dtype=np.int64)
-    for j in range(n_bits):
-        out += (idx >> j) & 1
-    return out
 
 
 def _code_set(code: int, idx) -> tuple:
@@ -374,10 +365,7 @@ def _ag_exhaustive(b: BasisTruncation):
     vectors serves the whole sweep.
     """
     d = b.d
-    best = 1.0
-    coeffs0 = np.zeros(d)
-    coeffs0[0] = 1.0
-    best_wit = Witness(tuple(coeffs0.tolist()), (), 1.0, "almost-greedy", b_indices=())
+    best, best_wit = _floor_witness(b, "almost-greedy")
     digits = _search.digit_rows(0, 3**d, d, 3)
     signs = _search.SIGN_VALUES[digits]
     table = b.synth_norms(signs)
@@ -388,7 +376,8 @@ def _ag_exhaustive(b: BasisTruncation):
         supp = np.flatnonzero(sig != 0.0)
         k = supp.size
         if k not in mask_cache:
-            mask_cache[k] = (_search.all_subset_masks(k).astype(np.int64), _popcounts(k))
+            masks = _search.all_subset_masks(k).astype(np.int64)
+            mask_cache[k] = (masks, masks.sum(axis=1))
         masks, sizes = mask_cache[k]
         # nrm[T] = ||f restricted to T|| is the residual of the complement of
         # T: the kernel reads it with |B| = k - |T|, and nrm[::-1][i] is the
@@ -419,6 +408,10 @@ def _min_denominators(nrm: np.ndarray, sizes: np.ndarray, n: int):
 
 
 def _ag_random_block(b: BasisTruncation, seed: int, block_i: int, exact_denom: bool):
+    """Numerators at the canonical greedy prefixes A of seeded rows over
+    ``_min_denominators`` of one family of comparison sets B per row: every
+    subset when ``exact_denom``, else the d+1 greedy prefixes, then 32
+    seeded random subsets in stable size order."""
     d = b.d
     rng = rng_stream(seed, "ag", block_i)
     mags = rng.uniform(0.5, 2.0, size=(BLOCK, d))
@@ -427,35 +420,20 @@ def _ag_random_block(b: BasisTruncation, seed: int, block_i: int, exact_denom: b
     ratios, order, full = _prefix_residual_ratios(b, rows)  # numerators / ||f||
     resid = ratios * full[:, None]  # ||f - S_{A_m} f|| for prefixes
     if exact_denom:
-        masks = _search.all_subset_masks(d)
-        sizes = _popcounts(d)
+        family = _search.all_subset_masks(d) > 0.5  # row k: the set of code k
+        sizes = family.sum(axis=1)
     best = 0.0
     best_payload = None
     for i in range(BLOCK):
         if exact_denom:
-            denom, first = _min_denominators(b.synth_norms((1.0 - masks) * rows[i]), sizes, d)
-            bsets = None
+            nrm = b.synth_norms(rows[i] * ~family)
         else:
-            # candidate minimisers: greedy prefixes and seeded random subsets;
-            # the realising set rides along so the witness can replay the value
-            denom = np.empty(d + 1)
-            bsets = [()] * (d + 1)
-            run, run_set = math.inf, ()
-            for t in range(d + 1):
-                if resid[i, t] < run:
-                    run = float(resid[i, t])
-                    run_set = tuple(sorted(int(j) + 1 for j in order[i, :t]))
-                denom[t] = run
-                bsets[t] = run_set
             extra = rng.random((32, d)) < rng.random((32, 1))
-            nrm_extra = b.synth_norms(rows[i] * ~extra)
-            ssz = extra.sum(axis=1)
-            for row in np.argsort(ssz, kind="stable"):
-                v = float(nrm_extra[row])
-                for t in range(int(ssz[row]), d + 1):
-                    if v < denom[t]:
-                        denom[t] = v
-                        bsets[t] = tuple(int(x) + 1 for x in np.flatnonzero(extra[row]))
+            by_size = np.argsort(extra.sum(axis=1), kind="stable")
+            family = np.vstack([np.argsort(order[i]) < np.arange(d + 1)[:, None], extra[by_size]])
+            sizes = family.sum(axis=1)
+            nrm = np.concatenate([resid[i], b.synth_norms(rows[i] * ~extra)[by_size]])
+        denom, first = _min_denominators(nrm, sizes, d)
         for m in range(d + 1):
             if denom[m] <= TINY or resid[i, m] <= TINY:
                 continue
@@ -463,7 +441,7 @@ def _ag_random_block(b: BasisTruncation, seed: int, block_i: int, exact_denom: b
             if r > best + TINY:
                 best = float(r)
                 A = tuple(sorted(int(j) + 1 for j in order[i, :m]))
-                B = _code_set(first(m), range(d)) if bsets is None else bsets[m]
+                B = tuple(int(j) + 1 for j in np.flatnonzero(family[first(m)]))
                 best_payload = (rows[i].copy(), A, B)
     return best, best_payload  # (0.0, None) when no ratio was positive
 
@@ -485,9 +463,7 @@ def almost_greedy_constant_lb(
     val, payload = _search.parallel_block_max(
         lambda i: _ag_random_block(b, seed, i, exact), math.ceil(budget / BLOCK)
     )
-    coeffs0 = np.zeros(d)
-    coeffs0[0] = 1.0
-    best, best_wit = 1.0, Witness(tuple(coeffs0.tolist()), (), 1.0, "almost-greedy", b_indices=())
+    best, best_wit = _floor_witness(b, "almost-greedy")
     if payload is not None and val > best:
         a, A, Bset = payload
         best, best_wit = val, Witness(tuple(a.tolist()), A, val, "almost-greedy", b_indices=Bset)
@@ -517,7 +493,7 @@ def _scan_extremum(vals: np.ndarray, want_max: bool, cur: float):
     return (v, i) if better else (cur, -1)
 
 
-def _sum_norm_extremum(b: BasisTruncation, m: int, want_max: bool, exact_sizes):
+def _sum_norm_extremum(b: BasisTruncation, want_max: bool, exact_sizes):
     """Extremal ||sum_{j in A} x_j|| over |A| in ``exact_sizes`` (0-based sets in)."""
     best = -math.inf if want_max else math.inf
     best_set = ()
@@ -579,7 +555,7 @@ def fundamental_function(
     if mode == "exact":
         if b.d > FUND_EXACT_MAX_D:
             raise GreedyError(f"exact mode supports d <= {FUND_EXACT_MAX_D}; use mode='search'")
-        val, _ = _sum_norm_extremum(b, m, True, range(1, m + 1))
+        val, _ = _sum_norm_extremum(b, True, range(1, m + 1))
         return val
     if mode != "search":
         raise GreedyError(f"mode must be 'exact' or 'search', got {mode!r}")
@@ -604,8 +580,8 @@ def democracy_ratio(
     if mode == "exact":
         if b.d > FUND_EXACT_MAX_D:
             raise GreedyError(f"exact mode supports d <= {FUND_EXACT_MAX_D}; use mode='search'")
-        top, _ = _sum_norm_extremum(b, m, True, range(1, m + 1))
-        low, _ = _sum_norm_extremum(b, m, False, [m])
+        top, _ = _sum_norm_extremum(b, True, range(1, m + 1))
+        low, _ = _sum_norm_extremum(b, False, [m])
     else:
         top, _ = _sum_norm_search(b, m, True, budget, seed)
         low, _ = _sum_norm_search(b, m, False, budget, seed)

@@ -564,20 +564,6 @@ def test_golden_seeded_estimates(fn, spec, m, want, indices, kind, digest):
     assert _coeff_digest(wit.coeffs) == digest
 
 
-@pytest.mark.parametrize("fn,spec,m", [
-    (L_m_estimate, PQHALF, 6),
-    (L_m_estimate, "lindenstrauss:16", 13),
-    (k_m_estimate, PQHALF, 3),
-], ids=["L pqhalf", "L lindenstrauss16", "k pqhalf"])
-def test_estimates_thread_count_invariant(fn, spec, m, monkeypatch):
-    b = parse_basis(spec)
-    monkeypatch.setenv("CONDGREEDY_THREADS", "1")
-    one = fn(b, m, budget=1024, seed=3)
-    monkeypatch.setenv("CONDGREEDY_THREADS", "2")
-    two = fn(b, m, budget=1024, seed=3)
-    assert one == two
-
-
 # ---------------------------------------------------------------------------
 # the shared ascent against the two loops it replaced
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from condgreedy._search import (
     TINY,
     ascend,
     guarded_ratio,
+    parallel_block_max,
     rng_stream,
     sample_block,
     scale_moves,
@@ -347,3 +348,22 @@ def test_sample_block_keeps_one_coordinate_per_row():
     rows = sample_block(rng_stream(1, "blk"), 3, keep=0.05)
     assert (rows != 0.0).any(axis=1).all()
     assert np.isin(np.abs(rows[BLOCK // 2 :]), [0.0, 1.0]).all()
+
+
+# ---------------------------------------------------------------------------
+# the block maximum
+# ---------------------------------------------------------------------------
+
+
+def test_block_max_keeps_first_best_block_in_order():
+    calls = []
+
+    def block(i):
+        calls.append(i)
+        return [1.0, 3.0, 2.0, 3.0, -1.0][i], f"payload {i}"
+
+    assert parallel_block_max(block, 5) == (3.0, "payload 1")
+    assert calls == [0, 1, 2, 3, 4]
+    # a lone block is kept even below zero; no blocks gives (0.0, None)
+    assert parallel_block_max(lambda i: (-1.0, "only"), 1) == (-1.0, "only")
+    assert parallel_block_max(block, 0) == (0.0, None)
