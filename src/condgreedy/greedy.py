@@ -32,12 +32,19 @@ difference, unit@lp:1 and their p=1 block sums.  Every other basis uses the
 dense ``_prefix_residual_ratios``, which synthesises all d+1 residuals.
 The sweep only selects: the value of the block winner and of the ascent's
 final vector is scored again densely, so every reported value and every
-value compared with one is dense.  The almost-greedy tiers use the dense
-evaluator throughout.  Each remaining step is written once:
+value compared with one is dense.  The almost-greedy random tiers
+(d > 8) fill one (rows x d+1) denominator matrix per block
+(``_ag_denominators``) and select the winning (row, m) by one scan
+(``_last_gain``).  On an ``l1_pairs`` basis the norm of f restricted to a
+set is a quadratic form in the set's 0/1 mask (``_kept_norms_form``), so
+the 2^d exact denominators of a chunk of rows are one matrix product; every
+other basis synthesises them densely.  Here too the matrix only selects:
+the winner's candidate sets are scored again densely, alone, and give the
+reported value, A and B.  Each remaining step is written once:
 ``_drop_search`` is the random sub-support search on sign rows of both
 quasi-greedy sampling tiers, and ``_min_denominators`` the minimum over
-|B| <= t of every almost-greedy tier, which also hands back the minimising
-B of the witness.
+|B| <= t of every reported almost-greedy value, which also hands back the
+minimising B of the witness.
 
 All reported values are running-max lower bounds and are reproducible for a
 fixed seed.
@@ -74,6 +81,7 @@ QG_GRID_MAX_D = 12
 AG_EXHAUSTIVE_MAX_D = 8
 AG_EXACT_DENOM_MAX_D = 12
 FUND_EXACT_MAX_D = 20
+AG_CHUNK_ENTRIES = 1 << 17  # subset norms (times the ambient width if dense) per chunk
 
 
 class GreedyError(ValueError):
@@ -407,11 +415,105 @@ def _min_denominators(nrm: np.ndarray, sizes: np.ndarray, n: int):
     return denom, lambda t: int(np.flatnonzero((sizes <= t) & (nrm == denom[t]))[0])
 
 
+def _kept_norms_form(b: BasisTruncation, kept: np.ndarray):
+    """||f restricted to T|| for the 0/1 sets ``kept`` (K, d) on a basis
+    with ``b.l1_pairs``, as one product per batch of rows.
+
+    An ambient row touching columns j and p adds |e_j + e_p| while both are
+    kept, |e_j| or |e_p| while one is, and 0 else (e = a C[i, .]), so the
+    norm is the quadratic form
+    sum_j w_j [j in T] + sum_(j,p) W_jp [j in T][p in T] with
+    w_j = sum_i |e_j| and W_jp = |e_j + e_p| - |e_j| - |e_p| per row of two.
+    Returns ``kept_norms(rows)`` -> (n, K): the rows' weights times the
+    features [T, T_j T_p] of the sets.
+    """
+    col, coef, partner, pcoef = b.l1_pairs
+    two = (pcoef != 0.0) & (col < partner)  # one entry per row of two
+    j, p, cj, cp = col[two], partner[two], coef[two], pcoef[two]
+    features = np.vstack([kept.T, (kept[:, j] * kept[:, p]).T])  # (d + pairs, K)
+    col_l1 = np.bincount(col, weights=np.abs(coef), minlength=b.d)
+
+    def kept_norms(rows):
+        e_j, e_p = rows[:, j] * cj, rows[:, p] * cp
+        w = np.hstack([np.abs(rows) * col_l1, np.abs(e_j + e_p) - np.abs(e_j) - np.abs(e_p)])
+        return w @ features
+
+    return kept_norms
+
+
+def _dense_kept_norms(b: BasisTruncation, rows: np.ndarray, kept: np.ndarray) -> np.ndarray:
+    """(n, K) norms of the rows restricted to the 0/1 sets ``kept``, shared
+    (K, d) or one family per row (n, K, d), synthesised densely."""
+    n, d = rows.shape
+    return b.synth_norms((rows[:, None, :] * kept).reshape(-1, d)).reshape(n, -1)
+
+
+def _by_chunks(fn, n: int, step: int) -> np.ndarray:
+    """``fn(s)`` for consecutive slices s of at most ``step`` of n rows, stacked."""
+    return np.vstack([fn(slice(s, s + step)) for s in range(0, n, step)])
+
+
+def _ag_denominators(b: BasisTruncation, rows: np.ndarray, resid: np.ndarray, extra):
+    """(n, d+1) matrix of min ||f - S_B f|| over the candidate sets |B| <= m
+    of each row: every subset when ``extra`` is None, else the d+1 greedy
+    prefixes (residual norms ``resid``) and the row's sets ``extra`` (n, K, d).
+
+    Every subset is scored through ``_kept_norms_form`` on an ``l1_pairs``
+    basis and densely on any other, its kept sets ordered by |B| once so
+    that one ``minimum.reduceat`` takes the minimum per size.  Rows go in
+    chunks of about AG_CHUNK_ENTRIES entries.
+    """
+    n, d = rows.shape
+    if extra is None:
+        subsets = _search.all_subset_masks(d)
+        sizes = subsets.sum(axis=1)
+        by_size = np.argsort(sizes, kind="stable")
+        kept = 1.0 - subsets[by_size]
+        starts = np.searchsorted(sizes[by_size], np.arange(d + 1))
+        if b.l1_pairs is not None:
+            kept_norms, width = _kept_norms_form(b, kept), 1
+        else:
+            kept_norms, width = (lambda r: _dense_kept_norms(b, r, kept)), b.ambient_dim
+        denom = _by_chunks(lambda s: np.minimum.reduceat(kept_norms(rows[s]), starts, axis=1),
+                           n, max(1, AG_CHUNK_ENTRIES // (kept.shape[0] * width)))
+    else:
+        k = extra.shape[1]
+        nrm = _by_chunks(lambda s: _dense_kept_norms(b, rows[s], ~extra[s]),
+                         n, max(1, AG_CHUNK_ENTRIES // (k * b.ambient_dim)))
+        denom = resid.copy()  # the greedy prefix of size m has norm resid[:, m]
+        at = np.arange(n)[:, None] * (d + 1) + extra.sum(axis=2)
+        np.minimum.at(denom.reshape(-1), at.ravel(), nrm.ravel())
+    return np.minimum.accumulate(denom, axis=1)
+
+
+def _last_gain(resid: np.ndarray, denom: np.ndarray) -> int:
+    """Flat position in (n, d+1) of the winner of the sequential scan over
+    rows, and m = 0..d within a row: the ratio resid/denom, where both
+    exceed TINY, is taken when it beats the last one taken (from 0) by
+    more than TINY.  Returns -1 when none is taken.
+
+    A taken ratio exceeds every earlier one, so only the strict running
+    records are visited.
+    """
+    r = np.where(resid > TINY, guarded_ratio(resid, denom), 0.0).ravel()
+    records = np.flatnonzero(r > np.maximum.accumulate(np.r_[0.0, r[:-1]]))
+    best, hit = 0.0, -1
+    for k in records.tolist():
+        if r[k] > best + TINY:
+            best, hit = r[k], k
+    return hit
+
+
 def _ag_random_block(b: BasisTruncation, seed: int, block_i: int, exact_denom: bool):
     """Numerators at the canonical greedy prefixes A of seeded rows over
-    ``_min_denominators`` of one family of comparison sets B per row: every
-    subset when ``exact_denom``, else the d+1 greedy prefixes, then 32
-    seeded random subsets in stable size order."""
+    the minimum of ||f - S_B f|| over one family of comparison sets
+    |B| <= |A| per row: every subset when ``exact_denom``, else the d+1
+    greedy prefixes, then 32 seeded random subsets in stable size order.
+
+    The denominators of the block fill one matrix and ``_last_gain``
+    selects the winning (row, m); only the winner's family is scored again,
+    densely and alone, and gives the value, A and B.
+    """
     d = b.d
     rng = rng_stream(seed, "ag", block_i)
     mags = rng.uniform(0.5, 2.0, size=(BLOCK, d))
@@ -419,31 +521,23 @@ def _ag_random_block(b: BasisTruncation, seed: int, block_i: int, exact_denom: b
     rows = mags * sig
     ratios, order, full = _prefix_residual_ratios(b, rows)  # numerators / ||f||
     resid = ratios * full[:, None]  # ||f - S_{A_m} f|| for prefixes
+    extra = None if exact_denom else np.stack(
+        [rng.random((32, d)) < rng.random((32, 1)) for _ in range(BLOCK)])
+    hit = _last_gain(resid, _ag_denominators(b, rows, resid, extra))
+    if hit < 0:
+        return 0.0, None  # no ratio was positive
+    i, m = divmod(hit, d + 1)
     if exact_denom:
         family = _search.all_subset_masks(d) > 0.5  # row k: the set of code k
-        sizes = family.sum(axis=1)
-    best = 0.0
-    best_payload = None
-    for i in range(BLOCK):
-        if exact_denom:
-            nrm = b.synth_norms(rows[i] * ~family)
-        else:
-            extra = rng.random((32, d)) < rng.random((32, 1))
-            by_size = np.argsort(extra.sum(axis=1), kind="stable")
-            family = np.vstack([np.argsort(order[i]) < np.arange(d + 1)[:, None], extra[by_size]])
-            sizes = family.sum(axis=1)
-            nrm = np.concatenate([resid[i], b.synth_norms(rows[i] * ~extra)[by_size]])
-        denom, first = _min_denominators(nrm, sizes, d)
-        for m in range(d + 1):
-            if denom[m] <= TINY or resid[i, m] <= TINY:
-                continue
-            r = resid[i, m] / denom[m]
-            if r > best + TINY:
-                best = float(r)
-                A = tuple(sorted(int(j) + 1 for j in order[i, :m]))
-                B = tuple(int(j) + 1 for j in np.flatnonzero(family[first(m)]))
-                best_payload = (rows[i].copy(), A, B)
-    return best, best_payload  # (0.0, None) when no ratio was positive
+        nrm = b.synth_norms(rows[i] * ~family)
+    else:
+        by_size = np.argsort(extra[i].sum(axis=1), kind="stable")
+        family = np.vstack([np.argsort(order[i]) < np.arange(d + 1)[:, None], extra[i][by_size]])
+        nrm = np.concatenate([resid[i], b.synth_norms(rows[i] * ~extra[i])[by_size]])
+    denom, first = _min_denominators(nrm, family.sum(axis=1), d)
+    A = tuple(sorted(int(j) + 1 for j in order[i, :m]))
+    B = tuple(int(j) + 1 for j in np.flatnonzero(family[first(m)]))
+    return float(resid[i, m] / denom[m]), (rows[i].copy(), A, B)
 
 
 def almost_greedy_constant_lb(
@@ -453,7 +547,10 @@ def almost_greedy_constant_lb(
 
     Denominators are minimised exactly over every candidate set for
     d <= 12 and by seeded candidate search beyond that, so each reported
-    ratio is a certified lower bound for its (f, A) pair.
+    ratio is a certified lower bound for its (f, A) pair.  For 8 < d each
+    block selects its winner from a matrix of all its rows' denominators,
+    built on ``l1_pairs`` bases (d <= 12) from a quadratic form in the
+    sets' masks, and reports the winner's dense norms.
     """
     check_budget(budget, GreedyError)
     d = b.d

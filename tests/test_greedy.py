@@ -43,9 +43,13 @@ from condgreedy._search import (
 )
 from condgreedy.bases import BasisTruncation, external_basis, parse_basis
 from condgreedy.greedy import (
+    _ag_denominators,
     _ag_exhaustive,
+    _ag_random_block,
     _floor_witness,
     _indicator_rows,
+    _kept_norms_form,
+    _last_gain,
     _min_denominators,
     _prefix_residual_ratios,
     _qg_exhaustive,
@@ -278,6 +282,21 @@ AG_EXACT_PINS = {
     ("summing:10", 1): (6.715694291122727, (1, 4, 8), (2, 7, 9)),
     ("summing:10", 2): (6.670412364512161, (3, 6, 9), (1,)),
     ("summing:10", 3): (6.717873674596702, (2, 4, 6, 8), (5, 6, 10)),
+    ("difference:11", 1): (4.73649758785744, (1, 2, 4, 5, 6, 7, 8, 10),
+                           (4, 5, 6, 7, 8, 9, 10, 11)),
+    ("difference:11", 2): (4.709235321122248, (1, 2, 3, 6, 8, 9, 10), (5, 6, 7, 8, 9, 10, 11)),
+    ("difference:11", 3): (5.669789473340988, (1, 3, 5, 7, 9), (7, 8, 9, 10, 11)),
+    # no block beats the floor witness f = x_1, A = B = empty
+    ("unit:10@lp:1", 1): (1.0, (), ()),
+    ("unit:10@lp:1", 2): (1.0, (), ()),
+    ("unit:10@lp:1", 3): (1.0, (), ()),
+    ("blocksum(lindenstrauss,dims=5..6,p=1)", 1): (1.776975101045381, (1, 2, 3, 4, 6, 9, 10, 11),
+                                                   (1, 2, 3, 4, 5, 9, 10, 11)),
+    ("blocksum(lindenstrauss,dims=5..6,p=1)", 2): (1.6276663777816236, (2, 3, 6, 7, 8, 9, 11),
+                                                   (3, 6, 7, 8, 9, 10, 11)),
+    ("blocksum(lindenstrauss,dims=5..6,p=1)", 3): (1.6111238764602986,
+                                                   (1, 4, 5, 6, 8, 9, 10, 11),
+                                                   (4, 5, 6, 7, 8, 9, 10, 11)),
 }
 
 
@@ -807,6 +826,139 @@ def test_ag_exhaustive_matches_per_code_reference(spec):
         bases = [parse_basis(spec)]
     for b in bases:
         assert _ag_exhaustive(b) == _ag_exhaustive_per_code(b)
+
+
+# ---------------------------------------------------------------------------
+# almost-greedy denominator matrix: the l1 quadratic form and the winner scan
+# ---------------------------------------------------------------------------
+
+L1_PAIR_BASES = [f"{fam}:{d}" for fam in ("lindenstrauss", "difference") for d in range(9, 13)]
+L1_PAIR_BASES += [f"unit:{d}@lp:1" for d in range(9, 13)]
+L1_PAIR_BASES += [f"blocksum(lindenstrauss,dims={dims},p=1)"
+                  for dims in ("4..5", "1..4", "5..6", "3..5")]
+
+
+@pytest.mark.parametrize("spec", L1_PAIR_BASES)
+def test_kept_norms_form_matches_dense(spec):
+    b = parse_basis(spec)
+    d = b.d
+    rng = np.random.default_rng([11, d, len(spec)])
+    rows = rng.uniform(0.5, 2.0, (12, d)) * rng.choice([-1.0, 1.0], (12, d))
+    rows[rng.random((12, d)) < 0.2] = 0.0
+    rows[0] = -0.0
+    rows[1, ::2] = -0.0
+    rows[2] = rng.choice([-1.5, 1.5], d)  # every magnitude tied
+    rows[3, : d // 2] = 0.75
+    kept = all_subset_masks(d)
+    got = _kept_norms_form(b, kept)(rows)
+    want = b.synth_norms((rows[:, None, :] * kept).reshape(-1, d)).reshape(rows.shape[0], -1)
+    assert np.all(np.abs(got - want) <= 1e-13 * want)
+
+
+@pytest.mark.parametrize("spec,form", [(s, True) for s in (
+    "lindenstrauss:9", "difference:9", "unit:9@lp:1", "blocksum(lindenstrauss,dims=4..5,p=1)",
+)] + [(s, False) for s in (
+    "summing:9", "unit:9@lp:2", "pqhalf(lindenstrauss,dims=2^1..2^2,p=1,q=1)",
+    "interleave(difference:4,unit:4@lp:1)",
+)])
+def test_ag_denominators_take_the_form_on_l1_pairs_bases(monkeypatch, spec, form):
+    b = parse_basis(spec)
+    calls = [0]
+
+    def counted(b, kept):
+        calls[0] += 1
+        return _kept_norms_form(b, kept)
+
+    monkeypatch.setattr(greedy_mod, "_kept_norms_form", counted)
+    rng = np.random.default_rng([12, b.d])
+    rows = rng.uniform(0.5, 2.0, (5, b.d)) * rng.choice([-1.0, 1.0], (5, b.d))
+    ratios, _, full = _prefix_residual_ratios(b, rows)
+    denom = _ag_denominators(b, rows, ratios * full[:, None], None)
+    assert (calls[0] > 0) == form
+    # either way, row by row the minimum over |B| <= m of the dense norms
+    sizes = all_subset_masks(b.d).sum(axis=1).astype(np.int64)
+    for row, got in zip(rows, denom):
+        want, _ = _min_denominators(b.synth_norms(row * (1.0 - all_subset_masks(b.d))), sizes, b.d)
+        np.testing.assert_allclose(got, want, rtol=1e-13)
+
+
+def _last_gain_ref(resid, denom):
+    """Reference: the block's former per-row, per-m loop."""
+    best, hit = 0.0, -1
+    n, width = resid.shape
+    for i in range(n):
+        for m in range(width):
+            if denom[i, m] <= _TINY or resid[i, m] <= _TINY:
+                continue
+            r = resid[i, m] / denom[i, m]
+            if r > best + _TINY:
+                best, hit = float(r), i * width + m
+    return hit
+
+
+LAST_GAIN_CASES = {
+    # ratios 1, 1 + 0.5 TINY (not taken), 1 + 1.2 TINY (taken)
+    "near ties": (np.array([[1.0, 1.0 + 0.5e-12], [1.0 + 1.2e-12, 0.5]]), np.ones((2, 2))),
+    # a near tie within TINY of the last taken, then one beyond it
+    "creeping": (np.array([[1.0, 1.0 + 0.9e-12, 1.0 + 1.8e-12, 1.0 + 2.1e-12]]), np.ones((1, 4))),
+    # the biggest ratios sit where a numerator or a denominator is at most TINY
+    "skipped": (np.array([[2.0, 1e-12, 3.0], [1.0, 5.0, 0.0]]),
+                np.array([[1e-12, 1e-24, 1.0], [0.5, 1e-13, 0.0]])),
+    "nothing positive": (np.array([[0.0, 1e-12], [1e-13, 0.0]]), np.ones((2, 2))),
+    "zero denominators": (np.ones((2, 3)), np.zeros((2, 3))),
+}
+
+
+@pytest.mark.parametrize("case", list(LAST_GAIN_CASES))
+def test_last_gain_matches_sequential_scan(case):
+    resid, denom = LAST_GAIN_CASES[case]
+    assert _last_gain(resid, denom) == _last_gain_ref(resid, denom)
+
+
+def test_last_gain_matches_sequential_scan_on_random_blocks():
+    rng = np.random.default_rng(13)
+    for _ in range(50):
+        resid = rng.uniform(0.0, 2.0, (40, 6))
+        resid[rng.random(resid.shape) < 0.1] = 0.0
+        denom = np.minimum.accumulate(rng.uniform(0.5, 1.5, (40, 6)), axis=1)
+        denom[:, -1] = 0.0
+        # plant near ties of the running best
+        flat = resid.ravel()
+        flat[rng.integers(0, flat.size, 30)] = flat.max() * (1 + rng.uniform(-2e-12, 2e-12, 30))
+        assert _last_gain(resid, denom) == _last_gain_ref(resid, denom)
+
+
+def test_ag_block_without_positive_ratio_has_no_winner(monkeypatch):
+    def no_residuals(b, rows):
+        ratios, order, full = _prefix_residual_ratios(b, rows)
+        return np.zeros_like(ratios), order, full
+
+    monkeypatch.setattr(greedy_mod, "_prefix_residual_ratios", no_residuals)
+    for exact in (True, False):
+        assert _ag_random_block(lindenstrauss(9), 1, 0, exact) == (0.0, None)
+
+
+def test_ag_exact_tier_synthesises_prefixes_and_winners_only(monkeypatch):
+    # per block, the 256 x 13 prefix residuals and one re-score of the
+    # winner's 4,096 subsets; every subset of every row took 6,311,424 rows
+    b = lindenstrauss(12)
+    rows = _count_synth_rows(monkeypatch)
+    for seed in (1, 2, 3):
+        almost_greedy_constant_lb(b, budget=512, seed=seed)
+    assert 0 < rows[0] <= 3 * 2 * (256 * 13 + 4096)
+
+
+def test_ag_exact_block_memory_is_bounded():
+    # the block's subset norms go in chunks: all 256 x 4,096 at once take
+    # 8 MiB for the norms alone
+    b = lindenstrauss(12)
+    tracemalloc.start()
+    try:
+        _ag_random_block(b, 1, 0, True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 # ---------------------------------------------------------------------------
