@@ -1,5 +1,5 @@
 """The search engine of every lower-bound estimator: the block sampler
-``sample_block``, ``guarded_ratio``, the batched coordinate ascent ``ascend``
+``sample_block``, ``guarded_ratio``, the lockstep coordinate ascent ``ascend``
 with its move sets, the block maximum ``parallel_block_max``, and the
 sign-vector tables of the exhaustive routes.
 What is specific to one family of constants stays beside its estimators:
@@ -39,10 +39,11 @@ def rng_stream(seed: int, *key) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(parts)))
 
 
-def check_budget(budget, error: type) -> None:
-    """Raise ``error`` for a sample budget below 1 (None means the default)."""
+def check_budget(budget, error: type, default: int = DEFAULT_BUDGET) -> int:
+    """The sample budget (``default`` for None); ``error`` for one below 1."""
     if budget is not None and budget < 1:
         raise error(f"budget must be at least 1, got {budget}")
+    return default if budget is None else budget
 
 
 def guarded_ratio(nums, dens) -> np.ndarray:
@@ -80,57 +81,95 @@ def scale_moves(x: float) -> tuple:
     return (x * 0.5, x * 2.0) if x != 0.0 else ()
 
 
-def ascend(a0, score, moves, cost):
-    """First-improvement coordinate ascent; returns (ratio, a, payload).
+signed_moves.predicted = None  # the L and k ascents take about 10 % of their moves
+scale_moves.predicted = 0  # the halving: the quasi-greedy ascent takes 77 % of them
 
-    ``score(rows)`` is a batch scorer: (n, d) candidate rows -> (ratios (n,),
-    payload), with ``payload(k)`` built on demand for row k.  A sweep lists
-    the moves ``moves(a[i])`` of every coordinate once (a move taken at j
-    changes only a[j]) and scores them in order, skipping all-zero ones, as
-    many per call as fit in BATCH_ENTRIES product entries at ``cost`` each.
-    The first that gains at least ASCENT_TOL is taken and the sweep goes on
-    at coordinate j + 1.  Sweeps repeat until one takes no move or
-    MAX_SWEEPS; a start whose payload is None comes back unchanged.  For a
-    batch-invariant scorer this is the trajectory of one candidate per
-    call.  BLAS may round a row differently with its batch, which can only
-    turn a gain within rounding of ASCENT_TOL; a final vector scored beside
-    others is scored again alone, so the returned ratio and payload are
-    those of a one-row call.
-    """
-    a = np.asarray(a0, dtype=np.float64).copy()
-    ratios, payload = score(a[None])
-    cur, pay = float(ratios[0]), payload(0)
-    if pay is None:
-        return cur, a, pay
-    batch = max(1, BATCH_ENTRIES // cost)
-    rescore = False
+
+def _climb(rec: list, moves, width: list):
+    """One start of ``ascend``: yields its windows (None when done), takes back (ratios,
+    payload, offset, call size), keeps rec = [ratio, a, (payload, row), call size] current."""
     for _ in range(MAX_SWEEPS):
-        cands = [(i, v) for i in range(a.size) for v in moves(a[i])]
-        improved, k, nz = False, 0, np.count_nonzero(a)
-        while k < len(cands):
-            # a move to 0.0 leaves the zero vector when a[i] is a's only nonzero
-            part = [(i, v) for i, v in cands[k : k + batch] if v != 0.0 or nz > (a[i] != 0.0)]
-            k += batch
-            if not part:
+        a = rec[1].tolist()  # a move at coordinate j leaves a[i] for i > j as it was
+        cands = [(i, v, m == moves.predicted)
+                 for i in range(len(a)) for m, v in enumerate(moves(a[i]))]
+        past = {i: n + 1 for n, (i, _, _) in enumerate(cands)}  # position past i's moves
+        end, improved, k = len(cands), False, 0
+        while k < end:
+            path, n, pnz = [], k, np.count_nonzero(rec[1])  # pnz: nonzeros on the path
+            for _ in range(width[0]):
+                if n == end:
+                    break
+                i, v, taken = cands[n]
+                n += 1
+                if v == 0.0 and pnz == (a[i] != 0.0):  # a move to 0.0 of the only nonzero
+                    continue
+                path.append(n - 1)
+                if taken:
+                    pnz, n = pnz + (v != 0.0) - (a[i] != 0.0), past[i]
+            k = n
+            if not path:
                 continue
-            rows = np.empty((len(part), a.size))
-            rows[:] = a
-            for r, (i, v) in enumerate(part):
+            rows = rec[1][None].repeat(len(path), 0)
+            for r, m in enumerate(path):
+                i, v, taken = cands[m]
                 rows[r, i] = v
-            ratios, payload = score(rows)
-            h = next((n for n, r in enumerate(ratios.tolist()) if r >= cur + ASCENT_TOL), None)
-            if h is not None:
-                j = part[h][0]
-                a, cur, pay = rows[h].copy(), float(ratios[h]), payload(h)
-                improved, rescore, nz = True, len(part) > 1, np.count_nonzero(a)
-                # go on at the first move of coordinate j + 1
-                k = next((n for n in range(k - batch, len(cands)) if cands[n][0] > j), len(cands))
+                if taken:
+                    rows[r + 1 :, i] = v
+            ratios, payload, off, size = yield rows
+            for h, m in enumerate(path, off):
+                i, v, taken = cands[m]
+                gain = ratios[h] >= rec[0] + ASCENT_TOL
+                if gain:
+                    rec[:], improved = (ratios[h], rows[h - off], (payload, h), size), True
+                if gain != taken:  # go on where the scalar loop goes on
+                    k = past[i] if gain else m + 1
+                    break
         if not improved:
             break
-    if rescore:
-        ratios, payload = score(a[None])
-        cur, pay = float(ratios[0]), payload(0)
-    return cur, a, pay
+    yield None
+
+
+def ascend(starts, score, moves, cost) -> list:
+    """First-improvement coordinate ascent from each row of ``starts`` (S, d);
+    returns one (ratio, a, payload) per start.
+
+    ``score(rows)`` is a batch scorer: (n, d) candidate rows -> (ratios (n,),
+    payload), with ``payload(k)`` built on demand for row k.  A sweep tries
+    the moves ``moves(a[i])`` of every coordinate in order, skipping
+    all-zero rows; the first that gains at least ASCENT_TOL is taken and the
+    sweep goes on at coordinate i + 1.  Sweeps repeat until one takes no
+    move or MAX_SWEEPS; a start whose payload is None comes back unchanged.
+
+    Each score call holds a window of every live start: the next candidates
+    as if the move ``moves.predicted`` of each coordinate were taken and no
+    other, BATCH_ENTRIES product entries at ``cost`` per row shared among
+    the live starts (one row at least).  A window is walked up to its first
+    wrong prediction, so for a batch-invariant scorer every trajectory is
+    that of one candidate per call.  BLAS may round a row differently with
+    its batch, which can only turn a gain within rounding of ASCENT_TOL; a
+    final vector scored beside other rows is scored again alone.
+    """
+    a = np.array(starts, dtype=np.float64)
+    ratios, payload = score(a)
+    recs = [[r, a[s], (payload, s), len(a)] for s, r in enumerate(ratios.tolist())]
+    total, width = max(1, BATCH_ENTRIES // cost), [1]  # width: candidates per window
+    climbs = [_climb(rec, moves, width) for rec in recs if payload(rec[2][1]) is not None]
+    width[0] = max(1, total // max(1, len(climbs)))
+    live = [(c, rows) for c in climbs if (rows := next(c)) is not None]
+    while live:
+        rows = live[0][1] if len(live) == 1 else np.concatenate([rows for _, rows in live])
+        ratios, payload = score(rows)
+        ratios, width[0] = ratios.tolist(), max(1, total // len(live))
+        windows, live, off = live, [], 0
+        for c, rows in windows:
+            if (nxt := c.send((ratios, payload, off, len(ratios)))) is not None:
+                live.append((c, nxt))
+            off += len(rows)
+    for rec in recs:
+        if rec[3] > 1:
+            ratios, payload = score(rec[1][None])
+            rec[0], rec[2] = float(ratios[0]), (payload, 0)
+    return [(cur, a, payload(h)) for cur, a, (payload, h), _ in recs]
 
 
 def digit_rows(start: int, stop: int, n_digits: int, base: int) -> np.ndarray:

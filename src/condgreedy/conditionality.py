@@ -286,7 +286,7 @@ class _SupportEval:
     def ascend(self, a0: np.ndarray, sets: np.ndarray):
         """Signed-move ``ascend`` from ``a0`` on ``mask_sweep`` over ``sets``."""
         cost = (sets.shape[0] + 1) * self.colsT.shape[1]
-        return ascend(a0, lambda rows: self.mask_sweep(rows, sets), signed_moves, cost)
+        return ascend([a0], lambda rows: self.mask_sweep(rows, sets), signed_moves, cost)[0]
 
 
 def _mask_to_set(mask_row) -> tuple:

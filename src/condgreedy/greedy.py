@@ -17,7 +17,8 @@ Estimator tiers, chosen by the basis length d:
               from one table over the 3^d sign vectors (almost-greedy:
               random blocks as below, but with exact denominators).
 * d >  12  -- seeded random magnitude/sign sampling in blocks, with
-              multiplicative coordinate ascent on the block winners.
+              multiplicative coordinate ascent on the block winners (for
+              quasi-greedy, every block's ascent in one lockstep ``ascend``).
 
 The block sampler, the ascent and the block maximum are the shared search
 engine of ``_search``; the ascent objective here is ``_qg_ratios``.
@@ -59,7 +60,7 @@ from itertools import chain, combinations, islice
 import numpy as np
 
 from . import _search
-from ._search import (BATCH_ENTRIES, BLOCK, DEFAULT_BUDGET, DEFAULT_SEED, TINY, ascend,
+from ._search import (BLOCK, DEFAULT_BUDGET, DEFAULT_SEED, TINY, ascend,
                       check_budget, guarded_ratio, rng_stream, sample_block, scale_moves)
 from .bases import BasisTruncation
 from .conditionality import Witness
@@ -81,6 +82,7 @@ QG_GRID_MAX_D = 12
 AG_EXHAUSTIVE_MAX_D = 8
 AG_EXACT_DENOM_MAX_D = 12
 FUND_EXACT_MAX_D = 20
+AG_DEFAULT_BUDGET = 512
 AG_CHUNK_ENTRIES = 1 << 17  # subset norms (times the ambient width if dense) per chunk
 
 
@@ -310,47 +312,40 @@ def _qg_ratios(b: BasisTruncation, rows: np.ndarray):
         sorted(int(j) + 1 for j in order[k, : best[k]]))
 
 
-def _qg_random_block(b: BasisTruncation, seed: int, block_i: int):
+def _qg_block_head(b: BasisTruncation, seed: int, block_i: int):
+    """(ratio, (row, A)) of a block's first best prefix or better drop set."""
     rng = rng_stream(seed, "qg", block_i)
     rows = sample_block(rng, b.d, keep=0.85)
-    # the first best row and, in it, the shortest best prefix
     ratios, prefix = _qg_ratios(b, rows)
     i = int(np.argmax(ratios))
     best_pair = (rows[i].copy(), prefix(i))
     best = float(ratios[i]) if b.l1_pairs is None else _dense_ratio(b, rows[i], len(best_pair[1]))
-    # the sign half of the block
     signs = rows[BLOCK // 2 :]
     best, i, A = _drop_search(lambda keep: b.synth_norms(signs * keep), signs != 0.0,
                               b.synth_norms(signs), rng, best)
-    if i >= 0:
-        best_pair = (signs[i].copy(), A)
-    # multiplicative ascent on the block winner, one candidate per call: the
-    # next candidate is nearly always the one taken, so a batch wastes rows
-    cur, a, curA = ascend(best_pair[0], lambda rows: _qg_ratios(b, rows), scale_moves,
-                          BATCH_ENTRIES)
-    cur = _dense_ratio(b, a, len(curA))  # the reported value is the dense one
-    if cur > best:
-        best, best_pair = cur, (a, curA)
-    return best, best_pair
+    return best, ((signs[i].copy(), A) if i >= 0 else best_pair)
 
 
 def quasi_greedy_constant_lb(
     b: BasisTruncation, budget: int = DEFAULT_BUDGET, seed: int = DEFAULT_SEED
 ):
     """Lower bound for the quasi-greedy constant with its witness."""
-    check_budget(budget, GreedyError)
+    budget = check_budget(budget, GreedyError)
     d = b.d
     if d <= QG_EXHAUSTIVE_MAX_D:
         return _qg_exhaustive(b)
     if d <= QG_GRID_MAX_D:
         return _qg_sign_grid(b, seed)
+    heads = [_qg_block_head(b, seed, i) for i in range(math.ceil(budget / BLOCK))]
+    # product entries per row: the d+1 dense residuals, or ~6 per column nonzero of the sweep
+    cost = (d + 1) * b.ambient_dim if b.l1_pairs is None else 6 * b.l1_pairs[0].size
+    climbs = ascend([p[0] for _, p in heads], lambda rows: _qg_ratios(b, rows), scale_moves, cost)
+    tails = [(_dense_ratio(b, a, len(A)), (a, A)) for _, a, A in climbs]  # reported densely
     best, best_wit = _floor_witness(b, "quasi-greedy")
     val, pair = _search.parallel_block_max(
-        lambda i: _qg_random_block(b, seed, i), math.ceil(budget / BLOCK)
-    )
+        lambda i: tails[i] if tails[i][0] > heads[i][0] else heads[i], len(heads))
     if pair is not None and val > best:
-        best = val
-        best_wit = Witness(tuple(pair[0].tolist()), tuple(pair[1]), val, "quasi-greedy")
+        best, best_wit = val, Witness(tuple(pair[0].tolist()), tuple(pair[1]), val, "quasi-greedy")
     return best, best_wit
 
 
@@ -541,7 +536,7 @@ def _ag_random_block(b: BasisTruncation, seed: int, block_i: int, exact_denom: b
 
 
 def almost_greedy_constant_lb(
-    b: BasisTruncation, budget: int = 512, seed: int = DEFAULT_SEED
+    b: BasisTruncation, budget: int = AG_DEFAULT_BUDGET, seed: int = DEFAULT_SEED
 ):
     """Lower bound for the almost-greedy constant with its witness.
 
@@ -552,7 +547,7 @@ def almost_greedy_constant_lb(
     built on ``l1_pairs`` bases (d <= 12) from a quadratic form in the
     sets' masks, and reports the winner's dense norms.
     """
-    check_budget(budget, GreedyError)
+    budget = check_budget(budget, GreedyError, AG_DEFAULT_BUDGET)
     d = b.d
     if d <= AG_EXHAUSTIVE_MAX_D:
         return _ag_exhaustive(b)
@@ -607,7 +602,7 @@ def _sum_norm_extremum(b: BasisTruncation, want_max: bool, exact_sizes):
 
 
 def _sum_norm_search(b: BasisTruncation, m: int, want_max: bool, budget: int, seed: int):
-    check_budget(budget, GreedyError)
+    budget = check_budget(budget, GreedyError)
     d = b.d
     best = -math.inf if want_max else math.inf
     best_set0: tuple = ()
@@ -639,6 +634,20 @@ def _sum_norm_search(b: BasisTruncation, m: int, want_max: bool, budget: int, se
     return best, tuple(j + 1 for j in best_set0)
 
 
+def _sum_norm(b: BasisTruncation, m: int, want_max: bool, mode: str, budget, seed: int) -> float:
+    """The max of ||sum_{j in A} x_j|| over |A| <= m or its min over |A| = m,
+    in ``mode`` 'exact' (d <= 20) or 'search'."""
+    if not (1 <= m <= b.d):
+        raise GreedyError(f"m must lie in 1..{b.d}")
+    if mode == "search":
+        return _sum_norm_search(b, m, want_max, budget, seed)[0]
+    if mode != "exact":
+        raise GreedyError(f"mode must be 'exact' or 'search', got {mode!r}")
+    if b.d > FUND_EXACT_MAX_D:
+        raise GreedyError(f"exact mode supports d <= {FUND_EXACT_MAX_D}; use mode='search'")
+    return _sum_norm_extremum(b, want_max, range(1, m + 1) if want_max else [m])[0]
+
+
 def fundamental_function(
     b: BasisTruncation,
     m: int,
@@ -647,17 +656,7 @@ def fundamental_function(
     seed: int = DEFAULT_SEED,
 ) -> float:
     """phi_m = sup ||sum_{j in A} x_j|| over |A| <= m (exact needs d <= 20)."""
-    if not (1 <= m <= b.d):
-        raise GreedyError(f"m must lie in 1..{b.d}")
-    if mode == "exact":
-        if b.d > FUND_EXACT_MAX_D:
-            raise GreedyError(f"exact mode supports d <= {FUND_EXACT_MAX_D}; use mode='search'")
-        val, _ = _sum_norm_extremum(b, True, range(1, m + 1))
-        return val
-    if mode != "search":
-        raise GreedyError(f"mode must be 'exact' or 'search', got {mode!r}")
-    val, _ = _sum_norm_search(b, m, True, budget, seed)
-    return val
+    return _sum_norm(b, m, True, mode, budget, seed)
 
 
 def democracy_ratio(
@@ -672,16 +671,7 @@ def democracy_ratio(
     In search mode the numerator is a lower estimate and the denominator an
     upper one, so the returned value is a lower estimate of the true ratio.
     """
-    if not (1 <= m <= b.d):
-        raise GreedyError(f"m must lie in 1..{b.d}")
-    if mode == "exact":
-        if b.d > FUND_EXACT_MAX_D:
-            raise GreedyError(f"exact mode supports d <= {FUND_EXACT_MAX_D}; use mode='search'")
-        top, _ = _sum_norm_extremum(b, True, range(1, m + 1))
-        low, _ = _sum_norm_extremum(b, False, [m])
-    else:
-        top, _ = _sum_norm_search(b, m, True, budget, seed)
-        low, _ = _sum_norm_search(b, m, False, budget, seed)
+    top, low = (_sum_norm(b, m, want_max, mode, budget, seed) for want_max in (True, False))
     if low <= TINY:
         raise GreedyError("degenerate minimal sum norm")
     return top / low

@@ -456,6 +456,34 @@ def test_golden_qg_blocksum_to_32_budget_512():
     assert _coeff_digest(wit.coeffs) == "d5b56e9586ae5aeb"
 
 
+# value, witness A and coefficient digest at the default seed, measured with
+# one ascent candidate per score call and one block ascent at a time
+QG_PINS = {
+    ("blocksum(lindenstrauss,dims=2^1..2^5,p=1)", 512):
+        (1.247381389417086, (19, 39), "ed5b281bd456e76e"),
+    ("blocksum(lindenstrauss,dims=2^1..2^5,p=1)", 4096):
+        (1.31880370620626, (19,), "eda911ac24bd6279"),
+    ("lindenstrauss:64", 512): (1.2519563471165647, (2, 10, 22), "329dc058eb4bc7a1"),
+    ("lindenstrauss:64", 4096): (1.283054723351687, (7,), "8901a25e771b7c1a"),
+    ("difference:20", 512): (1.7777777777777777, (1, 7, 12, 16, 19), "66da6ebebbdcd4ee"),
+    ("difference:20", 4096): (1.8, (3, 5, 7, 8, 10, 14, 18), "46f7d7a5d0c0363f"),
+    ("summing:20", 512): (6.146677738439897, (3, 6, 12, 15), "a0288c982da2abdf"),
+    ("summing:20", 4096): (6.146677738439897, (3, 6, 12, 15), "a0288c982da2abdf"),
+    ("unit:20@lp:3", 512): (1.0, (), "fe7998e76e0023fb"),
+    ("unit:20@lp:3", 4096): (1.0, (), "fe7998e76e0023fb"),
+    ("interleave(difference:8,unit:8@lp:2)", 512):
+        (2.3333333333333335, (2, 3, 4, 9, 10, 15, 16), "3c0949c3c3dad598"),
+    ("interleave(difference:8,unit:8@lp:2)", 4096):
+        (3.0, (4, 5, 6, 9, 10, 13, 14, 16), "01ee0ef765795e1d"),
+}
+
+
+@pytest.mark.parametrize("spec,budget", list(QG_PINS), ids=[f"{s}@{n}" for s, n in QG_PINS])
+def test_golden_qg_random_tier_lockstep(spec, budget):
+    val, wit = quasi_greedy_constant_lb(parse_basis(spec), budget=budget)
+    assert (val, wit.indices, _coeff_digest(wit.coeffs)) == QG_PINS[spec, budget]
+
+
 def test_golden_qg_lindenstrauss10_sign_grid():
     val, wit = quasi_greedy_constant_lb(lindenstrauss(10), seed=1)
     assert val == 1.2
@@ -722,38 +750,45 @@ def test_ascend_matches_qg_loop(spec):
         calls["got"] += 1
         return _qg_ratios(b, rows)
 
-    for a0 in starts:
+    got = ascend(starts, batched, scale_moves, (b.d + 1) * b.ambient_dim)
+    for a0, (r, a, A) in zip(starts, got):
         ref = _qg_ascent_ref(b, a0, ratio_of)
-        got = ascend(a0, batched, scale_moves, (b.d + 1) * b.ambient_dim)
-        assert got[0] == ref[0] and got[2] == ref[2]
-        assert np.array_equal(got[1], ref[1])
+        assert r == ref[0] and A == ref[2]
+        assert np.array_equal(a, ref[1])
     # the replaced loop also retried x2 right after an accepted x0.5, and
-    # the batched ascent scores several candidates per call
+    # one call scores the windows of all three ascents
     assert calls["got"] <= calls["ref"]
 
 
-@pytest.mark.parametrize("spec,ceiling", [
-    ("lindenstrauss:16", 5_740),
-    ("lindenstrauss:32", 8_590),
-    ("blocksum(lindenstrauss,dims=2^1..2^4,p=1)", 7_632),
-    ("blocksum(lindenstrauss,dims=2^1..2^5,p=1)", 13_929),
-])
-def test_qg_ascent_prefix_rows_ceiling(monkeypatch, spec, ceiling):
-    # the quasi-greedy ascent scores one candidate per call: the next
-    # candidate is nearly always the one taken, so batching more of them
-    # scores rows that a first-improvement ascent throws away
-    rows = [0]
+# (calls, rows) of _swept_ratios over quasi_greedy_constant_lb at budget
+# 512, seeds 1-3
+QG_SWEPT_COUNTS = {
+    "lindenstrauss:16": (970, 17_383),
+    "lindenstrauss:32": (1_337, 18_431),
+    "blocksum(lindenstrauss,dims=2^1..2^4,p=1)": (1_034, 14_327),
+    "blocksum(lindenstrauss,dims=2^1..2^5,p=1)": (2_709, 17_741),
+}
+
+
+@pytest.mark.parametrize("spec", list(QG_SWEPT_COUNTS))
+def test_qg_ascent_swept_calls_and_rows(monkeypatch, spec):
+    # every call scores one predicted-path window of each live block
+    # ascent; one candidate per call took 4,210 / 7,060 / 6,102 / 12,399
+    # calls for 5,740 / 8,590 / 7,632 / 13,929 rows, so the windows trade
+    # rows scored past a wrong prediction for about 5x fewer calls
+    seen = [0, 0]
     real = greedy_mod._swept_ratios
 
     def counted(b, coeff_rows):
-        rows[0] += coeff_rows.shape[0]
+        seen[0] += 1
+        seen[1] += coeff_rows.shape[0]
         return real(b, coeff_rows)
 
     monkeypatch.setattr(greedy_mod, "_swept_ratios", counted)
     b = parse_basis(spec)
     for seed in (1, 2, 3):
         quasi_greedy_constant_lb(b, budget=512, seed=seed)
-    assert 0 < rows[0] <= ceiling
+    assert tuple(seen) == QG_SWEPT_COUNTS[spec]
 
 
 def test_qg_swept_basis_keeps_dense_rows_few(monkeypatch):
@@ -990,3 +1025,28 @@ def test_phi_search_rejects_budget_below_one(budget):
 def test_democracy_search_rejects_budget_below_one(budget):
     with pytest.raises(GreedyError, match="budget"):
         democracy_ratio(lindenstrauss(12), 4, mode="search", budget=budget)
+
+
+@pytest.mark.parametrize("d", [6, 10, 14], ids=["exhaustive", "sign grid", "random"])
+def test_qg_budget_none_is_the_default(d):
+    b = lindenstrauss(d)
+    assert quasi_greedy_constant_lb(b, budget=None, seed=3) == quasi_greedy_constant_lb(b, seed=3)
+
+
+@pytest.mark.parametrize("d", [6, 10, 14], ids=["exhaustive", "exact denominators", "random"])
+def test_ag_budget_none_is_the_default(d):
+    b = lindenstrauss(d)
+    assert almost_greedy_constant_lb(b, budget=None, seed=3) == almost_greedy_constant_lb(b, seed=3)
+
+
+def test_phi_and_democracy_search_budget_none_is_the_default():
+    b = lindenstrauss(12)
+    assert fundamental_function(b, 4, mode="search", budget=None, seed=3) == fundamental_function(
+        b, 4, mode="search", seed=3)
+    assert democracy_ratio(b, 4, mode="search", budget=None, seed=3) == democracy_ratio(
+        b, 4, mode="search", seed=3)
+
+
+def test_democracy_rejects_unknown_mode():
+    with pytest.raises(GreedyError, match="mode"):
+        democracy_ratio(lindenstrauss(12), 4, mode="bogus")

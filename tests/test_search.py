@@ -30,17 +30,18 @@ COSTS = (ONE, BATCH_ENTRIES // 3, BATCH_ENTRIES // 7, 1)  # batches of 1, 3, 7, 
 
 def _scalar_ascend(a0, score, moves, log=None):
     """Reference: the one-candidate-per-call ascent; ``score(a)`` gives
-    (ratio, payload).  ``log`` collects (row, accepted) per scored row."""
+    (ratio, payload).  ``log`` collects (row, accepted, predicted accepted)
+    per scored row."""
     a = np.asarray(a0, dtype=np.float64).copy()
     cur, payload = score(a)
     if log is not None:
-        log.append((a.copy(), False))
+        log.append((a.copy(), False, False))
     if payload is None:
         return cur, a, payload
     for _ in range(MAX_SWEEPS):
         improved = False
         for i in range(a.size):
-            for val in moves(a[i]):
+            for m, val in enumerate(moves(a[i])):
                 cand = a.copy()
                 cand[i] = val
                 if not cand.any():
@@ -48,7 +49,7 @@ def _scalar_ascend(a0, score, moves, log=None):
                 r, p = score(cand)
                 taken = r >= cur + ASCENT_TOL
                 if log is not None:
-                    log.append((cand.copy(), taken))
+                    log.append((cand.copy(), taken, m == moves.predicted))
                 if taken:
                     a, cur, payload = cand, r, p
                     improved = True
@@ -84,9 +85,14 @@ class Recorder:
         return [row for call in self.calls for row in call]
 
 
+def ascend_one(a0, score, moves, cost):
+    """``ascend`` from the single start a0."""
+    return ascend([a0], score, moves, cost)[0]
+
+
 def assert_sequential(calls, log, final):
-    """Each call's rows up to its accepted move are the next rows the
-    scalar loop scored; rows after an accepted move are dropped, and a
+    """Each call's window, up to its first wrong prediction, is the next
+    rows the scalar loop scored; the rest of the window is dropped, and a
     last one-row call may re-score the final vector."""
     pos = 0
     for n, call in enumerate(calls):
@@ -95,10 +101,10 @@ def assert_sequential(calls, log, final):
             assert np.array_equal(call[0], final)
             return
         for row in call:
-            want, taken = log[pos]
+            want, taken, predicted = log[pos]
             assert np.array_equal(row, want) and np.array_equal(np.signbit(row), np.signbit(want))
             pos += 1
-            if taken:
+            if taken != predicted:
                 break
     assert pos == len(log)
 
@@ -107,7 +113,7 @@ def test_ascend_rejects_gains_below_tolerance():
     # doubling a[0] = 1 gains 0.5 * ASCENT_TOL: never taken
     for cost in (ONE, 1):
         score = Recorder(scale=0.5 * ASCENT_TOL)
-        r, a, p = ascend(np.array([1.0, 0.0]), score, scale_moves, cost)
+        r, a, p = ascend_one(np.array([1.0, 0.0]), score, scale_moves, cost)
         assert a.tolist() == [1.0, 0.0]
         assert r == 0.5 * ASCENT_TOL and p == "p"
         # the start, x0.5 and x2 on the nonzero coordinate; nothing to re-score
@@ -116,11 +122,11 @@ def test_ascend_rejects_gains_below_tolerance():
 
 def test_ascend_takes_first_improving_move_per_coordinate():
     score = Recorder()
-    ascend(np.array([1.0]), score, signed_moves, ONE)
+    ascend_one(np.array([1.0]), score, signed_moves, ONE)
     # start, then x0.5 (worse) and x2 (taken); the next sweep starts over at 2
     assert [float(v[0]) for v in score.seen[:5]] == [1.0, 0.5, 2.0, 1.0, 4.0]
     batched = Recorder()
-    ascend(np.array([1.0]), batched, signed_moves, 1)
+    ascend_one(np.array([1.0]), batched, signed_moves, 1)
     # the whole sweep in one call, the move to 0.0 left out; x2 is taken
     assert [c[:, 0].tolist() for c in batched.calls[:3]] == [
         [1.0], [0.5, 2.0, -1.0], [1.0, 4.0, -2.0]]
@@ -131,7 +137,7 @@ def test_ascend_scores_in_sequential_order(cost):
     for a0 in ([1.0], [1.0, 0.0, -2.0], [0.0, 3.0]):
         log, score = [], Recorder()
         want = _scalar_ascend(a0, lambda a: (float(a[0]), "p"), signed_moves, log)
-        got = ascend(np.array(a0), score, signed_moves, cost)
+        got = ascend_one(np.array(a0), score, signed_moves, cost)
         assert got[0] == want[0] and np.array_equal(got[1], want[1])
         assert_sequential(score.calls, log, got[1])
 
@@ -145,7 +151,7 @@ def test_ascend_skips_all_zero_candidates():
 
     for cost in (ONE, 1):
         seen.clear()
-        r, a, _ = ascend(np.array([1.0]), batch_of(peak_at_one), signed_moves, cost)
+        r, a, _ = ascend_one(np.array([1.0]), batch_of(peak_at_one), signed_moves, cost)
         assert a.tolist() == [1.0] and r == 0.0
         assert seen == [1.0, 0.5, 2.0, -1.0]  # the move to 0.0 is never scored
 
@@ -159,8 +165,8 @@ def test_ascend_scores_zero_moves_with_another_nonzero_coordinate():
     for cost in COSTS:
         calls, log = [], []
         score = batch_of(fn)
-        got = ascend(np.array([1.0, 1.0]), lambda rows: calls.append(rows.copy()) or score(rows),
-                     signed_moves, cost)
+        got = ascend_one(np.array([1.0, 1.0]),
+                         lambda rows: calls.append(rows.copy()) or score(rows), signed_moves, cost)
         want = _scalar_ascend([1.0, 1.0], fn, signed_moves, log)
         assert got[0] == want[0] and np.array_equal(got[1], want[1])
         assert not any((~row.any()) for call in calls for row in call)
@@ -171,7 +177,7 @@ def test_ascend_returns_none_payload_start_unchanged():
     for cost in (ONE, 1):
         score = Recorder(payload=None)
         a0 = np.array([3.0, -1.0])
-        r, a, p = ascend(a0, score, signed_moves, cost)
+        r, a, p = ascend_one(a0, score, signed_moves, cost)
         assert (r, p) == (3.0, None)
         assert a.tolist() == [3.0, -1.0] and a is not a0
         assert len(score.seen) == 1
@@ -179,15 +185,21 @@ def test_ascend_returns_none_payload_start_unchanged():
 
 def test_ascend_stops_after_max_sweeps():
     score = Recorder()  # unbounded: every sweep doubles a[0] once
-    r, a, _ = ascend(np.array([1.0]), score, scale_moves, ONE)
+    r, a, _ = ascend_one(np.array([1.0]), score, scale_moves, ONE)
     assert a[0] == 2.0**MAX_SWEEPS and r == 2.0**MAX_SWEEPS
     assert len(score.seen) == 1 + 2 * MAX_SWEEPS
     batched = Recorder()
-    r, a, _ = ascend(np.array([1.0]), batched, scale_moves, 1)
+    r, a, _ = ascend_one(np.array([1.0]), batched, signed_moves, 1)
     assert a[0] == 2.0**MAX_SWEEPS and r == 2.0**MAX_SWEEPS
-    # one call per sweep, then the final vector is scored again alone
-    assert len(batched.calls) == 1 + MAX_SWEEPS + 1
-    assert [len(c) for c in batched.calls] == [1] + [2] * MAX_SWEEPS + [1]
+    # one call per sweep (the move to 0.0 left out), then the final vector
+    # is scored again alone
+    assert [len(c) for c in batched.calls] == [1] + [3] * MAX_SWEEPS + [1]
+    # a window ends at the halving that scale_moves predicts taken, and on
+    # one coordinate nothing follows it: every call holds one row
+    batched = Recorder()
+    r, a, _ = ascend_one(np.array([1.0]), batched, scale_moves, 1)
+    assert a[0] == 2.0**MAX_SWEEPS and r == 2.0**MAX_SWEEPS
+    assert [len(c) for c in batched.calls] == [1] * (1 + 2 * MAX_SWEEPS)
 
 
 def _table_objective(table, default=0.0):
@@ -212,7 +224,7 @@ def test_ascend_tolerance_boundary(cost):
     }
     fn = _table_objective(table)
     want = _scalar_ascend([1.0, 1.0], fn, signed_moves)
-    got = ascend(np.array([1.0, 1.0]), batch_of(fn), signed_moves, cost)
+    got = ascend_one(np.array([1.0, 1.0]), batch_of(fn), signed_moves, cost)
     assert got[1].tolist() == [2.0, 2.0] == want[1].tolist()
     assert got[0] == want[0] == np.nextafter(next_edge, np.inf)
 
@@ -239,11 +251,50 @@ def test_ascend_matches_scalar_loop_on_seeded_toys(cost, moves):
             log, calls = [], []
             want = _scalar_ascend(a0, fn, moves, log)
             score = batch_of(fn)
-            got = ascend(a0, lambda rows: calls.append(rows.copy()) or score(rows), moves, cost)
+            got = ascend_one(a0, lambda rows: calls.append(rows.copy()) or score(rows), moves, cost)
             assert got[0] == want[0] and got[2] == want[2]
             assert np.array_equal(got[1], want[1])
             assert np.array_equal(np.signbit(got[1]), np.signbit(want[1]))
             assert_sequential(calls, log, got[1])
+
+
+@pytest.mark.parametrize("cost", COSTS)
+@pytest.mark.parametrize("moves", [signed_moves, scale_moves], ids=["signed", "scale"])
+@pytest.mark.parametrize("n_starts", [1, 2, 5])
+def test_ascend_lockstep_matches_scalar_loop_per_start(n_starts, moves, cost):
+    staggered = nones = 0
+    for seed in range(6):
+        d = 2 + seed
+        fn = _toy(seed, d)
+        rng = np.random.default_rng([seed, n_starts, 7])
+        starts = rng.uniform(0.5, 2.0, (n_starts, d)) * rng.choice([-1.0, 1.0], (n_starts, d))
+        if n_starts > 1 and seed % 2:
+            starts[-1, 0] = 0.0  # its payload is None: it comes back unchanged
+        logs = [[] for _ in starts]
+        wants = [_scalar_ascend(a0, fn, moves, log) for a0, log in zip(starts, logs)]
+        calls, score = [], batch_of(fn)
+        got = ascend(starts, lambda rows: calls.append(rows.copy()) or score(rows), moves, cost)
+        assert len(got) == n_starts
+        for (r, a, p), (want_r, want_a, want_p) in zip(got, wants):
+            assert r == want_r and p == want_p
+            assert np.array_equal(a, want_a) and np.array_equal(np.signbit(a), np.signbit(want_a))
+        assert np.array_equal(calls[0], starts)
+        # the live starts share BATCH_ENTRIES // cost candidates, one row each at least
+        assert all(len(call) <= max(BATCH_ENTRIES // cost, n_starts) for call in calls)
+        nones += sum(want[2] is None for want in wants)
+        # a start finished while another one went on
+        staggered += len({len(log) for log in logs if len(log) > 1}) > 1
+        if cost == ONE:
+            # one candidate of every live start per call, in start order,
+            # then single-row re-scores of final vectors
+            rounds = max(len(log) for log in logs)
+            for k in range(1, rounds):
+                want = [log[k][0] for log in logs if len(log) > k]
+                assert np.array_equal(calls[k], np.array(want))
+            finals = [a for _, a, _ in got]
+            for call in calls[rounds:]:
+                assert len(call) == 1 and any(np.array_equal(call[0], a) for a in finals)
+    assert n_starts == 1 or (staggered > 0 and nones > 0)
 
 
 def test_ascend_rescores_the_final_vector_alone():
@@ -255,12 +306,19 @@ def test_ascend_rescores_the_final_vector_alone():
             vals = np.nextafter(vals, np.inf)
         return vals, lambda k: len(rows)
 
-    r, a, p = ascend(np.array([1.0]), score, scale_moves, 1)
+    r, a, p = ascend_one(np.array([1.0]), score, signed_moves, 1)
     assert r == a[0] == 2.0**MAX_SWEEPS and p == 1
+    # starts scored in lockstep, one row each per call, are re-scored alone
+    calls = []
+    got = ascend([[1.0], [4.0]], lambda rows: calls.append(len(rows)) or score(rows),
+                 scale_moves, ONE)
+    top = [2.0**MAX_SWEEPS, 2.0 ** (MAX_SWEEPS + 2)]
+    assert [(r, a.tolist(), p) for r, a, p in got] == [(t, [t], 1) for t in top]
+    assert calls == [2] * (1 + 2 * MAX_SWEEPS) + [1, 1]
     # when the last accepted move was scored alone there is nothing to redo
     calls = []
-    r, a, p = ascend(np.array([1.0]), lambda rows: calls.append(len(rows)) or score(rows),
-                     scale_moves, ONE)
+    r, a, p = ascend_one(np.array([1.0]), lambda rows: calls.append(len(rows)) or score(rows),
+                         scale_moves, ONE)
     assert r == 2.0**MAX_SWEEPS and p == 1 and set(calls) == {1}
     assert len(calls) == 1 + 2 * MAX_SWEEPS
 
