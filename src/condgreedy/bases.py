@@ -424,6 +424,9 @@ def external_basis(columns, space: SpaceDesc, label: str) -> BasisTruncation:
     cols = np.asarray(columns, dtype=np.float64)
     if cols.ndim != 2:
         raise BasisError("columns must be a 2-d array (ambient_dim x d)")
+    if not np.isfinite(cols).all():
+        i, j = np.argwhere(~np.isfinite(cols))[0]
+        raise BasisError(f"column {j} of {label!r} has the non-finite entry {cols[i, j]} at row {i}")
     return _make(cols, space, label, ("external", label))
 
 

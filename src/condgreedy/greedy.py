@@ -55,7 +55,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, combinations, islice
+from itertools import combinations
 
 import numpy as np
 
@@ -84,6 +84,7 @@ AG_EXACT_DENOM_MAX_D = 12
 FUND_EXACT_MAX_D = 20
 AG_DEFAULT_BUDGET = 512
 AG_CHUNK_ENTRIES = 1 << 17  # subset norms (times the ambient width if dense) per chunk
+PHI_CHUNK_ROWS = 4096  # candidate subsets per synth_norms call of exact phi_m
 
 
 class GreedyError(ValueError):
@@ -567,45 +568,31 @@ def almost_greedy_constant_lb(
 # ---------------------------------------------------------------------------
 
 
-def _indicator_rows(d: int, combos) -> np.ndarray:
-    """0/1 rows, one per index combination; all combinations share one size."""
-    combos = list(combos)
-    rows = np.zeros((len(combos), d))
-    if combos:
-        k = len(combos[0])
-        idx = np.fromiter(chain.from_iterable(combos), dtype=np.int64, count=len(combos) * k)
-        rows[np.arange(len(combos))[:, None], idx.reshape(len(combos), k)] = 1.0
-    return rows
+def _sum_norm_extremum(b: BasisTruncation, want_max: bool, exact_sizes) -> float:
+    """Extremal ||sum_{j in A} x_j|| over |A| in ``exact_sizes``.
+
+    Every subset's 0/1 row joins a row of the low-half and of the high-half
+    subset tables; chunks of PHI_CHUNK_ROWS rows keep the wanted sizes.
+    """
+    d, h = b.d, b.d // 2
+    lo, hi = _search.all_subset_masks(h), _search.all_subset_masks(d - h)
+    wanted = np.isin(lo.sum(axis=1)[:, None] + hi.sum(axis=1), list(exact_sizes))
+    step = min(hi.shape[0], max(1, PHI_CHUNK_ROWS >> h))  # divides 2^(d-h)
+    rows = np.empty((lo.shape[0], step, d))
+    rows[:, :, :h] = lo[:, None, :]
+    pick, best = (np.max, -math.inf) if want_max else (np.min, math.inf)
+    for j in range(0, hi.shape[0], step):
+        rows[:, :, h:] = hi[None, j : j + step]
+        sel = rows[wanted[:, j : j + step]]
+        if len(sel):
+            best = pick(b.synth_norms(sel), initial=best)
+    return float(best)
 
 
-def _scan_extremum(vals: np.ndarray, want_max: bool, cur: float):
-    i = int(np.argmax(vals) if want_max else np.argmin(vals))
-    v = float(vals[i])
-    better = v > cur if want_max else v < cur
-    return (v, i) if better else (cur, -1)
-
-
-def _sum_norm_extremum(b: BasisTruncation, want_max: bool, exact_sizes):
-    """Extremal ||sum_{j in A} x_j|| over |A| in ``exact_sizes`` (0-based sets in)."""
-    best = -math.inf if want_max else math.inf
-    best_set = ()
-    for k in exact_sizes:
-        if k == 0:
-            continue
-        it = combinations(range(b.d), k)
-        while buf := list(islice(it, 4096)):
-            vals = b.synth_norms(_indicator_rows(b.d, buf))
-            best, i = _scan_extremum(vals, want_max, best)
-            if i >= 0:
-                best_set = buf[i]
-    return best, tuple(int(i) + 1 for i in best_set)
-
-
-def _sum_norm_search(b: BasisTruncation, m: int, want_max: bool, budget: int, seed: int):
+def _sum_norm_search(b: BasisTruncation, m: int, want_max: bool, budget: int, seed: int) -> float:
     budget = check_budget(budget, GreedyError)
     d = b.d
-    best = -math.inf if want_max else math.inf
-    best_set0: tuple = ()
+    pick, best = (max, -math.inf) if want_max else (min, math.inf)
     # greedy growth (for the minimum only the final size-m set counts)
     chosen: list = []
     cur = np.zeros(b.ambient_dim)
@@ -617,10 +604,7 @@ def _sum_norm_search(b: BasisTruncation, m: int, want_max: bool, budget: int, se
         chosen.append(rest[i])
         cur = cand[i]
         if want_max or len(chosen) == m:
-            v = float(vals[i])
-            if (want_max and v > best) or (not want_max and v < best):
-                best = v
-                best_set0 = tuple(sorted(chosen))
+            best = pick(best, float(vals[i]))
     # seeded random subsets
     rng = rng_stream(seed, "fund", int(want_max), m)
     sizes = rng.integers(1, m + 1, size=budget) if want_max else np.full(budget, m)
@@ -628,10 +612,7 @@ def _sum_norm_search(b: BasisTruncation, m: int, want_max: bool, budget: int, se
     for i in range(budget):
         rows[i, rng.permutation(d)[: sizes[i]]] = 1.0
     vals = norms(b.space, rows @ b.columns.T)
-    best, i = _scan_extremum(vals, want_max, best)
-    if i >= 0:
-        best_set0 = tuple(int(j) for j in np.flatnonzero(rows[i]))
-    return best, tuple(j + 1 for j in best_set0)
+    return pick(best, float(vals.max() if want_max else vals.min()))
 
 
 def _sum_norm(b: BasisTruncation, m: int, want_max: bool, mode: str, budget, seed: int) -> float:
@@ -640,12 +621,12 @@ def _sum_norm(b: BasisTruncation, m: int, want_max: bool, mode: str, budget, see
     if not (1 <= m <= b.d):
         raise GreedyError(f"m must lie in 1..{b.d}")
     if mode == "search":
-        return _sum_norm_search(b, m, want_max, budget, seed)[0]
+        return _sum_norm_search(b, m, want_max, budget, seed)
     if mode != "exact":
         raise GreedyError(f"mode must be 'exact' or 'search', got {mode!r}")
     if b.d > FUND_EXACT_MAX_D:
         raise GreedyError(f"exact mode supports d <= {FUND_EXACT_MAX_D}; use mode='search'")
-    return _sum_norm_extremum(b, want_max, range(1, m + 1) if want_max else [m])[0]
+    return _sum_norm_extremum(b, want_max, range(1, m + 1) if want_max else [m])
 
 
 def fundamental_function(

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, reduce
 from typing import Union
 
 import numpy as np
@@ -102,6 +103,14 @@ class MixedSum:
                 raise SpaceError(f"block space {format_space(s)} wants dim {inner}, got {d}")
         object.__setattr__(self, "outer_q", float(self.outer_q))
         object.__setattr__(self, "blocks", blocks)
+
+    @cached_property
+    def _evaluator(self):
+        # kept in the instance dict, so no call re-hashes the descriptor
+        return _compile_mixed(self)
+
+    def __getstate__(self):  # the evaluator's closures are rebuilt on use
+        return {"outer_q": self.outer_q, "blocks": self.blocks}
 
 
 @dataclass(frozen=True)
@@ -185,15 +194,6 @@ def nonincreasing_rearrangement(v) -> np.ndarray:
     return np.sort(a)[::-1]
 
 
-def _check_matrix(V) -> np.ndarray:
-    V = np.asarray(V, dtype=np.float64)
-    if V.ndim != 2:
-        raise SpaceError("expected a 2-d batch of row vectors")
-    if np.isnan(V).any():
-        raise SpaceError("vector contains NaN")
-    return V
-
-
 def _powsum_norm(X: np.ndarray, p: float) -> np.ndarray:
     # scale by the row max so v**p stays in range for large p
     if p == 1.0:
@@ -212,60 +212,108 @@ def _powsum_norm(X: np.ndarray, p: float) -> np.ndarray:
 def norms(space: SpaceDesc, V, *, overwrite: bool = False) -> np.ndarray:
     """Row-wise norms of a 2-d array under ``space``.
 
-    ``V`` is checked once here (shape, length, NaN); a :class:`MixedSum` is
-    then evaluated block by block without re-entering this function.  With
-    ``overwrite=True`` the caller hands over ``V``: its entries may be
-    replaced by their absolute values instead of copied, which saves one
-    array of V's size per call.  Pass it only for an array nothing else
-    reads afterwards.
+    ``V`` is checked once here (shape, length, NaN); rows holding +-inf
+    have norm inf.  A :class:`MixedSum` runs the evaluator cached on its
+    descriptor.  With ``overwrite=True`` the caller hands over ``V``: its
+    entries may be replaced by their absolute values instead of copied,
+    which saves one array of V's size per call.  Pass it only for an array
+    nothing else reads afterwards.
     """
-    V = _check_matrix(V)
-    k = V.shape[1]
-    req = space_dim(space)
-    if req is not None and k != req:
-        raise SpaceError(f"space {format_space(space)} wants length {req}, got {k}")
-    return _norms_unchecked(space, V, overwrite)
+    V = np.asarray(V, dtype=np.float64)
+    if V.ndim != 2:
+        raise SpaceError("expected a 2-d batch of row vectors")
+    req = space._evaluator[0] if isinstance(space, MixedSum) else space_dim(space)
+    if req is not None and V.shape[1] != req:
+        raise SpaceError(f"space {format_space(space)} wants length {req}, got {V.shape[1]}")
+    inf_rows = None
+    if not np.isfinite(V).all():
+        if np.isnan(V).any():
+            raise SpaceError("vector contains NaN")
+        inf_rows = np.isinf(V).any(axis=1)
+        V, overwrite = np.where(inf_rows[:, None], 0.0, V), True
+    if isinstance(space, MixedSum):
+        out = space._evaluator[1](V, overwrite)
+    elif isinstance(space, BV):
+        out = _bv_norms(V)
+    else:
+        out = _abs_norms(space, np.abs(V, out=V) if overwrite else np.abs(V))
+    if inf_rows is not None:
+        out[inf_rows] = INF
+    return out
 
 
-def _abs(V: np.ndarray, overwrite: bool) -> np.ndarray:
-    return np.abs(V, out=V) if overwrite else np.abs(V)
+def _bv_norms(V: np.ndarray) -> np.ndarray:
+    return np.abs(V[:, :1]).sum(axis=1) + np.abs(np.diff(V, axis=1)).sum(axis=1)
 
 
-def _norms_unchecked(space: SpaceDesc, V: np.ndarray, overwrite: bool) -> np.ndarray:
-    k = V.shape[1]
+def _abs_norms(space: SpaceDesc, A: np.ndarray) -> np.ndarray:
+    """Row norms of ``A = |V|`` under an Lp, C0Trunc or Lorentz space."""
+    k = A.shape[1]
     if isinstance(space, Lp):
-        A = _abs(V, overwrite)
         if space.p == INF:
-            return A.max(axis=1) if k else np.zeros(V.shape[0])
+            return A.max(axis=1) if k else np.zeros(A.shape[0])
         return _powsum_norm(A, space.p)
     if isinstance(space, C0Trunc):
-        return _abs(V, overwrite).max(axis=1)
-    if isinstance(space, MixedSum):
-        block_norms = np.empty((V.shape[0], len(space.blocks)))
-        off = 0
-        for j, (sub, d) in enumerate(space.blocks):
-            block_norms[:, j] = _norms_unchecked(sub, V[:, off : off + d], overwrite)
-            off += d
-        if space.outer_q == 0.0:
-            return block_norms.max(axis=1)
-        return _powsum_norm(block_norms, space.outer_q)
+        return A.max(axis=1)
     if isinstance(space, Lorentz):
         w = space.weights.values(k)
-        A = np.sort(_abs(V, overwrite), axis=1)[:, ::-1]
+        A = np.sort(A, axis=1)[:, ::-1]
         if space.q == 1.0:
             return A @ w
-        m = A[:, 0] if k else np.zeros(V.shape[0])
+        m = A[:, 0] if k else np.zeros(A.shape[0])
         out = np.zeros_like(m)
         pos = m > 0.0
         if pos.any():
             scaled = A[pos] / m[pos, None]
             out[pos] = m[pos] * ((scaled**space.q) @ w) ** (1.0 / space.q)
         return out
-    if isinstance(space, BV):
-        if k == 0:
-            return np.zeros(V.shape[0])
-        return np.abs(V[:, 0]) + np.abs(np.diff(V, axis=1)).sum(axis=1)
     raise SpaceError(f"unknown space descriptor {space!r}")
+
+
+def _compile_mixed(space: MixedSum):
+    """(width, run): ``run(V, overwrite)`` gives the row norms of ``space``.
+
+    BV leaves read the signed V, then |V| is taken once for the other leaves.
+    A row sum of three or more block norms depends on the order, so only
+    q = 1 over two blocks is written a0 + a1; the rest reduce stacked rows.
+    """
+    bv_cols = []
+
+    def build(sub, cols: slice):
+        if isinstance(sub, BV):
+            bv_cols.append(cols)
+            return lambda A, pre, i=len(bv_cols) - 1: pre[i]
+        if not isinstance(sub, MixedSum):
+            p = sub.p if isinstance(sub, Lp) else INF if isinstance(sub, C0Trunc) else None
+            if red := {1.0: np.add.reduce, INF: np.maximum.reduce}.get(p):
+                return lambda A, pre: red(A[:, cols], axis=1)
+            return lambda A, pre: _abs_norms(sub, A[:, cols])
+        parts, off, q = [], cols.start, sub.outer_q
+        for block, d in sub.blocks:
+            parts.append(build(block, slice(off, off + d)))
+            off += d
+        if q == 0.0:
+            return lambda A, pre: reduce(np.maximum, [f(A, pre) for f in parts])
+        if q == 1.0 and len(parts) == 2:
+            f0, f1 = parts
+            return lambda A, pre: f0(A, pre) + f1(A, pre)
+
+        def stacked(A, pre):
+            block_norms = np.empty((A.shape[0], len(parts)))
+            for j, f in enumerate(parts):
+                block_norms[:, j] = f(A, pre)
+            return _powsum_norm(block_norms, q)
+
+        return stacked
+
+    width = space_dim(space)
+    root = build(space, slice(0, width))
+
+    def run(V: np.ndarray, overwrite: bool) -> np.ndarray:
+        pre = [_bv_norms(V[:, cols]) for cols in bv_cols]
+        return root(np.abs(V, out=V) if overwrite else np.abs(V), pre)
+
+    return width, run
 
 
 def norm(space: SpaceDesc, v) -> float:

@@ -134,6 +134,19 @@ def test_external_basis_rejects_zero_column():
         external_basis(cols, Lp(1.0), "zero")
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_external_basis_rejects_non_finite_entries(bad):
+    cols = np.eye(3)
+    cols[2, 1] = bad
+    with pytest.raises(BasisError, match=f"column 1 of 'ext' has the non-finite entry {bad} at row 2"):
+        external_basis(cols, Lp(1.0), "ext")
+    doc = {"label": "ext", "space": "lp:1", "columns": cols.T.tolist()}
+    with pytest.raises(BasisError, match="non-finite"):
+        basis_from_doc(json.dumps(doc).replace("Infinity", "1e999"))
+    with pytest.raises(BasisError, match="non-finite"):
+        basis_from_doc(doc)
+
+
 def test_external_basis_rejects_non_matrix():
     with pytest.raises(BasisError):
         external_basis(np.ones(3), Lp(1.0), "flat")

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import hashlib
+import math
 import tracemalloc
-from itertools import combinations
+from itertools import chain, combinations, islice
 
 import numpy as np
 import pytest
@@ -47,7 +48,6 @@ from condgreedy.greedy import (
     _ag_exhaustive,
     _ag_random_block,
     _floor_witness,
-    _indicator_rows,
     _kept_norms_form,
     _last_gain,
     _min_denominators,
@@ -385,14 +385,34 @@ def test_phi_search_mode_is_lower_estimate():
         assert est >= 2.0  # greedy growth always reaches the best column
 
 
-def test_indicator_rows_match_per_row_loop():
-    for d, k in ((6, 1), (9, 4), (12, 12)):
-        combos = list(combinations(range(d), k))
-        want = np.zeros((len(combos), d))
-        for i, c in enumerate(combos):
-            want[i, list(c)] = 1.0
-        assert np.array_equal(_indicator_rows(d, combos), want)
-    assert _indicator_rows(5, []).shape == (0, 5)
+def _enumerated_extremum(b, want_max, sizes):
+    """The former exact phi_m enumeration: itertools combinations per size."""
+    best = -math.inf if want_max else math.inf
+    for k in sizes:
+        it = combinations(range(b.d), k)
+        while combos := list(islice(it, 4096)):
+            rows = np.zeros((len(combos), b.d))
+            idx = np.fromiter(chain.from_iterable(combos), dtype=np.int64, count=len(combos) * k)
+            rows[np.arange(len(combos))[:, None], idx.reshape(len(combos), k)] = 1.0
+            vals = b.synth_norms(rows)
+            best = max(best, vals.max()) if want_max else min(best, vals.min())
+    return float(best)
+
+
+def test_sum_norm_extremum_matches_combinations_enumeration():
+    for spec, ms in (
+        ("difference:18", (9, 18)),
+        ("summing:16", (3, 8, 16)),
+        ("lindenstrauss:12", (1, 5, 12)),
+        ("blocksum(lindenstrauss,dims=2^1..2^3,p=1)", (4, 7, 14)),
+        ("interleave(difference:5,unit:5@lp:2)", (2, 10)),
+        ("unit:1@lp:1", (1,)),
+    ):
+        b = parse_basis(spec)
+        for m in ms:  # m = d included
+            sizes = range(1, m + 1)
+            assert _sum_norm_extremum(b, True, sizes) == _enumerated_extremum(b, True, sizes)
+            assert _sum_norm_extremum(b, False, [m]) == _enumerated_extremum(b, False, [m])
 
 
 def test_phi_validation():
@@ -494,7 +514,7 @@ def test_golden_qg_lindenstrauss10_sign_grid():
 def test_golden_phi_difference18():
     b = difference(18)
     assert fundamental_function(b, 9) == 18.0
-    assert _sum_norm_extremum(b, True, range(1, 10)) == (18.0, (2, 4, 6, 8, 10, 12, 14, 16, 18))
+    assert _sum_norm_extremum(b, True, range(1, 10)) == 18.0
 
 
 # ---------------------------------------------------------------------------

@@ -158,6 +158,42 @@ def test_norm_rejects_nan():
         norm(Lp(1.0), [1.0, float("nan")])
 
 
+INF_SPACES = [
+    Lp(3.0),
+    Lp(1.0),
+    Lp(INF),
+    Lorentz(2.0, LorentzPQ(3.0, 2.0)),
+    BV(),
+    parse_space("mixed:q=3[lp:1^2,lp:3^2]"),
+    MixedSum(0.0, ((BV(), 2), (MixedSum(1.0, ((Lp(2.0), 1), (C0Trunc(1), 1))), 2))),
+]
+
+
+@pytest.mark.parametrize("space", INF_SPACES, ids=format_space)
+def test_rows_holding_inf_have_norm_inf(space):
+    import warnings
+
+    rng = np.random.default_rng(9)
+    V = rng.standard_normal((6, 4))
+    finite = norms(space, V)
+    V[1, :] = INF
+    V[3, 2] = -INF
+    V[4, 0] = INF
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for overwrite in (False, True):
+            X = V.copy()
+            got = norms(space, X, overwrite=overwrite)
+            assert np.array_equal(np.isinf(got), [False, True, False, True, True, False])
+            keep = [0, 2, 5]
+            assert np.array_equal(got[keep], finite[keep])
+            if not overwrite:
+                assert np.array_equal(X, V)
+    assert norm(space, [INF, INF, 0.0, 0.0]) == INF
+    with pytest.raises(SpaceError):
+        norms(space, np.array([[INF, 0.0, 0.0, 0.0], [float("nan"), 0.0, 0.0, 0.0]]))
+
+
 # ---------------------------------------------------------------------------
 # flat MixedSum evaluation and the overwrite switch
 # ---------------------------------------------------------------------------
@@ -177,23 +213,74 @@ def _reference_norms(space, V):
     return norms(Lp(space.outer_q), block_norms)
 
 
+NESTED = MixedSum(2.0, ((Lp(1.0), 2), (MixedSum(0.0, ((BV(), 2), (C0Trunc(2), 2))), 4)))
+
 NESTED_SPECS = [
     "pqhalf(lindenstrauss,dims=2^1..2^2,p=1,q=1)",
     "interleave(difference:8,unit:8@lp:2)",
     "blocksum(lindenstrauss,dims=2^1..2^3,p=2)",
 ]
 
+NESTED_SPACES = [pytest.param(parse_basis(spec).space, id=spec) for spec in NESTED_SPECS] + [
+    NESTED,
+    # Lorentz and BV leaves under an outer q = 3.5 over three blocks
+    MixedSum(3.5, ((Lp(1.0), 3), (Lorentz(2.0, LorentzPQ(3.0, 2.0)), 4), (BV(), 5))),
+    MixedSum(1.0, ((Lorentz(1.0, LorentzPQ(2.0, 1.0)), 4), (NESTED, 6))),
+    # q = 1 over 3 and 9 blocks: np.add.reduceat differs from the stacked
+    # row sum from 3 terms on, a left fold from 8 terms on
+    MixedSum(1.0, ((Lp(1.0), 3), (Lp(2.0), 4), (Lp(INF), 5))),
+    MixedSum(1.0, tuple((Lp(1.0 + (j % 3)), 1 + j % 4) for j in range(9))),
+]
 
-@pytest.mark.parametrize("spec", NESTED_SPECS)
-def test_nested_mixed_norms_match_reference_bitwise(spec):
-    space = parse_basis(spec).space
+
+@pytest.mark.parametrize("space", NESTED_SPACES, ids=format_space)
+def test_nested_mixed_norms_match_reference_bitwise(space):
     width = space_dim(space)
     rng = np.random.default_rng(31)
-    for n in (1, 7, 300):
+    for n in (0, 1, 7, 300):
         V = rng.standard_normal((n, width)) * rng.uniform(0.0, 3.0, (n, 1))
+        V[rng.random(V.shape) < 0.1] = -0.0
+        before = V.copy()
         want = _reference_norms(space, V)
-        assert np.array_equal(norms(space, V), want)
+        got = norms(space, V)
+        assert got.shape == (n,)
+        assert np.array_equal(got, want)
+        assert np.array_equal(V, before) and np.array_equal(np.signbit(V), np.signbit(before))
         assert np.array_equal(norms(space, V.copy(), overwrite=True), want)
+
+
+def test_mixed_evaluator_is_built_once_per_space_object(monkeypatch):
+    from condgreedy import spaces
+
+    built = []
+    compile_mixed = spaces._compile_mixed
+    monkeypatch.setattr(spaces, "_compile_mixed", lambda s: built.append(s) or compile_mixed(s))
+    text = "mixed:q=0[mixed:q=1[lp:1^3,lp:1^5]^8,bv^3]"
+    space = parse_space(text)
+    V = np.random.default_rng(3).standard_normal((5, 11))
+    first = norms(space, V)
+    for _ in range(4):
+        assert np.array_equal(norms(space, V), first)
+        assert np.array_equal(norms(space, V.copy(), overwrite=True), first)
+    assert built == [space]  # the inner MixedSum is part of the outer evaluator
+    twin = parse_space(text)
+    assert twin == space and hash(twin) == hash(space)
+    assert np.array_equal(norms(twin, V), first)
+    assert len(built) == 2
+    for bad in (np.ones((2, 10)), np.ones((2, 12)), np.ones((0, 0))):
+        with pytest.raises(SpaceError):
+            norms(space, bad)
+    assert len(built) == 2
+
+
+def test_mixed_space_pickles_after_evaluation():
+    import pickle
+
+    V = np.random.default_rng(4).standard_normal((3, 6))
+    want = norms(NESTED, V)
+    copy = pickle.loads(pickle.dumps(NESTED))
+    assert copy == NESTED
+    assert np.array_equal(norms(copy, V), want)
 
 
 def test_nested_mixed_nan_in_inner_block_raises():
@@ -204,9 +291,6 @@ def test_nested_mixed_nan_in_inner_block_raises():
     for overwrite in (False, True):
         with pytest.raises(SpaceError):
             norms(space, V.copy(), overwrite=overwrite)
-
-
-NESTED = MixedSum(2.0, ((Lp(1.0), 2), (MixedSum(0.0, ((BV(), 2), (C0Trunc(2), 2))), 4)))
 
 
 @pytest.mark.parametrize("space", SPACES + [NESTED], ids=format_space)
