@@ -1,7 +1,7 @@
 """The search engine of every lower-bound estimator: the block sampler
-``sample_block``, ``guarded_ratio``, the lockstep coordinate ascent ``ascend``
-with its move sets, the block maximum ``parallel_block_max``, and the
-sign-vector tables of the exhaustive routes.
+``sample_block``, ``guarded_ratio``, ``greedy_order``, the lockstep coordinate
+ascent ``ascend`` with its move sets, the block maximum ``parallel_block_max``,
+and the sign-vector tables of the exhaustive routes.
 What is specific to one family of constants stays beside its estimators:
 ``conditionality._seeded_search`` for L_m and k_m, ``greedy._drop_search``
 and ``greedy._min_denominators`` for the greedy constants.
@@ -242,14 +242,18 @@ def all_subset_masks(m: int) -> np.ndarray:
     return out
 
 
+def greedy_order(rows: np.ndarray) -> np.ndarray:
+    """Canonical greedy order of the last axis: |a| descending, ties by index."""
+    return np.argsort(-np.abs(rows), axis=-1, kind="stable")
+
+
 class TopK:
-    """Running best-K (ratio, payload-rows) tracker with deterministic ties."""
+    """Running best-K (ratio, coefficient row) tracker with deterministic ties."""
 
     def __init__(self, k: int, width: int):
         self.k = k
         self.ratios = np.empty(0)
         self.coefs = np.empty((0, width))
-        self.masks = np.empty((0, width), dtype=bool)
 
     def select(self, ratios: np.ndarray) -> np.ndarray:
         """Positions of the best k ratios, best first, ties in position order."""
@@ -258,25 +262,23 @@ class TopK:
         part = np.argpartition(-ratios, self.k - 1)[: self.k]
         return part[np.argsort(-ratios[part], kind="stable")]
 
-    def update(self, ratios, coefs, masks):
+    def update(self, ratios, coefs):
         if ratios.size == 0:
             return
         sel = self.select(ratios)
         self.ratios = np.concatenate([self.ratios, ratios[sel]])
         self.coefs = np.vstack([self.coefs, coefs[sel]])
-        self.masks = np.vstack([self.masks, masks[sel].astype(bool)])
         order = np.argsort(-self.ratios, kind="stable")[: self.k]
         self.ratios = self.ratios[order]
         self.coefs = self.coefs[order]
-        self.masks = self.masks[order]
 
     def distinct_starts(self, tol: float = 1e-13):
-        """Entries with pairwise-distinct ratios; trims redundant ascent seeds."""
+        """Rows with pairwise-distinct ratios; trims redundant ascent seeds."""
         picked = []
         for i in range(self.ratios.size):
             if all(abs(self.ratios[i] - self.ratios[j]) > tol for j in picked):
                 picked.append(i)
-        return [(self.coefs[i].copy(), self.masks[i].copy()) for i in picked]
+        return [self.coefs[i].copy() for i in picked]
 
 
 def parallel_block_max(block_fn, n_blocks: int):

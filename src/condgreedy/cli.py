@@ -6,9 +6,10 @@ suite on one basis, ``experiment`` executes named scenarios into a report
 bundle, ``list-scenarios`` prints the registry.
 
 Exit codes: 0 on success, 1 when a scenario or property check fails, 2 on
-usage errors.  Data goes to stdout or files, diagnostics to stderr.  With a
-fixed seed, output bytes are identical between runs (timestamps appear only
-in bundle manifests and can be suppressed).
+usage errors, among them a parameter out of range (``ConditionalityError``).
+Data goes to stdout or files, diagnostics to stderr.  With a fixed seed,
+output bytes are identical between runs (timestamps appear only in bundle
+manifests and can be suppressed).
 """
 
 from __future__ import annotations
@@ -22,8 +23,11 @@ import numpy as np
 from ._search import DEFAULT_BUDGET, DEFAULT_SEED
 from .bases import basis_to_doc, parse_basis
 from .conditionality import (
+    ConditionalityError,
     GrowthTarget,
     growth_fit,
+    ladder_records,
+    ladder_table,
     lb_ladder,
     DEFAULT_GUARD,
 )
@@ -174,10 +178,7 @@ def _cmd_constants(ns) -> int:
     rows = [(m, val, wit.kind) for m, val, wit in ladder]
 
     if ns.format == "csv":
-        table = [("m", "lb", "method", "delta_m")] + [
-            (m, lb, method, target.delta(m)) for m, lb, method in rows
-        ]
-        _emit(csv_bytes(table), ns.out)
+        _emit(csv_bytes(ladder_table(rows, target)), ns.out)
     elif ns.format == "svg":
         _emit(svg_polyline([(m, lb) for m, lb, _ in rows],
                            title=b.label, xlabel="m", ylabel="lower bound"), ns.out)
@@ -187,10 +188,7 @@ def _cmd_constants(ns) -> int:
             "kind": ns.kind,
             "mode": mode,
             "seed": ns.seed,
-            "ladder": [
-                {"m": m, "lb": lb, "method": method, "delta_m": target.delta(m)}
-                for m, lb, method in rows
-            ],
+            "ladder": ladder_records(rows, target),
         }
         if len(rows) >= 4:
             try:
@@ -308,7 +306,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _DISPATCH[ns.cmd](ns)
-    except _UsageError as exc:
+    except (_UsageError, ConditionalityError) as exc:
         sys.stderr.write(parser.format_usage())
         sys.stderr.write(f"condgreedy: error: {exc}\n")
         return 2

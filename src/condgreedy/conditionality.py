@@ -24,8 +24,9 @@ witness:
 
 The objective of every route is ``_SupportEval.mask_sweep``, which scores
 a batch of coefficient rows against a family of sets; the sampler,
-the coordinate ascent and the block maximum come from ``_search``, and both
-estimates share one body, ``_seeded_search``.
+the coordinate ascent and the block maximum come from ``_search``.  Both
+estimates share one body, ``_seeded_search``, and one block body,
+``_block_best`` then ``_block_ascent``.
 
 Estimates are reproducible for fixed (inputs, seed), and never decrease
 when the budget grows with the seed held fixed.
@@ -47,6 +48,7 @@ from ._search import (
     all_subset_masks,
     ascend,
     check_budget,
+    greedy_order,
     guarded_ratio,
     pair_chunk,
     pair_rows,
@@ -345,10 +347,8 @@ def L_m_oracle(b: BasisTruncation, m: int, guard: int = DEFAULT_GUARD):
     best = _Best(b.d, "oracle")
     top = TopK(ORACLE_TOPK, m)
 
-    # floor: A = {1..m} reproduces f itself
-    a0 = np.zeros(m)
-    a0[0] = 1.0
-    best.offer(1.0, a0, tuple(range(1, m + 1)))
+    # floor: A = {1..m} reproduces f = e_1 itself
+    best.offer(1.0, _pad_to(np.ones(1), m), tuple(range(1, m + 1)))
 
     # structured profiles at every support size (keeps the values monotone in m)
     for s in range(1, m + 1):
@@ -361,7 +361,7 @@ def L_m_oracle(b: BasisTruncation, m: int, guard: int = DEFAULT_GUARD):
             if mi is not None:
                 a_full, A = _pad_to(a_s, m), _mask_to_set(masks_s[mi])
                 best.offer(r, a_full, A)
-                top.update(np.array([r]), a_full[None, :], _set_to_mask(m, A)[None, :] > 0.5)
+                top.update(np.array([r]), a_full[None, :])
 
     # recipe templates, swept over the same support sizes
     for s in range(1, m + 1):
@@ -369,7 +369,7 @@ def L_m_oracle(b: BasisTruncation, m: int, guard: int = DEFAULT_GUARD):
             r = sa_ratio(b, a_t, A_t)
             a_m = np.asarray(a_t[:m], dtype=np.float64)
             best.offer(r, a_m, A_t)
-            top.update(np.array([r]), a_m[None, :], _set_to_mask(m, A_t)[None, :] > 0.5)
+            top.update(np.array([r]), a_m[None, :])
 
     # joint coefficient/membership grid
     if 5**m <= FULL_GRID_CAP:
@@ -384,10 +384,10 @@ def L_m_oracle(b: BasisTruncation, m: int, guard: int = DEFAULT_GUARD):
             ok = dens > TINY
             i = int(np.argmax(ratios))
             best.offer(ratios[i], coefs[i], _mask_to_set(inmask[i]))
-            top.update(ratios[ok], coefs[ok], inmask[ok])
+            top.update(ratios[ok], coefs[ok])
 
     # ascent from the distinct leaders, rescanning all subsets each step
-    for a_start, _ in top.distinct_starts():
+    for a_start in top.distinct_starts():
         r, a_fin, mi = ev.ascend(a_start, masks)
         if mi is not None:
             best.offer(r, a_fin, _mask_to_set(masks[mi]))
@@ -416,8 +416,7 @@ def _oracle_grid(ev: _SupportEval, best: _Best, top: TopK):
         best.offer(ratios[i], coefs[0], _mask_to_set(inmask[0]))
         kept = np.flatnonzero(ok)
         sel = kept[top.select(ratios[kept])]
-        coefs, inmask = pair_rows(start + sel, m)
-        top.update(ratios[sel], coefs, inmask)
+        top.update(ratios[sel], pair_rows(start + sel, m)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -436,9 +435,7 @@ def _seeded_search(b: BasisTruncation, ev: _SupportEval, floor_set, sets, pairs,
     """
     m = ev.m
     best = _Best(b.d, "template")
-    a0 = np.zeros(m)
-    a0[0] = 1.0
-    best.offer(1.0, a0, floor_set, kind="random")
+    best.offer(1.0, _pad_to(np.ones(1), m), floor_set, kind="random")
     family = [sets]
     for a_t, A_t in pairs:
         best.offer(sa_ratio(b, a_t, A_t), np.asarray(a_t)[:m], A_t, kind="template")
@@ -457,18 +454,26 @@ def _seeded_search(b: BasisTruncation, ev: _SupportEval, floor_set, sets, pairs,
     return best.ratio, best.witness()
 
 
+def _block_best(ev: _SupportEval, rows: np.ndarray, sets: np.ndarray):
+    """First best (ratio, (row, set)) of ``rows`` against ``sets``; ||f|| of each row."""
+    nums, dens = ev.set_norms(rows, sets)
+    ratios = guarded_ratio(nums, dens)
+    i, j = np.unravel_index(np.argmax(ratios), ratios.shape)
+    return float(ratios[i, j]), (rows[i].copy(), sets[j]), dens
+
+
+def _block_ascent(ev: _SupportEval, sets: np.ndarray, ratio: float, best: tuple):
+    """Ascend from the row of ``best``; keep the ascent on a strict gain over ``ratio``."""
+    r, a, si = ev.ascend(best[0], sets)
+    return (r, (a, sets[si])) if r > ratio else (ratio, best)
+
+
 def _L_block(ev: _SupportEval, sets: np.ndarray, seed: int, bi: int):
     m = ev.m
     rng = rng_stream(seed, "L", m, bi)
     rows = sample_block(rng, m, keep=0.8)
-    extra = (rng.random((8, m)) < 0.5).astype(np.float64)
-    block_sets = np.vstack([sets, extra])
-    ratios = guarded_ratio(*ev.set_norms(rows, block_sets))
-    i, j = np.unravel_index(np.argmax(ratios), ratios.shape)
-    r, a, si = ev.ascend(rows[i], block_sets)
-    if r >= ratios[i, j]:
-        return r, (a, block_sets[si])
-    return float(ratios[i, j]), (rows[i].copy(), block_sets[j])
+    sets = np.vstack([sets, (rng.random((8, m)) < 0.5).astype(np.float64)])
+    return _block_ascent(ev, sets, *_block_best(ev, rows, sets)[:2])
 
 
 def L_m_estimate(
@@ -485,9 +490,9 @@ def L_m_estimate(
         raise ConditionalityError(f"m must lie in 1..{b.d}, got {m}")
     check_budget(budget, ConditionalityError)
     pairs = list(templates) if templates is not None else []
-    pairs.extend(template_pairs(b.recipe, b.d, m))
 
     if m <= guard and (budget is None or budget >= 5**m):
+        # the oracle has swept the recipe's templates already
         value, wit = L_m_oracle(b, m, guard=guard)
         best = _Best(b.d, wit.kind)
         best.offer(value, np.asarray(wit.coeffs)[:m], wit.indices)
@@ -497,7 +502,8 @@ def L_m_estimate(
 
     ev = _SupportEval(b, m)
     return _seeded_search(
-        b, ev, tuple(range(1, m + 1)), _structured_masks(m), pairs,
+        b, ev, tuple(range(1, m + 1)), _structured_masks(m),
+        pairs + template_pairs(b.recipe, b.d, m),
         lambda sets, i: _L_block(ev, sets, seed, i), budget,
     )
 
@@ -507,21 +513,9 @@ def L_m_estimate(
 # ---------------------------------------------------------------------------
 
 
-def _top_mask(a: np.ndarray, m: int) -> np.ndarray:
-    order = np.argsort(-np.abs(a), kind="stable")[:m]
-    mask = np.zeros(a.size)
-    mask[order] = 1.0
-    return mask
-
-
 def _cap_sets(sets: np.ndarray, m: int) -> np.ndarray:
     """Trim each 0/1 row to its first m set positions (|A| <= m constraint)."""
-    out = sets.copy()
-    for row in out:
-        on = np.flatnonzero(row > 0.5)
-        if on.size > m:
-            row[on[m:]] = 0.0
-    return np.unique(out, axis=0)
+    return np.unique(sets * (np.cumsum(sets > 0.5, axis=1) <= m), axis=0)
 
 
 def _k_block(ev: _SupportEval, sets: np.ndarray, m: int, seed: int, bi: int):
@@ -529,23 +523,16 @@ def _k_block(ev: _SupportEval, sets: np.ndarray, m: int, seed: int, bi: int):
     rng = rng_stream(seed, "k", m, bi)
     rows = sample_block(rng, d)
     extra = _cap_sets((rng.random((8, d)) < min(0.5, m / d)).astype(np.float64), m)
-    block_sets = np.vstack([sets, extra])
-    nums, dens = ev.set_norms(rows, block_sets)
-    ratios = guarded_ratio(nums, dens)
-    best_i, best_j = np.unravel_index(np.argmax(ratios), ratios.shape)
-    best_r = float(ratios[best_i, best_j])
-    payload = (rows[best_i].copy(), block_sets[best_j])
+    sets = np.vstack([sets, extra])
+    best_r, best, dens = _block_best(ev, rows, sets)
     # per-row largest-coefficient sets obey |A| <= m by construction
-    tops = np.array([_top_mask(rows[i], m) for i in range(BLOCK)])
+    tops = np.zeros_like(rows)
+    np.put_along_axis(tops, greedy_order(rows)[:, :m], 1.0, axis=1)
     tr = guarded_ratio(ev.coef_norms(rows * tops), dens)
     ti = int(np.argmax(tr))
     if tr[ti] > best_r:
-        best_r = float(tr[ti])
-        payload = (rows[ti].copy(), tops[ti])
-    r, a, si = ev.ascend(payload[0], block_sets)
-    if r > best_r:
-        return r, (a, block_sets[si])
-    return best_r, payload
+        best_r, best = float(tr[ti]), (rows[ti].copy(), tops[ti])
+    return _block_ascent(ev, sets, best_r, best)
 
 
 def k_m_estimate(
@@ -722,6 +709,19 @@ LOG_TARGET = GrowthTarget("log")
 LINEAR_TARGET = GrowthTarget("linear")
 
 
+def ladder_table(rows, target: GrowthTarget) -> list:
+    """The table of a ladder's (m, lb, method) rows: the header, then
+    (m, lb, method, delta_m) per rung."""
+    return [("m", "lb", "method", "delta_m")] + [
+        (m, lb, method, target.delta(m)) for m, lb, method in rows]
+
+
+def ladder_records(rows, target: GrowthTarget) -> list:
+    """The rungs of ``ladder_table`` as dicts keyed by its header."""
+    head, *body = ladder_table(rows, target)
+    return [dict(zip(head, row)) for row in body]
+
+
 def target_doubling(target: GrowthTarget, ms) -> tuple:
     """(increasing?, observed doubling constant) of delta on the ladder."""
     deltas = [target.delta(m) for m in ms]
@@ -745,18 +745,12 @@ class GrowthReport:
     note: str
 
     def csv_rows(self) -> list:
-        out = [("m", "lb", "method", "delta_m")]
-        for m, lb, method in self.rows:
-            out.append((m, lb, method, self.target.delta(m)))
-        return out
+        return ladder_table(self.rows, self.target)
 
     def to_doc(self) -> dict:
         return {
             "target": {"kind": self.target.kind, "exponent": self.target.exponent},
-            "rows": [
-                {"m": m, "lb": lb, "method": method, "delta_m": self.target.delta(m)}
-                for m, lb, method in self.rows
-            ],
+            "rows": ladder_records(self.rows, self.target),
             "slope": self.slope,
             "intercept": self.intercept,
             "r_squared": self.r_squared,
@@ -841,6 +835,11 @@ def lb_ladder(
     if kind == "k" and mode == "oracle":
         raise ConditionalityError("k ladders have no oracle route; use mode 'auto' or 'estimate'")
     check_budget(budget, ConditionalityError)
+    for m in ms:
+        if not (1 <= m <= b.d):
+            raise ConditionalityError(f"m must lie in 1..{b.d}, got {m}")
+        if mode == "oracle" and m > guard:
+            raise ConditionalityError(f"oracle refused: m={m} exceeds guard {guard}")
     out = []
     carry_val, carry_wit = 0.0, None
     for m in ms:

@@ -20,8 +20,8 @@ Estimator tiers, chosen by the basis length d:
               multiplicative coordinate ascent on the block winners (for
               quasi-greedy, every block's ascent in one lockstep ``ascend``).
 
-The block sampler, the ascent and the block maximum are the shared search
-engine of ``_search``; the ascent objective here is ``_qg_ratios``.
+The block sampler, the greedy order, the ascent and the block maximum are
+the shared search engine of ``_search``; the ascent objective is ``_qg_ratios``.
 
 The quasi-greedy random tier scores the d+1 canonical greedy prefixes of a
 row with one of two evaluators, chosen by the basis alone.
@@ -34,12 +34,13 @@ dense ``_prefix_residual_ratios``, which synthesises all d+1 residuals.
 The sweep only selects: the value of the block winner and of the ascent's
 final vector is scored again densely, so every reported value and every
 value compared with one is dense.  The almost-greedy random tiers
-(d > 8) fill one (rows x d+1) denominator matrix per block
-(``_ag_denominators``) and select the winning (row, m) by one scan
-(``_last_gain``).  On an ``l1_pairs`` basis the norm of f restricted to a
-set is a quadratic form in the set's 0/1 mask (``_kept_norms_form``), so
-the 2^d exact denominators of a chunk of rows are one matrix product; every
-other basis synthesises them densely.  Here too the matrix only selects:
+(d > 8) take their numerators from the synthesised prefix residual norms,
+fill one (rows x d+1) denominator matrix per block (``_ag_denominators``)
+and select the winning (row, m) by one scan (``_last_gain``).  On an
+``l1_pairs`` basis the norm of f restricted to a set is a quadratic form in
+the set's 0/1 mask (``_kept_norms_form``), so the 2^d exact denominators of
+a chunk of rows are one matrix product; every other basis synthesises them
+densely.  Here too the matrix only selects:
 the winner's candidate sets are scored again densely, alone, and give the
 reported value, A and B.  Each remaining step is written once:
 ``_drop_search`` is the random sub-support search on sign rows of both
@@ -60,8 +61,8 @@ from itertools import combinations
 import numpy as np
 
 from . import _search
-from ._search import (BLOCK, DEFAULT_BUDGET, DEFAULT_SEED, TINY, ascend,
-                      check_budget, guarded_ratio, rng_stream, sample_block, scale_moves)
+from ._search import (BLOCK, DEFAULT_BUDGET, DEFAULT_SEED, TINY, ascend, check_budget,
+                      greedy_order, guarded_ratio, rng_stream, sample_block, scale_moves)
 from .bases import BasisTruncation
 from .conditionality import Witness
 from .spaces import norms
@@ -105,11 +106,6 @@ class GreedySetFamily:
         return len(self.all_sets) if self.all_sets is not None else 1
 
 
-def _canonical_order(a: np.ndarray) -> np.ndarray:
-    # magnitude descending, index ascending among ties
-    return np.argsort(-np.abs(a), kind="stable")
-
-
 def greedy_sets(coeffs, m: int, mode: str = "canonical") -> GreedySetFamily:
     """Sets A with min_{k in A} |a_k| >= max_{j not in A} |a_j|, |A| = m."""
     a = np.asarray(coeffs, dtype=np.float64)
@@ -120,7 +116,7 @@ def greedy_sets(coeffs, m: int, mode: str = "canonical") -> GreedySetFamily:
         raise GreedyError(f"m must lie in 0..{d}, got {m}")
     if mode not in ("canonical", "all"):
         raise GreedyError(f"mode must be 'canonical' or 'all', got {mode!r}")
-    order = _canonical_order(a)
+    order = greedy_order(a)
     canonical = tuple(sorted(int(i) + 1 for i in order[:m]))
     if mode == "canonical":
         return GreedySetFamily(tuple(a.tolist()), m, canonical)
@@ -167,7 +163,7 @@ def _floor_witness(b: BasisTruncation, kind: str) -> tuple:
 def _greedy_rank(rows: np.ndarray):
     """Canonical greedy order of each row and the rank of each coordinate in it."""
     n, d = rows.shape
-    order = np.argsort(-np.abs(rows), axis=1, kind="stable")
+    order = greedy_order(rows)
     rank = np.empty_like(order)
     rank[np.arange(n)[:, None], order] = np.arange(d)
     return order, rank
@@ -175,18 +171,15 @@ def _greedy_rank(rows: np.ndarray):
 
 def _prefix_residual_ratios(b: BasisTruncation, rows: np.ndarray):
     """Residual ratios ||f - S_A f||/||f|| for the d+1 canonical greedy
-    prefixes of each coefficient row.
+    prefixes of each coefficient row, synthesised densely.
 
-    Returns (ratios (n, d+1), order, full) where ``full`` holds ||f||: the
-    empty prefix keeps every coefficient, so it is residual column 0.
+    Returns (ratios (n, d+1), order, resid) where ``resid`` holds the
+    residual norms: the empty prefix keeps every coefficient, so ||f|| is
+    column 0.
     """
-    n, d = rows.shape
     order, rank = _greedy_rank(rows)
-    keep = rank[:, None, :] >= np.arange(d + 1)[None, :, None]
-    resid = rows[:, None, :] * keep
-    resid_norms = b.synth_norms(resid.reshape(n * (d + 1), d)).reshape(n, d + 1)
-    full = resid_norms[:, 0]
-    return guarded_ratio(resid_norms, full), order, full
+    resid = _dense_kept_norms(b, rows, rank[:, None, :] >= np.arange(rows.shape[1] + 1)[:, None])
+    return guarded_ratio(resid, resid[:, 0]), order, resid
 
 
 def _qg_exhaustive(b: BasisTruncation):
@@ -216,7 +209,7 @@ def _swept_ratios(b: BasisTruncation, rows: np.ndarray):
     """Canonical-prefix residual ratios by event sweep over ``b.l1_pairs``.
 
     Returns (ratios (n, d+1), order, resid) as ``_prefix_residual_ratios``
-    does, but with every residual norm ``resid`` (n, d+1) in place of ||f||.
+    does.
 
     Removing a_j x_j changes only the ambient rows that x_j touches, and a
     row touching columns j and p contributes |e_j + e_p| while both are kept,
@@ -515,8 +508,7 @@ def _ag_random_block(b: BasisTruncation, seed: int, block_i: int, exact_denom: b
     mags = rng.uniform(0.5, 2.0, size=(BLOCK, d))
     sig = np.where(rng.random((BLOCK, d)) < 0.5, 1.0, -1.0)
     rows = mags * sig
-    ratios, order, full = _prefix_residual_ratios(b, rows)  # numerators / ||f||
-    resid = ratios * full[:, None]  # ||f - S_{A_m} f|| for prefixes
+    _, order, resid = _prefix_residual_ratios(b, rows)  # ||f - S_{A_m} f|| for prefixes
     extra = None if exact_denom else np.stack(
         [rng.random((32, d)) < rng.random((32, 1)) for _ in range(BLOCK)])
     hit = _last_gain(resid, _ag_denominators(b, rows, resid, extra))

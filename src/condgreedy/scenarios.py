@@ -46,6 +46,7 @@ from .conditionality import (
     block_embed_pair,
     growth_fit,
     interleave_pair,
+    ladder_table,
     lb_ladder,
     sa_ratio,
     template_pairs,
@@ -129,12 +130,20 @@ def _check_witnesses(b: BasisTruncation, ladder, checks: _Checks):
 
 
 def _finish(name, checks, ladder=(), fit=None, meta=None) -> ScenarioResult:
-    if fit is not None:
-        checks.add("growth-fit", fit.verdict == "PASS",
-                   fit.note or f"slope {fit.slope:.4g}, R^2 {fit.r_squared:.4f}")
     return ScenarioResult(
         name, checks.verdict(), tuple(checks.rows), tuple(ladder), fit, meta or {}
     )
+
+
+def _fit_finish(name, b: BasisTruncation, ladder, checks: _Checks, target: GrowthTarget,
+                meta: dict, r2_min: float = 0.95) -> ScenarioResult:
+    """Tail of every fitted ladder: re-verify the witnesses, fit, finish."""
+    _check_witnesses(b, ladder, checks)
+    rows = _ladder_rows(ladder)
+    fit = growth_fit(rows, target, r2_min=r2_min)
+    checks.add("growth-fit", fit.verdict == "PASS",
+               fit.note or f"slope {fit.slope:.4g}, R^2 {fit.r_squared:.4f}")
+    return _finish(name, checks, rows, fit, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -166,10 +175,8 @@ def _run_difference_linear(budget, seed):
     checks.add("lb-floor", floor_ok, "LB_m >= m-1 at every rung")
     dev = max(abs(_template_value(b, m) - val) for m, val, _ in ladder)
     checks.add("template-equals-oracle", dev <= _ABS_TOL, f"max |template - oracle| = {dev:.2e}")
-    _check_witnesses(b, ladder, checks)
-    fit = growth_fit(_ladder_rows(ladder), LINEAR_TARGET)
-    return _finish("difference-linear", checks, _ladder_rows(ladder), fit,
-                   meta={"basis": b.label, "seed": seed})
+    return _fit_finish("difference-linear", b, ladder, checks, LINEAR_TARGET,
+                       {"basis": b.label, "seed": seed})
 
 
 def _run_summing_linear(budget, seed):
@@ -181,10 +188,8 @@ def _run_summing_linear(budget, seed):
     vals = [val for _, val, _ in ladder]
     checks.add("monotone", all(b2 >= a2 - _ABS_TOL for a2, b2 in zip(vals, vals[1:])),
                "LB_m non-decreasing")
-    _check_witnesses(b, ladder, checks)
-    fit = growth_fit(_ladder_rows(ladder), LINEAR_TARGET)
-    return _finish("summing-linear", checks, _ladder_rows(ladder), fit,
-                   meta={"basis": b.label, "seed": seed})
+    return _fit_finish("summing-linear", b, ladder, checks, LINEAR_TARGET,
+                       {"basis": b.label, "seed": seed})
 
 
 def _run_lindenstrauss_log(budget, seed):
@@ -211,10 +216,8 @@ def _run_lindenstrauss_log(budget, seed):
     qg64, _ = quasi_greedy_constant_lb(b, budget=64 * density, seed=seed)
     checks.add("qg-stable", qg64 <= 1.5 * qg16 + _ABS_TOL,
                f"qg(64) {qg64:.4f} vs 1.5*qg(16) {1.5 * qg16:.4f}")
-    _check_witnesses(b, ladder, checks)
-    fit = growth_fit(_ladder_rows(ladder), LOG_TARGET)
-    return _finish("lindenstrauss-log", checks, _ladder_rows(ladder), fit,
-                   meta={"basis": b.label, "seed": seed, "budget": budget})
+    return _fit_finish("lindenstrauss-log", b, ladder, checks, LOG_TARGET,
+                       {"basis": b.label, "seed": seed, "budget": budget})
 
 
 def _run_interleave_transfer(budget, seed):
@@ -235,10 +238,8 @@ def _run_interleave_transfer(budget, seed):
         v2 >= v1 - _ABS_TOL for (_, v1, _), (_, v2, _) in zip(base_ladder, twice)
     )
     checks.add("ladder-dominates", dominated, "LB_2m[interleave] >= LB_m[base]")
-    _check_witnesses(bi, twice, checks)
-    fit = growth_fit(_ladder_rows(twice), LINEAR_TARGET)
-    return _finish("interleave-transfer", checks, _ladder_rows(twice), fit,
-                   meta={"basis": bi.label, "seed": seed})
+    return _fit_finish("interleave-transfer", bi, twice, checks, LINEAR_TARGET,
+                       {"basis": bi.label, "seed": seed})
 
 
 def _index_relation(dims, c: float) -> bool:
@@ -292,10 +293,8 @@ def _run_blocksum_l1(budget, seed):
 
     ladder = lb_ladder(bs, (4, 8, 16, 32, 64), kind="L", mode="auto",
                        budget=budget, seed=seed)
-    _check_witnesses(bs, ladder, checks)
-    fit = growth_fit(_ladder_rows(ladder), LOG_TARGET)
-    return _finish("blocksum-L1", checks, _ladder_rows(ladder), fit,
-                   meta={"basis": bs.label, "seed": seed, "budget": budget})
+    return _fit_finish("blocksum-L1", bs, ladder, checks, LOG_TARGET,
+                       {"basis": bs.label, "seed": seed, "budget": budget})
 
 
 def _run_pq_split(budget, seed):
@@ -404,10 +403,12 @@ def run_scenario(name: str, budget: int | None = None, seed: int = DEFAULT_SEED)
 def parse_ladder(txt: str) -> tuple:
     """Ladder spec: ``2..10`` or an explicit comma list like ``4,8,16``."""
     txt = txt.strip()
-    if ".." in txt:
-        lo, hi = txt.split("..", 1)
-        return tuple(range(int(lo), int(hi) + 1))
-    return tuple(int(x) for x in txt.split(","))
+    if ".." not in txt:
+        return tuple(int(x) for x in txt.split(","))
+    lo, hi = (int(t) for t in txt.split("..", 1))
+    if hi < lo:
+        raise ValueError(f"descending ladder range {txt!r}")
+    return tuple(range(lo, hi + 1))
 
 
 def parse_target(txt: str) -> GrowthTarget:
@@ -418,9 +419,12 @@ def parse_target(txt: str) -> GrowthTarget:
     return GrowthTarget(txt)
 
 
+_CONFIG_KEYS = ("recipe", "ladder", "kind", "target", "budget", "seed", "r2_min")
+
+
 def load_scenarios_config(path: str) -> list:
     """Read [scenario:<name>] sections: recipe, ladder, and optional kind,
-    target, budget, seed, r2_min."""
+    target, budget, seed, r2_min; any other key is an error."""
     cp = configparser.ConfigParser()
     with open(path, encoding="utf-8") as fh:
         cp.read_file(fh)
@@ -429,6 +433,9 @@ def load_scenarios_config(path: str) -> list:
         if not section.startswith("scenario:"):
             continue
         sec = cp[section]
+        unknown = [key for key in sec if key not in _CONFIG_KEYS]
+        if unknown:
+            raise ValueError(f"section {section} has unknown key(s): {', '.join(unknown)}")
         spec = {
             "name": section.split(":", 1)[1],
             "recipe": sec.get("recipe"),
@@ -443,6 +450,8 @@ def load_scenarios_config(path: str) -> list:
             raise ValueError(f"section {section} needs a recipe")
         if spec["budget"] is not None and spec["budget"] < 1:
             raise ValueError(f"section {section} needs a budget of at least 1")
+        if spec["kind"] not in ("L", "k"):
+            raise ValueError(f"section {section}: kind must be 'L' or 'k', got {spec['kind']!r}")
         specs.append(spec)
     return specs
 
@@ -459,11 +468,9 @@ def run_config_scenario(spec: dict) -> ScenarioResult:
         vals = [val for _, val, _ in ladder]
         checks.add("monotone", all(y >= x - _ABS_TOL for x, y in zip(vals, vals[1:])),
                    "LB non-decreasing")
-        _check_witnesses(b, ladder, checks)
-        fit = growth_fit(_ladder_rows(ladder), spec.get("target", LOG_TARGET),
-                         r2_min=spec.get("r2_min", 0.95))
-        return _finish(name, checks, _ladder_rows(ladder), fit,
-                       meta={"basis": b.label, "seed": spec.get("seed", DEFAULT_SEED)})
+        return _fit_finish(name, b, ladder, checks, spec.get("target", LOG_TARGET),
+                           {"basis": b.label, "seed": spec.get("seed", DEFAULT_SEED)},
+                           spec.get("r2_min", 0.95))
     except Exception as exc:  # noqa: BLE001
         return ScenarioResult(
             name, "FAIL", (("scenario-run", "FAIL", f"{type(exc).__name__}: {exc}"),),
@@ -482,12 +489,9 @@ def result_files(result: ScenarioResult, with_svg: bool = True) -> dict:
     check_rows = [("check", "verdict", "detail")] + list(result.checks)
     files[f"{result.name}-checks.csv"] = csv_bytes(check_rows)
     if result.ladder:
-        if result.fit is not None:
-            rows = result.fit.csv_rows()
-        else:
-            rows = [("m", "lb", "method", "delta_m")] + [
-                (m, lb, method, float(m)) for m, lb, method in result.ladder
-            ]
+        # a ladder without a fit takes the linear target, delta_m = m
+        rows = (result.fit.csv_rows() if result.fit is not None
+                else ladder_table(result.ladder, LINEAR_TARGET))
         files[f"{result.name}-ladder.csv"] = csv_bytes(rows)
         if with_svg:
             pts = [(m, lb) for m, lb, _ in result.ladder]

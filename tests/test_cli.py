@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 
@@ -144,6 +145,24 @@ def test_constants_flag_conflicts(capsys):
 def test_constants_bad_ladder(capsys):
     assert main(["constants", "--basis", "difference:6", "--m", "six"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("basis,args,message", [
+    ("difference:8", ["--m", "5..2", "--oracle"], "descending ladder range"),
+    ("difference:8", ["--m", "5..2"], "descending ladder range"),
+    ("difference:8", ["--m", "2..20"], "m must lie in 1..8, got 9"),
+    ("difference:8", ["--m", "0..3"], "m must lie in 1..8, got 0"),
+    ("difference:8", ["--m", "4,2"], "strictly increasing"),
+    ("difference:8", ["--m", "2..5", "--oracle", "--guard", "3"], "exceeds guard 3"),
+    ("lindenstrauss:16", ["--m", "2,20", "--kind", "k"], "got 20"),
+], ids=["empty oracle", "empty", "beyond d", "zero", "descending list", "beyond guard", "k beyond d"])
+def test_constants_bad_ladder_is_usage_error(basis, args, message, capsys):
+    # every rung is checked before the first is computed: no partial output
+    rc = main(["constants", "--basis", basis, *args])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
 
 
 def test_constants_bad_target(capsys):
@@ -319,9 +338,67 @@ def test_experiment_config_failing_fit_exits_one(tmp_path, capsys):
     assert "flat: FAIL" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("line,message", [
+    ("budjet = 5", "unknown key(s): budjet"),
+    ("kind = q", "kind must be 'L' or 'k'"),
+    ("ladder = 8..2", "descending ladder range"),
+])
+def test_experiment_config_bad_section_is_usage_error(line, message, tmp_path, capsys):
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(f"[scenario:x]\nrecipe = difference:8\n{line}\n", encoding="utf-8")
+    out = tmp_path / "r"
+    rc = main(["experiment", "--config", str(cfg), "--out", str(out)])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_experiment_config_empty_is_usage_error(tmp_path, capsys):
     cfg = tmp_path / "c.ini"
     cfg.write_text("[other]\nx = 1\n", encoding="utf-8")
     rc = main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "r")])
     assert rc == 2
     capsys.readouterr()
+
+
+# sha256 prefixes of every data file of ``experiment all --seed 42
+# --no-timestamp``; any change to a value, witness, check or format shows here
+SEED42_BUNDLE = {
+    "blocksum-L1-checks.csv": "aaa7ac8036058f0e",
+    "blocksum-L1-ladder.csv": "c5e54fc0eaf297c5",
+    "blocksum-L1-plot.svg": "5ba9f4fa9382ef37",
+    "blocksum-L1-report.json": "0ff1bc071736ef83",
+    "difference-linear-checks.csv": "224845e73845f8ba",
+    "difference-linear-ladder.csv": "0296169954617397",
+    "difference-linear-plot.svg": "acd195a6d5b21f9d",
+    "difference-linear-report.json": "03e800a09c9401a1",
+    "interleave-transfer-checks.csv": "80890151a408148d",
+    "interleave-transfer-ladder.csv": "c3e7a02ce851d78c",
+    "interleave-transfer-plot.svg": "3a922470fdc98181",
+    "interleave-transfer-report.json": "7d15a0dc611b1b3c",
+    "lindenstrauss-log-checks.csv": "8b627f6a5a4fba33",
+    "lindenstrauss-log-ladder.csv": "55bee96a6656df26",
+    "lindenstrauss-log-plot.svg": "52b51b65b42b2a9c",
+    "lindenstrauss-log-report.json": "92cdf43f20627aff",
+    "lorentz-embed-checks.csv": "7f401858622b52f0",
+    "lorentz-embed-report.json": "5b350735f6a2f725",
+    "pq-split-checks.csv": "f2c17427aab7a2a8",
+    "pq-split-report.json": "4865d3d76adff902",
+    "summing-linear-checks.csv": "14a5f67b0cdbe448",
+    "summing-linear-ladder.csv": "0296169954617397",
+    "summing-linear-plot.svg": "b29963b8e53b99b8",
+    "summing-linear-report.json": "799040eeb4727069",
+    "unit-control-checks.csv": "a48f13578436c036",
+    "unit-control-ladder.csv": "1ad8715492be3adc",
+    "unit-control-plot.svg": "85c9f0c53f14c638",
+    "unit-control-report.json": "2e00bc8f2b1e0f6f",
+}
+
+
+def test_experiment_all_seed42_bundle_is_pinned(tmp_path, capsys):
+    out = tmp_path / "r"
+    assert main(["experiment", "all", "--seed", "42", "--no-timestamp", "--out", str(out)]) == 1
+    capsys.readouterr()
+    assert sorted(p.name for p in out.iterdir()) == sorted([*SEED42_BUNDLE, "manifest.json"])
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()[:16] for name in SEED42_BUNDLE}
+    assert got == SEED42_BUNDLE

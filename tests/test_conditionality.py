@@ -205,7 +205,7 @@ def _dense_oracle_grid(ev, best, top):
         ratios = np.where(ok, nums / np.where(ok, dens, 1.0), 0.0)
         i = int(np.argmax(ratios))
         best.offer(ratios[i], coefs[i], cond_mod._mask_to_set(inmask[i]))
-        top.update(ratios[ok], coefs[ok], inmask[ok])
+        top.update(ratios[ok], coefs[ok])
 
 
 def _random_external(space: str, m: int):
@@ -237,7 +237,6 @@ def test_oracle_grid_matches_dense_reference(name, make, monkeypatch):
         assert got_best.indices == ref_best.indices
         assert np.array_equal(got_top.ratios, ref_top.ratios)
         assert np.array_equal(got_top.coefs, ref_top.coefs)
-        assert np.array_equal(got_top.masks, ref_top.masks)
     got = [L_m_oracle(b, m) for m in range(1, min(b.d, 7) + 1)]
     monkeypatch.setattr(cond_mod, "_oracle_grid", _dense_oracle_grid)
     ref = [L_m_oracle(b, m) for m in range(1, min(b.d, 7) + 1)]
@@ -550,14 +549,30 @@ def _coeff_digest(coeffs) -> str:
     return hashlib.sha256(repr(tuple(coeffs)).encode()).hexdigest()[:16]
 
 
-@pytest.mark.parametrize("fn,spec,m,want,indices,kind,digest", [
-    (L_m_estimate, PQHALF, 6, 1.3060025725803714, (2, 3), "random", "54b1d10461b5344a"),
-    (L_m_estimate, "lindenstrauss:16", 13, 2.0, (1, 4, 5, 6, 7), "template", "e29886b3c345e030"),
-    (k_m_estimate, PQHALF, 3, 1.4162053578738152, (1, 3, 6), "random", "35ad48b158b688d9"),
-    (k_m_estimate, "lindenstrauss:16", 4, 1.75, (1, 4, 5, 6), "template", "845d6a7f33e03c45"),
-], ids=["L pqhalf m=6", "L lindenstrauss16 m=13", "k pqhalf k=3", "k lindenstrauss16 k=4"])
-def test_golden_seeded_estimates(fn, spec, m, want, indices, kind, digest):
-    val, wit = fn(parse_basis(spec), m, budget=512, seed=1)
+def _golden_basis(spec):
+    return _random_external("bv", 14) if spec == "external bv" else parse_basis(spec)
+
+
+# the external BV basis has random columns, so BLAS rounds each row with its
+# batch, and every value comes from the random blocks and their ascents
+@pytest.mark.parametrize("fn,spec,m,seed,want,indices,kind,digest", [
+    (L_m_estimate, PQHALF, 6, 1, 1.3060025725803714, (2, 3), "random", "54b1d10461b5344a"),
+    (L_m_estimate, "lindenstrauss:16", 13, 1, 2.0, (1, 4, 5, 6, 7), "template", "e29886b3c345e030"),
+    (k_m_estimate, PQHALF, 3, 1, 1.4162053578738152, (1, 3, 6), "random", "35ad48b158b688d9"),
+    (k_m_estimate, "lindenstrauss:16", 4, 1, 1.75, (1, 4, 5, 6), "template", "845d6a7f33e03c45"),
+    (L_m_estimate, "external bv", 13, 1, 3.7055084004861323, (1, 3, 4, 5, 8, 10, 11), "random",
+     "e24cd2ce2f71923e"),
+    (L_m_estimate, "external bv", 13, 2, 4.292932535842053, (4, 5, 7, 8, 9, 10, 12, 13), "random",
+     "5ca076e50dbc138d"),
+    (L_m_estimate, "external bv", 13, 3, 5.731417933449208, (2, 4, 6, 8, 10, 12), "random",
+     "a94bc4623205ec08"),
+    (k_m_estimate, "external bv", 4, 1, 3.833526133791525, (1, 2, 3, 6), "random", "70647ca04d893586"),
+    (k_m_estimate, "external bv", 4, 2, 4.432001852114225, (1, 3, 5, 7), "random", "ce31ec99637642ea"),
+    (k_m_estimate, "external bv", 4, 3, 4.731028888437692, (1, 3, 5, 7), "random", "4069986bb0ac944a"),
+], ids=["L pqhalf m=6", "L lindenstrauss16 m=13", "k pqhalf k=3", "k lindenstrauss16 k=4"]
+   + [f"{k} bv14 seed={s}" for k in ("L m=13", "k k=4") for s in (1, 2, 3)])
+def test_golden_seeded_estimates(fn, spec, m, seed, want, indices, kind, digest):
+    val, wit = fn(_golden_basis(spec), m, budget=512, seed=seed)
     assert val == want
     assert wit.indices == indices
     assert wit.kind == kind

@@ -222,3 +222,6 @@ def test_config_scenario_bad_recipe_becomes_fail():
 def test_parse_ladder_forms():
     assert scenarios_mod.parse_ladder("2..6") == (2, 3, 4, 5, 6)
     assert scenarios_mod.parse_ladder("4,8,16") == (4, 8, 16)
+    assert scenarios_mod.parse_ladder("3..3") == (3,)
+    with pytest.raises(ValueError, match="descending"):
+        scenarios_mod.parse_ladder("5..2")
