@@ -1,7 +1,8 @@
 """The search engine of every lower-bound estimator: the block sampler
 ``sample_block``, ``guarded_ratio``, ``greedy_order``, the lockstep coordinate
 ascent ``ascend`` with its move sets, the block maximum ``parallel_block_max``,
-and the sign-vector tables of the exhaustive routes.
+the oracle's leader pick ``distinct_leaders``, the input checks and the
+sign-vector tables of the exhaustive routes.
 What is specific to one family of constants stays beside its estimators:
 ``conditionality._seeded_search`` for L_m and k_m, ``greedy._drop_search``
 and ``greedy._min_denominators`` for the greedy constants.
@@ -44,6 +45,17 @@ def check_budget(budget, error: type, default: int = DEFAULT_BUDGET) -> int:
     if budget is not None and budget < 1:
         raise error(f"budget must be at least 1, got {budget}")
     return default if budget is None else budget
+
+
+def check_indices(A, d: int, error: type) -> np.ndarray:
+    """The sorted 0-based positions of the 1-based indices ``A``; ``error``
+    for a duplicate or an index outside 1..d."""
+    idx = sorted(int(i) for i in A)
+    if len(set(idx)) != len(idx):
+        raise error(f"duplicate indices in {A!r}")
+    if idx and (idx[0] < 1 or idx[-1] > d):
+        raise error(f"indices must lie in 1..{d}")
+    return np.asarray(idx, dtype=np.int64) - 1
 
 
 def guarded_ratio(nums, dens) -> np.ndarray:
@@ -247,38 +259,25 @@ def greedy_order(rows: np.ndarray) -> np.ndarray:
     return np.argsort(-np.abs(rows), axis=-1, kind="stable")
 
 
-class TopK:
-    """Running best-K (ratio, coefficient row) tracker with deterministic ties."""
+def top_positions(ratios: np.ndarray, k: int) -> np.ndarray:
+    """Positions of the best k ratios, best first (ties as np.argpartition leaves them)."""
+    if ratios.size <= k:
+        return np.arange(ratios.size)
+    part = np.argpartition(-ratios, k - 1)[:k]
+    return part[np.argsort(-ratios[part], kind="stable")]
 
-    def __init__(self, k: int, width: int):
-        self.k = k
-        self.ratios = np.empty(0)
-        self.coefs = np.empty((0, width))
 
-    def select(self, ratios: np.ndarray) -> np.ndarray:
-        """Positions of the best k ratios, best first, ties in position order."""
-        if ratios.size <= self.k:
-            return np.arange(ratios.size)
-        part = np.argpartition(-ratios, self.k - 1)[: self.k]
-        return part[np.argsort(-ratios[part], kind="stable")]
-
-    def update(self, ratios, coefs):
-        if ratios.size == 0:
-            return
-        sel = self.select(ratios)
-        self.ratios = np.concatenate([self.ratios, ratios[sel]])
-        self.coefs = np.vstack([self.coefs, coefs[sel]])
-        order = np.argsort(-self.ratios, kind="stable")[: self.k]
-        self.ratios = self.ratios[order]
-        self.coefs = self.coefs[order]
-
-    def distinct_starts(self, tol: float = 1e-13):
-        """Rows with pairwise-distinct ratios; trims redundant ascent seeds."""
-        picked = []
-        for i in range(self.ratios.size):
-            if all(abs(self.ratios[i] - self.ratios[j]) > tol for j in picked):
-                picked.append(i)
-        return [self.coefs[i].copy() for i in picked]
+def distinct_leaders(pieces, k: int) -> list:
+    """Rows of the best k ratios over the (ratios, rows) ``pieces``, ties in
+    offer order, with pairwise-distinct ratios (trims redundant ascent seeds);
+    a piece may first be cut to its own ``top_positions``, bounding memory."""
+    ratios = np.concatenate([np.empty(0)] + [r for r, _ in pieces])
+    picked = []
+    for i in np.argsort(-ratios, kind="stable")[:k].tolist():
+        if all(abs(ratios[i] - ratios[j]) > 1e-13 for j in picked):
+            picked.append(i)
+    rows = [row for _, part in pieces for row in part]
+    return [np.array(rows[i], dtype=np.float64) for i in picked]
 
 
 def parallel_block_max(block_fn, n_blocks: int):

@@ -167,6 +167,10 @@ def _cmd_constants(ns) -> int:
     mode = "oracle" if ns.oracle else ("estimate" if ns.estimate else "auto")
     if ns.kind == "k" and mode == "oracle":
         raise _UsageError("--oracle is not available for --kind k")
+    if ns.kind == "k" and ns.guard is not None:
+        raise _UsageError("--guard has no effect with --kind k: k ladders take no oracle route")
+    if mode == "oracle" and ns.budget is not None:
+        raise _UsageError("--budget has no effect with --oracle: the oracle route takes no budget")
     guard = ns.guard
     if guard is None:
         # an explicit oracle request overrides the default exhaustive cap

@@ -24,9 +24,10 @@ witness:
 
 The objective of every route is ``_SupportEval.mask_sweep``, which scores
 a batch of coefficient rows against a family of sets; the sampler,
-the coordinate ascent and the block maximum come from ``_search``.  Both
-estimates share one body, ``_seeded_search``, and one block body,
-``_block_best`` then ``_block_ascent``.
+the coordinate ascent, the block maximum and the oracle's leader pick come
+from ``_search``.  Both estimates share one body, ``_seeded_search``, and one
+block body, ``_block_best`` then ``_block_ascent``.  Every estimator, the
+greedy ones too, builds its result in one record, ``_Best``.
 
 Estimates are reproducible for fixed (inputs, seed), and never decrease
 when the budget grows with the seed held fixed.
@@ -44,10 +45,11 @@ from ._search import (
     DEFAULT_BUDGET,
     DEFAULT_SEED,
     TINY,
-    TopK,
     all_subset_masks,
     ascend,
     check_budget,
+    check_indices,
+    distinct_leaders,
     greedy_order,
     guarded_ratio,
     pair_chunk,
@@ -57,6 +59,7 @@ from ._search import (
     sample_block,
     sign_rows,
     signed_moves,
+    top_positions,
 )
 from .bases import BasisTruncation, _prefix_restriction, block_offsets, interleave_positions
 from .spaces import norms
@@ -138,9 +141,8 @@ def witness_from_doc(doc) -> Witness:
 
 def _restrict(coeffs: np.ndarray, indices) -> np.ndarray:
     out = np.zeros_like(coeffs)
-    idx = [int(i) - 1 for i in indices]
-    if idx:
-        out[idx] = coeffs[idx]
+    idx = check_indices(indices, coeffs.size, ConditionalityError)
+    out[idx] = coeffs[idx]
     return out
 
 
@@ -296,29 +298,29 @@ def _mask_to_set(mask_row) -> tuple:
 
 
 class _Best:
-    """Running (ratio, coeffs-on-support, A) maximiser with padding to d."""
+    """The running (ratio, coefficients, A[, B]) of every estimator: from the
+    floor ratio 1 of f = e_1 with the set ``A`` (B = () for almost-greedy), or
+    from a given ``ratio`` and ``coeffs``; ``offer`` takes only strict gains."""
 
-    def __init__(self, d: int, kind: str):
-        self.d = d
-        self.kind = kind
-        self.ratio = 0.0
-        self.coeffs: np.ndarray | None = None
-        self.indices: tuple = ()
+    def __init__(self, d: int, kind: str, A=(), ratio: float = 1.0, coeffs=(1.0,)):
+        self.d, self.ratio = d, -math.inf
+        self.offer(ratio, coeffs, A, kind, () if kind == "almost-greedy" else None)
 
-    def offer(self, ratio: float, coeffs: np.ndarray, indices, kind: str | None = None):
-        if self.coeffs is not None and ratio <= self.ratio:
+    def offer(self, ratio: float, coeffs, A, kind: str | None = None, b_indices=None):
+        if ratio <= self.ratio:
             return
         self.ratio = float(ratio)
         self.coeffs = np.asarray(coeffs, dtype=np.float64).copy()
-        self.indices = tuple(sorted(int(i) for i in indices))
-        if kind is not None:
-            self.kind = kind
+        self.indices = tuple(sorted(int(i) for i in A))
+        self.b_indices = None if b_indices is None else tuple(sorted(int(i) for i in b_indices))
+        self.kind = kind or self.kind
 
-    def witness(self) -> Witness:
+    def result(self) -> tuple:
+        """(ratio, Witness) with the coefficients padded to d."""
         padded = np.zeros(self.d)
-        if self.coeffs is not None:
-            padded[: self.coeffs.size] = self.coeffs
-        return Witness(tuple(padded.tolist()), self.indices, self.ratio, self.kind)
+        padded[: self.coeffs.size] = self.coeffs
+        return self.ratio, Witness(tuple(padded.tolist()), self.indices, self.ratio, self.kind,
+                                   self.b_indices)
 
 
 # ---------------------------------------------------------------------------
@@ -344,11 +346,8 @@ def L_m_oracle(b: BasisTruncation, m: int, guard: int = DEFAULT_GUARD):
         raise ConditionalityError(f"oracle refused: m={m} exceeds guard {guard}")
     ev = _SupportEval(b, m)
     masks = all_subset_masks(m)
-    best = _Best(b.d, "oracle")
-    top = TopK(ORACLE_TOPK, m)
-
-    # floor: A = {1..m} reproduces f = e_1 itself
-    best.offer(1.0, _pad_to(np.ones(1), m), tuple(range(1, m + 1)))
+    best = _Best(b.d, "oracle", range(1, m + 1))  # A = {1..m} reproduces f = e_1 itself
+    leaders = []  # (ratios, rows) pieces in offer order
 
     # structured profiles at every support size (keeps the values monotone in m)
     for s in range(1, m + 1):
@@ -359,9 +358,9 @@ def L_m_oracle(b: BasisTruncation, m: int, guard: int = DEFAULT_GUARD):
             ratios, payload = ev_s.mask_sweep(a_s[None], masks_s)
             r, mi = ratios[0], payload(0)
             if mi is not None:
-                a_full, A = _pad_to(a_s, m), _mask_to_set(masks_s[mi])
-                best.offer(r, a_full, A)
-                top.update(np.array([r]), a_full[None, :])
+                a_full = _pad_to(a_s, m)
+                best.offer(r, a_full, _mask_to_set(masks_s[mi]))
+                leaders.append(([r], a_full[None]))
 
     # recipe templates, swept over the same support sizes
     for s in range(1, m + 1):
@@ -369,11 +368,11 @@ def L_m_oracle(b: BasisTruncation, m: int, guard: int = DEFAULT_GUARD):
             r = sa_ratio(b, a_t, A_t)
             a_m = np.asarray(a_t[:m], dtype=np.float64)
             best.offer(r, a_m, A_t)
-            top.update(np.array([r]), a_m[None, :])
+            leaders.append(([r], a_m[None]))
 
     # joint coefficient/membership grid
     if 5**m <= FULL_GRID_CAP:
-        _oracle_grid(ev, best, top)
+        _oracle_grid(ev, best, leaders)
     else:
         rng = rng_stream(_ORACLE_SEED, "oracle-pairs", m)
         for _ in range(REDUCED_PAIRS // 4096):
@@ -381,26 +380,27 @@ def L_m_oracle(b: BasisTruncation, m: int, guard: int = DEFAULT_GUARD):
             inmask = rng.random((4096, m)) < 0.5
             dens = ev.coef_norms(coefs)
             ratios = guarded_ratio(ev.coef_norms(coefs * inmask), dens)
-            ok = dens > TINY
             i = int(np.argmax(ratios))
             best.offer(ratios[i], coefs[i], _mask_to_set(inmask[i]))
-            top.update(ratios[ok], coefs[ok])
+            kept = np.flatnonzero(dens > TINY)
+            sel = kept[top_positions(ratios[kept], ORACLE_TOPK)]
+            leaders.append((ratios[sel], coefs[sel]))
 
     # ascent from the distinct leaders, rescanning all subsets each step
-    for a_start in top.distinct_starts():
+    for a_start in distinct_leaders(leaders, ORACLE_TOPK):
         r, a_fin, mi = ev.ascend(a_start, masks)
         if mi is not None:
             best.offer(r, a_fin, _mask_to_set(masks[mi]))
 
-    return best.ratio, best.witness()
+    return best.result()
 
 
-def _oracle_grid(ev: _SupportEval, best: _Best, top: TopK):
+def _oracle_grid(ev: _SupportEval, best: _Best, leaders: list):
     """Sweep all 5^m (coefficient, membership) pairs of the support m.
 
     f and S_A f are both sign vectors, so every norm is read from one table
-    over the 3^m sign vectors; only the argmax row and the rows TopK keeps
-    are decoded back into coefficients and sets.
+    over the 3^m sign vectors; only the argmax row and the chunk's leaders
+    (``top_positions``) are decoded back into coefficients and sets.
     """
     m = ev.m
     table = ev.coef_norms(sign_rows(m))
@@ -410,13 +410,12 @@ def _oracle_grid(ev: _SupportEval, best: _Best, top: TopK):
         cf, cs = pair_chunk(start, min(start + step, total), m)
         dens = table[cf]
         ratios = guarded_ratio(table[cs], dens)
-        ok = dens > TINY
         i = int(np.argmax(ratios))
         coefs, inmask = pair_rows([start + i], m)
         best.offer(ratios[i], coefs[0], _mask_to_set(inmask[0]))
-        kept = np.flatnonzero(ok)
-        sel = kept[top.select(ratios[kept])]
-        top.update(ratios[sel], pair_rows(start + sel, m)[0])
+        kept = np.flatnonzero(dens > TINY)
+        sel = kept[top_positions(ratios[kept], ORACLE_TOPK)]
+        leaders.append((ratios[sel], pair_rows(start + sel, m)[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -428,14 +427,13 @@ def _seeded_search(b: BasisTruncation, ev: _SupportEval, floor_set, sets, pairs,
                    budget: int | None):
     """Body of both seeded estimates on the support of ``ev``.
 
-    Offers the floor (e_1, ``floor_set``) and every template pair, whose sets
-    join the family ``sets``; ascends from the best of them; then keeps the
-    best of ceil(budget / BLOCK) random blocks ``block_fn(sets, i)``
+    Starts at the floor (e_1, ``floor_set``), offers every template pair,
+    whose sets join the family ``sets``; ascends from the best of them; then
+    offers the best of ceil(budget / BLOCK) random blocks ``block_fn(sets, i)``
     (DEFAULT_BUDGET when ``budget`` is None).
     """
     m = ev.m
-    best = _Best(b.d, "template")
-    best.offer(1.0, _pad_to(np.ones(1), m), floor_set, kind="random")
+    best = _Best(b.d, "random", floor_set)
     family = [sets]
     for a_t, A_t in pairs:
         best.offer(sa_ratio(b, a_t, A_t), np.asarray(a_t)[:m], A_t, kind="template")
@@ -443,15 +441,14 @@ def _seeded_search(b: BasisTruncation, ev: _SupportEval, floor_set, sets, pairs,
     sets = np.unique(np.vstack(family), axis=0)
 
     # deterministic ascent from the best template before spending the budget
-    r, a_fin, si = ev.ascend(best.coeffs, sets)
-    if r > best.ratio:
-        best.offer(r, a_fin, _mask_to_set(sets[si]), kind="random")
+    r, a_fin, si = ev.ascend(_pad_to(best.coeffs, m), sets)
+    best.offer(r, a_fin, _mask_to_set(sets[si]), kind="random")
 
     n_blocks = math.ceil((DEFAULT_BUDGET if budget is None else budget) / BLOCK)
     val, payload = parallel_block_max(lambda i: block_fn(sets, i), n_blocks)
-    if payload is not None and val > best.ratio:
+    if payload is not None:
         best.offer(val, payload[0], _mask_to_set(payload[1]), kind="random")
-    return best.ratio, best.witness()
+    return best.result()
 
 
 def _block_best(ev: _SupportEval, rows: np.ndarray, sets: np.ndarray):
@@ -494,11 +491,10 @@ def L_m_estimate(
     if m <= guard and (budget is None or budget >= 5**m):
         # the oracle has swept the recipe's templates already
         value, wit = L_m_oracle(b, m, guard=guard)
-        best = _Best(b.d, wit.kind)
-        best.offer(value, np.asarray(wit.coeffs)[:m], wit.indices)
+        best = _Best(b.d, wit.kind, wit.indices, value, wit.coeffs)
         for a_t, A_t in pairs:
             best.offer(sa_ratio(b, a_t, A_t), np.asarray(a_t)[:m], A_t, kind="template")
-        return best.ratio, best.witness()
+        return best.result()
 
     ev = _SupportEval(b, m)
     return _seeded_search(
@@ -763,7 +759,6 @@ def growth_fit(
     series,
     target: GrowthTarget,
     r2_min: float = 0.95,
-    slope_band: tuple | None = None,
 ) -> GrowthReport:
     """Least-squares fit of the lower bounds against delta(m) with a verdict."""
     rows = []
@@ -779,7 +774,7 @@ def growth_fit(
 
     x = np.array([target.delta(m) for m in ms])
     y = np.array([lb for _, lb, _ in rows])
-    band = slope_band if slope_band is not None else _SLOPE_BANDS[target.kind]
+    band = _SLOPE_BANDS[target.kind]
 
     if float(np.ptp(y)) <= 1e-12:
         return GrowthReport(
@@ -817,7 +812,6 @@ def lb_ladder(
     budget: int | None = None,
     seed: int = DEFAULT_SEED,
     guard: int = DEFAULT_GUARD,
-    templates=None,
 ):
     """Lower-bound ladder [(m, value, witness)] with witnesses carried forward.
 
@@ -840,18 +834,17 @@ def lb_ladder(
             raise ConditionalityError(f"m must lie in 1..{b.d}, got {m}")
         if mode == "oracle" and m > guard:
             raise ConditionalityError(f"oracle refused: m={m} exceeds guard {guard}")
-    out = []
-    carry_val, carry_wit = 0.0, None
+    out, carry = [], None  # the (value, witness) of the last strict gain
     for m in ms:
         if kind == "k":
             val, wit = k_m_estimate(b, m, budget=budget, seed=seed)
         elif mode == "oracle" or (mode == "auto" and m <= guard):
             val, wit = L_m_oracle(b, m, guard=guard)
         else:
-            val, wit = L_m_estimate(b, m, budget=budget, seed=seed, guard=guard, templates=templates)
-        if carry_wit is not None and carry_val > val:
-            val, wit = carry_val, carry_wit
+            val, wit = L_m_estimate(b, m, budget=budget, seed=seed, guard=guard)
+        if carry is None or val > carry[0]:
+            carry = (val, wit)
+        elif carry[0] > val:
+            val, wit = carry
         out.append((m, val, wit))
-        if carry_wit is None or val > carry_val:
-            carry_val, carry_wit = val, wit
     return out

@@ -48,8 +48,10 @@ quasi-greedy sampling tiers, and ``_min_denominators`` the minimum over
 |B| <= t of every reported almost-greedy value, which also hands back the
 minimising B of the witness.
 
-All reported values are running-max lower bounds and are reproducible for a
-fixed seed.
+Every tier builds its result in ``conditionality._Best`` from the floor
+f = e_1, A = B = (); the sign-grid tiers offer only a gain of more than TINY,
+which also decides when the winner is decoded.  All reported values are
+running-max lower bounds and are reproducible for a fixed seed.
 """
 
 from __future__ import annotations
@@ -62,9 +64,10 @@ import numpy as np
 
 from . import _search
 from ._search import (BLOCK, DEFAULT_BUDGET, DEFAULT_SEED, TINY, ascend, check_budget,
-                      greedy_order, guarded_ratio, rng_stream, sample_block, scale_moves)
+                      check_indices, greedy_order, guarded_ratio, rng_stream, sample_block,
+                      scale_moves)
 from .bases import BasisTruncation
-from .conditionality import Witness
+from .conditionality import _Best
 from .spaces import norms
 
 __all__ = [
@@ -131,33 +134,16 @@ def greedy_sets(coeffs, m: int, mode: str = "canonical") -> GreedySetFamily:
     return GreedySetFamily(tuple(a.tolist()), m, canonical, all_sets)
 
 
-def _indices0(A, d: int) -> np.ndarray:
-    idx = sorted(int(i) for i in A)
-    if len(set(idx)) != len(idx):
-        raise GreedyError(f"duplicate indices in {A!r}")
-    if idx and (idx[0] < 1 or idx[-1] > d):
-        raise GreedyError(f"indices must lie in 1..{d}")
-    return np.asarray(idx, dtype=np.int64) - 1
-
-
 def project(b: BasisTruncation, coeffs, A) -> np.ndarray:
     """S_A f = sum_{j in A} a_j x_j in ambient coordinates (A is 1-based)."""
     a = np.asarray(coeffs, dtype=np.float64)
     if a.shape != (b.d,):
         raise GreedyError(f"expected {b.d} coefficients")
-    idx = _indices0(A, b.d)
+    idx = check_indices(A, b.d, GreedyError)
     out = np.zeros(b.ambient_dim)
     if idx.size:
         out += b.columns[:, idx] @ a[idx]
     return out
-
-
-def _floor_witness(b: BasisTruncation, kind: str) -> tuple:
-    # f = x_1, A = B = empty: ||f - 0|| / ||f|| = 1 for any basis
-    coeffs = np.zeros(b.d)
-    coeffs[0] = 1.0
-    b_indices = () if kind == "almost-greedy" else None
-    return 1.0, Witness(tuple(coeffs.tolist()), (), 1.0, kind, b_indices=b_indices)
 
 
 def _greedy_rank(rows: np.ndarray):
@@ -189,7 +175,7 @@ def _qg_exhaustive(b: BasisTruncation):
     the 3^d sign vectors, indexed by the pair codes.
     """
     d = b.d
-    best, best_wit = _floor_witness(b, "quasi-greedy")
+    best = _Best(d, "quasi-greedy")
     table = b.synth_norms(_search.sign_rows(d))
     total = 5**d
     chunk = 1 << 18
@@ -197,12 +183,10 @@ def _qg_exhaustive(b: BasisTruncation):
         cf, cs = _search.pair_chunk(start, min(start + chunk, total), d)
         ratios = guarded_ratio(table[cf - cs], table[cf])
         i = int(np.argmax(ratios))
-        if ratios[i] > best + TINY:
-            best = float(ratios[i])
+        if ratios[i] > best.ratio + TINY:
             coefs, inmask = _search.pair_rows([start + i], d)
-            A = tuple(int(j) + 1 for j in np.flatnonzero(inmask[0]))
-            best_wit = Witness(tuple(coefs[0].tolist()), A, best, "quasi-greedy")
-    return best, best_wit
+            best.offer(ratios[i], coefs[0], np.flatnonzero(inmask[0]) + 1)
+    return best.result()
 
 
 def _swept_ratios(b: BasisTruncation, rows: np.ndarray):
@@ -246,7 +230,7 @@ def _qg_sign_grid(b: BasisTruncation, seed: int):
     best j of a row gives its shortest best prefix.
     """
     d = b.d
-    best, best_wit = _floor_witness(b, "quasi-greedy")
+    best = _Best(d, "quasi-greedy")
     total = 3**d
     chunk = 1 << 14
     place = (3 ** np.arange(d + 1)).astype(np.int32)
@@ -261,19 +245,14 @@ def _qg_sign_grid(b: BasisTruncation, seed: int):
         i, j = np.unravel_index(np.argmax(ratios), ratios.shape)
         val = float(ratios[i, j])
         del ratios  # bounds the peak: the next chunk's fill needs the room
-        if val > best + TINY:
-            best = val
-            sig = _search.SIGN_VALUES[digits[i]]
-            A = tuple(int(k) + 1 for k in np.flatnonzero(sig[:j]))
-            best_wit = Witness(tuple(sig.tolist()), A, best, "quasi-greedy")
+        if val > best.ratio + TINY:
+            best.offer(val, _search.SIGN_VALUES[digits[i]], np.flatnonzero(digits[i, :j]) + 1)
         # stochastic tie resolution
         val, i, A = _drop_search(lambda keep: table[(digits * keep) @ place[:d]], digits != 0,
-                                 full, rng_stream(seed, "qg-ties", ci), best)
+                                 full, rng_stream(seed, "qg-ties", ci), best.ratio)
         if i >= 0:
-            best = val
-            best_wit = Witness(tuple(_search.SIGN_VALUES[digits[i]].tolist()), A, best,
-                               "quasi-greedy")
-    return best, best_wit
+            best.offer(val, _search.SIGN_VALUES[digits[i]], A)
+    return best.result()
 
 
 def _drop_search(kept_norms, support: np.ndarray, full: np.ndarray, rng, best: float):
@@ -335,12 +314,11 @@ def quasi_greedy_constant_lb(
     cost = (d + 1) * b.ambient_dim if b.l1_pairs is None else 6 * b.l1_pairs[0].size
     climbs = ascend([p[0] for _, p in heads], lambda rows: _qg_ratios(b, rows), scale_moves, cost)
     tails = [(_dense_ratio(b, a, len(A)), (a, A)) for _, a, A in climbs]  # reported densely
-    best, best_wit = _floor_witness(b, "quasi-greedy")
-    val, pair = _search.parallel_block_max(
+    best = _Best(d, "quasi-greedy")
+    val, (a, A) = _search.parallel_block_max(
         lambda i: tails[i] if tails[i][0] > heads[i][0] else heads[i], len(heads))
-    if pair is not None and val > best:
-        best, best_wit = val, Witness(tuple(pair[0].tolist()), tuple(pair[1]), val, "quasi-greedy")
-    return best, best_wit
+    best.offer(val, a, A)
+    return best.result()
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +340,7 @@ def _ag_exhaustive(b: BasisTruncation):
     vectors serves the whole sweep.
     """
     d = b.d
-    best, best_wit = _floor_witness(b, "almost-greedy")
+    best = _Best(d, "almost-greedy")
     digits = _search.digit_rows(0, 3**d, d, 3)
     signs = _search.SIGN_VALUES[digits]
     table = b.synth_norms(signs)
@@ -383,12 +361,10 @@ def _ag_exhaustive(b: BasisTruncation):
         denom, first = _min_denominators(nrm, k - sizes, k)
         ratios = guarded_ratio(nrm[::-1], denom[sizes])
         i = int(np.argmax(ratios))
-        if ratios[i] > best + TINY:
-            best = float(ratios[i])
-            Bset = _code_set((1 << k) - 1 - first(sizes[i]), supp)
-            best_wit = Witness(tuple(sig.tolist()), _code_set(i, supp), best, "almost-greedy",
-                               b_indices=Bset)
-    return best, best_wit
+        if ratios[i] > best.ratio + TINY:
+            best.offer(ratios[i], sig, _code_set(i, supp),
+                       b_indices=_code_set((1 << k) - 1 - first(sizes[i]), supp))
+    return best.result()
 
 
 def _min_denominators(nrm: np.ndarray, sizes: np.ndarray, n: int):
@@ -548,11 +524,10 @@ def almost_greedy_constant_lb(
     val, payload = _search.parallel_block_max(
         lambda i: _ag_random_block(b, seed, i, exact), math.ceil(budget / BLOCK)
     )
-    best, best_wit = _floor_witness(b, "almost-greedy")
-    if payload is not None and val > best:
-        a, A, Bset = payload
-        best, best_wit = val, Witness(tuple(a.tolist()), A, val, "almost-greedy", b_indices=Bset)
-    return best, best_wit
+    best = _Best(d, "almost-greedy")
+    if payload is not None:  # None when no block had a positive ratio
+        best.offer(val, payload[0], payload[1], b_indices=payload[2])
+    return best.result()
 
 
 # ---------------------------------------------------------------------------

@@ -424,7 +424,8 @@ _CONFIG_KEYS = ("recipe", "ladder", "kind", "target", "budget", "seed", "r2_min"
 
 def load_scenarios_config(path: str) -> list:
     """Read [scenario:<name>] sections: recipe, ladder, and optional kind,
-    target, budget, seed, r2_min; any other key is an error."""
+    target, budget, seed, r2_min; any other key, a recipe that does not
+    build, or a rung outside 1..d of its basis is an error."""
     cp = configparser.ConfigParser()
     with open(path, encoding="utf-8") as fh:
         cp.read_file(fh)
@@ -448,6 +449,12 @@ def load_scenarios_config(path: str) -> list:
         }
         if not spec["recipe"]:
             raise ValueError(f"section {section} needs a recipe")
+        try:
+            d = parse_basis(spec["recipe"]).d
+        except ValueError as exc:
+            raise ValueError(f"section {section}: bad recipe {spec['recipe']!r}: {exc}") from exc
+        if outside := [m for m in spec["ladder"] if not 1 <= m <= d]:
+            raise ValueError(f"section {section}: ladder rung {outside[0]} outside 1..{d}")
         if spec["budget"] is not None and spec["budget"] < 1:
             raise ValueError(f"section {section} needs a budget of at least 1")
         if spec["kind"] not in ("L", "k"):
@@ -483,7 +490,7 @@ def run_config_scenario(spec: dict) -> ScenarioResult:
 # ---------------------------------------------------------------------------
 
 
-def result_files(result: ScenarioResult, with_svg: bool = True) -> dict:
+def result_files(result: ScenarioResult) -> dict:
     """Render a result into named byte blobs ready for a bundle."""
     files = {}
     check_rows = [("check", "verdict", "detail")] + list(result.checks)
@@ -493,10 +500,9 @@ def result_files(result: ScenarioResult, with_svg: bool = True) -> dict:
         rows = (result.fit.csv_rows() if result.fit is not None
                 else ladder_table(result.ladder, LINEAR_TARGET))
         files[f"{result.name}-ladder.csv"] = csv_bytes(rows)
-        if with_svg:
-            pts = [(m, lb) for m, lb, _ in result.ladder]
-            files[f"{result.name}-plot.svg"] = svg_polyline(
-                pts, title=result.name, xlabel="m", ylabel="lower bound"
-            )
+        pts = [(m, lb) for m, lb, _ in result.ladder]
+        files[f"{result.name}-plot.svg"] = svg_polyline(
+            pts, title=result.name, xlabel="m", ylabel="lower bound"
+        )
     files[f"{result.name}-report.json"] = json_bytes(result.to_doc())
     return files

@@ -186,6 +186,18 @@ def test_constants_rejects_nonpositive_guard(guard, capsys):
     assert "--guard" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args,flag", [
+    (["--kind", "k", "--guard", "1"], "--guard"),
+    (["--oracle", "--budget", "7"], "--budget"),
+], ids=["k guard", "oracle budget"])
+def test_constants_ignored_flag_is_usage_error(args, flag, capsys):
+    rc = main(["constants", "--basis", "difference:8", "--m", "2,3", *args])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{flag} has no effect" in captured.err
+
+
 def test_constants_target_forms_match_config_parser(capsys):
     for target in ("log", " Linear ", "power:0.5"):
         assert main(["constants", "--basis", "difference:6", "--m", "2..3",
@@ -342,6 +354,8 @@ def test_experiment_config_failing_fit_exits_one(tmp_path, capsys):
     ("budjet = 5", "unknown key(s): budjet"),
     ("kind = q", "kind must be 'L' or 'k'"),
     ("ladder = 8..2", "descending ladder range"),
+    ("ladder = 2..20", "section scenario:x: ladder rung 9 outside 1..8"),
+    ("ladder = 0..3", "section scenario:x: ladder rung 0 outside 1..8"),
 ])
 def test_experiment_config_bad_section_is_usage_error(line, message, tmp_path, capsys):
     cfg = tmp_path / "c.ini"
@@ -350,6 +364,18 @@ def test_experiment_config_bad_section_is_usage_error(line, message, tmp_path, c
     rc = main(["experiment", "--config", str(cfg), "--out", str(out)])
     assert rc == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_experiment_config_bad_recipe_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "c.ini"
+    cfg.write_text("[scenario:x]\nrecipe = nope:4\nladder = 2..4\n", encoding="utf-8")
+    out = tmp_path / "r"
+    rc = main(["experiment", "--config", str(cfg), "--out", str(out)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "section scenario:x: bad recipe 'nope:4'" in captured.err
     assert not out.exists()
 
 

@@ -43,11 +43,11 @@ from condgreedy._search import (
     PAIR_COEF,
     PAIR_IN,
     TINY,
-    TopK,
     digit_rows,
     pair_chunk,
     pair_rows,
     sign_rows,
+    top_positions,
 )
 from condgreedy.bases import external_basis, parse_basis
 from condgreedy.spaces import parse_space
@@ -114,6 +114,22 @@ def test_verify_witness_projection_kind():
     b = difference(4)
     w = Witness((1.0, 1.0, 1.0, 1.0), (1, 3), 3.0, "oracle")
     assert verify_witness(b, w) == 3.0
+
+
+BAD_INDICES = [((0,), "1..4"), ((5,), "1..4"), ((2, 2), "duplicate")]
+
+
+@pytest.mark.parametrize("A,message", BAD_INDICES, ids=["zero", "d+1", "duplicate"])
+def test_index_checks(A, message):
+    # index 0 once wrapped round to index d, d + 1 leaked an IndexError and
+    # a duplicate passed
+    b = difference(4)
+    with pytest.raises(ConditionalityError, match=message):
+        sa_ratio(b, np.ones(4), A)
+    with pytest.raises(ConditionalityError, match=message):
+        verify_witness(b, Witness((1.0,) * 4, A, 3.0, "oracle"))
+    with pytest.raises(ConditionalityError, match=message):
+        verify_witness(b, Witness((1.0, -1.0, 0.5, 0.0), (1,), 1.0, "almost-greedy", A))
 
 
 def test_verify_witness_rejects_unknown_kind():
@@ -192,7 +208,7 @@ def _dense_pairs(start, stop, m):
     return PAIR_COEF[digits].astype(np.float64), PAIR_IN[digits]
 
 
-def _dense_oracle_grid(ev, best, top):
+def _dense_oracle_grid(ev, best, leaders):
     """Reference sweep: synthesise f and S_A f for every pair of every chunk."""
     m = ev.m
     total = 5**m
@@ -205,7 +221,8 @@ def _dense_oracle_grid(ev, best, top):
         ratios = np.where(ok, nums / np.where(ok, dens, 1.0), 0.0)
         i = int(np.argmax(ratios))
         best.offer(ratios[i], coefs[i], cond_mod._mask_to_set(inmask[i]))
-        top.update(ratios[ok], coefs[ok])
+        sel = np.flatnonzero(ok)[top_positions(ratios[ok], cond_mod.ORACLE_TOPK)]
+        leaders.append((ratios[sel], coefs[sel]))
 
 
 def _random_external(space: str, m: int):
@@ -229,14 +246,13 @@ def test_oracle_grid_matches_dense_reference(name, make, monkeypatch):
     for m in range(1, min(b.d, 7) + 1):
         ev = cond_mod._SupportEval(b, m)
         got_best, ref_best = cond_mod._Best(b.d, "oracle"), cond_mod._Best(b.d, "oracle")
-        got_top, ref_top = TopK(cond_mod.ORACLE_TOPK, m), TopK(cond_mod.ORACLE_TOPK, m)
-        cond_mod._oracle_grid(ev, got_best, got_top)
-        _dense_oracle_grid(ev, ref_best, ref_top)
-        assert got_best.ratio == ref_best.ratio
-        assert np.array_equal(got_best.coeffs, ref_best.coeffs)
-        assert got_best.indices == ref_best.indices
-        assert np.array_equal(got_top.ratios, ref_top.ratios)
-        assert np.array_equal(got_top.coefs, ref_top.coefs)
+        got_lead, ref_lead = [], []
+        cond_mod._oracle_grid(ev, got_best, got_lead)
+        _dense_oracle_grid(ev, ref_best, ref_lead)
+        assert got_best.result() == ref_best.result()
+        assert len(got_lead) == len(ref_lead)
+        for (got_r, got_rows), (ref_r, ref_rows) in zip(got_lead, ref_lead):
+            assert np.array_equal(got_r, ref_r) and np.array_equal(got_rows, ref_rows)
     got = [L_m_oracle(b, m) for m in range(1, min(b.d, 7) + 1)]
     monkeypatch.setattr(cond_mod, "_oracle_grid", _dense_oracle_grid)
     ref = [L_m_oracle(b, m) for m in range(1, min(b.d, 7) + 1)]
@@ -468,7 +484,7 @@ def test_growth_fit_slope_band():
     rep = growth_fit(rows, LOG_TARGET)
     assert rep.verdict == "FAIL"
     assert "slope" in rep.note
-    rep2 = growth_fit(rows, LOG_TARGET, slope_band=(0.001, 10.0))
+    rep2 = growth_fit([(m, 0.2 * math.log2(m) + 1.0, "") for m in (4, 8, 16, 32)], LOG_TARGET)
     assert rep2.verdict == "PASS"
 
 

@@ -47,7 +47,6 @@ from condgreedy.greedy import (
     _ag_denominators,
     _ag_exhaustive,
     _ag_random_block,
-    _floor_witness,
     _kept_norms_form,
     _last_gain,
     _min_denominators,
@@ -525,10 +524,15 @@ def test_golden_phi_difference18():
 _TINY = 1e-12
 
 
+def _qg_floor(b):
+    """The floor of every quasi-greedy tier: f = x_1, A = (), ratio 1."""
+    return 1.0, Witness((1.0,) + (0.0,) * (b.d - 1), (), 1.0, "quasi-greedy")
+
+
 def _qg_exhaustive_dense(b):
     """Reference: synthesise f and f - S_A f for every pair of the 5^d grid."""
     d = b.d
-    best, best_wit = _floor_witness(b, "quasi-greedy")
+    best, best_wit = _qg_floor(b)
     total = 5**d
     chunk = 1 << 18
     for start in range(0, total, chunk):
@@ -549,7 +553,7 @@ def _qg_exhaustive_dense(b):
 def _qg_sign_grid_whole(b, seed):
     """Reference: prefix residuals of each 16384-row chunk in one evaluation."""
     d = b.d
-    best, best_wit = _floor_witness(b, "quasi-greedy")
+    best, best_wit = _qg_floor(b)
     total = 3**d
     chunk = 1 << 14
     signs = np.array([0.0, 1.0, -1.0])

@@ -12,12 +12,14 @@ from condgreedy._search import (
     MAX_SWEEPS,
     TINY,
     ascend,
+    distinct_leaders,
     guarded_ratio,
     parallel_block_max,
     rng_stream,
     sample_block,
     scale_moves,
     signed_moves,
+    top_positions,
 )
 
 # ---------------------------------------------------------------------------
@@ -425,3 +427,58 @@ def test_block_max_keeps_first_best_block_in_order():
     # a lone block is kept even below zero; no blocks gives (0.0, None)
     assert parallel_block_max(lambda i: (-1.0, "only"), 1) == (-1.0, "only")
     assert parallel_block_max(block, 0) == (0.0, None)
+
+
+# ---------------------------------------------------------------------------
+# the oracle's leader pick
+# ---------------------------------------------------------------------------
+
+
+class _TopK:
+    """Reference: the incremental best-k tracker that ``distinct_leaders``
+    replaces; each update keeps the stable best k of the old and new rows."""
+
+    def __init__(self, k: int, width: int):
+        self.k = k
+        self.ratios = np.empty(0)
+        self.coefs = np.empty((0, width))
+
+    def update(self, ratios, coefs):
+        if ratios.size == 0:
+            return
+        sel = top_positions(ratios, self.k)
+        self.ratios = np.concatenate([self.ratios, ratios[sel]])
+        self.coefs = np.vstack([self.coefs, coefs[sel]])
+        order = np.argsort(-self.ratios, kind="stable")[: self.k]
+        self.ratios = self.ratios[order]
+        self.coefs = self.coefs[order]
+
+    def distinct_starts(self, tol: float = 1e-13):
+        picked = []
+        for i in range(self.ratios.size):
+            if all(abs(self.ratios[i] - self.ratios[j]) > tol for j in picked):
+                picked.append(i)
+        return [self.coefs[i].copy() for i in picked]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_distinct_leaders_matches_incremental_topk(seed):
+    rng = np.random.default_rng(seed)
+    k, width = int(rng.integers(1, 8)), 3
+    ref, pieces = _TopK(k, width), []
+    for _ in range(int(rng.integers(0, 8))):
+        n = int(rng.choice([0, 1, int(rng.integers(2, 50))]))
+        # few distinct values, some within the 1e-13 distinctness tolerance
+        ratios = rng.integers(0, 4, size=n) / 4.0 + rng.choice([0.0, 1e-14, 1e-12], size=n)
+        rows = rng.standard_normal((n, width))
+        ref.update(ratios, rows)
+        sel = top_positions(ratios, k)  # each piece pre-cut, as the oracle does
+        pieces.append((ratios[sel], rows[sel]))
+    got, want = distinct_leaders(pieces, k), ref.distinct_starts()
+    assert len(got) == len(want)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def test_distinct_leaders_of_no_rows():
+    assert distinct_leaders([], 6) == []
+    assert distinct_leaders([(np.empty(0), np.empty((0, 4)))] * 3, 6) == []
