@@ -1,8 +1,8 @@
 """The search engine of every lower-bound estimator: the block sampler
 ``sample_block``, ``guarded_ratio``, ``greedy_order``, the lockstep coordinate
 ascent ``ascend`` with its move sets, the block maximum ``parallel_block_max``,
-the oracle's leader pick ``distinct_leaders``, the input checks and the
-sign-vector tables of the exhaustive routes.
+the oracle's leader pick ``distinct_leaders``, the input checks, and the
+sign-vector tables and kernel ``sign_leaders`` of the exhaustive routes.
 What is specific to one family of constants stays beside its estimators:
 ``conditionality._seeded_search`` for L_m and k_m, ``greedy._drop_search``
 and ``greedy._min_denominators`` for the greedy constants.
@@ -202,47 +202,52 @@ def sign_rows(m: int) -> np.ndarray:
     return SIGN_VALUES[digit_rows(0, 3**m, m, 3)]
 
 
-# base-5 joint coding of (coefficient, membership) per coordinate:
-#   0 -> coeff  0 (membership irrelevant)
-#   1 -> coeff +1, in the set        2 -> coeff +1, out
-#   3 -> coeff -1, in the set        4 -> coeff -1, out
-PAIR_COEF = np.array([0, 1, 1, -1, -1], dtype=np.int8)
-PAIR_IN = np.array([False, True, False, True, False])
-# ternary sign digit of f and of S_A f for each pair digit
-_PAIR_F = np.array([0, 1, 1, 2, 2], dtype=np.int32)
-_PAIR_S = np.array([0, 1, 0, 2, 0], dtype=np.int32)
+def best_subcodes(values: np.ndarray, m: int, prefer_wide: bool) -> np.ndarray:
+    """For every ternary sign code c < 3^m, the sub-code s (each digit s_j
+    either 0 or c_j) with the largest ``values[s]``; ties go to the widest s
+    when ``prefer_wide``, else to the narrowest (s is wider than s' if its
+    highest differing digit is nonzero).  Pass j lets each code take the
+    winner of its code with digit j zeroed when that is better: about m 3^m
+    work."""
+    subs = np.arange(3**m)
+    vals = np.array(values, dtype=np.float64)
+    for j in range(m):
+        v, s = vals.reshape(-1, 3, 3**j), subs.reshape(-1, 3, 3**j)
+        take = v[:, :1] > v[:, 1:] if prefer_wide else v[:, :1] >= v[:, 1:]
+        np.copyto(v[:, 1:], v[:, :1], where=take)
+        np.copyto(s[:, 1:], s[:, :1], where=take)
+    return subs
 
 
-def _pair_codes(n_digits: int, shift: int):
-    """Sign codes of f and S_A f for every n_digits-long pair index, scaled
-    to start at ternary digit ``shift``."""
-    digits = digit_rows(0, 5**n_digits, n_digits, 5)
-    weights = (3 ** np.arange(shift, shift + n_digits)).astype(np.int32)
-    return _PAIR_F[digits] @ weights, _PAIR_S[digits] @ weights
+def _sweep_rank(codes, in_codes, m: int) -> np.ndarray:
+    """Rank of the witness (f, A), f with sign codes ``codes`` and S_A f with
+    ``in_codes``, in the canonical order: coordinate m first, each ordered
+    0 < +1 in A < +1 out < -1 in < -1 out."""
+    c, s = np.asarray(codes, dtype=np.int64), np.asarray(in_codes, dtype=np.int64)
+    rank = np.zeros(c.shape, dtype=np.int64)
+    for j in range(m):
+        rank += (2 * (c % 3) - (s % 3 != 0)) * 5**j
+        c, s = c // 3, s // 3
+    return rank
 
 
-def pair_chunk(start: int, stop: int, m: int):
-    """Sign codes (cf, cs) of f and S_A f for pair indices start..stop-1.
+def sign_leaders(table: np.ndarray, m: int, k: int, residual: bool):
+    """The k sign codes c with table[c] > TINY and the largest ratio
+    table[s] / table[c] over their sub-codes s, best first, ties by the
+    lowest ``_sweep_rank``: (codes, their s, ratios).  ``table`` holds the
+    norms of ``sign_rows(m)``; s is S_A f, or f - S_A f when ``residual``.
 
-    Both index ``sign_rows(m)``; since the codes are digit-wise linear, the
-    residual f - S_A f has code ``cf - cs``.  A pair index splits into its
-    high and low base-5 digits, so the codes are sums of two half-digit
-    tables over the few high-digit values the range spans; nothing of
-    length 5^m is allocated.
-    """
-    low = m // 2
-    lo_f, lo_s = _pair_codes(low, 0)
-    hi_f, hi_s = _pair_codes(m - low, low)
-    h0, l0 = divmod(start, 5**low)
-    h1 = -(-stop // 5**low)
-    cut = slice(l0, l0 + stop - start)
-    return (hi_f[h0:h1, None] + lo_f).ravel()[cut], (hi_s[h0:h1, None] + lo_s).ravel()[cut]
-
-
-def pair_rows(idx, m: int):
-    """(coefficients, membership) rows of the given pair indices."""
-    digits = (np.asarray(idx, dtype=np.int64)[:, None] // 5 ** np.arange(m)) % 5
-    return PAIR_COEF[digits].astype(np.float64), PAIR_IN[digits]
+    The kernel of both exhaustive routes (the oracle grid and the d <= 8
+    quasi-greedy sweep): ``best_subcodes`` gives each c its best s, and
+    dividing by table[c] keeps the order."""
+    subs = best_subcodes(table, m, prefer_wide=not residual)
+    ratios = guarded_ratio(table[subs], table)
+    kept = np.flatnonzero(table > TINY)
+    if kept.size > k:
+        kept = kept[ratios[kept] >= np.partition(ratios[kept], -k)[-k]]
+    in_codes = kept - subs[kept] if residual else subs[kept]
+    top = kept[np.lexsort((_sweep_rank(kept, in_codes, m), -ratios[kept]))[:k]]
+    return top, subs[top], ratios[top]
 
 
 def all_subset_masks(m: int) -> np.ndarray:
@@ -269,8 +274,10 @@ def top_positions(ratios: np.ndarray, k: int) -> np.ndarray:
 
 def distinct_leaders(pieces, k: int) -> list:
     """Rows of the best k ratios over the (ratios, rows) ``pieces``, ties in
-    offer order, with pairwise-distinct ratios (trims redundant ascent seeds);
-    a piece may first be cut to its own ``top_positions``, bounding memory."""
+    offer order, with pairwise-distinct ratios (trims redundant ascent seeds).
+    The oracle grid offers one piece of its k best sign vectors; each batch
+    of the reduced tier is first cut to its own ``top_positions``, bounding
+    memory."""
     ratios = np.concatenate([np.empty(0)] + [r for r, _ in pieces])
     picked = []
     for i in np.argsort(-ratios, kind="stable")[:k].tolist():

@@ -14,8 +14,8 @@ witness:
   enough (deterministic reduced sampling otherwise), then multiplicative
   coordinate ascent on the leading candidates, each rescanned against all
   2^m subsets.  Deterministic; no user seed enters.  On the full grid both
-  f and S_A f are sign vectors, so the 5^m pairs are integer codes into
-  one norm table over the 3^m sign vectors, evaluated once per m.
+  f and S_A f are sign vectors, so one norm table over the 3^m sign
+  vectors holds every ratio, and each f's best A takes about m steps.
 * ``L_m_estimate`` -- the oracle route when m is inside the guard and the
   budget covers the full grid; otherwise template evaluation plus seeded
   random sampling with ascent against a fixed family of structured sets.
@@ -24,9 +24,9 @@ witness:
 
 The objective of every route is ``_SupportEval.mask_sweep``, which scores
 a batch of coefficient rows against a family of sets; the sampler,
-the coordinate ascent, the block maximum and the oracle's leader pick come
-from ``_search``.  Both estimates share one body, ``_seeded_search``, and one
-block body, ``_block_best`` then ``_block_ascent``.  Every estimator, the
+the coordinate ascent, the block maximum, the oracle's leader pick and the
+grid kernel come from ``_search``.  Both estimates share one body,
+``_seeded_search``, and one block body, ``_block_best`` then ``_block_ascent``.  Every estimator, the
 greedy ones too, builds its result in one record, ``_Best``.
 
 Estimates are reproducible for fixed (inputs, seed), and never decrease
@@ -52,11 +52,10 @@ from ._search import (
     distinct_leaders,
     greedy_order,
     guarded_ratio,
-    pair_chunk,
-    pair_rows,
     parallel_block_max,
     rng_stream,
     sample_block,
+    sign_leaders,
     sign_rows,
     signed_moves,
     top_positions,
@@ -86,7 +85,7 @@ __all__ = [
 ]
 
 DEFAULT_GUARD = 12
-FULL_GRID_CAP = 10_000_000  # largest 5^m swept jointly; m <= 10
+FULL_GRID_CAP = 10_000_000  # most (f, A) pairs, 5^m, of the full grid; m <= 10
 REDUCED_PAIRS = 131_072
 ORACLE_TOPK = 6
 SET_CHUNK = 8192  # sets per norms call of ``_SupportEval.set_norms``
@@ -331,14 +330,14 @@ class _Best:
 def L_m_oracle(b: BasisTruncation, m: int, guard: int = DEFAULT_GUARD):
     """Reference lower bound for L_m; deterministic, independent of any seed.
 
-    The full joint grid (5^m <= FULL_GRID_CAP) enumerates (coefficient,
-    membership) pairs as base-5 indices; ``pair_chunk`` turns them into the
-    ternary codes of f and S_A f, which index one table of the norms of all
-    3^m sign vectors.  Where every synthesised coordinate is exact, as on
-    the shipped recipes, the ratios, the leaders and the witness equal those
-    of synthesising every pair.  Otherwise BLAS may round a row differently
-    with the batch it sits in, and they agree to a few ulps, well inside the
-    1e-12 to which a witness re-verifies.
+    The full joint grid (5^m <= FULL_GRID_CAP) covers every sign vector f
+    and every A, reading all norms from one table of the 3^m sign vectors
+    (``_oracle_grid``).  Where every synthesised coordinate is exact, as on
+    the shipped recipes, its best equals that of synthesising every (f, A)
+    pair.  Otherwise BLAS may round a row differently with the batch it
+    sits in, and they agree to a few ulps, well inside the 1e-12 to which a
+    witness re-verifies.  Past the cap the reduced tier samples
+    REDUCED_PAIRS pairs and cuts each batch to its own leaders.
     """
     if not (1 <= m <= b.d):
         raise ConditionalityError(f"m must lie in 1..{b.d}, got {m}")
@@ -396,26 +395,17 @@ def L_m_oracle(b: BasisTruncation, m: int, guard: int = DEFAULT_GUARD):
 
 
 def _oracle_grid(ev: _SupportEval, best: _Best, leaders: list):
-    """Sweep all 5^m (coefficient, membership) pairs of the support m.
+    """Every sign vector f of the support m against every A in {1..m}.
 
-    f and S_A f are both sign vectors, so every norm is read from one table
-    over the 3^m sign vectors; only the argmax row and the chunk's leaders
-    (``top_positions``) are decoded back into coefficients and sets.
+    S_A f is a sub-code of f, so one table of the norms of the 3^m sign
+    vectors holds every ratio (``sign_leaders``).  Offers the best f and
+    one leader piece, the ORACLE_TOPK best f by their best A.
     """
-    m = ev.m
-    table = ev.coef_norms(sign_rows(m))
-    total = 5**m
-    step = 1 << 18
-    for start in range(0, total, step):
-        cf, cs = pair_chunk(start, min(start + step, total), m)
-        dens = table[cf]
-        ratios = guarded_ratio(table[cs], dens)
-        i = int(np.argmax(ratios))
-        coefs, inmask = pair_rows([start + i], m)
-        best.offer(ratios[i], coefs[0], _mask_to_set(inmask[0]))
-        kept = np.flatnonzero(dens > TINY)
-        sel = kept[top_positions(ratios[kept], ORACLE_TOPK)]
-        leaders.append((ratios[sel], pair_rows(start + sel, m)[0]))
+    signs = sign_rows(ev.m)
+    codes, subs, ratios = sign_leaders(ev.coef_norms(signs), ev.m, ORACLE_TOPK, residual=False)
+    if codes.size:
+        best.offer(ratios[0], signs[codes[0]], np.flatnonzero(signs[subs[0]]) + 1)
+    leaders.append((ratios, signs[codes]))
 
 
 # ---------------------------------------------------------------------------
@@ -482,11 +472,16 @@ def L_m_estimate(
     guard: int = DEFAULT_GUARD,
 ):
     """Lower bound for L_m from templates plus seeded search (oracle route
-    when m is within the guard and the budget covers the full grid)."""
+    when m is within the guard and the budget covers the full grid); the
+    support and A of each caller template must lie inside 1..m."""
     if not (1 <= m <= b.d):
         raise ConditionalityError(f"m must lie in 1..{b.d}, got {m}")
     check_budget(budget, ConditionalityError)
-    pairs = list(templates) if templates is not None else []
+    pairs = [] if templates is None else [(np.asarray(a, dtype=np.float64), A) for a, A in templates]
+    for a, A in pairs:
+        if a.shape != (b.d,) or np.any(a[m:]):
+            raise ConditionalityError(f"template coefficients need length {b.d}, support in 1..{m}")
+        check_indices(A, m, ConditionalityError)
 
     if m <= guard and (budget is None or budget >= 5**m):
         # the oracle has swept the recipe's templates already

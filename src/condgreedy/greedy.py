@@ -10,8 +10,9 @@ and the democracy ratio.
 Estimator tiers, chosen by the basis length d:
 
 * d <= 8   -- exhaustive sweep over the sign grid {-1,0,1}^d and every greedy
-              set (for sign vectors every subset of the support is greedy);
-              the budget is not consulted.
+              set (for sign vectors every subset of the support is greedy),
+              by the oracle grid's kernel ``_search.sign_leaders``; the
+              budget is not consulted.
 * d <= 12  -- full sign grid with canonical greedy prefixes plus a seeded
               stochastic tie resolution per sign pattern, every norm read
               from one table over the 3^d sign vectors (almost-greedy:
@@ -171,21 +172,17 @@ def _prefix_residual_ratios(b: BasisTruncation, rows: np.ndarray):
 def _qg_exhaustive(b: BasisTruncation):
     """Complete sweep over sign vectors and all their greedy sets (d <= 8).
 
-    f and f - S_A f are sign vectors, so their norms come from one table over
-    the 3^d sign vectors, indexed by the pair codes.
+    Every subset A of a sign vector's support is greedy, and f - S_A f is a
+    sub-code of f, so one table of the norms of the 3^d sign vectors holds
+    every ratio (``_search.sign_leaders``).
     """
     d = b.d
     best = _Best(d, "quasi-greedy")
-    table = b.synth_norms(_search.sign_rows(d))
-    total = 5**d
-    chunk = 1 << 18
-    for start in range(0, total, chunk):
-        cf, cs = _search.pair_chunk(start, min(start + chunk, total), d)
-        ratios = guarded_ratio(table[cf - cs], table[cf])
-        i = int(np.argmax(ratios))
-        if ratios[i] > best.ratio + TINY:
-            coefs, inmask = _search.pair_rows([start + i], d)
-            best.offer(ratios[i], coefs[0], np.flatnonzero(inmask[0]) + 1)
+    signs = _search.sign_rows(d)
+    codes, res, ratios = _search.sign_leaders(b.synth_norms(signs), d, 1, residual=True)
+    if codes.size and ratios[0] > best.ratio + TINY:
+        f = signs[codes[0]]
+        best.offer(ratios[0], f, np.flatnonzero(f != signs[res[0]]) + 1)
     return best.result()
 
 

@@ -40,14 +40,10 @@ from condgreedy import spaces as spaces_mod
 from condgreedy._search import (
     ASCENT_TOL,
     MAX_SWEEPS,
-    PAIR_COEF,
-    PAIR_IN,
     TINY,
+    _sweep_rank,
     digit_rows,
-    pair_chunk,
-    pair_rows,
     sign_rows,
-    top_positions,
 )
 from condgreedy.bases import external_basis, parse_basis
 from condgreedy.spaces import parse_space
@@ -199,30 +195,51 @@ def test_oracle_validation():
 
 
 # ---------------------------------------------------------------------------
-# pair codes and the sign-table oracle grid
+# the sign-table oracle grid against a dense pair sweep
 # ---------------------------------------------------------------------------
 
-
-def _dense_pairs(start, stop, m):
-    digits = digit_rows(start, stop, m, 5)
-    return PAIR_COEF[digits].astype(np.float64), PAIR_IN[digits]
+# base-5 digit of (coefficient, membership in A) per coordinate of the dense
+# reference sweep: 0, +1 in, +1 out, -1 in, -1 out
+PAIR_COEF = np.array([0, 1, 1, -1, -1], dtype=np.int8)
+PAIR_IN = np.array([False, True, False, True, False])
 
 
 def _dense_oracle_grid(ev, best, leaders):
-    """Reference sweep: synthesise f and S_A f for every pair of every chunk."""
+    """Reference: synthesise f and S_A f for every pair of the 5^m sweep.
+
+    The best is the first best pair in sweep order; the leader piece holds
+    the ORACLE_TOPK best f with ||f|| > TINY by their best pair, ties by the
+    lowest pair index.
+    """
     m = ev.m
-    total = 5**m
-    step = 1 << 18
-    for start in range(0, total, step):
-        coefs, inmask = _dense_pairs(start, min(start + step, total), m)
-        dens = ev.coef_norms(coefs)
-        nums = ev.coef_norms(coefs * inmask)
-        ok = dens > TINY
-        ratios = np.where(ok, nums / np.where(ok, dens, 1.0), 0.0)
-        i = int(np.argmax(ratios))
-        best.offer(ratios[i], coefs[i], cond_mod._mask_to_set(inmask[i]))
-        sel = np.flatnonzero(ok)[top_positions(ratios[ok], cond_mod.ORACLE_TOPK)]
-        leaders.append((ratios[sel], coefs[sel]))
+    digits = digit_rows(0, 5**m, m, 5)
+    coefs, inmask = PAIR_COEF[digits].astype(np.float64), PAIR_IN[digits]
+    dens = ev.coef_norms(coefs)
+    nums = ev.coef_norms(coefs * inmask)
+    ok = dens > TINY
+    ratios = np.where(ok, nums / np.where(ok, dens, 1.0), 0.0)
+    i = int(np.argmax(ratios))
+    best.offer(ratios[i], coefs[i], cond_mod._mask_to_set(inmask[i]))
+    order = np.flatnonzero(ok)[np.argsort(-ratios[ok], kind="stable")]
+    f_codes = (coefs.astype(np.int64) % 3) @ 3 ** np.arange(m)
+    first = np.sort(np.unique(f_codes[order], return_index=True)[1])[: cond_mod.ORACLE_TOPK]
+    leaders.append((ratios[order[first]], coefs[order[first]]))
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_pair_codes_round_trip_whole_grid(m):
+    # every pair index p of the dense sweep names f and S_A f as sign codes,
+    # the residual f - S_A f is their difference, and _sweep_rank gives p back
+    digits = digit_rows(0, 5**m, m, 5)
+    coefs, inmask = PAIR_COEF[digits].astype(np.float64), PAIR_IN[digits]
+    place = 3 ** np.arange(m)
+    cf = (coefs.astype(np.int64) % 3) @ place
+    cs = ((coefs * inmask).astype(np.int64) % 3) @ place
+    table = sign_rows(m)
+    assert np.array_equal(table[cf], coefs)
+    assert np.array_equal(table[cs], coefs * inmask)
+    assert np.array_equal(table[cf - cs], coefs * ~inmask)
+    assert np.array_equal(_sweep_rank(cf, cs, m), np.arange(5**m))
 
 
 def _random_external(space: str, m: int):
@@ -250,43 +267,13 @@ def test_oracle_grid_matches_dense_reference(name, make, monkeypatch):
         cond_mod._oracle_grid(ev, got_best, got_lead)
         _dense_oracle_grid(ev, ref_best, ref_lead)
         assert got_best.result() == ref_best.result()
-        assert len(got_lead) == len(ref_lead)
-        for (got_r, got_rows), (ref_r, ref_rows) in zip(got_lead, ref_lead):
-            assert np.array_equal(got_r, ref_r) and np.array_equal(got_rows, ref_rows)
+        assert len(got_lead) == len(ref_lead) == 1
+        (got_r, got_rows), (ref_r, ref_rows) = got_lead[0], ref_lead[0]
+        assert np.array_equal(got_r, ref_r) and np.array_equal(got_rows, ref_rows)
     got = [L_m_oracle(b, m) for m in range(1, min(b.d, 7) + 1)]
     monkeypatch.setattr(cond_mod, "_oracle_grid", _dense_oracle_grid)
     ref = [L_m_oracle(b, m) for m in range(1, min(b.d, 7) + 1)]
     assert got == ref
-
-
-@pytest.mark.parametrize("m", range(1, 7))
-def test_pair_codes_round_trip_whole_grid(m):
-    coefs, inmask = _dense_pairs(0, 5**m, m)
-    cf, cs = pair_chunk(0, 5**m, m)
-    table = sign_rows(m)
-    assert table.shape == (3**m, m)
-    assert np.array_equal(table[cf], coefs)
-    assert np.array_equal(table[cs], coefs * inmask)
-    assert np.array_equal(table[cf - cs], coefs * ~inmask)
-    got_coefs, got_in = pair_rows(np.arange(5**m), m)
-    assert np.array_equal(got_coefs, coefs) and np.array_equal(got_in, inmask)
-
-
-@pytest.mark.parametrize("m,start,stop", [
-    (1, 2, 5),
-    (7, 100, 300),  # crosses the 5^3 low-half boundary
-    (7, 130, 140),  # inside one high-digit block
-    (8, 5**4 - 3, 2 * 5**4 + 3),
-    (10, 3 * 5**5 - 11, 3 * 5**5 + 17),
-    (10, 5**10 - 40, 5**10),  # last rows of the grid
-])
-def test_pair_codes_straddle_half_tables(m, start, stop):
-    coefs, inmask = _dense_pairs(start, stop, m)
-    cf, cs = pair_chunk(start, stop, m)
-    table = sign_rows(m)
-    assert cf.dtype == np.int32 and cs.dtype == np.int32
-    assert np.array_equal(table[cf], coefs)
-    assert np.array_equal(table[cs], coefs * inmask)
 
 
 def test_oracle_memory_stays_below_the_pair_grid():
@@ -356,6 +343,18 @@ def test_estimate_extra_templates_are_honoured():
     # hand the known maximiser in; the reported bound can only match or beat it
     val, _ = L_m_estimate(b, 10, budget=64, templates=[(a, tuple(range(1, 11, 2)))])
     assert val >= 10.0 - 1e-12
+
+
+@pytest.mark.parametrize("budget", (None, 16), ids=("oracle", "seeded"))
+def test_estimate_rejects_templates_outside_the_support(budget):
+    b = summing(8)
+    a = np.array([1.0, -1.0] * 4)
+    head = np.r_[a[:3], np.zeros(5)]
+    for coeffs, A in ((a, (1, 3, 5, 7)), (a, (1, 3)), (head, (1, 3, 5)), (a[:3], (1, 3))):
+        with pytest.raises(ConditionalityError):
+            L_m_estimate(b, 3, budget=budget, templates=[(coeffs, A)])
+    val, wit = L_m_estimate(b, 3, budget=budget, templates=[(head, (1, 3))])
+    assert verify_witness(b, wit) == pytest.approx(val, rel=1e-12)
 
 
 def test_k_m_spread_set_bound():

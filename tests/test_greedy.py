@@ -32,8 +32,6 @@ from condgreedy import greedy as greedy_mod
 from condgreedy._search import (
     ASCENT_TOL,
     MAX_SWEEPS,
-    PAIR_COEF,
-    PAIR_IN,
     SIGN_VALUES,
     all_subset_masks,
     ascend,
@@ -44,6 +42,7 @@ from condgreedy._search import (
 )
 from condgreedy.bases import BasisTruncation, external_basis, parse_basis
 from condgreedy.greedy import (
+    QG_EXHAUSTIVE_MAX_D,
     _ag_denominators,
     _ag_exhaustive,
     _ag_random_block,
@@ -522,6 +521,10 @@ def test_golden_phi_difference18():
 # ---------------------------------------------------------------------------
 
 _TINY = 1e-12
+# base-5 digit of (coefficient, membership in A) per coordinate of the dense
+# reference sweep: 0, +1 in, +1 out, -1 in, -1 out
+PAIR_COEF = np.array([0, 1, 1, -1, -1], dtype=np.int8)
+PAIR_IN = np.array([False, True, False, True, False])
 
 
 def _qg_floor(b):
@@ -590,7 +593,7 @@ def _random_external(space: str, d: int):
     "external bv", "external lorentz:p=2,q=1",
 ])
 def test_qg_exhaustive_matches_dense_reference(spec):
-    for d in range(1, 7):
+    for d in range(1, QG_EXHAUSTIVE_MAX_D + 1):
         if spec.startswith("external "):
             b = _random_external(spec.split(" ", 1)[1], d)
         else:

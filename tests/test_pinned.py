@@ -34,6 +34,11 @@ def _external(space: str, d: int):
     return external_basis(rng.standard_normal((d + 2, d)), parse_space(space), space)
 
 
+def _ones(m: int, d: int) -> np.ndarray:
+    """1 on the first m of d coefficients: a template supported in 1..m."""
+    return np.r_[np.ones(m), np.zeros(d - m)]
+
+
 # one basis per estimator tier: d <= 8 exhaustive, 9..12 sign grid and exact
 # denominators, > 12 random blocks (dense, and by event sweep on l1_pairs)
 BASES = {
@@ -46,7 +51,7 @@ BASES = {
 
 ROUTES = {
     "oracle": lambda b, s: [L_m_oracle(b, 4)],
-    "oracle+template": lambda b, s: [L_m_estimate(b, 4, templates=[(np.ones(b.d), (1, 3))])],
+    "oracle+template": lambda b, s: [L_m_estimate(b, 4, templates=[(_ones(4, b.d), (1, 3))])],
     "L": lambda b, s: [L_m_estimate(b, 6, budget=256, seed=s)],
     "k": lambda b, s: [k_m_estimate(b, 3, budget=256, seed=s)],
     "ladder": lambda b, s: [r[1:] for r in lb_ladder(b, (2, 3, 5), budget=256, seed=s, guard=3)],
@@ -69,8 +74,8 @@ PINS = {
     ('external bv', 'ladder'): 'e584b2f40c70',
     ('external bv', 'quasi-greedy'): '26aaf2cc5232',
     ('external bv', 'almost-greedy'): '820f0306d651',
-    ('external lorentz', 'oracle'): '0c1e99533dc4',
-    ('external lorentz', 'oracle+template'): '0c1e99533dc4',
+    ('external lorentz', 'oracle'): '5499878b5513',
+    ('external lorentz', 'oracle+template'): '5499878b5513',
     ('external lorentz', 'L'): 'a21431005d76',
     ('external lorentz', 'k'): '0a6a0695da33',
     ('external lorentz', 'ladder'): 'd8fc63265042',

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from condgreedy._search import (
     ASCENT_TOL,
@@ -12,6 +14,8 @@ from condgreedy._search import (
     MAX_SWEEPS,
     TINY,
     ascend,
+    best_subcodes,
+    digit_rows,
     distinct_leaders,
     guarded_ratio,
     parallel_block_max,
@@ -472,7 +476,7 @@ def test_distinct_leaders_matches_incremental_topk(seed):
         ratios = rng.integers(0, 4, size=n) / 4.0 + rng.choice([0.0, 1e-14, 1e-12], size=n)
         rows = rng.standard_normal((n, width))
         ref.update(ratios, rows)
-        sel = top_positions(ratios, k)  # each piece pre-cut, as the oracle does
+        sel = top_positions(ratios, k)  # each piece pre-cut, as the reduced tier does
         pieces.append((ratios[sel], rows[sel]))
     got, want = distinct_leaders(pieces, k), ref.distinct_starts()
     assert len(got) == len(want)
@@ -482,3 +486,41 @@ def test_distinct_leaders_matches_incremental_topk(seed):
 def test_distinct_leaders_of_no_rows():
     assert distinct_leaders([], 6) == []
     assert distinct_leaders([(np.empty(0), np.empty((0, 4)))] * 3, 6) == []
+
+
+# ---------------------------------------------------------------------------
+# best sub-codes of the exhaustive routes, against brute force
+# ---------------------------------------------------------------------------
+
+
+def _best_subcodes_brute(values, m, prefer_wide):
+    """Every sub-code of every code, best by value, ties by the 5-adic width."""
+    digits = digit_rows(0, 3**m, m, 3)
+    width = (digits != 0) @ 5 ** np.arange(m)
+    out = np.empty(3**m, dtype=np.int64)
+    for c in range(3**m):
+        subs = np.flatnonzero(((digits == 0) | (digits == digits[c])).all(axis=1))
+        key = width[subs] if prefer_wide else -width[subs]
+        out[c] = subs[np.lexsort((-key, -values[subs]))[0]]
+    return out
+
+
+@pytest.mark.parametrize("prefer_wide", (True, False))
+@pytest.mark.parametrize("m", range(1, 7))
+def test_best_subcodes_match_brute_force(m, prefer_wide):
+    rng = np.random.default_rng([m, prefer_wide])
+    for values in (rng.random(3**m), rng.integers(0, 3, 3**m).astype(np.float64),
+                   np.zeros(3**m)):
+        got = best_subcodes(values, m, prefer_wide)
+        assert np.array_equal(got, _best_subcodes_brute(values, m, prefer_wide))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda m: st.tuples(
+    st.just(m), st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]), min_size=3**m, max_size=3**m),
+    st.booleans())))
+def test_best_subcodes_break_forced_ties(case):
+    m, values, prefer_wide = case
+    values = np.array(values)
+    got = best_subcodes(values, m, prefer_wide)
+    assert np.array_equal(got, _best_subcodes_brute(values, m, prefer_wide))
