@@ -2,10 +2,10 @@
 ``sample_block``, ``guarded_ratio``, ``greedy_order``, the lockstep coordinate
 ascent ``ascend`` with its move sets, the block maximum ``parallel_block_max``,
 the oracle's leader pick ``distinct_leaders``, the input checks, and the
-sign-vector tables and kernel ``sign_leaders`` of the exhaustive routes.
-What is specific to one family of constants stays beside its estimators:
-``conditionality._seeded_search`` for L_m and k_m, ``greedy._drop_search``
-and ``greedy._min_denominators`` for the greedy constants.
+chunked sign-vector table ``sign_table`` and kernel ``sign_leaders`` of the
+exhaustive routes.  What is specific to one family of constants stays
+beside its estimators: ``conditionality._seeded_search`` for L_m and k_m,
+``greedy._min_denominators`` for the greedy constants.
 
 Determinism contract: every random draw comes from a counter-based Philox
 stream keyed by (seed, tag, indices), so results do not depend on chunk
@@ -195,11 +195,29 @@ def digit_rows(start: int, stop: int, n_digits: int, base: int) -> np.ndarray:
 
 # ternary sign coding per coordinate: 0 -> 0, 1 -> +1, 2 -> -1
 SIGN_VALUES = np.array([0.0, 1.0, -1.0])
+SIGN_CHUNK = 3**9  # sign vectors per norms call of ``sign_table``
 
 
 def sign_rows(m: int) -> np.ndarray:
     """All 3^m vectors of {-1,0,1}^m; row c carries the ternary digits of c."""
     return SIGN_VALUES[digit_rows(0, 3**m, m, 3)]
+
+
+def sign_row(code, m: int) -> np.ndarray:
+    """Row ``code`` of ``sign_rows(m)``; an array of codes gives one row each."""
+    return SIGN_VALUES[np.asarray(code)[..., None] // 3 ** np.arange(m) % 3]
+
+
+def sign_table(norms_of, m: int) -> np.ndarray:
+    """The norms ``norms_of(rows)`` of all 3^m rows of ``sign_rows(m)``,
+    filled SIGN_CHUNK rows per call, so no more than a chunk of them is
+    synthesised at once."""
+    total = 3**m
+    table = np.empty(total)
+    for start in range(0, total, SIGN_CHUNK):
+        stop = min(start + SIGN_CHUNK, total)
+        table[start:stop] = norms_of(SIGN_VALUES[digit_rows(start, stop, m, 3)])
+    return table
 
 
 def best_subcodes(values: np.ndarray, m: int, prefer_wide: bool) -> np.ndarray:
@@ -234,10 +252,10 @@ def _sweep_rank(codes, in_codes, m: int) -> np.ndarray:
 def sign_leaders(table: np.ndarray, m: int, k: int, residual: bool):
     """The k sign codes c with table[c] > TINY and the largest ratio
     table[s] / table[c] over their sub-codes s, best first, ties by the
-    lowest ``_sweep_rank``: (codes, their s, ratios).  ``table`` holds the
-    norms of ``sign_rows(m)``; s is S_A f, or f - S_A f when ``residual``.
+    lowest ``_sweep_rank``: (codes, their s, ratios).  ``table`` is the
+    ``sign_table`` of m; s is S_A f, or f - S_A f when ``residual``.
 
-    The kernel of both exhaustive routes (the oracle grid and the d <= 8
+    The kernel of both exhaustive routes (the oracle grid and the d <= 12
     quasi-greedy sweep): ``best_subcodes`` gives each c its best s, and
     dividing by table[c] keeps the order."""
     subs = best_subcodes(table, m, prefer_wide=not residual)

@@ -10,8 +10,8 @@ witness:
 
 * ``L_m_oracle``   -- reference sweep: structured coefficient profiles at
   every support size up to m, the recipe's template pairs, the full joint
-  grid over {-1,0,1} coefficients and subset membership when 5^m is small
-  enough (deterministic reduced sampling otherwise), then multiplicative
+  grid over {-1,0,1} coefficients and subset membership when m <= 10
+  (deterministic reduced sampling otherwise), then multiplicative
   coordinate ascent on the leading candidates, each rescanned against all
   2^m subsets.  Deterministic; no user seed enters.  On the full grid both
   f and S_A f are sign vectors, so one norm table over the 3^m sign
@@ -56,7 +56,8 @@ from ._search import (
     rng_stream,
     sample_block,
     sign_leaders,
-    sign_rows,
+    sign_row,
+    sign_table,
     signed_moves,
     top_positions,
 )
@@ -401,11 +402,12 @@ def _oracle_grid(ev: _SupportEval, best: _Best, leaders: list):
     vectors holds every ratio (``sign_leaders``).  Offers the best f and
     one leader piece, the ORACLE_TOPK best f by their best A.
     """
-    signs = sign_rows(ev.m)
-    codes, subs, ratios = sign_leaders(ev.coef_norms(signs), ev.m, ORACLE_TOPK, residual=False)
+    m = ev.m
+    codes, subs, ratios = sign_leaders(sign_table(ev.coef_norms, m), m, ORACLE_TOPK, residual=False)
+    rows = sign_row(codes, m)
     if codes.size:
-        best.offer(ratios[0], signs[codes[0]], np.flatnonzero(signs[subs[0]]) + 1)
-    leaders.append((ratios, signs[codes]))
+        best.offer(ratios[0], rows[0], np.flatnonzero(sign_row(subs[0], m)) + 1)
+    leaders.append((ratios, rows))
 
 
 # ---------------------------------------------------------------------------

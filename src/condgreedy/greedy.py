@@ -10,13 +10,13 @@ and the democracy ratio.
 Estimator tiers, chosen by the basis length d:
 
 * d <= 8   -- exhaustive sweep over the sign grid {-1,0,1}^d and every greedy
-              set (for sign vectors every subset of the support is greedy),
-              by the oracle grid's kernel ``_search.sign_leaders``; the
-              budget is not consulted.
-* d <= 12  -- full sign grid with canonical greedy prefixes plus a seeded
-              stochastic tie resolution per sign pattern, every norm read
-              from one table over the 3^d sign vectors (almost-greedy:
-              random blocks as below, but with exact denominators).
+              set (for sign vectors every subset of the support is greedy);
+              the budget and the seed are not consulted.  Quasi-greedy
+              keeps this sweep up to d = 12: the oracle grid's kernel
+              ``_search.sign_leaders`` on the chunked ``_search.sign_table``
+              of the 3^d sign vectors.
+* d <= 12  -- almost-greedy: random blocks as below, but with exact
+              denominators.
 * d >  12  -- seeded random magnitude/sign sampling in blocks, with
               multiplicative coordinate ascent on the block winners (for
               quasi-greedy, every block's ascent in one lockstep ``ascend``).
@@ -43,15 +43,13 @@ the set's 0/1 mask (``_kept_norms_form``), so the 2^d exact denominators of
 a chunk of rows are one matrix product; every other basis synthesises them
 densely.  Here too the matrix only selects:
 the winner's candidate sets are scored again densely, alone, and give the
-reported value, A and B.  Each remaining step is written once:
-``_drop_search`` is the random sub-support search on sign rows of both
-quasi-greedy sampling tiers, and ``_min_denominators`` the minimum over
-|B| <= t of every reported almost-greedy value, which also hands back the
+reported value, A and B.  ``_min_denominators`` is the minimum over
+|B| <= t of every reported almost-greedy value, and also hands back the
 minimising B of the witness.
 
 Every tier builds its result in ``conditionality._Best`` from the floor
-f = e_1, A = B = (); the sign-grid tiers offer only a gain of more than TINY,
-which also decides when the winner is decoded.  All reported values are
+f = e_1, A = B = (); the exhaustive tiers offer only a gain of more than
+TINY, which also decides when the winner is decoded.  All reported values are
 running-max lower bounds and are reproducible for a fixed seed.
 """
 
@@ -82,8 +80,7 @@ __all__ = [
     "democracy_ratio",
 ]
 
-QG_EXHAUSTIVE_MAX_D = 8
-QG_GRID_MAX_D = 12
+QG_EXHAUSTIVE_MAX_D = 12
 AG_EXHAUSTIVE_MAX_D = 8
 AG_EXACT_DENOM_MAX_D = 12
 FUND_EXACT_MAX_D = 20
@@ -170,7 +167,7 @@ def _prefix_residual_ratios(b: BasisTruncation, rows: np.ndarray):
 
 
 def _qg_exhaustive(b: BasisTruncation):
-    """Complete sweep over sign vectors and all their greedy sets (d <= 8).
+    """Complete sweep over sign vectors and all their greedy sets (d <= 12).
 
     Every subset A of a sign vector's support is greedy, and f - S_A f is a
     sub-code of f, so one table of the norms of the 3^d sign vectors holds
@@ -178,11 +175,11 @@ def _qg_exhaustive(b: BasisTruncation):
     """
     d = b.d
     best = _Best(d, "quasi-greedy")
-    signs = _search.sign_rows(d)
-    codes, res, ratios = _search.sign_leaders(b.synth_norms(signs), d, 1, residual=True)
+    table = _search.sign_table(b.synth_norms, d)
+    codes, res, ratios = _search.sign_leaders(table, d, 1, residual=True)
     if codes.size and ratios[0] > best.ratio + TINY:
-        f = signs[codes[0]]
-        best.offer(ratios[0], f, np.flatnonzero(f != signs[res[0]]) + 1)
+        f = _search.sign_row(codes[0], d)
+        best.offer(ratios[0], f, np.flatnonzero(f != _search.sign_row(res[0], d)) + 1)
     return best.result()
 
 
@@ -217,61 +214,6 @@ def _dense_ratio(b: BasisTruncation, row: np.ndarray, k: int) -> float:
     return float(_prefix_residual_ratios(b, row[None])[0][0, k])
 
 
-def _qg_sign_grid(b: BasisTruncation, seed: int):
-    """Full sign grid with canonical prefixes plus seeded tie subsets.
-
-    The norms of the 3^d sign vectors fill one table, chunk by chunk.
-    Zeroing the first j coordinates of sign vector c (code c - c % 3^j)
-    removes its leading nonzeros, a canonical greedy prefix, and every such
-    code is at most c, so its entry is filled before c is read.  The first
-    best j of a row gives its shortest best prefix.
-    """
-    d = b.d
-    best = _Best(d, "quasi-greedy")
-    total = 3**d
-    chunk = 1 << 14
-    place = (3 ** np.arange(d + 1)).astype(np.int32)
-    table = np.empty(total)
-    for ci, start in enumerate(range(0, total, chunk)):
-        stop = min(start + chunk, total)
-        digits = _search.digit_rows(start, stop, d, 3)
-        table[start:stop] = b.synth_norms(_search.SIGN_VALUES[digits])
-        codes = np.arange(start, stop, dtype=np.int32)[:, None]
-        full = table[start:stop]
-        ratios = guarded_ratio(table[codes - codes % place], full)
-        i, j = np.unravel_index(np.argmax(ratios), ratios.shape)
-        val = float(ratios[i, j])
-        del ratios  # bounds the peak: the next chunk's fill needs the room
-        if val > best.ratio + TINY:
-            best.offer(val, _search.SIGN_VALUES[digits[i]], np.flatnonzero(digits[i, :j]) + 1)
-        # stochastic tie resolution
-        val, i, A = _drop_search(lambda keep: table[(digits * keep) @ place[:d]], digits != 0,
-                                 full, rng_stream(seed, "qg-ties", ci), best.ratio)
-        if i >= 0:
-            best.offer(val, _search.SIGN_VALUES[digits[i]], A)
-    return best.result()
-
-
-def _drop_search(kept_norms, support: np.ndarray, full: np.ndarray, rng, best: float):
-    """Four rounds of random sub-supports A of sign rows with the given
-    ``support`` masks and norms ``full``; ``kept_norms(keep)`` gives the
-    norms of the rows restricted to the 0/1 masks ``keep``, and every
-    subset of a sign row's support is a greedy set.
-
-    Returns (ratio, row, A) of the last strict gain over ``best + TINY``,
-    or (best, -1, None) when no round gains.
-    """
-    hit, hit_A = -1, None
-    for _ in range(4):
-        drop = rng.random(support.shape) < 0.5
-        ratios = guarded_ratio(kept_norms(drop), full)
-        i = int(np.argmax(ratios))
-        if ratios[i] > best + TINY:
-            best, hit = float(ratios[i]), i
-            hit_A = tuple(int(j) + 1 for j in np.flatnonzero(~drop[i] & support[i]))
-    return best, hit, hit_A
-
-
 def _qg_ratios(b: BasisTruncation, rows: np.ndarray):
     """Batch ascent objective: the best canonical-prefix residual ratio of
     each row, and a payload k -> that prefix of row k as a 1-based set."""
@@ -283,29 +225,43 @@ def _qg_ratios(b: BasisTruncation, rows: np.ndarray):
 
 
 def _qg_block_head(b: BasisTruncation, seed: int, block_i: int):
-    """(ratio, (row, A)) of a block's first best prefix or better drop set."""
+    """(ratio, (row, A)) of a block's first best prefix, or of the last
+    strict gain over it by more than TINY in four rounds of random
+    sub-supports A of the block's sign rows (every subset of a sign row's
+    support is a greedy set)."""
     rng = rng_stream(seed, "qg", block_i)
     rows = sample_block(rng, b.d, keep=0.85)
     ratios, prefix = _qg_ratios(b, rows)
     i = int(np.argmax(ratios))
-    best_pair = (rows[i].copy(), prefix(i))
-    best = float(ratios[i]) if b.l1_pairs is None else _dense_ratio(b, rows[i], len(best_pair[1]))
+    pair = (rows[i].copy(), prefix(i))
+    best = float(ratios[i]) if b.l1_pairs is None else _dense_ratio(b, rows[i], len(pair[1]))
     signs = rows[BLOCK // 2 :]
-    best, i, A = _drop_search(lambda keep: b.synth_norms(signs * keep), signs != 0.0,
-                              b.synth_norms(signs), rng, best)
-    return best, ((signs[i].copy(), A) if i >= 0 else best_pair)
+    full = b.synth_norms(signs)
+    for _ in range(4):
+        drop = rng.random(signs.shape) < 0.5
+        ratios = guarded_ratio(b.synth_norms(signs * drop), full)
+        i = int(np.argmax(ratios))
+        if ratios[i] > best + TINY:
+            A = tuple(int(j) + 1 for j in np.flatnonzero(~drop[i] & (signs[i] != 0.0)))
+            best, pair = float(ratios[i]), (signs[i].copy(), A)
+    return best, pair
 
 
 def quasi_greedy_constant_lb(
     b: BasisTruncation, budget: int = DEFAULT_BUDGET, seed: int = DEFAULT_SEED
 ):
-    """Lower bound for the quasi-greedy constant with its witness."""
+    """Lower bound for the quasi-greedy constant with its witness.
+
+    For d <= QG_EXHAUSTIVE_MAX_D (12) the value is the largest ratio
+    ||f - S_A f|| / ||f|| over every sign vector f and every greedy set A
+    (``_qg_exhaustive``), the same for every budget and seed; beyond that,
+    the best of ceil(budget / BLOCK) seeded random blocks and of a lockstep
+    ascent from each block's winner.
+    """
     budget = check_budget(budget, GreedyError)
     d = b.d
     if d <= QG_EXHAUSTIVE_MAX_D:
         return _qg_exhaustive(b)
-    if d <= QG_GRID_MAX_D:
-        return _qg_sign_grid(b, seed)
     heads = [_qg_block_head(b, seed, i) for i in range(math.ceil(budget / BLOCK))]
     # product entries per row: the d+1 dense residuals, or ~6 per column nonzero of the sweep
     cost = (d + 1) * b.ambient_dim if b.l1_pairs is None else 6 * b.l1_pairs[0].size

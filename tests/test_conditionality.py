@@ -288,6 +288,20 @@ def test_oracle_memory_stays_below_the_pair_grid():
     assert peak < 32 * 2**20
 
 
+def test_oracle_grid_synthesises_sign_vectors_in_chunks():
+    # synthesising all 3^10 sign vectors in the 258-wide ambient space at
+    # once peaked at 135.5 MiB; 3^9 rows at a time keep it near 46 MiB
+    b = parse_basis("blocksum(lindenstrauss,dims=2^1..2^6,p=1)")
+    tracemalloc.start()
+    try:
+        val, wit = L_m_oracle(b, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (val, wit.indices) == (1.25, (3, 6))
+    assert peak < 64 * 2**20
+
+
 def test_oracle_set_sweeps_stay_chunked():
     # 2^14 masks against 64 ambient coordinates: one norms call over all
     # masks would hold 2^14 x (14 + 64) floats, about 9.8 MiB, at once

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import tracemalloc
@@ -28,6 +29,7 @@ from condgreedy import (
     verify_witness,
     Witness,
 )
+from condgreedy import _search as search_mod
 from condgreedy import greedy as greedy_mod
 from condgreedy._search import (
     ASCENT_TOL,
@@ -36,7 +38,6 @@ from condgreedy._search import (
     all_subset_masks,
     ascend,
     digit_rows,
-    rng_stream,
     scale_moves,
     sign_rows,
 )
@@ -52,7 +53,6 @@ from condgreedy.greedy import (
     _prefix_residual_ratios,
     _qg_exhaustive,
     _qg_ratios,
-    _qg_sign_grid,
     _sum_norm_extremum,
     _swept_ratios,
 )
@@ -186,8 +186,7 @@ def test_qg_seed_reproducible():
 
 
 def test_qg_grid_tier_runs():
-    # d between 9 and 12 exercises the full sign grid with tie sampling;
-    # tiers use different search families, so no cross-d ordering is assumed
+    # d between 9 and 12 runs the exhaustive sign-table sweep in chunks
     val, wit = quasi_greedy_constant_lb(lindenstrauss(9), seed=1)
     assert val > 1.0
     assert verify_witness(lindenstrauss(9), wit) == pytest.approx(val, rel=1e-12)
@@ -503,11 +502,31 @@ def test_golden_qg_random_tier_lockstep(spec, budget):
     assert (val, wit.indices, _coeff_digest(wit.coeffs)) == QG_PINS[spec, budget]
 
 
+def _is_greedy_witness(wit) -> bool:
+    """A of the witness is one of the greedy sets of its size for f."""
+    return wit.indices in greedy_sets(wit.coeffs, len(wit.indices), mode="all").all_sets
+
+
 def test_golden_qg_lindenstrauss10_sign_grid():
     val, wit = quasi_greedy_constant_lb(lindenstrauss(10), seed=1)
-    assert val == 1.2
-    assert wit.indices == (2,)
-    assert wit.coeffs == (1.0, 1.0, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    assert val == 1.25
+    assert wit.indices == (2, 3)
+    assert wit.coeffs == (1.0,) * 7 + (0.0,) * 3
+    assert _is_greedy_witness(wit)
+
+
+# exact quasi-greedy constants over the sign grid {-1,0,1}^d, d = 9..12
+QG_EXACT = {**{f"difference:{d}": float(d) for d in range(9, 13)},
+            "summing:9": 5.0, "summing:10": 5.0, "summing:11": 6.0, "summing:12": 6.0}
+
+
+@pytest.mark.parametrize("spec", list(QG_EXACT))
+def test_golden_qg_exhaustive_to_d12(spec):
+    b = parse_basis(spec)
+    val, wit = quasi_greedy_constant_lb(b, seed=1)
+    assert val == QG_EXACT[spec]
+    assert verify_witness(b, wit) == val
+    assert _is_greedy_witness(wit)
 
 
 def test_golden_phi_difference18():
@@ -517,7 +536,7 @@ def test_golden_phi_difference18():
 
 
 # ---------------------------------------------------------------------------
-# sign-table exhaustive tier and sign grid against dense references
+# sign-table exhaustive tier against the dense pair reference
 # ---------------------------------------------------------------------------
 
 _TINY = 1e-12
@@ -553,36 +572,6 @@ def _qg_exhaustive_dense(b):
     return best, best_wit
 
 
-def _qg_sign_grid_whole(b, seed):
-    """Reference: prefix residuals of each 16384-row chunk in one evaluation."""
-    d = b.d
-    best, best_wit = _qg_floor(b)
-    total = 3**d
-    chunk = 1 << 14
-    signs = np.array([0.0, 1.0, -1.0])
-    for ci, start in enumerate(range(0, total, chunk)):
-        rows = signs[digit_rows(start, min(start + chunk, total), d, 3)]
-        ratios, order, resid = _prefix_residual_ratios(b, rows)
-        full = resid[:, 0]
-        i, mrow = np.unravel_index(np.argmax(ratios), ratios.shape)
-        if ratios[i, mrow] > best + _TINY:
-            best = float(ratios[i, mrow])
-            A = tuple(sorted(int(j) + 1 for j in order[i, :mrow]))
-            best_wit = Witness(tuple(rows[i].tolist()), A, best, "quasi-greedy")
-        rng = rng_stream(seed, "qg-ties", ci)
-        ok = full > _TINY
-        for _ in range(4):
-            drop = rng.random(rows.shape) < 0.5
-            resid = b.synth_norms(rows * drop)
-            ratios1 = np.where(ok, resid / np.where(ok, full, 1.0), 0.0)
-            i = int(np.argmax(ratios1))
-            if ratios1[i] > best + _TINY:
-                best = float(ratios1[i])
-                A = tuple(int(j) + 1 for j in np.flatnonzero(~drop[i] & (rows[i] != 0.0)))
-                best_wit = Witness(tuple(rows[i].tolist()), A, best, "quasi-greedy")
-    return best, best_wit
-
-
 def _random_external(space: str, d: int):
     rng = np.random.default_rng([11, d, len(space)])
     return external_basis(rng.standard_normal((d + 2, d)), parse_space(space), space)
@@ -593,26 +582,49 @@ def _random_external(space: str, d: int):
     "external bv", "external lorentz:p=2,q=1",
 ])
 def test_qg_exhaustive_matches_dense_reference(spec):
-    for d in range(1, QG_EXHAUSTIVE_MAX_D + 1):
-        if spec.startswith("external "):
-            b = _random_external(spec.split(" ", 1)[1], d)
-        else:
-            b = parse_basis(f"{spec}:{d}")
+    # 5^d pairs: the dense reference stops at d = 8 here and runs at d = 9 below
+    for d in range(1, 9):
+        b = _spec_basis(spec, d)
         assert _qg_exhaustive(b) == _qg_exhaustive_dense(b)
     b = parse_basis("interleave(difference:3,unit:3@lp:2)")
     assert _qg_exhaustive(b) == _qg_exhaustive_dense(b)
 
 
+def _spec_basis(spec: str, d: int):
+    """The recipe ``spec:d``, or for "external <space>" a seeded random basis."""
+    if spec.startswith("external "):
+        return _random_external(spec.split(" ", 1)[1], d)
+    return parse_basis(f"{spec}:{d}")
+
+
+def _basis_d9(spec: str):
+    return _spec_basis(spec, 9) if spec.startswith("external ") else parse_basis(spec)
+
+
+@functools.cache
+def _qg_reference_d9(spec: str):
+    return _qg_exhaustive_dense(_basis_d9(spec))
+
+
 @pytest.mark.parametrize("seed,spec", [
     (seed, spec) for seed in (1, 2) for spec in ("lindenstrauss:9", "difference:9", "summing:9",
                                                  "interleave(difference:5,unit:4@lp:2)")
-] + [(1, "summing:11")])
-def test_qg_sign_grid_matches_dense_reference(seed, spec):
-    # difference:9 and the interleave reach a chunk maximum in several rows
-    # and prefixes, so only the first-maximum rule matches; summing:11 is a
-    # non-l1 basis over 11 chunks
-    b = parse_basis(spec)
-    assert _qg_sign_grid(b, seed) == _qg_sign_grid_whole(b, seed)
+] + [(1, "summing:11"), (1, "external lp:1"), (2, "external bv")])
+def test_qg_sign_grid_matches_dense_reference(seed, spec, monkeypatch):
+    # d = 9: the whole exhaustive tier, at any seed, against the 5^9 pairs
+    # (external bases at d = 9); the 5^11 pairs of summing:11 are too many,
+    # so its nine table chunks are checked against one synthesis of all 3^11
+    # sign vectors
+    if spec == "summing:11":
+        b = parse_basis(spec)
+        monkeypatch.setattr(search_mod, "SIGN_CHUNK", 3**11)
+        ref = quasi_greedy_constant_lb(b, seed=seed)
+        monkeypatch.undo()
+    else:
+        b, ref = _basis_d9(spec), _qg_reference_d9(spec)
+    got = quasi_greedy_constant_lb(b, seed=seed)
+    assert got == ref
+    assert _is_greedy_witness(got[1]) and verify_witness(b, got[1]) == pytest.approx(got[0])
 
 
 # ---------------------------------------------------------------------------
@@ -693,16 +705,17 @@ def test_swept_kernel_selection(spec, swept):
 
 
 def test_qg_sign_grid_memory_is_bounded():
-    # one whole 16384-row chunk of lindenstrauss(10) peaks at about 56 MiB;
-    # the 3^10-entry norm table and one chunk's codes need under 6 MiB
-    b = lindenstrauss(10)
-    tracemalloc.start()
-    try:
-        quasi_greedy_constant_lb(b, seed=1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * 2**20
+    # the 3^d-entry norm table, the kernel's few arrays of 3^d entries and
+    # one 3^9-row chunk of sign vectors: about 28 MiB at d = 12
+    for d, mib in ((10, 8), (12, 40)):
+        b = lindenstrauss(d)
+        tracemalloc.start()
+        try:
+            quasi_greedy_constant_lb(b, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < mib * 2**20, d
 
 
 def _count_synth_rows(monkeypatch):
@@ -719,12 +732,12 @@ def _count_synth_rows(monkeypatch):
 
 
 def test_qg_sign_grid_synthesises_each_sign_vector_once(monkeypatch):
-    # every prefix and drop-search residual is read from the table of the
-    # 3^10 sign vectors; synthesising them densely took 295,564 rows
-    b = lindenstrauss(10)
+    # every residual f - S_A f is read from the table of the 3^d sign vectors
     rows = _count_synth_rows(monkeypatch)
-    quasi_greedy_constant_lb(b, seed=1)
-    assert rows[0] == 3**10
+    for d in (10, QG_EXHAUSTIVE_MAX_D):
+        rows[0] = 0
+        quasi_greedy_constant_lb(lindenstrauss(d), seed=1)
+        assert rows[0] == 3**d
 
 
 # ---------------------------------------------------------------------------
@@ -1031,7 +1044,7 @@ def test_ag_exact_block_memory_is_bounded():
 
 
 @pytest.mark.parametrize("budget", [0, -5])
-@pytest.mark.parametrize("d", [6, 10, 14], ids=["exhaustive", "sign grid", "random"])
+@pytest.mark.parametrize("d", [6, 10, 14], ids=["exhaustive", "exhaustive d=10", "random"])
 def test_qg_rejects_budget_below_one(d, budget):
     with pytest.raises(GreedyError, match="budget"):
         quasi_greedy_constant_lb(lindenstrauss(d), budget=budget)
@@ -1056,7 +1069,7 @@ def test_democracy_search_rejects_budget_below_one(budget):
         democracy_ratio(lindenstrauss(12), 4, mode="search", budget=budget)
 
 
-@pytest.mark.parametrize("d", [6, 10, 14], ids=["exhaustive", "sign grid", "random"])
+@pytest.mark.parametrize("d", [6, 10, 14], ids=["exhaustive", "exhaustive d=10", "random"])
 def test_qg_budget_none_is_the_default(d):
     b = lindenstrauss(d)
     assert quasi_greedy_constant_lb(b, budget=None, seed=3) == quasi_greedy_constant_lb(b, seed=3)

@@ -39,7 +39,8 @@ def _ones(m: int, d: int) -> np.ndarray:
     return np.r_[np.ones(m), np.zeros(d - m)]
 
 
-# one basis per estimator tier: d <= 8 exhaustive, 9..12 sign grid and exact
+# one basis per estimator tier: d <= 8 exhaustive, 9..12 exhaustive
+# quasi-greedy in sign-table chunks and almost-greedy with exact
 # denominators, > 12 random blocks (dense, and by event sweep on l1_pairs)
 BASES = {
     "external lp:3": lambda: _external("lp:3", 7),
@@ -72,7 +73,7 @@ PINS = {
     ('external bv', 'L'): '8f1f96c594a2',
     ('external bv', 'k'): '6931e669f364',
     ('external bv', 'ladder'): 'e584b2f40c70',
-    ('external bv', 'quasi-greedy'): '26aaf2cc5232',
+    ('external bv', 'quasi-greedy'): 'a6433d97a714',
     ('external bv', 'almost-greedy'): '820f0306d651',
     ('external lorentz', 'oracle'): '5499878b5513',
     ('external lorentz', 'oracle+template'): '5499878b5513',
@@ -93,7 +94,7 @@ PINS = {
     ('difference:10', 'L'): '45dcd9a7fcd1',
     ('difference:10', 'k'): 'fb387ebf2c5f',
     ('difference:10', 'ladder'): '005a4742f56f',
-    ('difference:10', 'quasi-greedy'): '8da352abddca',
+    ('difference:10', 'quasi-greedy'): '57e341f0aa87',
     ('difference:10', 'almost-greedy'): '9a6a9667949c',
 }
 REDUCED_PIN = "110fbcf2d5be"

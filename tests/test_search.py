@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from condgreedy import _search as search_mod
 from condgreedy._search import (
     ASCENT_TOL,
     BATCH_ENTRIES,
@@ -22,6 +23,9 @@ from condgreedy._search import (
     rng_stream,
     sample_block,
     scale_moves,
+    sign_row,
+    sign_rows,
+    sign_table,
     signed_moves,
     top_positions,
 )
@@ -524,3 +528,29 @@ def test_best_subcodes_break_forced_ties(case):
     values = np.array(values)
     got = best_subcodes(values, m, prefer_wide)
     assert np.array_equal(got, _best_subcodes_brute(values, m, prefer_wide))
+
+
+# ---------------------------------------------------------------------------
+# the chunked sign-vector table and its decoder
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("m,chunk", [(1, 3**9), (7, 3**9), (7, 1000), (10, 3**9)])
+def test_sign_table_fills_every_code_in_chunks(m, chunk, monkeypatch):
+    # 3^7 = 2187 rows in chunks of 1000 leave a short last chunk; 3^10 is
+    # three whole chunks of 3^9
+    monkeypatch.setattr(search_mod, "SIGN_CHUNK", chunk)
+    weights = np.random.default_rng(m).integers(1, 100, m).astype(np.float64)  # exact sums
+    sizes = []
+
+    def norms_of(rows):
+        sizes.append(rows.shape[0])
+        return np.abs(rows) @ weights + rows @ weights
+
+    table = sign_table(norms_of, m)
+    whole = sign_rows(m)
+    assert sizes == [min(chunk, 3**m - s) for s in range(0, 3**m, chunk)]
+    assert np.array_equal(table, np.abs(whole) @ weights + whole @ weights)
+    assert np.array_equal(sign_row(np.arange(3**m), m), whole)
+    assert np.array_equal(sign_row(3**m - 1, m), whole[-1])
+    assert sign_row(np.empty(0, dtype=np.int64), m).shape == (0, m)
