@@ -20,7 +20,8 @@ witness:
   budget covers the full grid; otherwise template evaluation plus seeded
   random sampling with ascent against a fixed family of structured sets.
 * ``k_m_estimate`` -- like the estimate but with full-support samples and
-  sets capped at m elements; coincides with L_d when m = d.
+  sets capped at m elements; coincides with L_d when m = d.  Its templates
+  are the L templates of supports m..d, A cut to its first m indices.
 
 The objective of every route is ``_SupportEval.mask_sweep``, which scores
 a batch of coefficient rows against a family of sets; the sampler,
@@ -146,16 +147,25 @@ def _restrict(coeffs: np.ndarray, indices) -> np.ndarray:
     return out
 
 
+def _pair_ratios(b: BasisTruncation, pairs) -> np.ndarray:
+    """||S_A f|| / ||f|| of each (coefficients, A) pair in one norms call; one
+    pair is ``sa_ratio``'s 2-row batch, and more pairs give the same values
+    where synthesis is exact, as on the shipped recipes."""
+    rows = []
+    for coeffs, indices in pairs:
+        a = np.asarray(coeffs, dtype=np.float64)
+        if a.shape != (b.d,):
+            raise ConditionalityError(f"expected {b.d} coefficients")
+        rows += [_restrict(a, indices), a]
+    out = b.synth_norms(np.vstack(rows)) if rows else np.zeros(0)
+    if np.any(out[1::2] <= TINY):
+        raise ConditionalityError("zero vector has no projection ratio")
+    return out[0::2] / out[1::2]
+
+
 def sa_ratio(b: BasisTruncation, coeffs, indices) -> float:
     """||S_A f|| / ||f|| for f synthesised from ``coeffs``."""
-    a = np.asarray(coeffs, dtype=np.float64)
-    if a.shape != (b.d,):
-        raise ConditionalityError(f"expected {b.d} coefficients")
-    pair = np.vstack([_restrict(a, indices), a])
-    num, den = b.synth_norms(pair)
-    if den <= TINY:
-        raise ConditionalityError("zero vector has no projection ratio")
-    return float(num) / float(den)
+    return float(_pair_ratios(b, [(coeffs, indices)])[0])
 
 
 def verify_witness(b: BasisTruncation, w: Witness) -> float:
@@ -362,13 +372,11 @@ def L_m_oracle(b: BasisTruncation, m: int, guard: int = DEFAULT_GUARD):
                 best.offer(r, a_full, _mask_to_set(masks_s[mi]))
                 leaders.append(([r], a_full[None]))
 
-    # recipe templates, swept over the same support sizes
-    for s in range(1, m + 1):
-        for a_t, A_t in template_pairs(b.recipe, b.d, s):
-            r = sa_ratio(b, a_t, A_t)
-            a_m = np.asarray(a_t[:m], dtype=np.float64)
-            best.offer(r, a_m, A_t)
-            leaders.append(([r], a_m[None]))
+    # recipe templates, swept over the same support sizes in one batch
+    pairs = [pair for s in range(1, m + 1) for pair in template_pairs(b.recipe, b.d, s)]
+    for r, (a_t, A_t) in zip(_pair_ratios(b, pairs), pairs):
+        best.offer(r, a_t[:m], A_t)
+        leaders.append(([r], a_t[None, :m]))
 
     # joint coefficient/membership grid
     if 5**m <= FULL_GRID_CAP:
@@ -419,18 +427,18 @@ def _seeded_search(b: BasisTruncation, ev: _SupportEval, floor_set, sets, pairs,
                    budget: int | None):
     """Body of both seeded estimates on the support of ``ev``.
 
-    Starts at the floor (e_1, ``floor_set``), offers every template pair,
-    whose sets join the family ``sets``; ascends from the best of them; then
-    offers the best of ceil(budget / BLOCK) random blocks ``block_fn(sets, i)``
-    (DEFAULT_BUDGET when ``budget`` is None).
+    Starts at the floor (e_1, ``floor_set``), offers every template pair, of
+    which the first best one's set joins the family ``sets``; ascends from the
+    best offer; then offers the best of ceil(budget / BLOCK) random blocks
+    ``block_fn(sets, i)`` (DEFAULT_BUDGET when ``budget`` is None).
     """
     m = ev.m
     best = _Best(b.d, "random", floor_set)
-    family = [sets]
-    for a_t, A_t in pairs:
-        best.offer(sa_ratio(b, a_t, A_t), np.asarray(a_t)[:m], A_t, kind="template")
-        family.append(_set_to_mask(m, A_t)[None, :])
-    sets = np.unique(np.vstack(family), axis=0)
+    ratios = _pair_ratios(b, pairs)
+    for r, (a_t, A_t) in zip(ratios, pairs):
+        best.offer(r, a_t[:m], A_t, kind="template")
+    top = [_set_to_mask(m, pairs[int(np.argmax(ratios))][1])] if pairs else []
+    sets = np.unique(np.vstack([sets, *top]), axis=0)
 
     # deterministic ascent from the best template before spending the budget
     r, a_fin, si = ev.ascend(_pad_to(best.coeffs, m), sets)
@@ -489,8 +497,8 @@ def L_m_estimate(
         # the oracle has swept the recipe's templates already
         value, wit = L_m_oracle(b, m, guard=guard)
         best = _Best(b.d, wit.kind, wit.indices, value, wit.coeffs)
-        for a_t, A_t in pairs:
-            best.offer(sa_ratio(b, a_t, A_t), np.asarray(a_t)[:m], A_t, kind="template")
+        for r, (a_t, A_t) in zip(_pair_ratios(b, pairs), pairs):
+            best.offer(r, a_t[:m], A_t, kind="template")
         return best.result()
 
     ev = _SupportEval(b, m)
@@ -623,21 +631,10 @@ def template_pairs(recipe: tuple, d: int, m: int) -> list:
 
 
 def k_template_pairs(recipe: tuple, d: int, m: int) -> list:
-    """(coefficients, A) witnesses for k_m: full support allowed, |A| <= m."""
-    out = list(template_pairs(recipe, d, min(m, d)))
-    tag = recipe[0]
-    if tag == "difference":
-        # f = e_d has norm 1; any m spread indices give ||S_A e_d|| ~ 2m
-        a = _pad_to(profile_ones(d), d)
-        for parity in (1, 0):
-            full = parity_set(d, parity)
-            out.append((a, full[: min(m, len(full))]))
-    elif tag == "lindenstrauss":
-        a = _pad_to(profile_dyadic_levels(d), d)
-        for parity in (0, 1):
-            full = level_parity_set(d, parity)
-            out.append((a, full[: min(m, len(full))]))
-    return [(a, A) for a, A in out if len(A) <= m]
+    """(coefficients, A) witnesses for k_m: ``template_pairs`` at every support
+    m..d, A cut to its first m indices (|A| <= m is all a k_m witness needs)."""
+    return [(a, tuple(A)[:m]) for s in range(min(m, d), d + 1)
+            for a, A in template_pairs(recipe, d, s)]
 
 
 def interleave_pair(coeffs, indices, side: int, d0: int, d1: int):

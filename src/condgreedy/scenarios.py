@@ -43,6 +43,7 @@ from .conditionality import (
     LINEAR_TARGET,
     LOG_TARGET,
     Witness,
+    _pair_ratios,
     block_embed_pair,
     growth_fit,
     interleave_pair,
@@ -163,8 +164,8 @@ def _run_unit_control(budget, seed):
 
 
 def _template_value(b: BasisTruncation, m: int) -> float:
-    vals = [sa_ratio(b, a, A) for a, A in template_pairs(b.recipe, b.d, m)]
-    return max(vals) if vals else 0.0
+    vals = _pair_ratios(b, template_pairs(b.recipe, b.d, m))
+    return float(vals.max()) if vals.size else 0.0
 
 
 def _run_difference_linear(budget, seed):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import tracemalloc
 
@@ -24,6 +25,7 @@ from condgreedy import (
     interleave,
     interleave_pair,
     k_m_estimate,
+    k_template_pairs,
     lb_ladder,
     lindenstrauss,
     sa_ratio,
@@ -393,6 +395,84 @@ def test_k_m_validation():
 
 
 # ---------------------------------------------------------------------------
+# k templates: every L template of support m..d, A cut to its first m indices
+# ---------------------------------------------------------------------------
+
+# every recipe family, the interleave on two pairs of sides; pqhalf and unit have no templates
+TEMPLATE_SPECS = ["difference:12", "summing:12", "lindenstrauss:16",
+                  "interleave(difference:8,unit:8@lp:2)", "interleave(summing:6,lindenstrauss:8)",
+                  "blocksum(lindenstrauss,dims=2^1..2^4,p=1)",
+                  "pqhalf(lindenstrauss,dims=2^1..2^2,p=1,q=1)", "unit:5"]
+
+
+def _exact_k(b, m: int, axis: int) -> float:
+    """Exact k_m of a square basis in l1 (axis 0) or c0 (axis 1): the largest
+    column or row sum of |C D_A C^-1| over every |A| = m."""
+    C, Cinv = b.columns, np.linalg.inv(b.columns)
+    return max(float(np.abs(C[:, A] @ Cinv[A, :]).sum(axis=axis).max())
+               for A in map(list, itertools.combinations(range(b.d), m)))
+
+
+@pytest.mark.parametrize("spec,axis", [("difference:12", 0), ("summing:12", 1)])
+def test_k_ladder_equals_brute_force(spec, axis):
+    b = parse_basis(spec)
+    for m, val, wit in lb_ladder(b, range(1, 7), kind="k", budget=2048, seed=1):
+        assert _exact_k(b, m, axis) == pytest.approx(2 * m, rel=1e-12)
+        assert val == 2 * m
+        assert len(wit.indices) <= m
+        assert verify_witness(b, wit) == val
+
+
+def test_k_interleave_reaches_its_difference_side():
+    b = parse_basis("interleave(difference:8,unit:8@lp:2)")
+    for m in (2, 4):
+        val, wit = k_m_estimate(b, m, budget=512, seed=1)
+        assert val >= 2 * m
+        assert len(wit.indices) <= m
+
+
+def test_k_block_sum_reaches_its_largest_block():
+    bs, lin = parse_basis("blocksum(lindenstrauss,dims=2^1..2^4,p=1)"), lindenstrauss(16)
+    for m in (2, 4, 8):
+        assert k_m_estimate(bs, m, budget=512, seed=1)[0] >= k_m_estimate(lin, m, budget=512, seed=1)[0]
+
+
+@pytest.mark.parametrize("spec", TEMPLATE_SPECS)
+def test_k_template_pairs_are_k_witnesses(spec):
+    b = parse_basis(spec)
+    total = 0
+    for m in range(1, b.d + 1):
+        for a, A in k_template_pairs(b.recipe, b.d, m):
+            assert np.asarray(a).shape == (b.d,)
+            assert len(set(A)) == len(A) <= m
+            assert all(1 <= i <= b.d for i in A)
+            total += 1
+    assert (total > 0) == (b.recipe[0] not in ("unit", "pq_block_sum"))
+
+
+@pytest.mark.parametrize("spec", TEMPLATE_SPECS)
+def test_pair_ratios_equal_sa_ratio_bitwise(spec, monkeypatch):
+    """Dyadic templates synthesise exactly, so one batch of every template
+    gives each pair's own 2-row value."""
+    b = parse_basis(spec)
+    pairs = [pair for m in range(1, b.d + 1)
+             for pair in template_pairs(b.recipe, b.d, m) + k_template_pairs(b.recipe, b.d, m)]
+    want = [sa_ratio(b, a, A) for a, A in pairs]
+    got = []
+    assert _norms_calls(monkeypatch, lambda: got.extend(cond_mod._pair_ratios(b, pairs))) == (1 if pairs else 0)
+    assert got == want
+
+
+def test_pair_ratios_one_pair_is_sa_ratio_on_external_basis():
+    b = _random_external("lp:3", 9)
+    rng = np.random.default_rng(5)
+    for _ in range(8):
+        a = rng.standard_normal(9)
+        A = tuple(int(i) + 1 for i in rng.choice(9, size=4, replace=False))
+        assert cond_mod._pair_ratios(b, [(a, A)])[0] == sa_ratio(b, a, A)
+
+
+# ---------------------------------------------------------------------------
 # transfer helpers
 # ---------------------------------------------------------------------------
 
@@ -588,7 +668,7 @@ def _golden_basis(spec):
     (L_m_estimate, PQHALF, 6, 1, 1.3060025725803714, (2, 3), "random", "54b1d10461b5344a"),
     (L_m_estimate, "lindenstrauss:16", 13, 1, 2.0, (1, 4, 5, 6, 7), "template", "e29886b3c345e030"),
     (k_m_estimate, PQHALF, 3, 1, 1.4162053578738152, (1, 3, 6), "random", "35ad48b158b688d9"),
-    (k_m_estimate, "lindenstrauss:16", 4, 1, 1.75, (1, 4, 5, 6), "template", "845d6a7f33e03c45"),
+    (k_m_estimate, "lindenstrauss:16", 4, 1, 1.75, (1, 4, 5, 6), "template", "61ca66ba74b5bb69"),
     (L_m_estimate, "external bv", 13, 1, 3.7055084004861323, (1, 3, 4, 5, 8, 10, 11), "random",
      "e24cd2ce2f71923e"),
     (L_m_estimate, "external bv", 13, 2, 4.292932535842053, (4, 5, 7, 8, 9, 10, 12, 13), "random",
