@@ -49,7 +49,10 @@ def check_budget(budget, error: type, default: int = DEFAULT_BUDGET) -> int:
 
 def check_indices(A, d: int, error: type) -> np.ndarray:
     """The sorted 0-based positions of the 1-based indices ``A``; ``error``
-    for a duplicate or an index outside 1..d."""
+    for a non-integral, duplicate or out-of-range index (outside 1..d)."""
+    A = list(A)
+    if not all(float(i).is_integer() for i in A):
+        raise error(f"indices must be integers, got {A!r}")
     idx = sorted(int(i) for i in A)
     if len(set(idx)) != len(idx):
         raise error(f"duplicate indices in {A!r}")
@@ -61,7 +64,8 @@ def check_indices(A, d: int, error: type) -> np.ndarray:
 def guarded_ratio(nums, dens) -> np.ndarray:
     """nums / dens where dens > TINY, else 0; dens broadcasts over the
     trailing axes of nums."""
-    dens = np.asarray(dens).reshape(np.shape(dens) + (1,) * (np.ndim(nums) - np.ndim(dens)))
+    dens = np.asarray(dens)
+    dens = dens.reshape(dens.shape + (1,) * (np.ndim(nums) - dens.ndim))
     ok = dens > TINY
     return np.where(ok, nums / np.where(ok, dens, 1.0), 0.0)
 

@@ -65,6 +65,7 @@ __all__ = [
 ]
 
 RANK_TOL = 1e-10
+KEPT_CHUNK = 8192  # sets per ``synth_norms`` call of ``BasisTruncation.kept_norms``
 
 
 class BasisError(ValueError):
@@ -106,6 +107,39 @@ class BasisTruncation:
 
     def column_norms(self) -> np.ndarray:
         return norms(self.space, self.columns.T)
+
+    def kept_norms(self, rows: np.ndarray, sets: np.ndarray) -> np.ndarray:
+        """(n, K) norms of the coefficient rows (n, d) restricted to the 0/1
+        sets: one family (K, d) for every row, or one per row (n, K, d).  The
+        sets go KEPT_CHUNK per ``synth_norms`` call, which bounds the
+        temporaries of 2^m-set sweeps."""
+        (n, d), k = rows.shape, sets.shape[-2]
+        if k > KEPT_CHUNK:
+            return np.concatenate([self.kept_norms(rows, sets[..., s : s + KEPT_CHUNK, :])
+                                   for s in range(0, k, KEPT_CHUNK)], axis=1)
+        return self.synth_norms((rows[:, None, :] * sets).reshape(-1, d)).reshape(n, k)
+
+    def prefix(self, m: int) -> BasisTruncation:
+        """The first m columns on the smallest ambient prefix that carries them.
+
+        Only prefix-stable norms are cut: Lp and Lorentz as they are, C0Trunc
+        to ``C0Trunc(k)``.  BV and mixed ambients keep every coordinate (zero
+        padding is not norm-neutral for BV, and cutting a mixed sum mid-block
+        changes its structure), so a row supported on 1..m has the norm it
+        has on the whole basis.  The columns are stored column-major:
+        ``synth_rows`` then multiplies by a C-contiguous transpose.
+        """
+        if not (1 <= m <= self.d):
+            raise BasisError(f"prefix length {m} outside 1..{self.d}")
+        sub, space = self.columns[:, :m], self.space
+        nz = np.flatnonzero(np.abs(sub).max(axis=1) > 0.0)
+        k = int(nz.max()) + 1 if nz.size else 1
+        if isinstance(space, (Lp, Lorentz, C0Trunc)):
+            sub, space = sub[:k], C0Trunc(k) if isinstance(space, C0Trunc) else space
+        cols = np.asfortranarray(sub)
+        cols.flags.writeable = False
+        return BasisTruncation(m, cols.shape[0], cols, space, f"{self.label}[1..{m}]",
+                               ("prefix", self.recipe, m), self.seminorm_c)
 
     @cached_property
     def l1_pairs(self):
@@ -244,26 +278,6 @@ def interleave(b0: BasisTruncation, b1: BasisTruncation) -> BasisTruncation:
     return _make(cols, space, label, ("interleave", b0.recipe, b1.recipe))
 
 
-def _prefix_restriction(b: BasisTruncation, dn: int):
-    """Smallest ambient prefix carrying the first ``dn`` columns, plus its norm.
-
-    Only prefix-stable norms are shrunk; BV and mixed ambients keep the full
-    ambient dimension (zero padding is not norm-neutral for BV, and cutting a
-    mixed sum mid-block changes its structure).
-    """
-    sub = b.columns[:, :dn]
-    nz = np.flatnonzero(np.abs(sub).max(axis=1) > 0.0)
-    k_min = int(nz.max()) + 1 if nz.size else 1
-    space = b.space
-    if isinstance(space, Lp):
-        return sub[:k_min], space
-    if isinstance(space, C0Trunc):
-        return sub[:k_min], C0Trunc(k_min)
-    if isinstance(space, Lorentz):
-        return sub[:k_min], space
-    return sub, space  # BV / MixedSum: keep everything
-
-
 def block_offsets(dims) -> tuple:
     """Coefficient-index offsets: block r starts at offset[r-1] (0-based)."""
     dims = tuple(int(x) for x in dims)
@@ -313,17 +327,14 @@ def block_sum(b: BasisTruncation, dims, p: float) -> BasisTruncation:
     """Direct sum of the d_n-truncations of ``b`` with an outer l_p (0 = sup)."""
     dims = _check_dims(b, dims)
     p = _exponent("p", p)
-    subs = [_prefix_restriction(b, dn) for dn in dims]
-    amb_dims = [s[0].shape[0] for s in subs]
-    total_amb = sum(amb_dims)
-    total_d = sum(dims)
-    cols = np.zeros((total_amb, total_d))
+    subs = [b.prefix(dn) for dn in dims]
+    cols = np.zeros((sum(s.ambient_dim for s in subs), sum(dims)))
     aoff = koff = 0
-    for (sub, _), dn, adim in zip(subs, dims, amb_dims):
-        cols[aoff : aoff + adim, koff : koff + dn] = sub
-        aoff += adim
-        koff += dn
-    space = MixedSum(p, tuple((s[1], adim) for s, adim in zip(subs, amb_dims)))
+    for s in subs:
+        cols[aoff : aoff + s.ambient_dim, koff : koff + s.d] = s.columns
+        aoff += s.ambient_dim
+        koff += s.d
+    space = MixedSum(p, tuple((s.space, s.ambient_dim) for s in subs))
     dims_txt = ",".join(str(x) for x in dims)
     label = f"blocksum({b.label},dims=[{dims_txt}],p={p:g})"
     return _make(cols, space, label, ("block_sum", b.recipe, dims, p))
@@ -354,8 +365,8 @@ def pq_block_sum(b: BasisTruncation, blocks, p: float, q: float) -> BasisTruncat
 
     y_parts, z_parts = [], []
     for dn, bm in zip(dims, pairs):
-        sub, _ = _prefix_restriction(b, dn)
-        kdim = sub.shape[0]
+        kdim = b.prefix(dn).ambient_dim
+        sub = b.columns[:kdim, :dn]  # row-major: a one-row P can round otherwise on prefix's copy
         P = np.asarray(bm.P, dtype=np.float64).reshape(-1, kdim) if np.size(bm.P) else np.zeros((0, kdim))
         Q = np.asarray(bm.Q, dtype=np.float64).reshape(-1, kdim) if np.size(bm.Q) else np.zeros((0, kdim))
         stacked = np.vstack([P, Q]) @ sub
@@ -400,8 +411,8 @@ def pq_block_sum(b: BasisTruncation, blocks, p: float, q: float) -> BasisTruncat
 
 def half_split_maps(b: BasisTruncation, dn: int) -> BlockMapPair:
     """Coordinate restrictions onto the first/second half of the block prefix."""
-    sub, sub_space = _prefix_restriction(b, dn)
-    kdim = sub.shape[0]
+    pre = b.prefix(dn)
+    kdim, sub_space = pre.ambient_dim, pre.space
     h = (kdim + 1) // 2
     P = np.eye(kdim)[:h]
     Q = np.eye(kdim)[h:]

@@ -23,12 +23,14 @@ witness:
   sets capped at m elements; coincides with L_d when m = d.  Its templates
   are the L templates of supports m..d, A cut to its first m indices.
 
-The objective of every route is ``_SupportEval.mask_sweep``, which scores
-a batch of coefficient rows against a family of sets; the sampler,
-the coordinate ascent, the block maximum, the oracle's leader pick and the
-grid kernel come from ``_search``.  Both estimates share one body,
-``_seeded_search``, and one block body, ``_block_best`` then ``_block_ascent``.  Every estimator, the
-greedy ones too, builds its result in one record, ``_Best``.
+Every route evaluates on ``BasisTruncation.prefix(m)`` (``prefix(d)`` for
+k_m).  Its objective is ``_mask_sweep``, which scores a batch of
+coefficient rows against a family of sets through ``kept_norms``; the
+sampler, the coordinate ascent, the block maximum, the oracle's leader pick
+and the grid kernel come from ``_search``.  Both estimates share one body,
+``_seeded_search``, and one block body, ``_block_best`` then
+``_block_ascent``.  Every estimator, the greedy ones too, builds its result
+in one record, ``_Best``.
 
 Estimates are reproducible for fixed (inputs, seed), and never decrease
 when the budget grows with the seed held fixed.
@@ -62,8 +64,7 @@ from ._search import (
     signed_moves,
     top_positions,
 )
-from .bases import BasisTruncation, _prefix_restriction, block_offsets, interleave_positions
-from .spaces import norms
+from .bases import BasisTruncation, block_offsets, interleave_positions
 
 __all__ = [
     "ConditionalityError",
@@ -87,10 +88,9 @@ __all__ = [
 ]
 
 DEFAULT_GUARD = 12
-FULL_GRID_CAP = 10_000_000  # most (f, A) pairs, 5^m, of the full grid; m <= 10
+FULL_GRID_MAX_M = 10  # largest m of the full sign grid; the reduced tier samples beyond
 REDUCED_PAIRS = 131_072
 ORACLE_TOPK = 6
-SET_CHUNK = 8192  # sets per norms call of ``_SupportEval.set_norms``
 _ORACLE_SEED = 0x0C0FFEE  # internal; keeps the reference sweep user-seed free
 
 
@@ -147,15 +147,21 @@ def _restrict(coeffs: np.ndarray, indices) -> np.ndarray:
     return out
 
 
+def _coeffs(b: BasisTruncation, coeffs) -> np.ndarray:
+    """``coeffs`` as a float array; ConditionalityError unless d finite values."""
+    a = np.asarray(coeffs, dtype=np.float64)
+    if a.shape != (b.d,) or not np.isfinite(a).all():
+        raise ConditionalityError(f"expected {b.d} finite coefficients")
+    return a
+
+
 def _pair_ratios(b: BasisTruncation, pairs) -> np.ndarray:
     """||S_A f|| / ||f|| of each (coefficients, A) pair in one norms call; one
     pair is ``sa_ratio``'s 2-row batch, and more pairs give the same values
     where synthesis is exact, as on the shipped recipes."""
     rows = []
     for coeffs, indices in pairs:
-        a = np.asarray(coeffs, dtype=np.float64)
-        if a.shape != (b.d,):
-            raise ConditionalityError(f"expected {b.d} coefficients")
+        a = _coeffs(b, coeffs)
         rows += [_restrict(a, indices), a]
     out = b.synth_norms(np.vstack(rows)) if rows else np.zeros(0)
     if np.any(out[1::2] <= TINY):
@@ -170,7 +176,7 @@ def sa_ratio(b: BasisTruncation, coeffs, indices) -> float:
 
 def verify_witness(b: BasisTruncation, w: Witness) -> float:
     """Recompute the witness ratio from scratch (same norm pipeline)."""
-    a = np.asarray(w.coeffs, dtype=np.float64)
+    a = _coeffs(b, w.coeffs)
     if w.kind in ("oracle", "template", "random"):
         return sa_ratio(b, a, w.indices)
     rows = [a - _restrict(a, w.indices)]
@@ -261,46 +267,20 @@ def _structured_masks(m: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-class _SupportEval:
-    """Norm evaluator for coefficient rows supported on the first m columns.
+def _mask_sweep(p: BasisTruncation, rows: np.ndarray, sets: np.ndarray):
+    """Batch ascent objective of the oracle and of both estimates on the
+    prefix ``p``: the best ||S_A f||/||f|| over the set rows for each row f,
+    and a payload k -> the index of row k's first best set (None when f
+    vanishes)."""
+    nums, dens = p.kept_norms(rows, sets), p.synth_norms(rows)
+    return (guarded_ratio(nums.max(axis=1), dens),
+            lambda k: int(nums[k].argmax()) if dens[k] > TINY else None)
 
-    Ambient coordinates never touched by those columns are trimmed when the
-    ambient norm permits it, which keeps oracle sweeps on a wide basis cheap
-    and leaves every norm value unchanged.
-    """
 
-    def __init__(self, b: BasisTruncation, m: int):
-        sub, space = _prefix_restriction(b, m)
-        self.m = m
-        self.space = space
-        self.colsT = np.ascontiguousarray(sub.T)
-
-    def coef_norms(self, rows: np.ndarray) -> np.ndarray:
-        return norms(self.space, rows @ self.colsT, overwrite=True)
-
-    def set_norms(self, rows: np.ndarray, sets: np.ndarray):
-        """Norms ||S_A f|| (n, S) over the 0/1 set rows A, and ||f|| (n,),
-        of the coefficient rows f; the sets go in slices of SET_CHUNK, which
-        bounds the temporaries of the oracle's 2^m-set sweeps."""
-        n, m = rows.shape
-        parts = [self.coef_norms((rows[:, None, :] * sets[s : s + SET_CHUNK]).reshape(-1, m)).reshape(n, -1)
-                 for s in range(0, sets.shape[0], SET_CHUNK)]
-        nums = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
-        return nums, self.coef_norms(rows)
-
-    def mask_sweep(self, rows: np.ndarray, sets: np.ndarray):
-        """Batch ascent objective of the oracle and of both estimates: the
-        best ||S_A f||/||f|| over the set rows for each row f, and a payload
-        k -> the index of row k's first best set (None when f vanishes)."""
-        nums, dens = self.set_norms(rows, sets)
-        best = nums.argmax(axis=1)
-        ratios = guarded_ratio(nums[np.arange(best.size), best], dens)
-        return ratios, lambda k: int(best[k]) if dens[k] > TINY else None
-
-    def ascend(self, a0: np.ndarray, sets: np.ndarray):
-        """Signed-move ``ascend`` from ``a0`` on ``mask_sweep`` over ``sets``."""
-        cost = (sets.shape[0] + 1) * self.colsT.shape[1]
-        return ascend([a0], lambda rows: self.mask_sweep(rows, sets), signed_moves, cost)[0]
+def _ascend(p: BasisTruncation, a0: np.ndarray, sets: np.ndarray):
+    """Signed-move ``ascend`` from ``a0`` on ``_mask_sweep`` over ``sets``."""
+    cost = (sets.shape[0] + 1) * p.ambient_dim
+    return ascend([a0], lambda rows: _mask_sweep(p, rows, sets), signed_moves, cost)[0]
 
 
 def _mask_to_set(mask_row) -> tuple:
@@ -341,31 +321,30 @@ class _Best:
 def L_m_oracle(b: BasisTruncation, m: int, guard: int = DEFAULT_GUARD):
     """Reference lower bound for L_m; deterministic, independent of any seed.
 
-    The full joint grid (5^m <= FULL_GRID_CAP) covers every sign vector f
+    The full joint grid (m <= FULL_GRID_MAX_M) covers every sign vector f
     and every A, reading all norms from one table of the 3^m sign vectors
     (``_oracle_grid``).  Where every synthesised coordinate is exact, as on
     the shipped recipes, its best equals that of synthesising every (f, A)
     pair.  Otherwise BLAS may round a row differently with the batch it
     sits in, and they agree to a few ulps, well inside the 1e-12 to which a
-    witness re-verifies.  Past the cap the reduced tier samples
+    witness re-verifies.  For larger m the reduced tier samples
     REDUCED_PAIRS pairs and cuts each batch to its own leaders.
     """
     if not (1 <= m <= b.d):
         raise ConditionalityError(f"m must lie in 1..{b.d}, got {m}")
     if m > guard:
         raise ConditionalityError(f"oracle refused: m={m} exceeds guard {guard}")
-    ev = _SupportEval(b, m)
+    p = b.prefix(m)
     masks = all_subset_masks(m)
     best = _Best(b.d, "oracle", range(1, m + 1))  # A = {1..m} reproduces f = e_1 itself
     leaders = []  # (ratios, rows) pieces in offer order
 
     # structured profiles at every support size (keeps the values monotone in m)
     for s in range(1, m + 1):
-        ev_s = ev if s == m else _SupportEval(b, s)
-        masks_s = masks if s == m else all_subset_masks(s)
+        p_s, masks_s = (p if s == m else b.prefix(s)), masks[: 2**s, :s]
         for profile in PROFILES:
             a_s = profile(s)
-            ratios, payload = ev_s.mask_sweep(a_s[None], masks_s)
+            ratios, payload = _mask_sweep(p_s, a_s[None], masks_s)
             r, mi = ratios[0], payload(0)
             if mi is not None:
                 a_full = _pad_to(a_s, m)
@@ -379,15 +358,15 @@ def L_m_oracle(b: BasisTruncation, m: int, guard: int = DEFAULT_GUARD):
         leaders.append(([r], a_t[None, :m]))
 
     # joint coefficient/membership grid
-    if 5**m <= FULL_GRID_CAP:
-        _oracle_grid(ev, best, leaders)
+    if m <= FULL_GRID_MAX_M:
+        _oracle_grid(p, best, leaders)
     else:
         rng = rng_stream(_ORACLE_SEED, "oracle-pairs", m)
         for _ in range(REDUCED_PAIRS // 4096):
             coefs = rng.integers(-1, 2, size=(4096, m)).astype(np.float64)
             inmask = rng.random((4096, m)) < 0.5
-            dens = ev.coef_norms(coefs)
-            ratios = guarded_ratio(ev.coef_norms(coefs * inmask), dens)
+            dens = p.synth_norms(coefs)
+            ratios = guarded_ratio(p.synth_norms(coefs * inmask), dens)
             i = int(np.argmax(ratios))
             best.offer(ratios[i], coefs[i], _mask_to_set(inmask[i]))
             kept = np.flatnonzero(dens > TINY)
@@ -396,22 +375,22 @@ def L_m_oracle(b: BasisTruncation, m: int, guard: int = DEFAULT_GUARD):
 
     # ascent from the distinct leaders, rescanning all subsets each step
     for a_start in distinct_leaders(leaders, ORACLE_TOPK):
-        r, a_fin, mi = ev.ascend(a_start, masks)
+        r, a_fin, mi = _ascend(p, a_start, masks)
         if mi is not None:
             best.offer(r, a_fin, _mask_to_set(masks[mi]))
 
     return best.result()
 
 
-def _oracle_grid(ev: _SupportEval, best: _Best, leaders: list):
+def _oracle_grid(p: BasisTruncation, best: _Best, leaders: list):
     """Every sign vector f of the support m against every A in {1..m}.
 
     S_A f is a sub-code of f, so one table of the norms of the 3^m sign
     vectors holds every ratio (``sign_leaders``).  Offers the best f and
     one leader piece, the ORACLE_TOPK best f by their best A.
     """
-    m = ev.m
-    codes, subs, ratios = sign_leaders(sign_table(ev.coef_norms, m), m, ORACLE_TOPK, residual=False)
+    m = p.d
+    codes, subs, ratios = sign_leaders(sign_table(p.synth_norms, m), m, ORACLE_TOPK, residual=False)
     rows = sign_row(codes, m)
     if codes.size:
         best.offer(ratios[0], rows[0], np.flatnonzero(sign_row(subs[0], m)) + 1)
@@ -423,16 +402,16 @@ def _oracle_grid(ev: _SupportEval, best: _Best, leaders: list):
 # ---------------------------------------------------------------------------
 
 
-def _seeded_search(b: BasisTruncation, ev: _SupportEval, floor_set, sets, pairs, block_fn,
+def _seeded_search(b: BasisTruncation, p: BasisTruncation, floor_set, sets, pairs, block_fn,
                    budget: int | None):
-    """Body of both seeded estimates on the support of ``ev``.
+    """Body of both seeded estimates on the prefix ``p`` of ``b``.
 
     Starts at the floor (e_1, ``floor_set``), offers every template pair, of
     which the first best one's set joins the family ``sets``; ascends from the
     best offer; then offers the best of ceil(budget / BLOCK) random blocks
     ``block_fn(sets, i)`` (DEFAULT_BUDGET when ``budget`` is None).
     """
-    m = ev.m
+    m = p.d
     best = _Best(b.d, "random", floor_set)
     ratios = _pair_ratios(b, pairs)
     for r, (a_t, A_t) in zip(ratios, pairs):
@@ -441,7 +420,7 @@ def _seeded_search(b: BasisTruncation, ev: _SupportEval, floor_set, sets, pairs,
     sets = np.unique(np.vstack([sets, *top]), axis=0)
 
     # deterministic ascent from the best template before spending the budget
-    r, a_fin, si = ev.ascend(_pad_to(best.coeffs, m), sets)
+    r, a_fin, si = _ascend(p, _pad_to(best.coeffs, m), sets)
     best.offer(r, a_fin, _mask_to_set(sets[si]), kind="random")
 
     n_blocks = math.ceil((DEFAULT_BUDGET if budget is None else budget) / BLOCK)
@@ -451,26 +430,26 @@ def _seeded_search(b: BasisTruncation, ev: _SupportEval, floor_set, sets, pairs,
     return best.result()
 
 
-def _block_best(ev: _SupportEval, rows: np.ndarray, sets: np.ndarray):
+def _block_best(p: BasisTruncation, rows: np.ndarray, sets: np.ndarray):
     """First best (ratio, (row, set)) of ``rows`` against ``sets``; ||f|| of each row."""
-    nums, dens = ev.set_norms(rows, sets)
+    nums, dens = p.kept_norms(rows, sets), p.synth_norms(rows)
     ratios = guarded_ratio(nums, dens)
     i, j = np.unravel_index(np.argmax(ratios), ratios.shape)
     return float(ratios[i, j]), (rows[i].copy(), sets[j]), dens
 
 
-def _block_ascent(ev: _SupportEval, sets: np.ndarray, ratio: float, best: tuple):
+def _block_ascent(p: BasisTruncation, sets: np.ndarray, ratio: float, best: tuple):
     """Ascend from the row of ``best``; keep the ascent on a strict gain over ``ratio``."""
-    r, a, si = ev.ascend(best[0], sets)
+    r, a, si = _ascend(p, best[0], sets)
     return (r, (a, sets[si])) if r > ratio else (ratio, best)
 
 
-def _L_block(ev: _SupportEval, sets: np.ndarray, seed: int, bi: int):
-    m = ev.m
+def _L_block(p: BasisTruncation, sets: np.ndarray, seed: int, bi: int):
+    m = p.d
     rng = rng_stream(seed, "L", m, bi)
     rows = sample_block(rng, m, keep=0.8)
     sets = np.vstack([sets, (rng.random((8, m)) < 0.5).astype(np.float64)])
-    return _block_ascent(ev, sets, *_block_best(ev, rows, sets)[:2])
+    return _block_ascent(p, sets, *_block_best(p, rows, sets)[:2])
 
 
 def L_m_estimate(
@@ -501,11 +480,11 @@ def L_m_estimate(
             best.offer(r, a_t[:m], A_t, kind="template")
         return best.result()
 
-    ev = _SupportEval(b, m)
+    p = b.prefix(m)
     return _seeded_search(
-        b, ev, tuple(range(1, m + 1)), _structured_masks(m),
+        b, p, tuple(range(1, m + 1)), _structured_masks(m),
         pairs + template_pairs(b.recipe, b.d, m),
-        lambda sets, i: _L_block(ev, sets, seed, i), budget,
+        lambda sets, i: _L_block(p, sets, seed, i), budget,
     )
 
 
@@ -519,21 +498,21 @@ def _cap_sets(sets: np.ndarray, m: int) -> np.ndarray:
     return np.unique(sets * (np.cumsum(sets > 0.5, axis=1) <= m), axis=0)
 
 
-def _k_block(ev: _SupportEval, sets: np.ndarray, m: int, seed: int, bi: int):
-    d = ev.m
+def _k_block(p: BasisTruncation, sets: np.ndarray, m: int, seed: int, bi: int):
+    d = p.d
     rng = rng_stream(seed, "k", m, bi)
     rows = sample_block(rng, d)
     extra = _cap_sets((rng.random((8, d)) < min(0.5, m / d)).astype(np.float64), m)
     sets = np.vstack([sets, extra])
-    best_r, best, dens = _block_best(ev, rows, sets)
+    best_r, best, dens = _block_best(p, rows, sets)
     # per-row largest-coefficient sets obey |A| <= m by construction
     tops = np.zeros_like(rows)
     np.put_along_axis(tops, greedy_order(rows)[:, :m], 1.0, axis=1)
-    tr = guarded_ratio(ev.coef_norms(rows * tops), dens)
+    tr = guarded_ratio(p.synth_norms(rows * tops), dens)
     ti = int(np.argmax(tr))
     if tr[ti] > best_r:
         best_r, best = float(tr[ti]), (rows[ti].copy(), tops[ti])
-    return _block_ascent(ev, sets, best_r, best)
+    return _block_ascent(p, sets, best_r, best)
 
 
 def k_m_estimate(
@@ -547,10 +526,10 @@ def k_m_estimate(
         # identical optimisation domain: A free inside {1..d}, support free
         return L_m_estimate(b, m, budget=budget, seed=seed)
     d = b.d
-    ev = _SupportEval(b, d)
+    p = b.prefix(d)
     return _seeded_search(
-        b, ev, (1,), _cap_sets(_structured_masks(d), m), k_template_pairs(b.recipe, d, m),
-        lambda sets, i: _k_block(ev, sets, m, seed, i), budget,
+        b, p, (1,), _cap_sets(_structured_masks(d), m), k_template_pairs(b.recipe, d, m),
+        lambda sets, i: _k_block(p, sets, m, seed, i), budget,
     )
 
 
@@ -639,6 +618,8 @@ def k_template_pairs(recipe: tuple, d: int, m: int) -> list:
 
 def interleave_pair(coeffs, indices, side: int, d0: int, d1: int):
     """Transfer a one-component pair onto the interleaved system (exact)."""
+    if side not in (0, 1):
+        raise ConditionalityError(f"side must be 0 or 1, got {side!r}")
     pos = interleave_positions(d0, d1)[side]
     a = np.asarray(coeffs, dtype=np.float64)
     if a.size != (d0, d1)[side]:
@@ -646,8 +627,7 @@ def interleave_pair(coeffs, indices, side: int, d0: int, d1: int):
     out = np.zeros(d0 + d1)
     for j, c in enumerate(a):
         out[pos[j] - 1] = c
-    A = tuple(sorted(pos[int(i) - 1] for i in indices))
-    return out, A
+    return out, tuple(pos[i] for i in check_indices(indices, a.size, ConditionalityError))
 
 
 def block_embed_pair(coeffs, indices, dims, r: int):
@@ -661,8 +641,7 @@ def block_embed_pair(coeffs, indices, dims, r: int):
     off = block_offsets(dims)[r - 1]
     out = np.zeros(sum(dims))
     out[off : off + a.size] = a
-    A = tuple(sorted(off + int(i) for i in indices))
-    return out, A
+    return out, tuple(off + 1 + int(i) for i in check_indices(indices, a.size, ConditionalityError))
 
 
 # ---------------------------------------------------------------------------

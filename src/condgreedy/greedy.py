@@ -31,7 +31,8 @@ ambient norm is a plain l1 sum (``Lp(1)``, or a ``MixedSum`` with
 ``outer_q == 1`` over such blocks) and every ambient row of the columns
 touches at most two of them (``BasisTruncation.l1_pairs``): Lindenstrauss,
 difference, unit@lp:1 and their p=1 block sums.  Every other basis uses the
-dense ``_prefix_residual_ratios``, which synthesises all d+1 residuals.
+dense ``_prefix_residual_ratios``, which synthesises all d+1 residuals
+through ``BasisTruncation.kept_norms``.
 The sweep only selects: the value of the block winner and of the ascent's
 final vector is scored again densely, so every reported value and every
 value compared with one is dense.  The almost-greedy random tiers
@@ -41,7 +42,7 @@ and select the winning (row, m) by one scan (``_last_gain``).  On an
 ``l1_pairs`` basis the norm of f restricted to a set is a quadratic form in
 the set's 0/1 mask (``_kept_norms_form``), so the 2^d exact denominators of
 a chunk of rows are one matrix product; every other basis synthesises them
-densely.  Here too the matrix only selects:
+densely through ``kept_norms``.  Here too the matrix only selects:
 the winner's candidate sets are scored again densely, alone, and give the
 reported value, A and B.  ``_min_denominators`` is the minimum over
 |B| <= t of every reported almost-greedy value, and also hands back the
@@ -162,7 +163,7 @@ def _prefix_residual_ratios(b: BasisTruncation, rows: np.ndarray):
     column 0.
     """
     order, rank = _greedy_rank(rows)
-    resid = _dense_kept_norms(b, rows, rank[:, None, :] >= np.arange(rows.shape[1] + 1)[:, None])
+    resid = b.kept_norms(rows, rank[:, None, :] >= np.arange(rows.shape[1] + 1)[:, None])
     return guarded_ratio(resid, resid[:, 0]), order, resid
 
 
@@ -359,13 +360,6 @@ def _kept_norms_form(b: BasisTruncation, kept: np.ndarray):
     return kept_norms
 
 
-def _dense_kept_norms(b: BasisTruncation, rows: np.ndarray, kept: np.ndarray) -> np.ndarray:
-    """(n, K) norms of the rows restricted to the 0/1 sets ``kept``, shared
-    (K, d) or one family per row (n, K, d), synthesised densely."""
-    n, d = rows.shape
-    return b.synth_norms((rows[:, None, :] * kept).reshape(-1, d)).reshape(n, -1)
-
-
 def _by_chunks(fn, n: int, step: int) -> np.ndarray:
     """``fn(s)`` for consecutive slices s of at most ``step`` of n rows, stacked."""
     return np.vstack([fn(slice(s, s + step)) for s in range(0, n, step)])
@@ -391,12 +385,12 @@ def _ag_denominators(b: BasisTruncation, rows: np.ndarray, resid: np.ndarray, ex
         if b.l1_pairs is not None:
             kept_norms, width = _kept_norms_form(b, kept), 1
         else:
-            kept_norms, width = (lambda r: _dense_kept_norms(b, r, kept)), b.ambient_dim
+            kept_norms, width = (lambda r: b.kept_norms(r, kept)), b.ambient_dim
         denom = _by_chunks(lambda s: np.minimum.reduceat(kept_norms(rows[s]), starts, axis=1),
                            n, max(1, AG_CHUNK_ENTRIES // (kept.shape[0] * width)))
     else:
         k = extra.shape[1]
-        nrm = _by_chunks(lambda s: _dense_kept_norms(b, rows[s], ~extra[s]),
+        nrm = _by_chunks(lambda s: b.kept_norms(rows[s], ~extra[s]),
                          n, max(1, AG_CHUNK_ENTRIES // (k * b.ambient_dim)))
         denom = resid.copy()  # the greedy prefix of size m has norm resid[:, m]
         at = np.arange(n)[:, None] * (d + 1) + extra.sum(axis=2)

@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from condgreedy import bases as bases_mod
 from condgreedy import (
     BV,
     BasisError,
@@ -36,6 +37,7 @@ from condgreedy import (
     summing,
     unit_vector_system,
 )
+from condgreedy.spaces import parse_space
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +166,94 @@ def test_synth_shape_checks():
         b.synth([1.0, 2.0])
     with pytest.raises(BasisError):
         b.synth_rows(np.ones(3))
+
+
+# ---------------------------------------------------------------------------
+# prefixes and kept-set norms
+# ---------------------------------------------------------------------------
+
+
+def _touched_external(space, amb=9, d=5):
+    """Columns j < 3 touch rows 0..j + 2 only, later ones every row."""
+    rng = np.random.default_rng([13, amb, d])
+    cols = rng.standard_normal((amb, d))
+    for j in range(3):
+        cols[j + 3 :, j] = 0.0
+    return external_basis(cols, space, "touched")
+
+
+@pytest.mark.parametrize("make,m,amb,space", [
+    (lambda: lindenstrauss(8), 3, 7, Lp(1.0)),
+    (lambda: difference(6), 4, 4, Lp(1.0)),
+    (lambda: summing(6), 2, 2, C0Trunc(2)),
+    (lambda: _touched_external(parse_space("lorentz:p=2,q=1")), 2, 4, None),
+    (lambda: _touched_external(Lp(3.0)), 3, 5, Lp(3.0)),
+    (lambda: _touched_external(Lp(3.0)), 4, 9, Lp(3.0)),
+    (lambda: _touched_external(BV()), 1, 9, BV()),
+    (lambda: interleave(difference(3), summing(3)), 2, 6, None),
+], ids=["lindenstrauss", "difference", "summing c0", "lorentz", "lp:3", "lp:3 late", "bv", "mixed"])
+def test_prefix_trims_to_the_last_touched_row(make, m, amb, space):
+    b = make()
+    p = b.prefix(m)
+    assert (p.d, p.ambient_dim, p.columns.shape) == (m, amb, (amb, m))
+    assert p.space == (b.space if space is None else space)
+    assert np.array_equal(p.columns, b.columns[:amb, :m])
+    assert not b.columns[amb:, :m].any()
+    assert p.label == f"{b.label}[1..{m}]" and p.recipe == ("prefix", b.recipe, m)
+    rng = np.random.default_rng([5, m])
+    rows = rng.standard_normal((16, m))
+    padded = np.hstack([rows, np.zeros((16, b.d - m))])
+    assert np.allclose(p.synth_norms(rows), b.synth_norms(padded), rtol=1e-14, atol=0.0)
+
+
+def test_prefix_rejects_lengths_outside_one_to_d_and_is_read_only():
+    b = difference(4)
+    for m in (0, -1, 5):
+        with pytest.raises(BasisError, match="1..4"):
+            b.prefix(m)
+    p = b.prefix(2)
+    with pytest.raises(ValueError):
+        p.columns[0, 0] = 7.0
+    # column-major, so synthesis multiplies by a C-contiguous transpose
+    assert p.columns.flags.f_contiguous and p.columns.T.flags.c_contiguous
+
+
+def _kept_loop(b, rows, sets):
+    shared = sets.ndim == 2
+    return np.array([[b.synth_norms((row * (sets if shared else sets[i])[k])[None])[0]
+                      for k in range((sets if shared else sets[i]).shape[0])]
+                     for i, row in enumerate(rows)])
+
+
+@pytest.mark.parametrize("chunk", [8192, 3], ids=["one chunk", "chunk 3"])
+def test_kept_norms_equals_a_per_set_loop(chunk, monkeypatch):
+    monkeypatch.setattr(bases_mod, "KEPT_CHUNK", chunk)
+    b = parse_basis("interleave(difference:4,summing:3)")  # exact synthesis
+    rng = np.random.default_rng(21)
+    rows = rng.integers(-4, 5, size=(6, b.d)).astype(np.float64)
+    shared = (rng.random((10, b.d)) < 0.5).astype(np.float64)
+    per_row = rng.random((6, 7, b.d)) < 0.5
+    for sets in (shared, per_row):
+        got = b.kept_norms(rows, sets)
+        assert got.shape == (6, sets.shape[-2])
+        assert np.array_equal(got, _kept_loop(b, rows, sets))
+
+
+def test_kept_norms_chunks_keep_their_batches(monkeypatch):
+    # every synth_norms call holds the rows times one slice of KEPT_CHUNK sets
+    monkeypatch.setattr(bases_mod, "KEPT_CHUNK", 4)
+    b = _touched_external(Lp(3.0))
+    rng = np.random.default_rng(8)
+    rows, sets = rng.standard_normal((3, b.d)), (rng.random((10, b.d)) < 0.5).astype(np.float64)
+    calls = []
+    real = bases_mod.BasisTruncation.synth_norms
+    monkeypatch.setattr(bases_mod.BasisTruncation, "synth_norms",
+                        lambda self, X: calls.append(X.shape) or real(self, X))
+    got = b.kept_norms(rows, sets)
+    assert calls == [(12, b.d), (12, b.d), (6, b.d)]
+    want = np.hstack([real(b, (rows[:, None, :] * sets[s : s + 4]).reshape(-1, b.d)).reshape(3, -1)
+                      for s in (0, 4, 8)])
+    assert np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +412,26 @@ def test_half_split_distortion_bound():
         whole = norm(Lp(1.0), f)
         assert split <= whole + 1e-12
         assert whole <= 2.0 * split + 1e-12
+
+
+@pytest.mark.parametrize("space", ["lp:1", "lp:3", "bv", "lorentz:p=2,q=1"])
+def test_pq_block_sum_random_maps_on_external_basis(space):
+    # P and Q multiply the row-major view of the block's columns: a one-row
+    # P can round differently on prefix's column-major copy
+    b = _touched_external(parse_space(space))
+    rng = np.random.default_rng(len(space))
+    blocks, ys, zs = [], [], []
+    for dn, py in ((2, 3), (5, 1)):
+        k = b.prefix(dn).ambient_dim
+        P, Q = rng.standard_normal((py, k)), rng.standard_normal((k - 1, k))
+        blocks.append((dn, BlockMapPair(P, Q, Lp(1.0), Lp(2.0))))
+        ys.append(P @ b.columns[:k, :dn])
+        zs.append(Q @ b.columns[:k, :dn])
+    got = pq_block_sum(b, blocks, 1.0, 2.0)
+    want = np.zeros_like(got.columns)
+    z0 = 4 + zs[0].shape[0]
+    want[:3, :2], want[3:4, 2:], want[4:z0, :2], want[z0:, 2:] = *ys, *zs
+    assert np.array_equal(got.columns, want)
 
 
 def test_pq_block_sum_rejects_rank_deficient_maps():

@@ -130,6 +130,43 @@ def test_index_checks(A, message):
         verify_witness(b, Witness((1.0, -1.0, 0.5, 0.0), (1,), 1.0, "almost-greedy", A))
 
 
+@pytest.mark.parametrize("A", [(1.5,), (1.9,), (2.7,), (1, 2.5), (float("nan"),), (np.float64(0.5),)])
+def test_fractional_indices_are_rejected(A):
+    # int() used to truncate them: [1.5] and [1.9] scored as [1]
+    b = lindenstrauss(8)
+    with pytest.raises(ConditionalityError, match="integers"):
+        sa_ratio(b, np.ones(8), A)
+    with pytest.raises(ConditionalityError, match="integers"):
+        verify_witness(b, Witness((1.0,) * 8, A, 1.0, "oracle"))
+    with pytest.raises(ConditionalityError, match="integers"):
+        verify_witness(b, Witness((1.0,) * 8, A, 1.0, "quasi-greedy"))
+    with pytest.raises(ConditionalityError, match="integers"):
+        verify_witness(b, Witness((1.0,) * 8, (1,), 1.0, "almost-greedy", A))
+
+
+def test_integral_index_types_are_accepted():
+    b = lindenstrauss(8)
+    want = sa_ratio(b, np.ones(8), [1, 3])
+    for A in ([np.int64(1), np.int32(3)], np.array([1, 3]), [1.0, 3.0]):
+        assert sa_ratio(b, np.ones(8), A) == want
+
+
+BAD_COEFFS = [np.ones(3), np.ones(5), [1.0, np.inf, 0.0, 1.0], [1.0, np.nan, 0.0, 1.0]]
+
+
+@pytest.mark.parametrize("kind", ["oracle", "template", "random", "quasi-greedy", "almost-greedy"])
+@pytest.mark.parametrize("coeffs", BAD_COEFFS, ids=["short", "long", "inf", "nan"])
+def test_verify_witness_checks_coefficients_for_every_kind(kind, coeffs):
+    # greedy kinds raised BasisError on a short vector, and an inf reached
+    # synthesis as "invalid value encountered in matmul"
+    b = difference(4)
+    w = Witness(tuple(coeffs), (1,), 1.0, kind, () if kind == "almost-greedy" else None)
+    with pytest.raises(ConditionalityError, match="4 finite coefficients"):
+        verify_witness(b, w)
+    with pytest.raises(ConditionalityError, match="4 finite coefficients"):
+        cond_mod._pair_ratios(b, [(np.ones(4), (1,)), (coeffs, (1,))])
+
+
 def test_verify_witness_rejects_unknown_kind():
     b = difference(4)
     with pytest.raises(ConditionalityError):
@@ -206,18 +243,18 @@ PAIR_COEF = np.array([0, 1, 1, -1, -1], dtype=np.int8)
 PAIR_IN = np.array([False, True, False, True, False])
 
 
-def _dense_oracle_grid(ev, best, leaders):
+def _dense_oracle_grid(p, best, leaders):
     """Reference: synthesise f and S_A f for every pair of the 5^m sweep.
 
     The best is the first best pair in sweep order; the leader piece holds
     the ORACLE_TOPK best f with ||f|| > TINY by their best pair, ties by the
     lowest pair index.
     """
-    m = ev.m
+    m = p.d
     digits = digit_rows(0, 5**m, m, 5)
     coefs, inmask = PAIR_COEF[digits].astype(np.float64), PAIR_IN[digits]
-    dens = ev.coef_norms(coefs)
-    nums = ev.coef_norms(coefs * inmask)
+    dens = p.synth_norms(coefs)
+    nums = p.synth_norms(coefs * inmask)
     ok = dens > TINY
     ratios = np.where(ok, nums / np.where(ok, dens, 1.0), 0.0)
     i = int(np.argmax(ratios))
@@ -263,11 +300,11 @@ GRID_BASES = [
 def test_oracle_grid_matches_dense_reference(name, make, monkeypatch):
     b = make()
     for m in range(1, min(b.d, 7) + 1):
-        ev = cond_mod._SupportEval(b, m)
+        p = b.prefix(m)
         got_best, ref_best = cond_mod._Best(b.d, "oracle"), cond_mod._Best(b.d, "oracle")
         got_lead, ref_lead = [], []
-        cond_mod._oracle_grid(ev, got_best, got_lead)
-        _dense_oracle_grid(ev, ref_best, ref_lead)
+        cond_mod._oracle_grid(p, got_best, got_lead)
+        _dense_oracle_grid(p, ref_best, ref_lead)
         assert got_best.result() == ref_best.result()
         assert len(got_lead) == len(ref_lead) == 1
         (got_r, got_rows), (ref_r, ref_rows) = got_lead[0], ref_lead[0]
@@ -498,6 +535,16 @@ def test_interleave_pair_ratio_transfer_exact():
 def test_interleave_pair_validation():
     with pytest.raises(ConditionalityError):
         interleave_pair(np.ones(2), (1,), side=0, d0=3, d1=3)
+    # an index past the side's length and a side other than 0 or 1 raised a
+    # bare IndexError, and side -1 passed as side 1
+    with pytest.raises(ConditionalityError, match="1..1"):
+        interleave_pair([1.0], [2], 0, 1, 1)
+    for A in ([0], [1, 1], [1.5]):
+        with pytest.raises(ConditionalityError):
+            interleave_pair(np.ones(3), A, side=1, d0=2, d1=3)
+    for side in (2, -1):
+        with pytest.raises(ConditionalityError, match="side"):
+            interleave_pair([1.0], [1], side, 1, 1)
 
 
 def test_block_embed_pair_offsets():
@@ -511,6 +558,12 @@ def test_block_embed_pair_validation():
         block_embed_pair(np.ones(2), (1,), dims=(3, 2), r=3)
     with pytest.raises(ConditionalityError):
         block_embed_pair(np.ones(3), (1,), dims=(3, 2), r=2)
+    # A = (3,) in a block of 2 used to land in block 2 as index 3
+    with pytest.raises(ConditionalityError, match="1..2"):
+        block_embed_pair([1.0, 2.0], [3], dims=[2, 3], r=1)
+    for A in ([0], [2, 2], [1.5]):
+        with pytest.raises(ConditionalityError):
+            block_embed_pair(np.ones(3), A, dims=(2, 3), r=2)
 
 
 # ---------------------------------------------------------------------------
@@ -693,28 +746,28 @@ def test_golden_seeded_estimates(fn, spec, m, seed, want, indices, kind, digest)
 # ---------------------------------------------------------------------------
 
 
-def _mask_sweep_ref(ev, a, masks, chunk=8192):
-    den = float(ev.coef_norms(a[None, :])[0])
+def _mask_sweep_ref(p, a, masks, chunk=8192):
+    den = float(p.synth_norms(a[None, :])[0])
     if den <= TINY:
         return 0.0, -1
     best, best_i = -1.0, -1
     for start in range(0, masks.shape[0], chunk):
-        nums = ev.coef_norms(masks[start : start + chunk] * a)
+        nums = p.synth_norms(masks[start : start + chunk] * a)
         i = int(np.argmax(nums))
         if nums[i] > best:
             best, best_i = float(nums[i]), start + i
     return best / den, best_i
 
 
-def _ascend_masks_ref(ev, a0, masks):
+def _ascend_masks_ref(p, a0, masks):
     """Reference: the oracle's ascent, rescanning every mask per step."""
     a = np.asarray(a0, dtype=np.float64).copy()
-    cur, mi = _mask_sweep_ref(ev, a, masks)
+    cur, mi = _mask_sweep_ref(p, a, masks)
     if mi < 0:
         return cur, a, mi
     for _ in range(MAX_SWEEPS):
         improved = False
-        for i in range(ev.m):
+        for i in range(p.d):
             base = a[i]
             moves = (base * 0.5, base * 2.0, -base, 0.0) if base != 0.0 else (1.0, -1.0)
             for val in moves:
@@ -722,7 +775,7 @@ def _ascend_masks_ref(ev, a0, masks):
                 cand[i] = val
                 if not cand.any():
                     continue
-                r, mj = _mask_sweep_ref(ev, cand, masks)
+                r, mj = _mask_sweep_ref(p, cand, masks)
                 if r >= cur + ASCENT_TOL:
                     a, cur, mi = cand, r, mj
                     improved = True
@@ -732,24 +785,24 @@ def _ascend_masks_ref(ev, a0, masks):
     return cur, a, mi
 
 
-def _sets_sweep_ref(ev, rows, sets):
+def _sets_sweep_ref(p, rows, sets):
     n, m = rows.shape
-    dens = ev.coef_norms(rows)
+    dens = p.synth_norms(rows)
     prods = rows[:, None, :] * sets[None, :, :]
-    nums = ev.coef_norms(prods.reshape(n * sets.shape[0], m)).reshape(n, sets.shape[0])
+    nums = p.synth_norms(prods.reshape(n * sets.shape[0], m)).reshape(n, sets.shape[0])
     ok = dens > TINY
     return np.where(ok[:, None], nums / np.where(ok, dens, 1.0)[:, None], 0.0)
 
 
-def _ascend_sets_ref(ev, a0, sets):
+def _ascend_sets_ref(p, a0, sets):
     """Reference: the estimates' ascent against a fixed family of sets."""
     a = np.asarray(a0, dtype=np.float64).copy()
-    ratios = _sets_sweep_ref(ev, a[None, :], sets)[0]
+    ratios = _sets_sweep_ref(p, a[None, :], sets)[0]
     si = int(np.argmax(ratios))
     cur = float(ratios[si])
     for _ in range(MAX_SWEEPS):
         improved = False
-        for i in range(ev.m):
+        for i in range(p.d):
             base = a[i]
             moves = (base * 0.5, base * 2.0, -base, 0.0) if base != 0.0 else (1.0, -1.0)
             for val in moves:
@@ -757,7 +810,7 @@ def _ascend_sets_ref(ev, a0, sets):
                 cand[i] = val
                 if not cand.any():
                     continue
-                cr = _sets_sweep_ref(ev, cand[None, :], sets)[0]
+                cr = _sets_sweep_ref(p, cand[None, :], sets)[0]
                 cj = int(np.argmax(cr))
                 if cr[cj] >= cur + ASCENT_TOL:
                     a, cur, si = cand, float(cr[cj]), cj
@@ -790,29 +843,29 @@ ASCENT_BASES = [
 def test_ascend_matches_oracle_mask_loop(name, make):
     b = make()
     m = min(b.d, 6)
-    ev = cond_mod._SupportEval(b, m)
+    p = b.prefix(m)
     masks = cond_mod.all_subset_masks(m)
     for a0 in _seeded_starts(m, 1):
-        r, a, mi = ev.ascend(a0, masks)
-        ref_r, ref_a, ref_mi = _ascend_masks_ref(ev, a0, masks)
+        r, a, mi = cond_mod._ascend(p, a0, masks)
+        ref_r, ref_a, ref_mi = _ascend_masks_ref(p, a0, masks)
         assert (r, mi) == (ref_r, ref_mi)
         assert np.array_equal(a, ref_a) and np.array_equal(np.signbit(a), np.signbit(ref_a))
     zero = np.zeros(m)
-    assert ev.ascend(zero, masks)[2] is None
-    assert _ascend_masks_ref(ev, zero, masks)[2] == -1
+    assert cond_mod._ascend(p, zero, masks)[2] is None
+    assert _ascend_masks_ref(p, zero, masks)[2] == -1
 
 
 @pytest.mark.parametrize("name,make", ASCENT_BASES, ids=[n for n, _ in ASCENT_BASES])
 def test_ascend_matches_estimate_sets_loop(name, make):
     b = make()
     m = b.d
-    ev = cond_mod._SupportEval(b, m)
+    p = b.prefix(m)
     rng = np.random.default_rng([3, m])
     extra = (rng.random((8, m)) < 0.5).astype(np.float64)
     sets = np.unique(np.vstack([cond_mod._structured_masks(m), extra]), axis=0)
     for a0 in _seeded_starts(m, 2):
-        r, a, si = ev.ascend(a0, sets)
-        ref_r, ref_a, ref_si = _ascend_sets_ref(ev, a0, sets)
+        r, a, si = cond_mod._ascend(p, a0, sets)
+        ref_r, ref_a, ref_si = _ascend_sets_ref(p, a0, sets)
         assert (r, si) == (ref_r, ref_si)
         assert np.array_equal(a, ref_a) and np.array_equal(np.signbit(a), np.signbit(ref_a))
 
@@ -832,7 +885,7 @@ def _norms_calls(monkeypatch, run):
         calls[0] += 1
         return real(*args, **kwargs)
 
-    for mod in (spaces_mod, bases_mod, cond_mod):
+    for mod in (spaces_mod, bases_mod):
         monkeypatch.setattr(mod, "norms", counted)
     run()
     return calls[0]

@@ -121,6 +121,8 @@ def test_project_empty_set_is_zero():
 
 def test_project_validation():
     b = difference(3)
+    with pytest.raises(GreedyError, match="integers"):
+        project(b, np.ones(3), (2.7,))  # once equal to project(b, ones, (2,))
     with pytest.raises(GreedyError):
         project(b, np.ones(3), (1, 1))
     with pytest.raises(GreedyError):
