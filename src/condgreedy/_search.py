@@ -41,10 +41,14 @@ def rng_stream(seed: int, *key) -> np.random.Generator:
 
 
 def check_budget(budget, error: type, default: int = DEFAULT_BUDGET) -> int:
-    """The sample budget (``default`` for None); ``error`` for one below 1."""
-    if budget is not None and budget < 1:
-        raise error(f"budget must be at least 1, got {budget}")
-    return default if budget is None else budget
+    """The sample budget as an int (``default`` for None); ``error`` unless integral, not bool, >= 1."""
+    if budget is None:
+        return default
+    if isinstance(budget, (float, np.floating)) and float(budget).is_integer():
+        budget = int(budget)
+    if isinstance(budget, bool) or not isinstance(budget, (int, np.integer)) or budget < 1:
+        raise error(f"budget must be an integer of at least 1, got {budget!r}")
+    return int(budget)
 
 
 def check_indices(A, d: int, error: type) -> np.ndarray:

@@ -65,7 +65,7 @@ __all__ = [
 ]
 
 RANK_TOL = 1e-10
-KEPT_CHUNK = 8192  # sets per ``synth_norms`` call of ``BasisTruncation.kept_norms``
+KEPT_CHUNK = 8192  # sets per norms call of ``kept_norms`` and ``ratio_norms``
 
 
 class BasisError(ValueError):
@@ -95,12 +95,12 @@ class BasisTruncation:
             raise BasisError(f"expected {self.d} coefficients, got shape {a.shape}")
         return self.columns @ a
 
-    def synth_rows(self, coeff_rows) -> np.ndarray:
-        """Batch version of :meth:`synth` for an (N, d) array."""
+    def synth_rows(self, coeff_rows, out=None) -> np.ndarray:
+        """Batch version of :meth:`synth` for an (N, d) array (into ``out`` if given)."""
         A = np.asarray(coeff_rows, dtype=np.float64)
         if A.ndim != 2 or A.shape[1] != self.d:
             raise BasisError(f"expected (N, {self.d}) coefficient rows")
-        return A @ self.columns.T
+        return np.matmul(A, self.columns.T, out=out)
 
     def synth_norms(self, coeff_rows) -> np.ndarray:
         return norms(self.space, self.synth_rows(coeff_rows), overwrite=True)
@@ -110,14 +110,29 @@ class BasisTruncation:
 
     def kept_norms(self, rows: np.ndarray, sets: np.ndarray) -> np.ndarray:
         """(n, K) norms of the coefficient rows (n, d) restricted to the 0/1
-        sets: one family (K, d) for every row, or one per row (n, K, d).  The
-        sets go KEPT_CHUNK per ``synth_norms`` call, which bounds the
-        temporaries of 2^m-set sweeps."""
+        sets: one family (K, d) for every row, or one per row (n, K, d)."""
+        return self._kept_chunks(rows, sets, rows[:0])[0]
+
+    def ratio_norms(self, rows: np.ndarray, sets: np.ndarray) -> tuple:
+        """(``kept_norms(rows, sets)``, ``synth_norms(rows)``), bitwise, with one
+        norms call per KEPT_CHUNK sets: the terms of every ||S_A f|| / ||f||."""
+        return self._kept_chunks(rows, sets, rows)
+
+    def _kept_chunks(self, rows: np.ndarray, sets: np.ndarray, tail: np.ndarray) -> tuple:
+        """Kept norms and the ``tail`` rows' norms: KEPT_CHUNK sets per norms call
+        (bounding 2^m-set temporaries), ``tail`` in the last.  Each product fills
+        its own buffer rows, so they round as in a call of their own."""
         (n, d), k = rows.shape, sets.shape[-2]
         if k > KEPT_CHUNK:
-            return np.concatenate([self.kept_norms(rows, sets[..., s : s + KEPT_CHUNK, :])
-                                   for s in range(0, k, KEPT_CHUNK)], axis=1)
-        return self.synth_norms((rows[:, None, :] * sets).reshape(-1, d)).reshape(n, k)
+            head = self.kept_norms(rows, sets[..., :KEPT_CHUNK, :])
+            nums, rest = self._kept_chunks(rows, sets[..., KEPT_CHUNK:, :], tail)
+            return np.hstack([head, nums]), rest
+        buf = np.empty((n * k + len(tail), self.ambient_dim))
+        self.synth_rows((rows[:, None, :] * sets).reshape(-1, d), out=buf[: n * k])
+        if len(tail):
+            self.synth_rows(tail, out=buf[n * k :])
+        out = norms(self.space, buf, overwrite=True)
+        return out[: n * k].reshape(n, k), out[n * k :]
 
     def prefix(self, m: int) -> BasisTruncation:
         """The first m columns on the smallest ambient prefix that carries them.
@@ -363,50 +378,35 @@ def pq_block_sum(b: BasisTruncation, blocks, p: float, q: float) -> BasisTruncat
     pairs = [bm for _, bm in blocks]
     p, q = _exponent("p", p), _exponent("q", q)
 
-    y_parts, z_parts = [], []
-    for dn, bm in zip(dims, pairs):
+    parts = ([], [])  # per stack: (rows, column offset, target space) of each block
+    for dn, koff, bm in zip(dims, block_offsets(dims), pairs):
         kdim = b.prefix(dn).ambient_dim
-        sub = b.columns[:kdim, :dn]  # row-major: a one-row P can round otherwise on prefix's copy
+        sub = b.columns[:kdim, :dn]  # row-major: the product can round otherwise on prefix's copy
         P = np.asarray(bm.P, dtype=np.float64).reshape(-1, kdim) if np.size(bm.P) else np.zeros((0, kdim))
         Q = np.asarray(bm.Q, dtype=np.float64).reshape(-1, kdim) if np.size(bm.Q) else np.zeros((0, kdim))
-        stacked = np.vstack([P, Q]) @ sub
+        stacked = np.vstack([P, Q]) @ sub  # stored as checked
         if np.linalg.matrix_rank(stacked, tol=RANK_TOL) < dn:
             raise BasisError(f"(P,Q) not injective on a block of dimension {dn}")
-        y_parts.append((P @ sub, bm.target_y))
-        z_parts.append((Q @ sub, bm.target_z))
+        for part, rows, target in zip(parts, np.split(stacked, [len(P)]), (bm.target_y, bm.target_z)):
+            if len(rows):
+                part.append((rows, koff, target))
 
-    def stack(parts, outer):
-        sizes = [m.shape[0] for m, _ in parts]
-        total = sum(sizes)
-        if total == 0:
-            return None, 0, []
-        specs = tuple((sp, sz) for (m, sp), sz in zip(parts, sizes) if sz > 0)
-        return MixedSum(outer, specs), total, sizes
+    def stack(part, outer):
+        """(outer-summed space or None, rows on all sum(dims) columns) of one stack."""
+        cols, at = np.zeros((sum(len(rows) for rows, _, _ in part), sum(dims))), 0
+        for rows, koff, _ in part:
+            cols[at : at + len(rows), koff : koff + rows.shape[1]] = rows
+            at += len(rows)
+        return (MixedSum(outer, tuple((sp, len(rows)) for rows, _, sp in part)) if part else None), cols
 
-    yspace, ytot, _ = stack(y_parts, p)
-    zspace, ztot, _ = stack(z_parts, q)
-    if ytot == 0 and ztot == 0:
-        raise BasisError("both map stacks are empty")
-
-    total_d = sum(dims)
-    cols = np.zeros((ytot + ztot, total_d))
-    koff, yoff, zoff = 0, 0, ytot
-    for (ym, _), (zm, _), dn in zip(y_parts, z_parts, dims):
-        cols[yoff : yoff + ym.shape[0], koff : koff + dn] = ym
-        cols[zoff : zoff + zm.shape[0], koff : koff + dn] = zm
-        yoff += ym.shape[0]
-        zoff += zm.shape[0]
-        koff += dn
-
-    if ytot == 0:
-        space = zspace
-    elif ztot == 0:
-        space = yspace
+    (yspace, ycols), (zspace, zcols) = stack(parts[0], p), stack(parts[1], q)
+    if yspace is None or zspace is None:
+        space = zspace if yspace is None else yspace
     else:
-        space = MixedSum(0.0, ((yspace, ytot), (zspace, ztot)))
+        space = MixedSum(0.0, ((yspace, len(ycols)), (zspace, len(zcols))))
     dims_txt = ",".join(str(x) for x in dims)
     label = f"pqblocksum({b.label},dims=[{dims_txt}],p={p:g},q={q:g})"
-    return _make(cols, space, label, ("pq_block_sum", b.recipe, dims, p, q))
+    return _make(np.vstack([ycols, zcols]), space, label, ("pq_block_sum", b.recipe, dims, p, q))
 
 
 def half_split_maps(b: BasisTruncation, dn: int) -> BlockMapPair:

@@ -25,12 +25,12 @@ witness:
 
 Every route evaluates on ``BasisTruncation.prefix(m)`` (``prefix(d)`` for
 k_m).  Its objective is ``_mask_sweep``, which scores a batch of
-coefficient rows against a family of sets through ``kept_norms``; the
-sampler, the coordinate ascent, the block maximum, the oracle's leader pick
-and the grid kernel come from ``_search``.  Both estimates share one body,
-``_seeded_search``, and one block body, ``_block_best`` then
-``_block_ascent``.  Every estimator, the greedy ones too, builds its result
-in one record, ``_Best``.
+coefficient rows against a family of sets, as ``_block_best`` does, in one
+``ratio_norms`` pass; the sampler, the coordinate ascent, the block maximum,
+the oracle's leader pick and the grid kernel come from ``_search``.  Both
+estimates share one body, ``_seeded_search``, and one block body,
+``_block_best`` then ``_block_ascent``.  Every estimator, the greedy ones
+too, builds its result in one record, ``_Best``.
 
 Estimates are reproducible for fixed (inputs, seed), and never decrease
 when the budget grows with the seed held fixed.
@@ -272,7 +272,7 @@ def _mask_sweep(p: BasisTruncation, rows: np.ndarray, sets: np.ndarray):
     prefix ``p``: the best ||S_A f||/||f|| over the set rows for each row f,
     and a payload k -> the index of row k's first best set (None when f
     vanishes)."""
-    nums, dens = p.kept_norms(rows, sets), p.synth_norms(rows)
+    nums, dens = p.ratio_norms(rows, sets)
     return (guarded_ratio(nums.max(axis=1), dens),
             lambda k: int(nums[k].argmax()) if dens[k] > TINY else None)
 
@@ -365,8 +365,8 @@ def L_m_oracle(b: BasisTruncation, m: int, guard: int = DEFAULT_GUARD):
         for _ in range(REDUCED_PAIRS // 4096):
             coefs = rng.integers(-1, 2, size=(4096, m)).astype(np.float64)
             inmask = rng.random((4096, m)) < 0.5
-            dens = p.synth_norms(coefs)
-            ratios = guarded_ratio(p.synth_norms(coefs * inmask), dens)
+            nums, dens = p.ratio_norms(coefs, inmask[:, None, :])
+            ratios = guarded_ratio(nums[:, 0], dens)
             i = int(np.argmax(ratios))
             best.offer(ratios[i], coefs[i], _mask_to_set(inmask[i]))
             kept = np.flatnonzero(dens > TINY)
@@ -432,7 +432,7 @@ def _seeded_search(b: BasisTruncation, p: BasisTruncation, floor_set, sets, pair
 
 def _block_best(p: BasisTruncation, rows: np.ndarray, sets: np.ndarray):
     """First best (ratio, (row, set)) of ``rows`` against ``sets``; ||f|| of each row."""
-    nums, dens = p.kept_norms(rows, sets), p.synth_norms(rows)
+    nums, dens = p.ratio_norms(rows, sets)
     ratios = guarded_ratio(nums, dens)
     i, j = np.unravel_index(np.argmax(ratios), ratios.shape)
     return float(ratios[i, j]), (rows[i].copy(), sets[j]), dens

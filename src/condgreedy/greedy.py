@@ -68,7 +68,6 @@ from ._search import (BLOCK, DEFAULT_BUDGET, DEFAULT_SEED, TINY, ascend, check_b
                       scale_moves)
 from .bases import BasisTruncation
 from .conditionality import _Best
-from .spaces import norms
 
 __all__ = [
     "GreedyError",
@@ -508,16 +507,13 @@ def _sum_norm_search(b: BasisTruncation, m: int, want_max: bool, budget: int, se
     d = b.d
     pick, best = (max, -math.inf) if want_max else (min, math.inf)
     # greedy growth (for the minimum only the final size-m set counts)
-    chosen: list = []
-    cur = np.zeros(b.ambient_dim)
-    for _ in range(m):
-        rest = [j for j in range(d) if j not in chosen]
-        cand = cur[None, :] + b.columns[:, rest].T
-        vals = norms(b.space, cand)
+    chosen = np.zeros(d)
+    for size in range(1, m + 1):
+        cand = np.maximum(chosen, np.eye(d)[chosen == 0.0])  # chosen plus one more, in index order
+        vals = b.synth_norms(cand)
         i = int(np.argmax(vals) if want_max else np.argmin(vals))
-        chosen.append(rest[i])
-        cur = cand[i]
-        if want_max or len(chosen) == m:
+        chosen = cand[i]
+        if want_max or size == m:
             best = pick(best, float(vals[i]))
     # seeded random subsets
     rng = rng_stream(seed, "fund", int(want_max), m)
@@ -525,7 +521,7 @@ def _sum_norm_search(b: BasisTruncation, m: int, want_max: bool, budget: int, se
     rows = np.zeros((budget, d))
     for i in range(budget):
         rows[i, rng.permutation(d)[: sizes[i]]] = 1.0
-    vals = norms(b.space, rows @ b.columns.T)
+    vals = b.synth_norms(rows)
     return pick(best, float(vals.max() if want_max else vals.min()))
 
 

@@ -265,7 +265,7 @@ def _abs_norms(space: SpaceDesc, A: np.ndarray) -> np.ndarray:
         pos = m > 0.0
         if pos.any():
             scaled = A[pos] / m[pos, None]
-            out[pos] = m[pos] * ((scaled**space.q) @ w) ** (1.0 / space.q)
+            out[pos] = m[pos] * ((scaled**space.q) * w).sum(axis=1) ** (1.0 / space.q)
         return out
     raise SpaceError(f"unknown space descriptor {space!r}")
 

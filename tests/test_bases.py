@@ -240,20 +240,49 @@ def test_kept_norms_equals_a_per_set_loop(chunk, monkeypatch):
 
 
 def test_kept_norms_chunks_keep_their_batches(monkeypatch):
-    # every synth_norms call holds the rows times one slice of KEPT_CHUNK sets
+    # every product holds the rows times one slice of KEPT_CHUNK sets
     monkeypatch.setattr(bases_mod, "KEPT_CHUNK", 4)
     b = _touched_external(Lp(3.0))
     rng = np.random.default_rng(8)
     rows, sets = rng.standard_normal((3, b.d)), (rng.random((10, b.d)) < 0.5).astype(np.float64)
     calls = []
     real = bases_mod.BasisTruncation.synth_norms
-    monkeypatch.setattr(bases_mod.BasisTruncation, "synth_norms",
-                        lambda self, X: calls.append(X.shape) or real(self, X))
+    synth_rows = bases_mod.BasisTruncation.synth_rows
+    monkeypatch.setattr(bases_mod.BasisTruncation, "synth_rows",
+                        lambda self, X, out=None: calls.append(X.shape) or synth_rows(self, X, out))
     got = b.kept_norms(rows, sets)
     assert calls == [(12, b.d), (12, b.d), (6, b.d)]
     want = np.hstack([real(b, (rows[:, None, :] * sets[s : s + 4]).reshape(-1, b.d)).reshape(3, -1)
                       for s in (0, 4, 8)])
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _touched_external(Lp(3.0)),
+    lambda: _touched_external(BV()),
+    lambda: _touched_external(parse_space("lorentz:p=2,q=1")),
+    lambda: _touched_external(parse_space("lorentz:p=3,q=2")),
+    lambda: block_sum(_touched_external(Lp(3.0), amb=11, d=7), [3, 7], 2.0),
+], ids=["lp:3", "bv", "lorentz", "lorentz q=2", "mixed"])
+@pytest.mark.parametrize("k", [1, 15, 11], ids=["K=1", "K=15", "K>KEPT_CHUNK"])
+def test_ratio_norms_equal_kept_and_synth_norms_bitwise(make, k, monkeypatch):
+    # one norms call per chunk of sets, the rows' own norms in the last one
+    if k == 11:
+        monkeypatch.setattr(bases_mod, "KEPT_CHUNK", 4)
+    b = make()
+    p = b.prefix(b.d - 1)
+    rng = np.random.default_rng(k)
+    calls = []
+    real = bases_mod.norms
+    monkeypatch.setattr(bases_mod, "norms", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    for n in (1, 3, 13):
+        rows = rng.standard_normal((n, p.d))
+        for sets in ((rng.random((k, p.d)) < 0.5).astype(np.float64), rng.random((n, k, p.d)) < 0.5):
+            calls.clear()
+            nums, dens = p.ratio_norms(rows, sets)
+            assert len(calls) == -(-k // bases_mod.KEPT_CHUNK)
+            assert np.array_equal(nums, p.kept_norms(rows, sets))
+            assert np.array_equal(dens, p.synth_norms(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -416,8 +445,9 @@ def test_half_split_distortion_bound():
 
 @pytest.mark.parametrize("space", ["lp:1", "lp:3", "bv", "lorentz:p=2,q=1"])
 def test_pq_block_sum_random_maps_on_external_basis(space):
-    # P and Q multiply the row-major view of the block's columns: a one-row
-    # P can round differently on prefix's column-major copy
+    # the stored rows are the stacked product [P; Q] times the row-major view
+    # of the block's columns that the rank check saw: a one-row P alone, or
+    # prefix's column-major copy, can round differently
     b = _touched_external(parse_space(space))
     rng = np.random.default_rng(len(space))
     blocks, ys, zs = [], [], []
@@ -425,8 +455,9 @@ def test_pq_block_sum_random_maps_on_external_basis(space):
         k = b.prefix(dn).ambient_dim
         P, Q = rng.standard_normal((py, k)), rng.standard_normal((k - 1, k))
         blocks.append((dn, BlockMapPair(P, Q, Lp(1.0), Lp(2.0))))
-        ys.append(P @ b.columns[:k, :dn])
-        zs.append(Q @ b.columns[:k, :dn])
+        stacked = np.vstack([P, Q]) @ b.columns[:k, :dn]
+        ys.append(stacked[:py])
+        zs.append(stacked[py:])
     got = pq_block_sum(b, blocks, 1.0, 2.0)
     want = np.zeros_like(got.columns)
     z0 = 4 + zs[0].shape[0]

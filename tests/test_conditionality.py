@@ -901,6 +901,59 @@ def test_seeded_estimate_norms_calls_ceiling(fn, m, ceiling, monkeypatch):
     assert calls <= ceiling
 
 
+# ``ratio_norms`` takes the norms of the kept sets and of the rows in one
+# call; with a norms call for each the same runs made 1,027 and 763
+@pytest.mark.parametrize("fn,m,count", [(L_m_estimate, 13, 514), (k_m_estimate, 4, 383)],
+                         ids=["L m=13", "k k=4"])
+def test_seeded_estimate_norms_calls_pinned(fn, m, count, monkeypatch):
+    b = lindenstrauss(16)
+    assert _norms_calls(monkeypatch, lambda: fn(b, m, budget=512, seed=1)) == count
+
+
+@pytest.mark.parametrize("run", [
+    lambda: L_m_estimate(lindenstrauss(16), 13, budget=512, seed=1),
+    lambda: k_m_estimate(parse_basis("interleave(difference:6,summing:6)"), 4, budget=256, seed=1),
+    lambda: L_m_oracle(parse_basis("blocksum(lindenstrauss,dims=2^1..2^3,p=2)"), 6),
+], ids=["L", "k", "oracle"])
+def test_each_score_call_makes_one_norms_call(run, monkeypatch):
+    calls, seen = [0], []
+    real = spaces_mod.norms
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    for mod in (spaces_mod, bases_mod):
+        monkeypatch.setattr(mod, "norms", counted)
+    for name in ("_mask_sweep", "_block_best"):
+        def spied(*args, fn=getattr(cond_mod, name), name=name):
+            before = calls[0]
+            out = fn(*args)
+            seen.append((name, calls[0] - before))
+            return out
+        monkeypatch.setattr(cond_mod, name, spied)
+    run()
+    assert seen and {n for _, n in seen} == {1}
+
+
+@pytest.mark.parametrize("budget", [2.5, True, np.float64(300.7), "300", float("inf"), np.float64("inf")])
+def test_estimates_and_ladders_reject_non_integral_budgets(budget):
+    b = lindenstrauss(16)
+    for run in (lambda: L_m_estimate(b, 13, budget=budget),
+                lambda: k_m_estimate(b, 4, budget=budget),
+                lambda: lb_ladder(b, (2, 4), kind="L", budget=budget),
+                lambda: lb_ladder(b, (2, 4), kind="k", budget=budget)):
+        with pytest.raises(ConditionalityError, match="budget must be an integer"):
+            run()
+
+
+def test_estimates_accept_numpy_integer_budgets():
+    b = lindenstrauss(16)
+    for fn, m in ((L_m_estimate, 13), (k_m_estimate, 4)):
+        assert fn(b, m, budget=np.int64(300), seed=2) == fn(b, m, budget=300, seed=2)
+    assert lb_ladder(b, (13, 14), budget=np.int32(300)) == lb_ladder(b, (13, 14), budget=300)
+
+
 @pytest.mark.parametrize("budget", [0, -5])
 def test_estimates_reject_budget_below_one(budget):
     b = lindenstrauss(16)

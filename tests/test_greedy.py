@@ -725,9 +725,9 @@ def _count_synth_rows(monkeypatch):
     rows = [0]
     real = BasisTruncation.synth_rows
 
-    def counted(self, coeff_rows):
+    def counted(self, coeff_rows, out=None):
         rows[0] += np.shape(coeff_rows)[0]
-        return real(self, coeff_rows)
+        return real(self, coeff_rows, out)
 
     monkeypatch.setattr(BasisTruncation, "synth_rows", counted)
     return rows
@@ -1069,6 +1069,38 @@ def test_phi_search_rejects_budget_below_one(budget):
 def test_democracy_search_rejects_budget_below_one(budget):
     with pytest.raises(GreedyError, match="budget"):
         democracy_ratio(lindenstrauss(12), 4, mode="search", budget=budget)
+
+
+@pytest.mark.parametrize("budget", [2.5, True, np.float64(300.7), "300", float("nan")])
+@pytest.mark.parametrize("run", [
+    lambda bud: quasi_greedy_constant_lb(lindenstrauss(14), budget=bud),
+    lambda bud: almost_greedy_constant_lb(lindenstrauss(14), budget=bud),
+    lambda bud: fundamental_function(lindenstrauss(12), 4, mode="search", budget=bud),
+    lambda bud: democracy_ratio(lindenstrauss(12), 4, mode="search", budget=bud),
+], ids=["quasi-greedy", "almost-greedy", "phi search", "democracy search"])
+def test_greedy_estimators_reject_non_integral_budgets(run, budget):
+    with pytest.raises(GreedyError, match="budget must be an integer"):
+        run(budget)
+
+
+def test_greedy_estimators_accept_numpy_integer_budgets():
+    b = lindenstrauss(14)
+    for fn in (quasi_greedy_constant_lb, almost_greedy_constant_lb):
+        assert fn(b, budget=np.int64(300), seed=2) == fn(b, budget=300, seed=2)
+    assert fundamental_function(b, 4, mode="search", budget=np.int16(64), seed=2) == \
+        fundamental_function(b, 4, mode="search", budget=64, seed=2)
+
+
+def test_sum_norm_search_synthesises_through_synth_rows(monkeypatch):
+    # greedy growth scores the d - k sets one larger than its k chosen ones,
+    # then the budget's random subsets: all as 0/1 coefficient rows
+    rows = _count_synth_rows(monkeypatch)
+    b = lindenstrauss(12)
+    fundamental_function(b, 4, mode="search", budget=64, seed=1)
+    assert rows[0] == 12 + 11 + 10 + 9 + 64
+    rows[0] = 0
+    democracy_ratio(b, 4, mode="search", budget=64, seed=1)
+    assert rows[0] == 2 * (12 + 11 + 10 + 9 + 64)
 
 
 @pytest.mark.parametrize("d", [6, 10, 14], ids=["exhaustive", "exhaustive d=10", "random"])

@@ -194,6 +194,16 @@ def test_rows_holding_inf_have_norm_inf(space):
         norms(space, np.array([[INF, 0.0, 0.0, 0.0], [float("nan"), 0.0, 0.0, 0.0]]))
 
 
+@pytest.mark.parametrize("space", INF_SPACES + [Lorentz(3.0, LorentzPQ(1.5, 3.0))], ids=format_space)
+def test_row_norms_do_not_depend_on_the_batch(space):
+    # a row's norm is the same alone and at any place in a batch, so rows
+    # synthesised apart can share one norms call
+    V = np.random.default_rng(12).standard_normal((23, 4))
+    alone = np.array([norms(space, V[i : i + 1])[0] for i in range(len(V))])
+    for start in range(5):
+        assert np.array_equal(norms(space, V[start:]), alone[start:])
+
+
 # ---------------------------------------------------------------------------
 # flat MixedSum evaluation and the overwrite switch
 # ---------------------------------------------------------------------------
