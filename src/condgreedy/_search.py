@@ -1,6 +1,7 @@
 """The search engine of every lower-bound estimator: the block sampler
 ``sample_block``, ``guarded_ratio``, ``greedy_order``, the lockstep coordinate
-ascent ``ascend`` with its move sets, the block maximum ``parallel_block_max``,
+ascent ``ascend`` with its move sets (each start's windows predict every
+coordinate's move of its previous sweep), the block maximum ``parallel_block_max``,
 the oracle's leader pick ``distinct_leaders``, the input checks, and the
 chunked sign-vector table ``sign_table`` and kernel ``sign_leaders`` of the
 exhaustive routes.  What is specific to one family of constants stays
@@ -101,6 +102,7 @@ def scale_moves(x: float) -> tuple:
     return (x * 0.5, x * 2.0) if x != 0.0 else ()
 
 
+# first-sweep priors; later sweeps predict each coordinate's own last move
 signed_moves.predicted = None  # the L and k ascents take about 10 % of their moves
 scale_moves.predicted = 0  # the halving: the quasi-greedy ascent takes 77 % of them
 
@@ -108,18 +110,20 @@ scale_moves.predicted = 0  # the halving: the quasi-greedy ascent takes 77 % of 
 def _climb(rec: list, moves, width: list):
     """One start of ``ascend``: yields its windows (None when done), takes back (ratios,
     payload, offset, call size), keeps rec = [ratio, a, (payload, row), call size] current."""
+    guess = [moves.predicted] * rec[1].size  # the first sweep's prior
     for _ in range(MAX_SWEEPS):
         a = rec[1].tolist()  # a move at coordinate j leaves a[i] for i > j as it was
-        cands = [(i, v, m == moves.predicted)
+        cands = [(i, v, m == guess[i], m)
                  for i in range(len(a)) for m, v in enumerate(moves(a[i]))]
-        past = {i: n + 1 for n, (i, _, _) in enumerate(cands)}  # position past i's moves
+        guess = [None] * len(a)  # the next sweep's: the move each coordinate takes now
+        past = {i: n + 1 for n, (i, *_) in enumerate(cands)}  # position past i's moves
         end, improved, k = len(cands), False, 0
         while k < end:
             path, n, pnz = [], k, np.count_nonzero(rec[1])  # pnz: nonzeros on the path
             for _ in range(width[0]):
                 if n == end:
                     break
-                i, v, taken = cands[n]
+                i, v, taken, _ = cands[n]
                 n += 1
                 if v == 0.0 and pnz == (a[i] != 0.0):  # a move to 0.0 of the only nonzero
                     continue
@@ -131,16 +135,17 @@ def _climb(rec: list, moves, width: list):
                 continue
             rows = rec[1][None].repeat(len(path), 0)
             for r, m in enumerate(path):
-                i, v, taken = cands[m]
+                i, v, taken, _ = cands[m]
                 rows[r, i] = v
                 if taken:
                     rows[r + 1 :, i] = v
             ratios, payload, off, size = yield rows
             for h, m in enumerate(path, off):
-                i, v, taken = cands[m]
+                i, v, taken, move = cands[m]
                 gain = ratios[h] >= rec[0] + ASCENT_TOL
                 if gain:
                     rec[:], improved = (ratios[h], rows[h - off], (payload, h), size), True
+                    guess[i] = move if (a[i] == 0.0) == (v == 0.0) else None
                 if gain != taken:  # go on where the scalar loop goes on
                     k = past[i] if gain else m + 1
                     break
@@ -161,13 +166,17 @@ def ascend(starts, score, moves, cost) -> list:
     move or MAX_SWEEPS; a start whose payload is None comes back unchanged.
 
     Each score call holds a window of every live start: the next candidates
-    as if the move ``moves.predicted`` of each coordinate were taken and no
-    other, BATCH_ENTRIES product entries at ``cost`` per row shared among
-    the live starts (one row at least).  A window is walked up to its first
-    wrong prediction, so for a batch-invariant scorer every trajectory is
-    that of one candidate per call.  BLAS may round a row differently with
-    its batch, which can only turn a gain within rounding of ASCENT_TOL; a
-    final vector scored beside other rows is scored again alone.
+    as if each coordinate took its predicted move and no other, BATCH_ENTRIES
+    product entries at ``cost`` per row shared among the live starts (one
+    row at least).  The first sweep predicts ``moves.predicted``; a later one
+    predicts the move a coordinate took in the sweep before, unless that
+    move turned a[i] zero or nonzero (``moves(0.0)`` indexes other moves),
+    and no move for a coordinate that did not move then.  A window is walked
+    up to its first wrong prediction, so for a batch-invariant scorer every
+    trajectory is that of one candidate per call, whatever the predictions.
+    BLAS may round a row differently with its batch, which can only turn a
+    gain within rounding of ASCENT_TOL; a final vector scored beside other
+    rows is scored again alone.
     """
     a = np.array(starts, dtype=np.float64)
     ratios, payload = score(a)

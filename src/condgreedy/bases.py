@@ -25,8 +25,6 @@ from functools import cached_property
 import numpy as np
 
 from .spaces import (
-    INF,
-    BV,
     C0Trunc,
     Lorentz,
     Lp,

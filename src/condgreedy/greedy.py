@@ -19,7 +19,8 @@ Estimator tiers, chosen by the basis length d:
               denominators.
 * d >  12  -- seeded random magnitude/sign sampling in blocks, with
               multiplicative coordinate ascent on the block winners (for
-              quasi-greedy, every block's ascent in one lockstep ``ascend``).
+              quasi-greedy, every block's ascent in one lockstep ``ascend``,
+              whose windows predict each coordinate's move of the sweep before).
 
 The block sampler, the greedy order, the ascent and the block maximum are
 the shared search engine of ``_search``; the ascent objective is ``_qg_ratios``.

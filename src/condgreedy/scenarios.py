@@ -18,12 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._search import DEFAULT_BUDGET, DEFAULT_SEED, rng_stream
+from ._search import DEFAULT_SEED, rng_stream
 from .bases import (
     BasisTruncation,
     Lp,
     block_index_split,
-    block_offsets,
     block_sum,
     difference,
     half_split_maps,
@@ -42,7 +41,6 @@ from .conditionality import (
     L_m_oracle,
     LINEAR_TARGET,
     LOG_TARGET,
-    Witness,
     _pair_ratios,
     block_embed_pair,
     growth_fit,

@@ -41,15 +41,18 @@ COSTS = (ONE, BATCH_ENTRIES // 3, BATCH_ENTRIES // 7, 1)  # batches of 1, 3, 7, 
 def _scalar_ascend(a0, score, moves, log=None):
     """Reference: the one-candidate-per-call ascent; ``score(a)`` gives
     (ratio, payload).  ``log`` collects (row, accepted, predicted accepted)
-    per scored row."""
+    per scored row, with the prediction ``ascend`` learns: ``moves.predicted``
+    in the first sweep, then each coordinate's move of the sweep before
+    unless it turned a[i] zero or nonzero."""
     a = np.asarray(a0, dtype=np.float64).copy()
     cur, payload = score(a)
     if log is not None:
         log.append((a.copy(), False, False))
     if payload is None:
         return cur, a, payload
+    guess = [moves.predicted] * a.size
     for _ in range(MAX_SWEEPS):
-        improved = False
+        improved, prior, guess = False, guess, [None] * a.size
         for i in range(a.size):
             for m, val in enumerate(moves(a[i])):
                 cand = a.copy()
@@ -59,8 +62,9 @@ def _scalar_ascend(a0, score, moves, log=None):
                 r, p = score(cand)
                 taken = r >= cur + ASCENT_TOL
                 if log is not None:
-                    log.append((cand.copy(), taken, m == moves.predicted))
+                    log.append((cand.copy(), taken, m == prior[i]))
                 if taken:
+                    guess[i] = m if (a[i] == 0.0) == (val == 0.0) else None
                     a, cur, payload = cand, r, p
                     improved = True
                     break
@@ -137,9 +141,10 @@ def test_ascend_takes_first_improving_move_per_coordinate():
     assert [float(v[0]) for v in score.seen[:5]] == [1.0, 0.5, 2.0, 1.0, 4.0]
     batched = Recorder()
     ascend_one(np.array([1.0]), batched, signed_moves, 1)
-    # the whole sweep in one call, the move to 0.0 left out; x2 is taken
-    assert [c[:, 0].tolist() for c in batched.calls[:3]] == [
-        [1.0], [0.5, 2.0, -1.0], [1.0, 4.0, -2.0]]
+    # the whole first sweep in one call, the move to 0.0 left out; x2 is
+    # taken, so the next sweep's window ends at the x2 it predicts taken
+    assert [c[:, 0].tolist() for c in batched.calls[:4]] == [
+        [1.0], [0.5, 2.0, -1.0], [1.0, 4.0], [2.0, 8.0]]
 
 
 @pytest.mark.parametrize("cost", COSTS)
@@ -201,15 +206,56 @@ def test_ascend_stops_after_max_sweeps():
     batched = Recorder()
     r, a, _ = ascend_one(np.array([1.0]), batched, signed_moves, 1)
     assert a[0] == 2.0**MAX_SWEEPS and r == 2.0**MAX_SWEEPS
-    # one call per sweep (the move to 0.0 left out), then the final vector
-    # is scored again alone
-    assert [len(c) for c in batched.calls] == [1] + [3] * MAX_SWEEPS + [1]
-    # a window ends at the halving that scale_moves predicts taken, and on
-    # one coordinate nothing follows it: every call holds one row
+    # one call per sweep: the first sweep's three moves (the move to 0.0
+    # left out), then x0.5 and the x2 taken the sweep before, after which
+    # the window ends; then the final vector is scored again alone (with
+    # the prediction of the first sweep only, the calls held 3 rows each)
+    assert [len(c) for c in batched.calls] == [1, 3] + [2] * (MAX_SWEEPS - 1) + [1]
+    # the first sweep's window ends at the halving that scale_moves predicts
+    # taken, and the x2 follows alone; from then on each window is x0.5 and
+    # the predicted x2 (with the prior alone, every call held one row)
     batched = Recorder()
     r, a, _ = ascend_one(np.array([1.0]), batched, scale_moves, 1)
     assert a[0] == 2.0**MAX_SWEEPS and r == 2.0**MAX_SWEEPS
-    assert [len(c) for c in batched.calls] == [1] * (1 + 2 * MAX_SWEEPS)
+    assert [len(c) for c in batched.calls] == [1, 1, 1] + [2] * (MAX_SWEEPS - 1) + [1]
+
+
+def test_ascend_stale_predictions_cost_calls_not_trajectories():
+    # a[0] moves to 0.0, then back to +1 (moves(0.0) index 0, which on a
+    # nonzero a[0] is the halving: not predicted); a[1] doubles, then
+    # flips, so each sweep after the first predicts a move that no longer
+    # gains and its window ends there
+    table = {(1.0, 1.0): 1.0, (0.0, 1.0): 2.0, (0.0, 2.0): 3.0,
+             (1.0, 2.0): 4.0, (1.0, -2.0): 5.0}
+    fn = _table_objective(table)
+    log = []
+    want = _scalar_ascend([1.0, 1.0], fn, signed_moves, log)
+    assert want[1].tolist() == [1.0, -2.0] and want[0] == 5.0
+    assert [row.tolist() for row, taken, _ in log if taken] == [
+        [0.0, 1.0], [0.0, 2.0], [1.0, 2.0], [1.0, -2.0]]
+    assert [row.tolist() for row, _, predicted in log if predicted] == [[1.0, 4.0], [1.0, 2.0]]
+    calls = []
+    score = batch_of(fn)
+    got = ascend_one(np.array([1.0, 1.0]), lambda rows: calls.append(rows.copy()) or score(rows),
+                     signed_moves, 1)
+    assert got[0] == want[0] and np.array_equal(got[1], want[1])
+    assert_sequential(calls, log, got[1])
+    # each stale prediction ends a window, one call more per sweep than
+    # the prior alone takes (1, 8, 3, 5, 4, 8, 1)
+    assert [len(c) for c in calls] == [1, 8, 3, 4, 2, 2, 7, 1, 1]
+
+    # any prior, stale from the first sweep on, gives the same trajectory
+    for prior in (None, 0, 1, 2, 3):
+        def moves(x):
+            return signed_moves(x)
+        moves.predicted = prior
+        for cost in COSTS:
+            log, calls = [], []
+            assert _scalar_ascend([1.0, 1.0], fn, moves, log)[1].tolist() == [1.0, -2.0]
+            got = ascend_one(np.array([1.0, 1.0]),
+                             lambda rows: calls.append(rows.copy()) or score(rows), moves, cost)
+            assert got[0] == want[0] and np.array_equal(got[1], want[1])
+            assert_sequential(calls, log, got[1])
 
 
 def _table_objective(table, default=0.0):
