@@ -4,7 +4,7 @@ ascent ``ascend`` with its move sets (each start's windows predict every
 coordinate's move of its previous sweep), the block maximum ``parallel_block_max``,
 the oracle's leader pick ``distinct_leaders``, the input checks, and the
 chunked sign-vector table ``sign_table`` and kernel ``sign_leaders`` of the
-exhaustive routes.  What is specific to one family of constants stays
+routes over every sign vector.  What is specific to one family of constants stays
 beside its estimators: ``conditionality._seeded_search`` for L_m and k_m,
 ``greedy._min_denominators`` for the greedy constants.
 
@@ -272,7 +272,7 @@ def sign_leaders(table: np.ndarray, m: int, k: int, residual: bool):
     lowest ``_sweep_rank``: (codes, their s, ratios).  ``table`` is the
     ``sign_table`` of m; s is S_A f, or f - S_A f when ``residual``.
 
-    The kernel of both exhaustive routes (the oracle grid and the d <= 12
+    The kernel of both every-sign-vector routes (the oracle grid and the d <= 12
     quasi-greedy sweep): ``best_subcodes`` gives each c its best s, and
     dividing by table[c] keeps the order."""
     subs = best_subcodes(table, m, prefer_wide=not residual)

@@ -90,7 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--m", required=True, metavar="LADDER",
                    help="rungs: 2..10 or a comma list like 4,8,16")
     c.add_argument("--oracle", action="store_true",
-                   help="exhaustive route at every rung (L ladders only)")
+                   help="oracle route at every rung (L ladders only)")
     c.add_argument("--estimate", action="store_true",
                    help="search route at every rung")
     c.add_argument("--budget", type=_positive_int, default=None)
@@ -173,7 +173,7 @@ def _cmd_constants(ns) -> int:
         raise _UsageError("--budget has no effect with --oracle: the oracle route takes no budget")
     guard = ns.guard
     if guard is None:
-        # an explicit oracle request overrides the default exhaustive cap
+        # an explicit oracle request overrides the default oracle cap
         guard = max(max(ms), DEFAULT_GUARD) if mode == "oracle" else DEFAULT_GUARD
     target = _parse_target_arg(ns.target)
 

@@ -177,13 +177,16 @@ def sa_ratio(b: BasisTruncation, coeffs, indices) -> float:
 def verify_witness(b: BasisTruncation, w: Witness) -> float:
     """Recompute the witness ratio from scratch (same norm pipeline)."""
     a = _coeffs(b, w.coeffs)
+    if (w.b_indices is None) == (w.kind == "almost-greedy"):
+        raise ConditionalityError(f"B = {w.b_indices!r} on a {w.kind!r} witness: "
+                                  "almost-greedy witnesses carry a set B, no other kind does")
     if w.kind in ("oracle", "template", "random"):
         return sa_ratio(b, a, w.indices)
     rows = [a - _restrict(a, w.indices)]
     if w.kind == "quasi-greedy":
         rows.append(a)
     elif w.kind == "almost-greedy":
-        rows.append(a - _restrict(a, w.b_indices or ()))
+        rows.append(a - _restrict(a, w.b_indices))
     else:
         raise ConditionalityError(f"unknown witness kind {w.kind!r}")
     num, den = b.synth_norms(np.vstack(rows))
@@ -792,7 +795,7 @@ def lb_ladder(
     rung reports the running maximum; ladder values are therefore
     non-decreasing by construction, matching the sup over a growing class.
     """
-    ms = [int(m) for m in ms]
+    ms = list(ms)
     if any(b2 <= a2 for a2, b2 in zip(ms, ms[1:])):
         raise ConditionalityError("ladder m values must be strictly increasing")
     if kind not in ("L", "k"):
@@ -803,10 +806,11 @@ def lb_ladder(
         raise ConditionalityError("k ladders have no oracle route; use mode 'auto' or 'estimate'")
     check_budget(budget, ConditionalityError)
     for m in ms:
-        if not (1 <= m <= b.d):
+        if not (float(m).is_integer() and 1 <= m <= b.d):  # int() would run rung 2.7 as 2
             raise ConditionalityError(f"m must lie in 1..{b.d}, got {m}")
         if mode == "oracle" and m > guard:
             raise ConditionalityError(f"oracle refused: m={m} exceeds guard {guard}")
+    ms = [int(m) for m in ms]
     out, carry = [], None  # the (value, witness) of the last strict gain
     for m in ms:
         if kind == "k":

@@ -9,12 +9,12 @@ and the democracy ratio.
 
 Estimator tiers, chosen by the basis length d:
 
-* d <= 8   -- exhaustive sweep over the sign grid {-1,0,1}^d and every greedy
-              set (for sign vectors every subset of the support is greedy);
-              the budget and the seed are not consulted.  Quasi-greedy
-              keeps this sweep up to d = 12: the oracle grid's kernel
-              ``_search.sign_leaders`` on the chunked ``_search.sign_table``
-              of the 3^d sign vectors.
+* d <= 8   -- every sign vector of {-1,0,1}^d and every greedy set (for sign
+              vectors every subset of the support is greedy) from the chunked
+              ``_search.sign_table``: a lower bound for any budget and seed.
+              Almost-greedy takes its winner by ``_last_gain``; quasi-greedy
+              keeps this tier up to d = 12 with the oracle grid's kernel
+              ``_search.sign_leaders``.
 * d <= 12  -- almost-greedy: random blocks as below, but with exact
               denominators.
 * d >  12  -- seeded random magnitude/sign sampling in blocks, with
@@ -50,7 +50,7 @@ reported value, A and B.  ``_min_denominators`` is the minimum over
 minimising B of the witness.
 
 Every tier builds its result in ``conditionality._Best`` from the floor
-f = e_1, A = B = (); the exhaustive tiers offer only a gain of more than
+f = e_1, A = B = (); the sign-vector tiers offer only a gain of more than
 TINY, which also decides when the winner is decoded.  All reported values are
 running-max lower bounds and are reproducible for a fixed seed.
 """
@@ -168,7 +168,7 @@ def _prefix_residual_ratios(b: BasisTruncation, rows: np.ndarray):
 
 
 def _qg_exhaustive(b: BasisTruncation):
-    """Complete sweep over sign vectors and all their greedy sets (d <= 12).
+    """Every sign vector and all its greedy sets (d <= 12): a lower bound.
 
     Every subset A of a sign vector's support is greedy, and f - S_A f is a
     sub-code of f, so one table of the norms of the 3^d sign vectors holds
@@ -280,44 +280,34 @@ def quasi_greedy_constant_lb(
 # ---------------------------------------------------------------------------
 
 
-def _code_set(code: int, idx) -> tuple:
-    """The 1-based indices idx[j] + 1 of the set bits j of ``code``."""
-    return tuple(int(idx[j]) + 1 for j in range(len(idx)) if (code >> j) & 1)
-
-
 def _ag_exhaustive(b: BasisTruncation):
-    """Sign-grid sweep with exact denominators (d <= 8).
+    """Every sign vector and greedy set, exact denominators (d <= 8): a lower bound.
 
-    Every numerator and denominator is the norm of f restricted to a subset
-    T of its support, a sign vector with the ternary code
-    ``masks @ (digits[supp] * 3**supp)``, so one table over the 3^d sign
-    vectors serves the whole sweep.
-    """
+    f - S_X f is a sub-code of f, so column X of ``nrm``, ||f - S_X f||, is
+    read from the ``_search.sign_table``; the minimum over all |B| <= t is
+    that over B inside the support, and A counts only inside it.  Each code
+    keeps its first best A, ``_last_gain`` carries the winner across chunks
+    and ``_min_denominators`` gives its B (the last B code among ties)."""
     d = b.d
     best = _Best(d, "almost-greedy")
-    digits = _search.digit_rows(0, 3**d, d, 3)
-    signs = _search.SIGN_VALUES[digits]
-    table = b.synth_norms(signs)
-    place = 3 ** np.arange(d)
-    mask_cache = {}
-    for code in range(1, 3**d):
-        sig = signs[code]
-        supp = np.flatnonzero(sig != 0.0)
-        k = supp.size
-        if k not in mask_cache:
-            masks = _search.all_subset_masks(k).astype(np.int64)
-            mask_cache[k] = (masks, masks.sum(axis=1))
-        masks, sizes = mask_cache[k]
-        # nrm[T] = ||f restricted to T|| is the residual of the complement of
-        # T: the kernel reads it with |B| = k - |T|, and nrm[::-1][i] is the
-        # residual of A = code i
-        nrm = table[masks @ (digits[code, supp] * place[supp])]
-        denom, first = _min_denominators(nrm, k - sizes, k)
-        ratios = guarded_ratio(nrm[::-1], denom[sizes])
-        i = int(np.argmax(ratios))
-        if ratios[i] > best.ratio + TINY:
-            best.offer(ratios[i], sig, _code_set(i, supp),
-                       b_indices=_code_set((1 << k) - 1 - first(sizes[i]), supp))
+    table = _search.sign_table(b.synth_norms, d)
+    subsets, sizes, by_size, starts = _subsets_by_size(d)
+    kept = (1 - subsets.T).astype(np.int64) * 3 ** np.arange(d)[:, None]  # sub-code of f kept off X
+    codes, step = np.arange(2**d), max(1, AG_CHUNK_ENTRIES >> d)  # step: codes per chunk
+    for start in range(0, 3**d, step):
+        digits = _search.digit_rows(start, min(start + step, 3**d), d, 3)
+        nrm = table[digits.astype(np.int64) @ kept]
+        denom = np.minimum.accumulate(np.minimum.reduceat(nrm[:, by_size], starts, axis=1), axis=1)
+        outside = codes & ~((digits != 0) @ (1 << np.arange(d)))[:, None]  # X off the support
+        ratios = np.where(outside == 0, guarded_ratio(nrm, denom[:, sizes]), 0.0)
+        a, rows = ratios.argmax(axis=1), np.arange(digits.shape[0])
+        hit = _last_gain(nrm[rows, a, None], denom[rows, sizes[a], None], best.ratio)
+        if hit >= 0:
+            A, cand = a[hit], np.flatnonzero(outside[hit] == 0)[::-1]  # B in the support, last first
+            low, first = _min_denominators(nrm[hit, cand], sizes[cand], d)
+            best.offer(nrm[hit, A] / low[sizes[A]], _search.sign_row(start + hit, d),
+                       np.flatnonzero(subsets[A]) + 1,
+                       b_indices=np.flatnonzero(subsets[cand[first(sizes[A])]]) + 1)
     return best.result()
 
 
@@ -365,6 +355,15 @@ def _by_chunks(fn, n: int, step: int) -> np.ndarray:
     return np.vstack([fn(slice(s, s + step)) for s in range(0, n, step)])
 
 
+def _subsets_by_size(d: int):
+    """The 2^d subset masks (row X: the set of code X), their sizes, the
+    codes stably sorted by size and where each size starts in that order."""
+    subsets = _search.all_subset_masks(d)
+    sizes = subsets.sum(axis=1).astype(np.int64)
+    by_size = np.argsort(sizes, kind="stable")
+    return subsets, sizes, by_size, np.searchsorted(sizes[by_size], np.arange(d + 1))
+
+
 def _ag_denominators(b: BasisTruncation, rows: np.ndarray, resid: np.ndarray, extra):
     """(n, d+1) matrix of min ||f - S_B f|| over the candidate sets |B| <= m
     of each row: every subset when ``extra`` is None, else the d+1 greedy
@@ -377,11 +376,8 @@ def _ag_denominators(b: BasisTruncation, rows: np.ndarray, resid: np.ndarray, ex
     """
     n, d = rows.shape
     if extra is None:
-        subsets = _search.all_subset_masks(d)
-        sizes = subsets.sum(axis=1)
-        by_size = np.argsort(sizes, kind="stable")
+        subsets, _, by_size, starts = _subsets_by_size(d)
         kept = 1.0 - subsets[by_size]
-        starts = np.searchsorted(sizes[by_size], np.arange(d + 1))
         if b.l1_pairs is not None:
             kept_norms, width = _kept_norms_form(b, kept), 1
         else:
@@ -398,18 +394,18 @@ def _ag_denominators(b: BasisTruncation, rows: np.ndarray, resid: np.ndarray, ex
     return np.minimum.accumulate(denom, axis=1)
 
 
-def _last_gain(resid: np.ndarray, denom: np.ndarray) -> int:
+def _last_gain(resid: np.ndarray, denom: np.ndarray, floor: float = 0.0) -> int:
     """Flat position in (n, d+1) of the winner of the sequential scan over
     rows, and m = 0..d within a row: the ratio resid/denom, where both
-    exceed TINY, is taken when it beats the last one taken (from 0) by
-    more than TINY.  Returns -1 when none is taken.
+    exceed TINY, is taken when it beats the last one taken (from ``floor``)
+    by more than TINY.  Returns -1 when none is taken.
 
-    A taken ratio exceeds every earlier one, so only the strict running
-    records are visited.
+    A taken ratio exceeds the floor and every earlier ratio, so only the
+    strict running records above the floor are visited.
     """
     r = np.where(resid > TINY, guarded_ratio(resid, denom), 0.0).ravel()
-    records = np.flatnonzero(r > np.maximum.accumulate(np.r_[0.0, r[:-1]]))
-    best, hit = 0.0, -1
+    records = np.flatnonzero(r > np.maximum.accumulate(np.r_[floor, r[:-1]]))
+    best, hit = floor, -1
     for k in records.tolist():
         if r[k] > best + TINY:
             best, hit = r[k], k
@@ -504,7 +500,6 @@ def _sum_norm_extremum(b: BasisTruncation, want_max: bool, exact_sizes) -> float
 
 
 def _sum_norm_search(b: BasisTruncation, m: int, want_max: bool, budget: int, seed: int) -> float:
-    budget = check_budget(budget, GreedyError)
     d = b.d
     pick, best = (max, -math.inf) if want_max else (min, math.inf)
     # greedy growth (for the minimum only the final size-m set counts)
@@ -531,6 +526,7 @@ def _sum_norm(b: BasisTruncation, m: int, want_max: bool, mode: str, budget, see
     in ``mode`` 'exact' (d <= 20) or 'search'."""
     if not (1 <= m <= b.d):
         raise GreedyError(f"m must lie in 1..{b.d}")
+    budget = check_budget(budget, GreedyError)  # in exact mode too, as every estimator does
     if mode == "search":
         return _sum_norm_search(b, m, want_max, budget, seed)
     if mode != "exact":

@@ -167,6 +167,22 @@ def test_verify_witness_checks_coefficients_for_every_kind(kind, coeffs):
         cond_mod._pair_ratios(b, [(np.ones(4), (1,)), (coeffs, (1,))])
 
 
+def test_verify_witness_rejects_almost_greedy_witness_without_b():
+    # B = None was once read as the empty set: ratio 1.0 on lindenstrauss(4)
+    w = Witness((1.0, 1.0, -1.0, 0.0), (1,), 1.0, "almost-greedy")
+    with pytest.raises(ConditionalityError, match="almost-greedy witnesses carry a set B"):
+        verify_witness(lindenstrauss(4), w)
+
+
+@pytest.mark.parametrize("kind", ["oracle", "template", "random", "quasi-greedy"])
+@pytest.mark.parametrize("B", [(), (2,)])
+def test_verify_witness_rejects_b_on_other_kinds(kind, B):
+    # a B here was once ignored without a word
+    w = Witness((1.0, 1.0, -1.0, 0.0), (1,), 1.0, kind, b_indices=B)
+    with pytest.raises(ConditionalityError, match="no other kind does"):
+        verify_witness(lindenstrauss(4), w)
+
+
 def test_verify_witness_rejects_unknown_kind():
     b = difference(4)
     with pytest.raises(ConditionalityError):
@@ -687,6 +703,20 @@ def test_lb_ladder_k_kind_rejects_oracle_mode():
     b = difference(8)
     with pytest.raises(ConditionalityError, match="oracle"):
         lb_ladder(b, (2, 4), kind="k", mode="oracle")
+
+
+@pytest.mark.parametrize("ms", [[2.7, 4.2], [2, 4.5], [2, float("nan")], [np.float64(1.5)]])
+def test_lb_ladder_rejects_non_integral_rungs(ms):
+    # int() once turned [2.7, 4.2] into the rungs 2 and 4
+    with pytest.raises(ConditionalityError, match="m must lie in 1..8"):
+        lb_ladder(difference(8), ms)
+
+
+def test_lb_ladder_accepts_integral_rungs_of_any_type():
+    b = difference(8)
+    want = lb_ladder(b, (2, 4))
+    for ms in (np.array([2, 4]), [np.int32(2), np.int64(4)], [2.0, 4.0]):
+        assert lb_ladder(b, ms) == want
 
 
 def test_lb_ladder_validation():

@@ -891,22 +891,52 @@ def _ag_exhaustive_per_code(b):
     return best, best_wit
 
 
-@pytest.mark.parametrize("spec", [
-    "lindenstrauss:7", "difference:7", "summing:7", "interleave(difference:3,unit:3@lp:2)",
-    "external lp:1", "external lp:3", "external bv",
-])
-def test_ag_exhaustive_matches_per_code_reference(spec):
+def _ag_reference_bases(spec):
     if spec.startswith("external "):
         space = spec.split(" ", 1)[1]
         # several small seeded bases: on some of them the minimising B is
         # larger than |A|, which only the suffix minimum finds
-        bases = [external_basis(np.random.default_rng([seed, d, len(space)])
-                                .standard_normal((d + 2, d)), parse_space(space), space)
-                 for d in range(2, 8) for seed in range(3)]
-    else:
-        bases = [parse_basis(spec)]
-    for b in bases:
+        return [external_basis(np.random.default_rng([seed, d, len(space)])
+                               .standard_normal((d + 2, d)), parse_space(space), space)
+                for d in range(2, 8) for seed in range(3)]
+    return [parse_basis(spec)]
+
+
+@pytest.mark.parametrize("spec", [
+    "lindenstrauss:7", "difference:7", "summing:7", "lindenstrauss:8", "difference:8",
+    "summing:8", "interleave(difference:3,unit:3@lp:2)",
+    "external lp:1", "external lp:3", "external bv",
+])
+def test_ag_exhaustive_matches_per_code_reference(spec):
+    # equal (value, Witness) tuples: the same A and B among ties, to the bit
+    for b in _ag_reference_bases(spec):
         assert _ag_exhaustive(b) == _ag_exhaustive_per_code(b)
+
+
+@pytest.mark.parametrize("spec,entries", [
+    ("lindenstrauss:8", 300), ("summing:7", 3_000), ("external lp:1", 300), ("external bv", 700),
+])
+def test_ag_exhaustive_carries_its_winner_across_chunks(monkeypatch, spec, entries):
+    # 300 entries are one sign code per chunk at d = 8 and two at d = 7:
+    # the winner and the running best cross every chunk boundary
+    bases = _ag_reference_bases(spec)
+    want = [_ag_exhaustive(b) for b in bases]
+    monkeypatch.setattr(greedy_mod, "AG_CHUNK_ENTRIES", entries)
+    assert [_ag_exhaustive(b) for b in bases] == want
+    assert _ag_exhaustive(bases[-1]) == _ag_exhaustive_per_code(bases[-1])
+
+
+def test_ag_exhaustive_memory_is_bounded():
+    # a chunk holds a few (codes x 2^d) arrays of about AG_CHUNK_ENTRIES
+    # entries each; the former unchunked sweep peaked at about 1.4 MiB
+    b = lindenstrauss(8)
+    tracemalloc.start()
+    try:
+        _ag_exhaustive(b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -963,9 +993,9 @@ def test_ag_denominators_take_the_form_on_l1_pairs_bases(monkeypatch, spec, form
         np.testing.assert_allclose(got, want, rtol=1e-13)
 
 
-def _last_gain_ref(resid, denom):
+def _last_gain_ref(resid, denom, floor=0.0):
     """Reference: the block's former per-row, per-m loop."""
-    best, hit = 0.0, -1
+    best, hit = floor, -1
     n, width = resid.shape
     for i in range(n):
         for m in range(width):
@@ -987,13 +1017,19 @@ LAST_GAIN_CASES = {
                 np.array([[1e-12, 1e-24, 1.0], [0.5, 1e-13, 0.0]])),
     "nothing positive": (np.array([[0.0, 1e-12], [1e-13, 0.0]]), np.ones((2, 2))),
     "zero denominators": (np.ones((2, 3)), np.zeros((2, 3))),
+    # from a floor of 1: 1 + 0.5 TINY is not taken, 1 + 1.2 TINY is
+    "floor near ties": (np.array([[1.0, 1.0 + 0.5e-12], [1.0 + 1.2e-12, 0.5]]), np.ones((2, 2)), 1.0),
+    # a record above every earlier ratio but not above the floor
+    "below the floor": (np.array([[0.5, 1.5, 1.9]]), np.ones((1, 3)), 2.0),
+    # only the last ratio clears the floor by more than TINY
+    "floor creeping": (np.array([[1.5 + 0.5e-12, 1.5 + 0.9e-12, 1.5 + 1.1e-12]]), np.ones((1, 3)), 1.5),
 }
 
 
 @pytest.mark.parametrize("case", list(LAST_GAIN_CASES))
 def test_last_gain_matches_sequential_scan(case):
-    resid, denom = LAST_GAIN_CASES[case]
-    assert _last_gain(resid, denom) == _last_gain_ref(resid, denom)
+    resid, denom, *floor = LAST_GAIN_CASES[case]
+    assert _last_gain(resid, denom, *floor) == _last_gain_ref(resid, denom, *floor)
 
 
 def test_last_gain_matches_sequential_scan_on_random_blocks():
@@ -1071,6 +1107,14 @@ def test_phi_search_rejects_budget_below_one(budget):
 def test_democracy_search_rejects_budget_below_one(budget):
     with pytest.raises(GreedyError, match="budget"):
         democracy_ratio(lindenstrauss(12), 4, mode="search", budget=budget)
+
+
+@pytest.mark.parametrize("budget", [0, -4, 2.5])
+@pytest.mark.parametrize("run", [fundamental_function, democracy_ratio], ids=["phi", "democracy"])
+def test_phi_and_democracy_exact_mode_reject_bad_budgets(run, budget):
+    # exact mode never reads the budget, but it once returned a value for these
+    with pytest.raises(GreedyError, match="budget must be an integer"):
+        run(lindenstrauss(8), 3, budget=budget)
 
 
 @pytest.mark.parametrize("budget", [2.5, True, np.float64(300.7), "300", float("nan")])
