@@ -52,6 +52,15 @@ def check_budget(budget, error: type, default: int = DEFAULT_BUDGET) -> int:
     return int(budget)
 
 
+def check_m(m, d: int, error: type) -> int:
+    """The support size ``m`` as an int; ``error`` unless integral, not bool, in 1..d."""
+    if isinstance(m, (float, np.floating)) and float(m).is_integer():
+        m = int(m)
+    if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or not 1 <= m <= d:
+        raise error(f"m must lie in 1..{d}, got {m!r}")
+    return int(m)
+
+
 def check_indices(A, d: int, error: type) -> np.ndarray:
     """The sorted 0-based positions of the 1-based indices ``A``; ``error``
     for a non-integral, duplicate or out-of-range index (outside 1..d)."""

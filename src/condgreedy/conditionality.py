@@ -52,6 +52,7 @@ from ._search import (
     ascend,
     check_budget,
     check_indices,
+    check_m,
     distinct_leaders,
     greedy_order,
     guarded_ratio,
@@ -140,11 +141,11 @@ def witness_from_doc(doc) -> Witness:
     )
 
 
-def _restrict(coeffs: np.ndarray, indices) -> np.ndarray:
-    out = np.zeros_like(coeffs)
-    idx = check_indices(indices, coeffs.size, ConditionalityError)
-    out[idx] = coeffs[idx]
-    return out
+def _mask(d: int, indices) -> np.ndarray:
+    """The 0/1 row of the 1-based set ``indices``, checked by ``check_indices``."""
+    mask = np.zeros(d)
+    mask[check_indices(indices, d, ConditionalityError)] = 1.0
+    return mask
 
 
 def _coeffs(b: BasisTruncation, coeffs) -> np.ndarray:
@@ -155,18 +156,22 @@ def _coeffs(b: BasisTruncation, coeffs) -> np.ndarray:
     return a
 
 
+def _set_ratios(b: BasisTruncation, rows: np.ndarray, sets: np.ndarray) -> np.ndarray:
+    """Each row's kept norms on its 0/1 (numerator, denominator) sets (n, 2, d), divided."""
+    num, den = b.kept_norms(rows, sets).T
+    if np.any(den <= TINY):
+        raise ConditionalityError("witness denominator vanishes")
+    return num / den
+
+
 def _pair_ratios(b: BasisTruncation, pairs) -> np.ndarray:
-    """||S_A f|| / ||f|| of each (coefficients, A) pair in one norms call; one
-    pair is ``sa_ratio``'s 2-row batch, and more pairs give the same values
+    """||S_A f|| / ||f|| of each (coefficients, A) pair on the sets (A, every
+    index); one pair is ``sa_ratio``, and more pairs give the same values
     where synthesis is exact, as on the shipped recipes."""
-    rows = []
-    for coeffs, indices in pairs:
-        a = _coeffs(b, coeffs)
-        rows += [_restrict(a, indices), a]
-    out = b.synth_norms(np.vstack(rows)) if rows else np.zeros(0)
-    if np.any(out[1::2] <= TINY):
-        raise ConditionalityError("zero vector has no projection ratio")
-    return out[0::2] / out[1::2]
+    if not pairs:
+        return np.zeros(0)
+    rows = np.array([_coeffs(b, a) for a, _ in pairs])
+    return _set_ratios(b, rows, np.array([[_mask(b.d, A), np.ones(b.d)] for _, A in pairs]))
 
 
 def sa_ratio(b: BasisTruncation, coeffs, indices) -> float:
@@ -175,24 +180,21 @@ def sa_ratio(b: BasisTruncation, coeffs, indices) -> float:
 
 
 def verify_witness(b: BasisTruncation, w: Witness) -> float:
-    """Recompute the witness ratio from scratch (same norm pipeline)."""
+    """Recompute the witness ratio from scratch (same norm pipeline) on the
+    sets (A, every index) of the projection kinds, (not A, every index) of
+    quasi-greedy or (not A, not B) of almost-greedy."""
     a = _coeffs(b, w.coeffs)
     if (w.b_indices is None) == (w.kind == "almost-greedy"):
         raise ConditionalityError(f"B = {w.b_indices!r} on a {w.kind!r} witness: "
                                   "almost-greedy witnesses carry a set B, no other kind does")
+    A = _mask(b.d, w.indices)
     if w.kind in ("oracle", "template", "random"):
-        return sa_ratio(b, a, w.indices)
-    rows = [a - _restrict(a, w.indices)]
-    if w.kind == "quasi-greedy":
-        rows.append(a)
-    elif w.kind == "almost-greedy":
-        rows.append(a - _restrict(a, w.b_indices))
+        sets = [A, np.ones(b.d)]
+    elif w.kind in ("quasi-greedy", "almost-greedy"):  # quasi-greedy: B = () keeps f whole
+        sets = [1.0 - A, 1.0 - _mask(b.d, w.b_indices or ())]
     else:
         raise ConditionalityError(f"unknown witness kind {w.kind!r}")
-    num, den = b.synth_norms(np.vstack(rows))
-    if den <= TINY:
-        raise ConditionalityError("witness denominator vanishes")
-    return float(num) / float(den)
+    return float(_set_ratios(b, a[None], np.array([sets]))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -243,26 +245,12 @@ def level_parity_set(m: int, parity: int) -> tuple:
     return tuple(j for j in range(1, m + 1) if _level(j) % 2 == parity % 2)
 
 
-def _set_to_mask(m: int, indices) -> np.ndarray:
-    mask = np.zeros(m)
-    for i in indices:
-        mask[int(i) - 1] = 1.0
-    return mask
-
-
 def _structured_masks(m: int) -> np.ndarray:
+    """The distinct 0/1 rows of the parity, level-parity, half and full sets of 1..m, sorted."""
     half = m // 2
-    sets = [
-        parity_set(m, 1),
-        parity_set(m, 0),
-        level_parity_set(m, 0),
-        level_parity_set(m, 1),
-        tuple(range(1, half + 1)),
-        tuple(range(half + 1, m + 1)),
-        tuple(range(1, m + 1)),
-    ]
-    rows = {tuple(_set_to_mask(m, s)) for s in sets if s}
-    return np.array(sorted(rows))
+    sets = (parity_set(m, 1), parity_set(m, 0), level_parity_set(m, 0), level_parity_set(m, 1),
+            tuple(range(1, half + 1)), tuple(range(half + 1, m + 1)), tuple(range(1, m + 1)))
+    return np.array(sorted({tuple(_mask(m, s)) for s in sets if s}))
 
 
 # ---------------------------------------------------------------------------
@@ -333,8 +321,7 @@ def L_m_oracle(b: BasisTruncation, m: int, guard: int = DEFAULT_GUARD):
     witness re-verifies.  For larger m the reduced tier samples
     REDUCED_PAIRS pairs and cuts each batch to its own leaders.
     """
-    if not (1 <= m <= b.d):
-        raise ConditionalityError(f"m must lie in 1..{b.d}, got {m}")
+    m = check_m(m, b.d, ConditionalityError)
     if m > guard:
         raise ConditionalityError(f"oracle refused: m={m} exceeds guard {guard}")
     p = b.prefix(m)
@@ -419,7 +406,7 @@ def _seeded_search(b: BasisTruncation, p: BasisTruncation, floor_set, sets, pair
     ratios = _pair_ratios(b, pairs)
     for r, (a_t, A_t) in zip(ratios, pairs):
         best.offer(r, a_t[:m], A_t, kind="template")
-    top = [_set_to_mask(m, pairs[int(np.argmax(ratios))][1])] if pairs else []
+    top = [_mask(m, pairs[int(np.argmax(ratios))][1])] if pairs else []
     sets = np.unique(np.vstack([sets, *top]), axis=0)
 
     # deterministic ascent from the best template before spending the budget
@@ -466,8 +453,7 @@ def L_m_estimate(
     """Lower bound for L_m from templates plus seeded search (oracle route
     when m is within the guard and the budget covers the full grid); the
     support and A of each caller template must lie inside 1..m."""
-    if not (1 <= m <= b.d):
-        raise ConditionalityError(f"m must lie in 1..{b.d}, got {m}")
+    m = check_m(m, b.d, ConditionalityError)
     check_budget(budget, ConditionalityError)
     pairs = [] if templates is None else [(np.asarray(a, dtype=np.float64), A) for a, A in templates]
     for a, A in pairs:
@@ -502,16 +488,17 @@ def _cap_sets(sets: np.ndarray, m: int) -> np.ndarray:
 
 
 def _k_block(p: BasisTruncation, sets: np.ndarray, m: int, seed: int, bi: int):
+    """The L block body on full-support rows and sets capped at m, plus each
+    row's own top-m set (|A| <= m by construction) in one ``kept_norms`` call."""
     d = p.d
     rng = rng_stream(seed, "k", m, bi)
     rows = sample_block(rng, d)
     extra = _cap_sets((rng.random((8, d)) < min(0.5, m / d)).astype(np.float64), m)
     sets = np.vstack([sets, extra])
     best_r, best, dens = _block_best(p, rows, sets)
-    # per-row largest-coefficient sets obey |A| <= m by construction
     tops = np.zeros_like(rows)
     np.put_along_axis(tops, greedy_order(rows)[:, :m], 1.0, axis=1)
-    tr = guarded_ratio(p.synth_norms(rows * tops), dens)
+    tr = guarded_ratio(p.kept_norms(rows, tops[:, None])[:, 0], dens)
     ti = int(np.argmax(tr))
     if tr[ti] > best_r:
         best_r, best = float(tr[ti]), (rows[ti].copy(), tops[ti])
@@ -522,8 +509,7 @@ def k_m_estimate(
     b: BasisTruncation, m: int, budget: int = DEFAULT_BUDGET, seed: int = DEFAULT_SEED
 ):
     """Lower bound for k_m = sup over |A| <= m of the projection norm."""
-    if not (1 <= m <= b.d):
-        raise ConditionalityError(f"m must lie in 1..{b.d}, got {m}")
+    m = check_m(m, b.d, ConditionalityError)
     check_budget(budget, ConditionalityError)
     if m == b.d:
         # identical optimisation domain: A free inside {1..d}, support free
@@ -805,12 +791,10 @@ def lb_ladder(
     if kind == "k" and mode == "oracle":
         raise ConditionalityError("k ladders have no oracle route; use mode 'auto' or 'estimate'")
     check_budget(budget, ConditionalityError)
-    for m in ms:
-        if not (float(m).is_integer() and 1 <= m <= b.d):  # int() would run rung 2.7 as 2
-            raise ConditionalityError(f"m must lie in 1..{b.d}, got {m}")
-        if mode == "oracle" and m > guard:
-            raise ConditionalityError(f"oracle refused: m={m} exceeds guard {guard}")
-    ms = [int(m) for m in ms]
+    ms = [check_m(m, b.d, ConditionalityError) for m in ms]
+    over = [m for m in ms if m > guard]
+    if mode == "oracle" and over:
+        raise ConditionalityError(f"oracle refused: m={over[0]} exceeds guard {guard}")
     out, carry = [], None  # the (value, witness) of the last strict gain
     for m in ms:
         if kind == "k":

@@ -31,23 +31,24 @@ row with one of two evaluators, chosen by the basis alone.
 ambient norm is a plain l1 sum (``Lp(1)``, or a ``MixedSum`` with
 ``outer_q == 1`` over such blocks) and every ambient row of the columns
 touches at most two of them (``BasisTruncation.l1_pairs``): Lindenstrauss,
-difference, unit@lp:1 and their p=1 block sums.  Every other basis uses the
-dense ``_prefix_residual_ratios``, which synthesises all d+1 residuals
-through ``BasisTruncation.kept_norms``.
-The sweep only selects: the value of the block winner and of the ascent's
-final vector is scored again densely, so every reported value and every
-value compared with one is dense.  The almost-greedy random tiers
-(d > 8) take their numerators from the synthesised prefix residual norms,
-fill one (rows x d+1) denominator matrix per block (``_ag_denominators``)
-and select the winning (row, m) by one scan (``_last_gain``).  On an
-``l1_pairs`` basis the norm of f restricted to a set is a quadratic form in
-the set's 0/1 mask (``_kept_norms_form``), so the 2^d exact denominators of
-a chunk of rows are one matrix product; every other basis synthesises them
-densely through ``kept_norms``.  Here too the matrix only selects:
-the winner's candidate sets are scored again densely, alone, and give the
-reported value, A and B.  ``_min_denominators`` is the minimum over
-|B| <= t of every reported almost-greedy value, and also hands back the
-minimising B of the witness.
+difference, unit@lp:1 and their p=1 block sums; every other basis uses the
+dense ``_prefix_residual_ratios``.  The sweep only selects: the block
+winner and the ascent's final vector are scored again densely, so every
+reported value and every value compared with one is dense.  The
+almost-greedy random tiers (d > 8) take their numerators from the dense
+prefix residual norms, fill one (rows x d+1) denominator matrix per block
+(``_ag_denominators``) and select the winning (row, m) by one scan
+(``_last_gain``).  On an ``l1_pairs`` basis the norm of f restricted to a
+set is a quadratic form in the set's 0/1 mask (``_kept_norms_form``), so
+the 2^d exact denominators of a chunk of rows are one matrix product.  Here
+too the matrix only selects: the winner's candidate sets are scored again
+densely, alone, and ``_min_denominators`` (the minimum over |B| <= t, and
+the minimising B) gives the reported value, A and B.
+
+Every dense norm of a row restricted to a set (prefix residuals, the block
+heads' drop rounds, re-scores, the winners' candidate sets) comes from
+``BasisTruncation.kept_norms`` or ``ratio_norms``; only the sign tables and
+phi_m, which restrict nothing, call ``synth_norms``.
 
 Every tier builds its result in ``conditionality._Best`` from the floor
 f = e_1, A = B = (); the sign-vector tiers offer only a gain of more than
@@ -65,8 +66,8 @@ import numpy as np
 
 from . import _search
 from ._search import (BLOCK, DEFAULT_BUDGET, DEFAULT_SEED, TINY, ascend, check_budget,
-                      check_indices, greedy_order, guarded_ratio, rng_stream, sample_block,
-                      scale_moves)
+                      check_indices, check_m, greedy_order, guarded_ratio, rng_stream,
+                      sample_block, scale_moves)
 from .bases import BasisTruncation
 from .conditionality import _Best
 
@@ -211,8 +212,11 @@ def _swept_ratios(b: BasisTruncation, rows: np.ndarray):
 
 
 def _dense_ratio(b: BasisTruncation, row: np.ndarray, k: int) -> float:
-    """||f - S_A f|| / ||f|| for the canonical prefix of length k, dense."""
-    return float(_prefix_residual_ratios(b, row[None])[0][0, k])
+    """||f - S_A f|| / ||f|| for the canonical greedy prefix A of length k:
+    one ``kept_norms`` call on (the complement of A, every index)."""
+    kept = np.ones((2, b.d), dtype=bool)
+    kept[0, greedy_order(row)[:k]] = False
+    return float(guarded_ratio(*b.kept_norms(row[None], kept)[0]))
 
 
 def _qg_ratios(b: BasisTruncation, rows: np.ndarray):
@@ -229,7 +233,8 @@ def _qg_block_head(b: BasisTruncation, seed: int, block_i: int):
     """(ratio, (row, A)) of a block's first best prefix, or of the last
     strict gain over it by more than TINY in four rounds of random
     sub-supports A of the block's sign rows (every subset of a sign row's
-    support is a greedy set)."""
+    support is a greedy set).  One draw (the stream of four) gives the
+    rounds' kept sets and one ``ratio_norms`` call scores them, in order."""
     rng = rng_stream(seed, "qg", block_i)
     rows = sample_block(rng, b.d, keep=0.85)
     ratios, prefix = _qg_ratios(b, rows)
@@ -237,10 +242,9 @@ def _qg_block_head(b: BasisTruncation, seed: int, block_i: int):
     pair = (rows[i].copy(), prefix(i))
     best = float(ratios[i]) if b.l1_pairs is None else _dense_ratio(b, rows[i], len(pair[1]))
     signs = rows[BLOCK // 2 :]
-    full = b.synth_norms(signs)
-    for _ in range(4):
-        drop = rng.random(signs.shape) < 0.5
-        ratios = guarded_ratio(b.synth_norms(signs * drop), full)
+    drops = rng.random((4,) + signs.shape) < 0.5  # the kept sets of the four rounds
+    nums, full = b.ratio_norms(signs, drops.transpose(1, 0, 2))
+    for drop, ratios in zip(drops, guarded_ratio(nums, full).T):
         i = int(np.argmax(ratios))
         if ratios[i] > best + TINY:
             A = tuple(int(j) + 1 for j in np.flatnonzero(~drop[i] & (signs[i] != 0.0)))
@@ -436,11 +440,11 @@ def _ag_random_block(b: BasisTruncation, seed: int, block_i: int, exact_denom: b
     i, m = divmod(hit, d + 1)
     if exact_denom:
         family = _search.all_subset_masks(d) > 0.5  # row k: the set of code k
-        nrm = b.synth_norms(rows[i] * ~family)
+        nrm = b.kept_norms(rows[i : i + 1], ~family)[0]
     else:
         by_size = np.argsort(extra[i].sum(axis=1), kind="stable")
         family = np.vstack([np.argsort(order[i]) < np.arange(d + 1)[:, None], extra[i][by_size]])
-        nrm = np.concatenate([resid[i], b.synth_norms(rows[i] * ~extra[i])[by_size]])
+        nrm = np.concatenate([resid[i], b.kept_norms(rows[i : i + 1], ~extra[i])[0, by_size]])
     denom, first = _min_denominators(nrm, family.sum(axis=1), d)
     A = tuple(sorted(int(j) + 1 for j in order[i, :m]))
     B = tuple(int(j) + 1 for j in np.flatnonzero(family[first(m)]))
@@ -524,8 +528,7 @@ def _sum_norm_search(b: BasisTruncation, m: int, want_max: bool, budget: int, se
 def _sum_norm(b: BasisTruncation, m: int, want_max: bool, mode: str, budget, seed: int) -> float:
     """The max of ||sum_{j in A} x_j|| over |A| <= m or its min over |A| = m,
     in ``mode`` 'exact' (d <= 20) or 'search'."""
-    if not (1 <= m <= b.d):
-        raise GreedyError(f"m must lie in 1..{b.d}")
+    m = check_m(m, b.d, GreedyError)
     budget = check_budget(budget, GreedyError)  # in exact mode too, as every estimator does
     if mode == "search":
         return _sum_norm_search(b, m, want_max, budget, seed)

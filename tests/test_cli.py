@@ -98,6 +98,19 @@ def test_constants_hex_seed_and_linear_target(capsys):
     assert float(last[3]) == 6.0  # linear delta column
 
 
+@pytest.mark.parametrize("budget", [None, 24, 64, 625])
+def test_constants_estimate_takes_the_oracle_where_the_budget_covers_the_grid(budget, capsys):
+    # --estimate forces the search route only where the budget is below 5^m;
+    # with no budget, or one covering the full grid, an L rung inside the
+    # guard takes the oracle
+    args = [] if budget is None else ["--budget", str(budget)]
+    rc = main(["constants", "--basis", "difference:8", "--m", "2..4", "--estimate", *args])
+    assert rc == 0
+    for line in _csv_lines(capsys.readouterr().out)[1:]:
+        m, _, method, _ = line.split(",")
+        assert (method == "oracle") == (budget is None or budget >= 5 ** int(m))
+
+
 def test_constants_json_includes_fit(capsys):
     rc = main(["constants", "--basis", "difference:8", "--m", "2..8",
                "--format", "json", "--target", "linear"])

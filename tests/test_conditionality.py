@@ -12,6 +12,7 @@ import pytest
 
 from condgreedy import (
     ConditionalityError,
+    GreedyError,
     GrowthTarget,
     LINEAR_TARGET,
     LOG_TARGET,
@@ -20,7 +21,9 @@ from condgreedy import (
     L_m_oracle,
     Witness,
     block_embed_pair,
+    democracy_ratio,
     difference,
+    fundamental_function,
     growth_fit,
     interleave,
     interleave_pair,
@@ -181,6 +184,32 @@ def test_verify_witness_rejects_b_on_other_kinds(kind, B):
     w = Witness((1.0, 1.0, -1.0, 0.0), (1,), 1.0, kind, b_indices=B)
     with pytest.raises(ConditionalityError, match="no other kind does"):
         verify_witness(lindenstrauss(4), w)
+
+
+def _restricted(a: np.ndarray, A) -> np.ndarray:
+    """The old restriction: a copy of a on the 1-based indices A, zero elsewhere."""
+    out = np.zeros_like(a)
+    idx = np.asarray(A, dtype=np.int64) - 1
+    out[idx] = a[idx]
+    return out
+
+
+@pytest.mark.parametrize("space", ["lp:1", "lp:3", "bv", "lorentz:p=2,q=1", "lp:inf"])
+def test_verify_witness_matches_restricted_rows_bitwise(space):
+    # every kind is one kept_norms call on (numerator set, denominator set);
+    # the reference synthesises the rows S_A f, f - S_A f and f - S_B f
+    b = _random_external(space, 9)
+    rng = np.random.default_rng([8, len(space)])
+    for _ in range(12):
+        a = rng.standard_normal(9)
+        A, B = (tuple(sorted(int(i) + 1 for i in rng.choice(9, size=k, replace=False)))
+                for k in rng.integers(0, 9, size=2))
+        cases = [(kind, None, [_restricted(a, A), a]) for kind in ("oracle", "template", "random")]
+        cases += [("quasi-greedy", None, [a - _restricted(a, A), a]),
+                  ("almost-greedy", B, [a - _restricted(a, A), a - _restricted(a, B)])]
+        for kind, b_set, rows in cases:
+            num, den = b.synth_norms(np.vstack(rows))
+            assert verify_witness(b, Witness(tuple(a), A, 0.0, kind, b_set)) == float(num) / float(den)
 
 
 def test_verify_witness_rejects_unknown_kind():
@@ -506,7 +535,7 @@ def test_k_template_pairs_are_k_witnesses(spec):
 @pytest.mark.parametrize("spec", TEMPLATE_SPECS)
 def test_pair_ratios_equal_sa_ratio_bitwise(spec, monkeypatch):
     """Dyadic templates synthesise exactly, so one batch of every template
-    gives each pair's own 2-row value."""
+    gives each pair's own one-pair value."""
     b = parse_basis(spec)
     pairs = [pair for m in range(1, b.d + 1)
              for pair in template_pairs(b.recipe, b.d, m) + k_template_pairs(b.recipe, b.d, m)]
@@ -710,6 +739,40 @@ def test_lb_ladder_rejects_non_integral_rungs(ms):
     # int() once turned [2.7, 4.2] into the rungs 2 and 4
     with pytest.raises(ConditionalityError, match="m must lie in 1..8"):
         lb_ladder(difference(8), ms)
+
+
+M_ESTIMATORS = {
+    "oracle": (ConditionalityError, lambda b, m: L_m_oracle(b, m)),
+    "L estimate": (ConditionalityError, lambda b, m: L_m_estimate(b, m, budget=64, seed=1, guard=1)),
+    "k estimate": (ConditionalityError, lambda b, m: k_m_estimate(b, m, budget=64, seed=1)),
+    "phi": (GreedyError, lambda b, m: fundamental_function(b, m)),
+    "democracy": (GreedyError, lambda b, m: democracy_ratio(b, m)),
+    "ladder": (ConditionalityError, lambda b, m: lb_ladder(b, [m], budget=64, seed=1)),
+}
+
+
+@pytest.mark.parametrize("name", list(M_ESTIMATORS))
+@pytest.mark.parametrize("m", [2.5, True, 0, 7, "3"], ids=["fraction", "bool", "zero", "d+1", "str"])
+def test_estimators_reject_bad_m(name, m):
+    # 2.5 and 3.0 once leaked a bare TypeError, and True ran as m = 1
+    error, run = M_ESTIMATORS[name]
+    with pytest.raises(error, match="m must lie in 1..6"):
+        run(lindenstrauss(6), m)
+
+
+@pytest.mark.parametrize("name", list(M_ESTIMATORS))
+def test_estimators_accept_integral_m_of_any_type(name):
+    _, run = M_ESTIMATORS[name]
+    b = lindenstrauss(6)
+    want = run(b, 3)
+    for m in (np.int64(3), 3.0, np.float64(3.0)):
+        assert run(b, m) == want
+
+
+def test_lb_ladder_rejects_a_bool_rung():
+    # [True, 2] once ran the rungs 1 and 2
+    with pytest.raises(ConditionalityError, match="m must lie in 1..6, got True"):
+        lb_ladder(lindenstrauss(6), [True, 2])
 
 
 def test_lb_ladder_accepts_integral_rungs_of_any_type():

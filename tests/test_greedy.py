@@ -33,11 +33,15 @@ from condgreedy import _search as search_mod
 from condgreedy import greedy as greedy_mod
 from condgreedy._search import (
     ASCENT_TOL,
+    BLOCK,
     MAX_SWEEPS,
     SIGN_VALUES,
     all_subset_masks,
     ascend,
     digit_rows,
+    guarded_ratio,
+    rng_stream,
+    sample_block,
     scale_moves,
     sign_rows,
 )
@@ -51,6 +55,8 @@ from condgreedy.greedy import (
     _last_gain,
     _min_denominators,
     _prefix_residual_ratios,
+    _dense_ratio,
+    _qg_block_head,
     _qg_exhaustive,
     _qg_ratios,
     _sum_norm_extremum,
@@ -841,12 +847,58 @@ def test_qg_swept_basis_keeps_dense_rows_few(monkeypatch):
     # on an l1 block sum only the drop search over the sign half of a block
     # and the re-scores of reported values are synthesised densely; a
     # fallback to dense prefix residuals for every scored row synthesises
-    # 880,599 rows, and the dense ||f|| of all 256 rows of a block 5,364
+    # 880,599 rows, the dense ||f|| of all 256 rows of a block 5,364, and
+    # re-scores over all d+1 prefixes in place of two kept sets 4,596
     b = parse_basis("blocksum(lindenstrauss,dims=2^1..2^5,p=1)")
     rows = _count_synth_rows(monkeypatch)
     for seed in (1, 2, 3):
         quasi_greedy_constant_lb(b, budget=512, seed=seed)
-    assert 0 < rows[0] <= 4_596
+    assert 0 < rows[0] <= 3_864
+
+
+@pytest.mark.parametrize("spec", SWEPT_SPECS + ["unit:9@lp:1", "blocksum(difference,dims=2^1..2^3,p=1)"])
+def test_dense_ratio_matches_all_prefix_residuals(spec):
+    # two kept sets (the prefix complement, every index) in place of all d+1
+    b = parse_basis(spec)
+    rng = np.random.default_rng([5, b.d])
+    rows = rng.uniform(0.5, 2.0, (16, b.d)) * rng.choice([-1.0, 0.0, 1.0], (16, b.d))
+    rows[0], rows[1, :3] = 0.0, 1.25  # a zero row and tied magnitudes
+    for row in rows:
+        want = _prefix_residual_ratios(b, row[None])[0][0]
+        assert [_dense_ratio(b, row, k) for k in range(b.d + 1)] == want.tolist()
+
+
+def _qg_block_head_ref(b, seed, block_i):
+    """Reference: the four drop rounds as four draws and five synth_norms calls."""
+    rng = rng_stream(seed, "qg", block_i)
+    rows = sample_block(rng, b.d, keep=0.85)
+    ratios, prefix = _qg_ratios(b, rows)
+    i = int(np.argmax(ratios))
+    pair = (rows[i].copy(), prefix(i))
+    best = float(ratios[i]) if b.l1_pairs is None else float(
+        _prefix_residual_ratios(b, rows[i][None])[0][0, len(pair[1])])
+    signs = rows[BLOCK // 2 :]
+    full = b.synth_norms(signs)
+    for _ in range(4):
+        drop = rng.random(signs.shape) < 0.5
+        ratios = guarded_ratio(b.synth_norms(signs * drop), full)
+        i = int(np.argmax(ratios))
+        if ratios[i] > best + _TINY:
+            A = tuple(int(j) + 1 for j in np.flatnonzero(~drop[i] & (signs[i] != 0.0)))
+            best, pair = float(ratios[i]), (signs[i].copy(), A)
+    return best, pair
+
+
+@pytest.mark.parametrize("spec", ["lindenstrauss:16", "summing:14",
+                                  "blocksum(lindenstrauss,dims=2^1..2^4,p=1)",
+                                  "external bv", "external lorentz:p=2,q=1"])
+def test_qg_block_head_matches_sequential_rounds(spec):
+    b = _spec_basis(spec, 13) if spec.startswith("external ") else parse_basis(spec)
+    for seed in (1, 2, 3):
+        for block_i in (0, 1):
+            got, (a, A) = _qg_block_head(b, seed, block_i)
+            want, (ref_a, ref_A) = _qg_block_head_ref(b, seed, block_i)
+            assert got == want and A == ref_A and np.array_equal(a, ref_a)
 
 
 # ---------------------------------------------------------------------------
