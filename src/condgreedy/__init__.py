@@ -5,169 +5,22 @@ difference, and their interleavings and block sums), measure their
 greedy-approximation and conditionality constants from below, on every sign
 vector at small scale and by seeded randomized search beyond, and check
 growth claims (logarithmic versus linear) on lower-bound ladders.
+
+The package exports the ``__all__`` of each module below, in this order,
+plus ``__version__``, ``DEFAULT_BUDGET`` and ``DEFAULT_SEED``.
 """
 
+from . import bases, conditionality, greedy, reportio, scenarios, spaces
 from ._search import DEFAULT_BUDGET, DEFAULT_SEED
-from .spaces import (
-    BV,
-    C0Trunc,
-    ExplicitWeights,
-    Lorentz,
-    LorentzPQ,
-    Lp,
-    MixedSum,
-    SpaceError,
-    format_space,
-    norm,
-    norms,
-    parse_space,
-)
-from .bases import (
-    BasisError,
-    BasisTruncation,
-    BlockMapPair,
-    basis_from_doc,
-    basis_to_doc,
-    block_index_split,
-    block_offsets,
-    block_sum,
-    difference,
-    external_basis,
-    half_split_maps,
-    interleave,
-    interleave_positions,
-    lindenstrauss,
-    lorentz_lift,
-    lorentz_retract,
-    parse_basis,
-    parse_dims,
-    pq_block_sum,
-    summing,
-    unit_vector_system,
-)
-from .greedy import (
-    GreedyError,
-    GreedySetFamily,
-    almost_greedy_constant_lb,
-    democracy_ratio,
-    fundamental_function,
-    greedy_sets,
-    project,
-    quasi_greedy_constant_lb,
-)
-from .conditionality import (
-    ConditionalityError,
-    GrowthReport,
-    GrowthTarget,
-    LINEAR_TARGET,
-    LOG_TARGET,
-    L_m_estimate,
-    L_m_oracle,
-    Witness,
-    block_embed_pair,
-    growth_fit,
-    interleave_pair,
-    k_m_estimate,
-    k_template_pairs,
-    lb_ladder,
-    sa_ratio,
-    target_doubling,
-    template_pairs,
-    verify_witness,
-    witness_from_doc,
-)
-from .scenarios import (
-    ScenarioResult,
-    constant_chain,
-    list_scenarios,
-    load_scenarios_config,
-    result_files,
-    run_config_scenario,
-    run_scenario,
-)
-from .reportio import csv_bytes, json_bytes, svg_polyline, write_bundle
+from .spaces import *  # noqa: F401,F403
+from .bases import *  # noqa: F401,F403
+from .greedy import *  # noqa: F401,F403
+from .conditionality import *  # noqa: F401,F403
+from .scenarios import *  # noqa: F401,F403
+from .reportio import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "DEFAULT_BUDGET",
-    "DEFAULT_SEED",
-    # spaces
-    "BV",
-    "C0Trunc",
-    "ExplicitWeights",
-    "Lorentz",
-    "LorentzPQ",
-    "Lp",
-    "MixedSum",
-    "SpaceError",
-    "format_space",
-    "norm",
-    "norms",
-    "parse_space",
-    # bases
-    "BasisError",
-    "BasisTruncation",
-    "BlockMapPair",
-    "basis_from_doc",
-    "basis_to_doc",
-    "block_index_split",
-    "block_offsets",
-    "block_sum",
-    "difference",
-    "external_basis",
-    "half_split_maps",
-    "interleave",
-    "interleave_positions",
-    "lindenstrauss",
-    "lorentz_lift",
-    "lorentz_retract",
-    "parse_basis",
-    "parse_dims",
-    "pq_block_sum",
-    "summing",
-    "unit_vector_system",
-    # greedy
-    "GreedyError",
-    "GreedySetFamily",
-    "almost_greedy_constant_lb",
-    "democracy_ratio",
-    "fundamental_function",
-    "greedy_sets",
-    "project",
-    "quasi_greedy_constant_lb",
-    # conditionality
-    "ConditionalityError",
-    "GrowthReport",
-    "GrowthTarget",
-    "LINEAR_TARGET",
-    "LOG_TARGET",
-    "L_m_estimate",
-    "L_m_oracle",
-    "Witness",
-    "block_embed_pair",
-    "growth_fit",
-    "interleave_pair",
-    "k_m_estimate",
-    "k_template_pairs",
-    "lb_ladder",
-    "sa_ratio",
-    "target_doubling",
-    "template_pairs",
-    "verify_witness",
-    "witness_from_doc",
-    # scenarios
-    "ScenarioResult",
-    "constant_chain",
-    "list_scenarios",
-    "load_scenarios_config",
-    "result_files",
-    "run_config_scenario",
-    "run_scenario",
-    # report IO
-    "csv_bytes",
-    "json_bytes",
-    "svg_polyline",
-    "write_bundle",
+__all__ = ["__version__", "DEFAULT_BUDGET", "DEFAULT_SEED"] + [
+    name for mod in (spaces, bases, greedy, conditionality, scenarios, reportio) for name in mod.__all__
 ]

@@ -2,7 +2,7 @@
 ``sample_block``, ``guarded_ratio``, ``greedy_order``, the lockstep coordinate
 ascent ``ascend`` with its move sets (each start's windows predict every
 coordinate's move of its previous sweep), the block maximum ``parallel_block_max``,
-the oracle's leader pick ``distinct_leaders``, the input checks, and the
+the oracle's leader pick ``distinct_leaders``, the argument checks, and the
 chunked sign-vector table ``sign_table`` and kernel ``sign_leaders`` of the
 routes over every sign vector.  What is specific to one family of constants stays
 beside its estimators: ``conditionality._seeded_search`` for L_m and k_m,
@@ -17,6 +17,7 @@ monotone in its budget.
 
 from __future__ import annotations
 
+import math
 import zlib
 
 import numpy as np
@@ -41,38 +42,56 @@ def rng_stream(seed: int, *key) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(parts)))
 
 
+def _as_int(x):
+    """``x`` as an int when it is an integral number that is not a bool, else None."""
+    if isinstance(x, (float, np.floating)) and float(x).is_integer():
+        return int(x)
+    if isinstance(x, (int, np.integer)) and not isinstance(x, bool):
+        return int(x)
+    return None
+
+
+def check_int(x, lo: int, hi, error: type, name: str) -> int:
+    """``x`` as an int; ``error`` unless integral, not bool, in lo..hi (``hi``
+    may be math.inf).  The one rule of every count, size and index argument."""
+    n = _as_int(x)
+    if n is None or not lo <= n <= hi:
+        rule = f"be an integer of at least {lo}" if hi == math.inf else f"lie in {lo}..{hi}"
+        raise error(f"{name} must {rule}, got {x if n is None else n!r}")
+    return n
+
+
 def check_budget(budget, error: type, default: int = DEFAULT_BUDGET) -> int:
     """The sample budget as an int (``default`` for None); ``error`` unless integral, not bool, >= 1."""
-    if budget is None:
-        return default
-    if isinstance(budget, (float, np.floating)) and float(budget).is_integer():
-        budget = int(budget)
-    if isinstance(budget, bool) or not isinstance(budget, (int, np.integer)) or budget < 1:
-        raise error(f"budget must be an integer of at least 1, got {budget!r}")
-    return int(budget)
+    return default if budget is None else check_int(budget, 1, math.inf, error, "budget")
 
 
 def check_m(m, d: int, error: type) -> int:
     """The support size ``m`` as an int; ``error`` unless integral, not bool, in 1..d."""
-    if isinstance(m, (float, np.floating)) and float(m).is_integer():
-        m = int(m)
-    if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or not 1 <= m <= d:
-        raise error(f"m must lie in 1..{d}, got {m!r}")
-    return int(m)
+    return check_int(m, 1, d, error, "m")
 
 
 def check_indices(A, d: int, error: type) -> np.ndarray:
     """The sorted 0-based positions of the 1-based indices ``A``; ``error``
-    for a non-integral, duplicate or out-of-range index (outside 1..d)."""
+    for a non-integral or bool, duplicate or out-of-range index (outside 1..d)."""
     A = list(A)
-    if not all(float(i).is_integer() for i in A):
+    idx = [_as_int(i) for i in A]
+    if None in idx:
         raise error(f"indices must be integers, got {A!r}")
-    idx = sorted(int(i) for i in A)
+    idx.sort()
     if len(set(idx)) != len(idx):
         raise error(f"duplicate indices in {A!r}")
     if idx and (idx[0] < 1 or idx[-1] > d):
         raise error(f"indices must lie in 1..{d}")
     return np.asarray(idx, dtype=np.int64) - 1
+
+
+def check_coeffs(coeffs, d: int, error: type) -> np.ndarray:
+    """``coeffs`` as a float array; ``error`` unless d finite values."""
+    a = np.asarray(coeffs, dtype=np.float64)
+    if a.shape != (d,) or not np.isfinite(a).all():
+        raise error(f"expected {d} finite coefficients")
+    return a
 
 
 def guarded_ratio(nums, dens) -> np.ndarray:

@@ -19,11 +19,13 @@ coordinate lift/retract pair for Lorentz-style embeddings lives here too.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
+from ._search import check_coeffs, check_int
 from .spaces import (
     C0Trunc,
     Lorentz,
@@ -88,10 +90,7 @@ class BasisTruncation:
 
     def synth(self, coeffs) -> np.ndarray:
         """Vector sum(coeffs[j] * x_j) in ambient coordinates."""
-        a = np.asarray(coeffs, dtype=np.float64)
-        if a.shape != (self.d,):
-            raise BasisError(f"expected {self.d} coefficients, got shape {a.shape}")
-        return self.columns @ a
+        return self.columns @ check_coeffs(coeffs, self.d, BasisError)
 
     def synth_rows(self, coeff_rows, out=None) -> np.ndarray:
         """Batch version of :meth:`synth` for an (N, d) array (into ``out`` if given)."""
@@ -142,8 +141,7 @@ class BasisTruncation:
         has on the whole basis.  The columns are stored column-major:
         ``synth_rows`` then multiplies by a C-contiguous transpose.
         """
-        if not (1 <= m <= self.d):
-            raise BasisError(f"prefix length {m} outside 1..{self.d}")
+        m = check_int(m, 1, self.d, BasisError, "prefix length")
         sub, space = self.columns[:, :m], self.space
         nz = np.flatnonzero(np.abs(sub).max(axis=1) > 0.0)
         k = int(nz.max()) + 1 if nz.size else 1
@@ -214,8 +212,7 @@ def _make(columns: np.ndarray, space: SpaceDesc, label: str, recipe: tuple) -> B
 
 def unit_vector_system(d: int, space: SpaceDesc) -> BasisTruncation:
     """Unit vectors e_1..e_d measured in ``space``."""
-    if d < 1:
-        raise BasisError("d must be >= 1")
+    d = check_int(d, 1, math.inf, BasisError, "d")
     req = space_dim(space)
     if req is not None and req != d:
         raise BasisError(f"space {format_space(space)} wants dim {req}, not {d}")
@@ -225,8 +222,7 @@ def unit_vector_system(d: int, space: SpaceDesc) -> BasisTruncation:
 
 def lindenstrauss(d: int) -> BasisTruncation:
     """l_j = e_j - (e_{2j} + e_{2j+1})/2 in l_1, ambient dimension 2d+1."""
-    if d < 1:
-        raise BasisError("d must be >= 1")
+    d = check_int(d, 1, math.inf, BasisError, "d")
     amb = 2 * d + 1
     cols = np.zeros((amb, d))
     for j in range(1, d + 1):
@@ -238,16 +234,14 @@ def lindenstrauss(d: int) -> BasisTruncation:
 
 def summing(d: int) -> BasisTruncation:
     """s_j = e_1 + ... + e_j in the d-dimensional truncation of c_0."""
-    if d < 1:
-        raise BasisError("d must be >= 1")
+    d = check_int(d, 1, math.inf, BasisError, "d")
     cols = np.triu(np.ones((d, d)))
     return _make(cols, C0Trunc(d), f"summing:{d}", ("summing", d))
 
 
 def difference(d: int) -> BasisTruncation:
     """d_j = e_j - e_{j-1} (with e_0 = 0) in l_1."""
-    if d < 1:
-        raise BasisError("d must be >= 1")
+    d = check_int(d, 1, math.inf, BasisError, "d")
     cols = np.eye(d)
     for j in range(2, d + 1):
         cols[j - 2, j - 1] = -1.0
@@ -261,6 +255,7 @@ def difference(d: int) -> BasisTruncation:
 
 def interleave_positions(d0: int, d1: int) -> tuple:
     """1-based output positions of each part: x1, y1, x2, y2, ... then the tail."""
+    d0, d1 = (check_int(n, 0, math.inf, BasisError, "part length") for n in (d0, d1))
     pos0, pos1 = [], []
     i = j = 0
     k = 1
@@ -291,9 +286,22 @@ def interleave(b0: BasisTruncation, b1: BasisTruncation) -> BasisTruncation:
     return _make(cols, space, label, ("interleave", b0.recipe, b1.recipe))
 
 
+def _check_dims(dims, hi=math.inf) -> tuple:
+    """The block dimensions as ints, each in 1..hi."""
+    return tuple(check_int(dn, 1, hi, BasisError, "block dimension") for dn in dims)
+
+
+def _block_dims(b: BasisTruncation, dims) -> tuple:
+    """The dimensions of a block sum over ``b``: at least one, each in 1..d."""
+    dims = _check_dims(dims, b.d)
+    if not dims:
+        raise BasisError("need at least one block dimension")
+    return dims
+
+
 def block_offsets(dims) -> tuple:
     """Coefficient-index offsets: block r starts at offset[r-1] (0-based)."""
-    dims = tuple(int(x) for x in dims)
+    dims = _check_dims(dims)
     off, acc = [], 0
     for dn in dims:
         off.append(acc)
@@ -303,26 +311,14 @@ def block_offsets(dims) -> tuple:
 
 def block_index_split(dims, k: int) -> tuple:
     """Invert k = j + d_1 + ... + d_{r-1}; returns 1-based (r, j)."""
-    dims = tuple(int(x) for x in dims)
-    total = sum(dims)
-    if not (1 <= k <= total):
-        raise BasisError(f"index {k} outside 1..{total}")
+    dims = _check_dims(dims)
+    k = check_int(k, 1, sum(dims), BasisError, "index")
     acc = 0
     for r, dn in enumerate(dims, start=1):
         if k <= acc + dn:
             return r, k - acc
         acc += dn
     raise AssertionError("unreachable")
-
-
-def _check_dims(b: BasisTruncation, dims) -> tuple:
-    dims = tuple(int(x) for x in dims)
-    if not dims:
-        raise BasisError("need at least one block dimension")
-    for dn in dims:
-        if not (1 <= dn <= b.d):
-            raise BasisError(f"block dimension {dn} outside 1..{b.d}")
-    return dims
 
 
 def _exponent(key: str, value) -> float:
@@ -338,7 +334,7 @@ def _exponent(key: str, value) -> float:
 
 def block_sum(b: BasisTruncation, dims, p: float) -> BasisTruncation:
     """Direct sum of the d_n-truncations of ``b`` with an outer l_p (0 = sup)."""
-    dims = _check_dims(b, dims)
+    dims = _block_dims(b, dims)
     p = _exponent("p", p)
     subs = [b.prefix(dn) for dn in dims]
     cols = np.zeros((sum(s.ambient_dim for s in subs), sum(dims)))
@@ -372,7 +368,7 @@ def pq_block_sum(b: BasisTruncation, blocks, p: float, q: float) -> BasisTruncat
     """Split block sum: block r lands as (P_r x_j, Q_r x_j) in a max-norm pair
     of a p-summed Y-stack and a q-summed Z-stack; both exponents are checked
     even when a stack is empty and builds no space."""
-    dims = _check_dims(b, [dn for dn, _ in blocks])
+    dims = _block_dims(b, [dn for dn, _ in blocks])
     pairs = [bm for _, bm in blocks]
     p, q = _exponent("p", p), _exponent("q", q)
 

@@ -51,7 +51,9 @@ from ._search import (
     all_subset_masks,
     ascend,
     check_budget,
+    check_coeffs,
     check_indices,
+    check_int,
     check_m,
     distinct_leaders,
     greedy_order,
@@ -83,6 +85,8 @@ __all__ = [
     "block_embed_pair",
     "GrowthTarget",
     "GrowthReport",
+    "LINEAR_TARGET",
+    "LOG_TARGET",
     "growth_fit",
     "target_doubling",
     "lb_ladder",
@@ -131,14 +135,18 @@ class Witness:
 
 
 def witness_from_doc(doc) -> Witness:
-    b = doc.get("B")
-    return Witness(
-        tuple(float(x) for x in doc["coeffs"]),
-        tuple(int(i) for i in doc["A"]),
-        float(doc["ratio"]),
-        str(doc["kind"]),
-        None if b is None else tuple(int(i) for i in b),
-    )
+    """The witness of a ``Witness.to_doc`` document; ConditionalityError for
+    coefficients or a ratio that are not finite, or an index that is not an
+    integer of at least 1."""
+    def indices(A):
+        return tuple(check_int(i, 1, math.inf, ConditionalityError, "index") for i in A)
+
+    ratio, b = float(doc["ratio"]), doc.get("B")
+    if not math.isfinite(ratio):
+        raise ConditionalityError(f"witness ratio must be finite, got {ratio!r}")
+    coeffs = check_coeffs(doc["coeffs"], len(doc["coeffs"]), ConditionalityError)
+    return Witness(tuple(coeffs.tolist()), indices(doc["A"]), ratio, str(doc["kind"]),
+                   None if b is None else indices(b))
 
 
 def _mask(d: int, indices) -> np.ndarray:
@@ -146,14 +154,6 @@ def _mask(d: int, indices) -> np.ndarray:
     mask = np.zeros(d)
     mask[check_indices(indices, d, ConditionalityError)] = 1.0
     return mask
-
-
-def _coeffs(b: BasisTruncation, coeffs) -> np.ndarray:
-    """``coeffs`` as a float array; ConditionalityError unless d finite values."""
-    a = np.asarray(coeffs, dtype=np.float64)
-    if a.shape != (b.d,) or not np.isfinite(a).all():
-        raise ConditionalityError(f"expected {b.d} finite coefficients")
-    return a
 
 
 def _set_ratios(b: BasisTruncation, rows: np.ndarray, sets: np.ndarray) -> np.ndarray:
@@ -170,7 +170,7 @@ def _pair_ratios(b: BasisTruncation, pairs) -> np.ndarray:
     where synthesis is exact, as on the shipped recipes."""
     if not pairs:
         return np.zeros(0)
-    rows = np.array([_coeffs(b, a) for a, _ in pairs])
+    rows = np.array([check_coeffs(a, b.d, ConditionalityError) for a, _ in pairs])
     return _set_ratios(b, rows, np.array([[_mask(b.d, A), np.ones(b.d)] for _, A in pairs]))
 
 
@@ -183,7 +183,7 @@ def verify_witness(b: BasisTruncation, w: Witness) -> float:
     """Recompute the witness ratio from scratch (same norm pipeline) on the
     sets (A, every index) of the projection kinds, (not A, every index) of
     quasi-greedy or (not A, not B) of almost-greedy."""
-    a = _coeffs(b, w.coeffs)
+    a = check_coeffs(w.coeffs, b.d, ConditionalityError)
     if (w.b_indices is None) == (w.kind == "almost-greedy"):
         raise ConditionalityError(f"B = {w.b_indices!r} on a {w.kind!r} witness: "
                                   "almost-greedy witnesses carry a set B, no other kind does")
@@ -322,6 +322,7 @@ def L_m_oracle(b: BasisTruncation, m: int, guard: int = DEFAULT_GUARD):
     REDUCED_PAIRS pairs and cuts each batch to its own leaders.
     """
     m = check_m(m, b.d, ConditionalityError)
+    guard = check_int(guard, 1, math.inf, ConditionalityError, "guard")
     if m > guard:
         raise ConditionalityError(f"oracle refused: m={m} exceeds guard {guard}")
     p = b.prefix(m)
@@ -455,10 +456,12 @@ def L_m_estimate(
     support and A of each caller template must lie inside 1..m."""
     m = check_m(m, b.d, ConditionalityError)
     check_budget(budget, ConditionalityError)
-    pairs = [] if templates is None else [(np.asarray(a, dtype=np.float64), A) for a, A in templates]
+    guard = check_int(guard, 1, math.inf, ConditionalityError, "guard")
+    pairs = [] if templates is None else [
+        (check_coeffs(a, b.d, ConditionalityError), A) for a, A in templates]
     for a, A in pairs:
-        if a.shape != (b.d,) or np.any(a[m:]):
-            raise ConditionalityError(f"template coefficients need length {b.d}, support in 1..{m}")
+        if np.any(a[m:]):
+            raise ConditionalityError(f"template coefficients need support in 1..{m}")
         check_indices(A, m, ConditionalityError)
 
     if m <= guard and (budget is None or budget >= 5**m):
@@ -506,9 +509,10 @@ def _k_block(p: BasisTruncation, sets: np.ndarray, m: int, seed: int, bi: int):
 
 
 def k_m_estimate(
-    b: BasisTruncation, m: int, budget: int = DEFAULT_BUDGET, seed: int = DEFAULT_SEED
+    b: BasisTruncation, m: int, budget: int | None = None, seed: int = DEFAULT_SEED
 ):
-    """Lower bound for k_m = sup over |A| <= m of the projection norm."""
+    """Lower bound for k_m = sup over |A| <= m of the projection norm; at m = d,
+    ``L_m_estimate`` with the same budget (the oracle route when it is None)."""
     m = check_m(m, b.d, ConditionalityError)
     check_budget(budget, ConditionalityError)
     if m == b.d:
@@ -607,12 +611,10 @@ def k_template_pairs(recipe: tuple, d: int, m: int) -> list:
 
 def interleave_pair(coeffs, indices, side: int, d0: int, d1: int):
     """Transfer a one-component pair onto the interleaved system (exact)."""
-    if side not in (0, 1):
-        raise ConditionalityError(f"side must be 0 or 1, got {side!r}")
+    side = check_int(side, 0, 1, ConditionalityError, "side")
+    d0, d1 = (check_int(n, 0, math.inf, ConditionalityError, "part length") for n in (d0, d1))
+    a = check_coeffs(coeffs, (d0, d1)[side], ConditionalityError)
     pos = interleave_positions(d0, d1)[side]
-    a = np.asarray(coeffs, dtype=np.float64)
-    if a.size != (d0, d1)[side]:
-        raise ConditionalityError(f"expected {(d0, d1)[side]} coefficients for side {side}")
     out = np.zeros(d0 + d1)
     for j, c in enumerate(a):
         out[pos[j] - 1] = c
@@ -621,12 +623,9 @@ def interleave_pair(coeffs, indices, side: int, d0: int, d1: int):
 
 def block_embed_pair(coeffs, indices, dims, r: int):
     """Place a pair inside block r of a block sum (1-based; exact transfer)."""
-    dims = tuple(int(x) for x in dims)
-    if not (1 <= r <= len(dims)):
-        raise ConditionalityError(f"block index {r} outside 1..{len(dims)}")
-    a = np.asarray(coeffs, dtype=np.float64)
-    if a.size != dims[r - 1]:
-        raise ConditionalityError(f"expected {dims[r - 1]} coefficients for block {r}")
+    dims = tuple(check_int(dn, 1, math.inf, ConditionalityError, "block dimension") for dn in dims)
+    r = check_int(r, 1, len(dims), ConditionalityError, "block index")
+    a = check_coeffs(coeffs, dims[r - 1], ConditionalityError)
     off = block_offsets(dims)[r - 1]
     out = np.zeros(sum(dims))
     out[off : off + a.size] = a
@@ -725,7 +724,9 @@ def growth_fit(
     """Least-squares fit of the lower bounds against delta(m) with a verdict."""
     rows = []
     for item in series:
-        m, lb = int(item[0]), float(item[1])
+        m, lb = check_int(item[0], 1, math.inf, ConditionalityError, "m"), float(item[1])
+        if not math.isfinite(lb):
+            raise ConditionalityError(f"lower bound at m={m} must be finite, got {lb!r}")
         method = str(item[2]) if len(item) > 2 else ""
         rows.append((m, lb, method))
     if len(rows) < 4:
@@ -791,6 +792,7 @@ def lb_ladder(
     if kind == "k" and mode == "oracle":
         raise ConditionalityError("k ladders have no oracle route; use mode 'auto' or 'estimate'")
     check_budget(budget, ConditionalityError)
+    guard = check_int(guard, 1, math.inf, ConditionalityError, "guard")
     ms = [check_m(m, b.d, ConditionalityError) for m in ms]
     over = [m for m in ms if m > guard]
     if mode == "oracle" and over:

@@ -66,8 +66,8 @@ import numpy as np
 
 from . import _search
 from ._search import (BLOCK, DEFAULT_BUDGET, DEFAULT_SEED, TINY, ascend, check_budget,
-                      check_indices, check_m, greedy_order, guarded_ratio, rng_stream,
-                      sample_block, scale_moves)
+                      check_coeffs, check_indices, check_int, check_m, greedy_order,
+                      guarded_ratio, rng_stream, sample_block, scale_moves)
 from .bases import BasisTruncation
 from .conditionality import _Best
 
@@ -111,12 +111,8 @@ class GreedySetFamily:
 
 def greedy_sets(coeffs, m: int, mode: str = "canonical") -> GreedySetFamily:
     """Sets A with min_{k in A} |a_k| >= max_{j not in A} |a_j|, |A| = m."""
-    a = np.asarray(coeffs, dtype=np.float64)
-    if a.ndim != 1:
-        raise GreedyError("expected a 1-d coefficient vector")
-    d = a.size
-    if not (0 <= m <= d):
-        raise GreedyError(f"m must lie in 0..{d}, got {m}")
+    a = check_coeffs(coeffs, np.size(coeffs), GreedyError)
+    m = check_int(m, 0, a.size, GreedyError, "m")
     if mode not in ("canonical", "all"):
         raise GreedyError(f"mode must be 'canonical' or 'all', got {mode!r}")
     order = greedy_order(a)
@@ -136,9 +132,7 @@ def greedy_sets(coeffs, m: int, mode: str = "canonical") -> GreedySetFamily:
 
 def project(b: BasisTruncation, coeffs, A) -> np.ndarray:
     """S_A f = sum_{j in A} a_j x_j in ambient coordinates (A is 1-based)."""
-    a = np.asarray(coeffs, dtype=np.float64)
-    if a.shape != (b.d,):
-        raise GreedyError(f"expected {b.d} coefficients")
+    a = check_coeffs(coeffs, b.d, GreedyError)
     idx = check_indices(A, b.d, GreedyError)
     out = np.zeros(b.ambient_dim)
     if idx.size:

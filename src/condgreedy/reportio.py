@@ -39,15 +39,8 @@ def csv_bytes(rows) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def _json_default(o):
-    try:
-        return float(o)
-    except (TypeError, ValueError):
-        return str(o)
-
-
 def json_bytes(doc) -> bytes:
-    text = json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False, default=_json_default)
+    text = json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False)
     return (text + "\n").encode("utf-8")
 
 

@@ -469,6 +469,17 @@ def test_k_m_full_length_equals_l_d():
     assert kv == lv
 
 
+def test_k_m_without_budget_means_what_it_means_for_l_m():
+    # the default budget was 2048, so k_m_estimate(b, d) took the seeded
+    # route (kind "template") while budget=None and the k ladder took the oracle
+    b = lindenstrauss(6)
+    val, wit = k_m_estimate(b, 6)
+    assert wit.kind == "oracle"
+    assert (val, wit) == k_m_estimate(b, 6, budget=None) == lb_ladder(b, [6], kind="k")[0][1:]
+    assert (val, wit) == L_m_estimate(b, 6)
+    assert k_m_estimate(b, 3) == k_m_estimate(b, 3, budget=2048)
+
+
 def test_k_m_validation():
     with pytest.raises(ConditionalityError):
         k_m_estimate(difference(8), 0)

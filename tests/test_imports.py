@@ -34,3 +34,31 @@ def test_scan_finds_planted_unused_imports():
 @pytest.mark.parametrize("module", MODULES)
 def test_module_has_no_unused_imports(module):
     assert unused_imports((SRC / module).read_text()) == []
+
+
+def module_exports(source: str) -> list:
+    """The names the module's ``__all__`` lists, read without importing it."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", "") == "__all__" for t in node.targets):
+            return list(ast.literal_eval(node.value))
+    return []
+
+
+def test_scan_reads_planted_export_list():
+    source = '"""Doc."""\nimport math\n__all__ = ["pi", "tau"]\npi, tau = math.pi, math.tau\n'
+    assert module_exports(source) == ["pi", "tau"]
+    assert module_exports("x = 1\n") == []
+
+
+PACKAGE_CONSTANTS = ["__version__", "DEFAULT_BUDGET", "DEFAULT_SEED"]
+EXPORTING = [m for m in MODULES if m not in ("_search.py", "cli.py")]  # cli: the entry point
+
+
+def test_package_exports_each_module_export_once():
+    import condgreedy
+
+    want = PACKAGE_CONSTANTS + [n for m in EXPORTING for n in module_exports((SRC / m).read_text())]
+    assert sorted(condgreedy.__all__) == sorted(want)
+    assert len(set(want)) == len(want)
+    for name in condgreedy.__all__:
+        assert hasattr(condgreedy, name), name

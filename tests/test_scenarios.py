@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from condgreedy import (
     ScenarioResult,
     constant_chain,
+    json_bytes,
     list_scenarios,
     load_scenarios_config,
     result_files,
@@ -166,6 +168,13 @@ def test_result_files_checks_only():
     res = run_scenario("lorentz-embed")
     files = result_files(res)
     assert set(files) == {"lorentz-embed-checks.csv", "lorentz-embed-report.json"}
+
+
+@pytest.mark.parametrize("value", [np.int64(3), np.float32(0.5), np.bool_(True)])
+def test_json_bytes_rejects_values_json_does_not_know(value):
+    # np.int64(3) was once written as 3.0 and any other object as its str()
+    with pytest.raises(TypeError):
+        json_bytes({"m": value})
 
 
 # ---------------------------------------------------------------------------
