@@ -90,7 +90,9 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--m", required=True, metavar="LADDER",
                    help="rungs: 2..10 or a comma list like 4,8,16")
     c.add_argument("--oracle", action="store_true",
-                   help="oracle route at every rung (L ladders only)")
+                   help="exact route at every rung where the basis has one (every "
+                        "recipe but pqhalf and unit on bv), else the oracle "
+                        "(L ladders only)")
     c.add_argument("--estimate", action="store_true",
                    help="template+search route, but an L rung inside the guard "
                         "takes the oracle unless --budget is below 5^m")
@@ -169,7 +171,8 @@ def _cmd_constants(ns) -> int:
     if ns.kind == "k" and mode == "oracle":
         raise _UsageError("--oracle is not available for --kind k")
     if ns.kind == "k" and ns.guard is not None:
-        raise _UsageError("--guard has no effect with --kind k: k ladders take no oracle route")
+        raise _UsageError("--guard has no effect with --kind k: a k rung below d searches, and "
+                          f"the rung m = d takes the L route under the default guard {DEFAULT_GUARD}")
     if mode == "oracle" and ns.budget is not None:
         raise _UsageError("--budget has no effect with --oracle: the oracle route takes no budget")
     guard = ns.guard

@@ -5,9 +5,13 @@ first m basis positions; since S_A f = S_{A cap [1..m]} f for such f, the
 search restricts A to subsets of {1..m} without loss.  k_m takes the
 supremum over |A| <= m with unrestricted support instead.
 
-Three evaluation routes, all returning certified lower bounds with a
-witness:
+Three search routes return certified lower bounds with a witness, and one
+exact route returns the value itself:
 
+* ``L_m_exact``    -- L_m in rationals with a dyadic witness for every recipe
+  basis but pqhalf: a chain DP (difference, summing), a heap-tree DP
+  (Lindenstrauss), 1 for unit vectors on lattice norms, and the largest
+  part for interleaves and block sums.  None elsewhere.
 * ``L_m_oracle``   -- reference sweep: structured coefficient profiles at
   every support size up to m, the recipe's template pairs, the full joint
   grid over {-1,0,1} coefficients and subset membership when m <= 10
@@ -23,7 +27,7 @@ witness:
   sets capped at m elements; coincides with L_d when m = d.  Its templates
   are the L templates of supports m..d, A cut to its first m indices.
 
-Every route evaluates on ``BasisTruncation.prefix(m)`` (``prefix(d)`` for
+Every search route evaluates on ``BasisTruncation.prefix(m)`` (``prefix(d)`` for
 k_m).  Its objective is ``_mask_sweep``, which scores a batch of
 coefficient rows against a family of sets, as ``_block_best`` does, in one
 ``ratio_norms`` pass; the sampler, the coordinate ascent, the block maximum,
@@ -68,6 +72,7 @@ from ._search import (
     top_positions,
 )
 from .bases import BasisTruncation, block_offsets, interleave_positions
+from .spaces import C0Trunc, Lorentz, Lp, parse_space
 
 __all__ = [
     "ConditionalityError",
@@ -76,6 +81,7 @@ __all__ = [
     "verify_witness",
     "sa_ratio",
     "L_m_oracle",
+    "L_m_exact",
     "L_m_estimate",
     "k_m_estimate",
     "template_pairs",
@@ -111,7 +117,7 @@ class ConditionalityError(ValueError):
 @dataclass(frozen=True)
 class Witness:
     """A certified ratio: coefficients, the projected set A (1-based) and the
-    kind of ratio.  Projection kinds (oracle/template/random) certify
+    kind of ratio.  Projection kinds (exact/oracle/template/random) certify
     ||S_A f||/||f||; kind quasi-greedy certifies ||f - S_A f||/||f||; kind
     almost-greedy adds the comparison set B for ||f - S_A f||/||f - S_B f||.
     """
@@ -188,7 +194,7 @@ def verify_witness(b: BasisTruncation, w: Witness) -> float:
         raise ConditionalityError(f"B = {w.b_indices!r} on a {w.kind!r} witness: "
                                   "almost-greedy witnesses carry a set B, no other kind does")
     A = _mask(b.d, w.indices)
-    if w.kind in ("oracle", "template", "random"):
+    if w.kind in ("exact", "oracle", "template", "random"):
         sets = [A, np.ones(b.d)]
     elif w.kind in ("quasi-greedy", "almost-greedy"):  # quasi-greedy: B = () keeps f whole
         sets = [1.0 - A, 1.0 - _mask(b.d, w.b_indices or ())]
@@ -555,10 +561,11 @@ def template_pairs(recipe: tuple, d: int, m: int) -> list:
     Coefficient arrays have length d with support inside [1..m]; A is a
     1-based tuple inside [1..m].  Families are frozen against the oracle at
     small m (the pair values are exact there) and generalise the observed
-    maximisers upward.
+    maximisers upward.  m = 0 gives no pair.
     """
-    m = min(m, d)
-    if m < 1:
+    d = check_int(d, 1, math.inf, ConditionalityError, "d")
+    m = check_int(m, 0, d, ConditionalityError, "m")
+    if m == 0:
         return []
     tag = recipe[0]
     out = []
@@ -605,8 +612,9 @@ def template_pairs(recipe: tuple, d: int, m: int) -> list:
 def k_template_pairs(recipe: tuple, d: int, m: int) -> list:
     """(coefficients, A) witnesses for k_m: ``template_pairs`` at every support
     m..d, A cut to its first m indices (|A| <= m is all a k_m witness needs)."""
-    return [(a, tuple(A)[:m]) for s in range(min(m, d), d + 1)
-            for a, A in template_pairs(recipe, d, s)]
+    d = check_int(d, 1, math.inf, ConditionalityError, "d")
+    m = check_m(m, d, ConditionalityError)
+    return [(a, tuple(A)[:m]) for s in range(m, d + 1) for a, A in template_pairs(recipe, d, s)]
 
 
 def interleave_pair(coeffs, indices, side: int, d0: int, d1: int):
@@ -630,6 +638,129 @@ def block_embed_pair(coeffs, indices, dims, r: int):
     out = np.zeros(sum(dims))
     out[off : off + a.size] = a
     return out, tuple(off + 1 + int(i) for i in check_indices(indices, a.size, ConditionalityError))
+
+
+# ---------------------------------------------------------------------------
+# exact L_m
+# ---------------------------------------------------------------------------
+
+
+def _chain_string(m: int) -> tuple:
+    """(n, b): the 0/1 string b_1..b_m with the most changes n = sum_i
+    |b_i - b_{i+1}| under the closing b_{m+1} = 0.  A two-state DP from the
+    closing end: ``best[s]`` is the best (changes, string) of b_i..b_m with
+    b_i = s."""
+    best = [(0, ()), (-math.inf, ())]  # b_{m+1} = 0
+    for _ in range(m):
+        best = [max((int(s != t) + best[t][0], (s,) + best[t][1]) for t in (0, 1)) for s in (0, 1)]
+    return max(best)
+
+
+def _tree_profile(m: int) -> tuple:
+    """(L_m, phi, A) of the Lindenstrauss system by a DP on the heap tree 1..m.
+
+    The unit ball {f : ||Cf||_1 <= 1} has m - 1 independent rows of C
+    vanishing at a vertex, so a vertex is, up to sign and scale, a halving
+    profile: phi_j = 2^-(depth j - depth r) on a subtree S rooted at r, 0
+    elsewhere, with ||C phi||_1 = 2 (Kraft).  ||S_A phi||_1 is 1 if r is in
+    A, plus phi_c for each edge inside S with exactly one end in A, plus
+    phi_p / 2 for each edge leaving S from a p in A.  W(j, a) is the best
+    such mass below j, scaled to phi_j = 1, when j lies in S with [j in A] = a.
+    """
+    from fractions import Fraction  # imported here: it brings decimal, about 2 ms of every start
+
+    W = {}  # (j, a) -> (W(j, a), per child: None if it leaves S, else its [c in A])
+    for j in range(m, 0, -1):
+        for a in (0, 1):
+            total, picks = Fraction(0), []
+            for c in (2 * j, 2 * j + 1):
+                gain, pick = Fraction(a), None  # c outside S: the leaving edge
+                for bc in (0, 1):
+                    if c <= m and (a != bc) + W[c, bc][0] > gain:
+                        gain, pick = (a != bc) + W[c, bc][0], bc
+                total += gain
+                picks.append(pick)
+            W[j, a] = (total / 2, picks)
+    # the first best root r, then a = 1 on a tie
+    value, neg_r, a = max(((a + W[r, a][0]) / 2, -r, a) for r in range(1, m + 1) for a in (0, 1))
+    phi, A, todo = np.zeros(m), [], [(-neg_r, a, 1.0)]
+    while todo:
+        j, a, w = todo.pop()
+        phi[j - 1] = w
+        A += [j] * a
+        todo += [(c, pick, w / 2) for c, pick in zip((2 * j, 2 * j + 1), W[j, a][1])
+                 if pick is not None]
+    return value, phi, tuple(sorted(A))
+
+
+def _exact(recipe: tuple, d: int, m: int):
+    """(L_m as an exact rational, an int or a Fraction; dyadic coefficients of
+    length d; A) of a recipe basis of length d, or None where the recipe has
+    no exact route."""
+    tag = recipe[0]
+    if tag == "unit":  # monotone norms, and |S_A f| <= |f| coordinatewise
+        if not isinstance(parse_space(recipe[2]), (Lp, C0Trunc, Lorentz)):
+            return None
+        return 1, _pad_to(np.ones(1), d), (1,)
+    if tag in ("difference", "summing"):
+        # the m-prefix C is square, so L_m = max_A ||C D_A C^-1||; each column
+        # (l1) or row (c0) of C D_A C^-1 counts the changes of a 0/1 string
+        n, bits = _chain_string(m)
+        if tag == "difference":  # column m: C 1_A, from f = C^-1 e_m
+            a, A = np.ones(m), bits
+        else:  # row 1: the changes x of 1_A opened by 0, attained by f = C^-1 x
+            A = bits[::-1]
+            x = np.diff(np.r_[0.0, A])
+            a = x - np.r_[x[1:], 0.0]
+        return n, _pad_to(a, d), tuple(i + 1 for i, s in enumerate(A) if s)
+    if tag == "lindenstrauss":
+        value, phi, A = _tree_profile(m)
+        return value, _pad_to(phi, d), A
+    # a combinator's ratio is at most its largest part's and is attained in one
+    # part, so L_m is the largest part's L at its share of 1..m
+    if tag == "interleave":
+        d0, d1 = recipe_dim(recipe[1]), recipe_dim(recipe[2])
+        if d0 is None or d1 is None:
+            return None
+        parts = [(recipe[1 + side], (d0, d1)[side], sum(1 for p in pos if p <= m),
+                  lambda a, A, side=side: interleave_pair(a, A, side, d0, d1))
+                 for side, pos in enumerate(interleave_positions(d0, d1))]
+    elif tag == "block_sum":
+        base, dims = recipe[1], recipe[2]
+        parts = [(base, dn, min(dn, m - off), lambda a, A, r=r: block_embed_pair(a, A, dims, r))
+                 for r, (dn, off) in enumerate(zip(dims, block_offsets(dims)), start=1)]
+    else:
+        return None
+    best = None
+    for r_in, d_in, s, embed in parts:
+        if s < 1:  # the part holds no position of 1..m
+            continue
+        found = _exact(r_in, d_in, s)
+        if found is None:
+            return None
+        if best is None or found[0] > best[0]:
+            best = (found[0], *embed(*found[1:]))
+    return best
+
+
+def L_m_exact(b: BasisTruncation, m: int):
+    """Exact L_m with a dyadic witness of kind "exact", or None where no exact
+    route exists (pqhalf and external bases, unit vectors on BV).
+
+    Computed in rationals: a chain DP for difference (l1) and summing (c0), a
+    heap-tree DP for Lindenstrauss, 1 for unit vectors on Lp, c0 and Lorentz
+    ambients, and for interleaves and block sums the largest part's value.
+    The witness must score the value bitwise in floats, else ArithmeticError.
+    """
+    m = check_m(m, b.d, ConditionalityError)
+    found = _exact(b.recipe, b.d, m)
+    if found is None:
+        return None
+    value, coeffs, A = found
+    ratio = float(_pair_ratios(b, [(coeffs, A)])[0])
+    if ratio != float(value):
+        raise ArithmeticError(f"exact L_{m} = {value} but its witness scores {ratio!r}")
+    return _Best(b.d, "exact", A, ratio, coeffs).result()
 
 
 # ---------------------------------------------------------------------------
@@ -778,6 +909,12 @@ def lb_ladder(
 ):
     """Lower-bound ladder [(m, value, witness)] with witnesses carried forward.
 
+    An L rung in mode "auto" or "oracle" takes ``L_m_exact`` wherever the
+    recipe has it, at every rung (mode "oracle" still refuses m past the
+    guard); elsewhere "auto" takes ``L_m_oracle`` inside the guard and
+    ``L_m_estimate`` beyond, "oracle" takes ``L_m_oracle``, and "estimate"
+    always searches.  k rungs take ``k_m_estimate``.
+
     A witness valid at support m stays valid at every larger support, so each
     rung reports the running maximum; ladder values are therefore
     non-decreasing by construction, matching the sup over a growing class.
@@ -799,7 +936,10 @@ def lb_ladder(
         raise ConditionalityError(f"oracle refused: m={over[0]} exceeds guard {guard}")
     out, carry = [], None  # the (value, witness) of the last strict gain
     for m in ms:
-        if kind == "k":
+        exact = L_m_exact(b, m) if kind == "L" and mode != "estimate" else None
+        if exact is not None:
+            val, wit = exact
+        elif kind == "k":
             val, wit = k_m_estimate(b, m, budget=budget, seed=seed)
         elif mode == "oracle" or (mode == "auto" and m <= guard):
             val, wit = L_m_oracle(b, m, guard=guard)

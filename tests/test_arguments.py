@@ -24,6 +24,7 @@ from condgreedy import (
     GreedyError,
     LINEAR_TARGET,
     L_m_estimate,
+    L_m_exact,
     L_m_oracle,
     Lp,
     block_embed_pair,
@@ -36,12 +37,14 @@ from condgreedy import (
     half_split_maps,
     interleave_pair,
     interleave_positions,
+    k_template_pairs,
     lb_ladder,
     lindenstrauss,
     pq_block_sum,
     project,
     sa_ratio,
     summing,
+    template_pairs,
     unit_vector_system,
     witness_from_doc,
 )
@@ -119,6 +122,16 @@ BAD = {
          ([1.0, 0.0, 0.0, 0.0], (3,)), ([1.0, 0.0, 0.0, 0.0], (True,))]),
     "lb_ladder guard": (ConditionalityError, lambda v: lb_ladder(difference(4), [2], guard=v),
                         [None, 2.5, True, NAN, 0]),
+    "L_m_exact m": (ConditionalityError, lambda v: L_m_exact(difference(4), v), [2.5, True, NAN, 0, 5]),
+    # template_pairs once raised a bare TypeError at m = 2.5 and gave [] at d = -1
+    "template_pairs d": (ConditionalityError, lambda v: template_pairs(("difference", 4), v, 2),
+                         [2.5, True, NAN, 0, -1]),
+    "template_pairs m": (ConditionalityError, lambda v: template_pairs(("difference", 4), 4, v),
+                         [2.5, True, NAN, -1, 5]),
+    "k_template_pairs d": (ConditionalityError, lambda v: k_template_pairs(("difference", 4), v, 2),
+                           [2.5, True, NAN, 0, -1]),
+    "k_template_pairs m": (ConditionalityError, lambda v: k_template_pairs(("difference", 4), 4, v),
+                           [2.5, True, NAN, 0, 5]),
 }
 
 
@@ -166,7 +179,15 @@ ACCEPTED = {
     "growth_fit m": (lambda v: growth_fit([(v, 1.0), (4, 2.0), (8, 3.0), (16, 4.0)], LINEAR_TARGET), 3),
     "L_m_oracle guard": (lambda v: L_m_oracle(difference(4), 3, guard=v), 3),
     "lb_ladder guard": (lambda v: lb_ladder(difference(4), [2, 3], mode="oracle", guard=v), 3),
+    "L_m_exact m": (lambda v: L_m_exact(difference(4), v), 3),
+    "template_pairs m": (lambda v: template_pairs(("difference", 4), 4, v), 3),
+    "k_template_pairs d": (lambda v: k_template_pairs(("summing", 4), v, 2), 3),
 }
+
+
+def test_template_pairs_take_m_zero():
+    # the interleave branch asks a part with no position in 1..m for its pairs
+    assert template_pairs(("difference", 4), 4, 0) == []
 
 
 @pytest.mark.parametrize("name", list(ACCEPTED))

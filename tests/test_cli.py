@@ -85,7 +85,7 @@ def test_constants_oracle_csv_schema(capsys):
         m, lb = int(m_txt), float(lb_txt)
         assert lb >= m - 1 - 1e-9
         assert lb == pytest.approx(float(m), rel=1e-12)
-        assert method == "oracle"
+        assert method == "exact"
         assert float(delta_txt) == pytest.approx(math.log2(m), rel=1e-9)
 
 
@@ -209,6 +209,19 @@ def test_constants_ignored_flag_is_usage_error(args, flag, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"{flag} has no effect" in captured.err
+
+
+def test_constants_k_guard_message_names_the_route_of_the_last_rung(capsys):
+    # the rung m = d of a k ladder is L_d, taken under the default guard:
+    # the oracle here, so a --guard could not reach it
+    assert main(["constants", "--basis", "difference:6", "--kind", "k", "--m", "2..6"]) == 0
+    methods = [line.split(",")[2] for line in _csv_lines(capsys.readouterr().out)[1:]]
+    assert methods[-1] == "oracle" and "oracle" not in methods[:-1]
+    assert main(["constants", "--basis", "difference:6", "--kind", "k", "--m", "2..6",
+                 "--guard", "6"]) == 2
+    err = capsys.readouterr().err
+    assert "the rung m = d takes the L route under the default guard 12" in err
+    assert "no oracle route" not in err
 
 
 def test_constants_target_forms_match_config_parser(capsys):
@@ -404,33 +417,33 @@ def test_experiment_config_empty_is_usage_error(tmp_path, capsys):
 # --no-timestamp``; any change to a value, witness, check or format shows here
 SEED42_BUNDLE = {
     "blocksum-L1-checks.csv": "aaa7ac8036058f0e",
-    "blocksum-L1-ladder.csv": "c5e54fc0eaf297c5",
+    "blocksum-L1-ladder.csv": "9d66c2fb48f152cf",
     "blocksum-L1-plot.svg": "5ba9f4fa9382ef37",
-    "blocksum-L1-report.json": "0ff1bc071736ef83",
+    "blocksum-L1-report.json": "9f4976b44ccb7db9",
     "difference-linear-checks.csv": "224845e73845f8ba",
-    "difference-linear-ladder.csv": "0296169954617397",
+    "difference-linear-ladder.csv": "e49830634c9c67d0",
     "difference-linear-plot.svg": "acd195a6d5b21f9d",
-    "difference-linear-report.json": "03e800a09c9401a1",
+    "difference-linear-report.json": "328378abdf6a248e",
     "interleave-transfer-checks.csv": "80890151a408148d",
-    "interleave-transfer-ladder.csv": "c3e7a02ce851d78c",
+    "interleave-transfer-ladder.csv": "5fd3dc3f107e7938",
     "interleave-transfer-plot.svg": "3a922470fdc98181",
-    "interleave-transfer-report.json": "7d15a0dc611b1b3c",
+    "interleave-transfer-report.json": "3a5a991ae5feaed1",
     "lindenstrauss-log-checks.csv": "8b627f6a5a4fba33",
-    "lindenstrauss-log-ladder.csv": "55bee96a6656df26",
+    "lindenstrauss-log-ladder.csv": "6c4ee6f9debfea01",
     "lindenstrauss-log-plot.svg": "52b51b65b42b2a9c",
-    "lindenstrauss-log-report.json": "92cdf43f20627aff",
+    "lindenstrauss-log-report.json": "86e0276a50bfae9a",
     "lorentz-embed-checks.csv": "7f401858622b52f0",
     "lorentz-embed-report.json": "5b350735f6a2f725",
     "pq-split-checks.csv": "f2c17427aab7a2a8",
     "pq-split-report.json": "4865d3d76adff902",
     "summing-linear-checks.csv": "14a5f67b0cdbe448",
-    "summing-linear-ladder.csv": "0296169954617397",
+    "summing-linear-ladder.csv": "e49830634c9c67d0",
     "summing-linear-plot.svg": "b29963b8e53b99b8",
-    "summing-linear-report.json": "799040eeb4727069",
+    "summing-linear-report.json": "47a8e9707f70e39d",
     "unit-control-checks.csv": "a48f13578436c036",
-    "unit-control-ladder.csv": "1ad8715492be3adc",
+    "unit-control-ladder.csv": "a695a9689e0f0e03",
     "unit-control-plot.svg": "85c9f0c53f14c638",
-    "unit-control-report.json": "2e00bc8f2b1e0f6f",
+    "unit-control-report.json": "d11be965d2fd6e0d",
 }
 
 

@@ -719,7 +719,7 @@ def test_lb_ladder_difference_oracle_values():
     ladder = lb_ladder(b, range(2, 9))
     for m, val, wit in ladder:
         assert val == pytest.approx(float(m), rel=1e-12)
-        assert wit.kind == "oracle"
+        assert wit.kind == "exact"
         assert verify_witness(b, wit) == pytest.approx(val, rel=1e-12)
 
 

@@ -1,0 +1,202 @@
+"""The exact L_m route against independent references.
+
+``L_m_exact`` computes L_m in rationals.  Each recipe is held to a reference
+that shares nothing with it: the 2^m enumeration of ||C D_A C^-1|| for the
+chain recipes (difference in l1, summing in c0), a vertex enumeration of the
+unit ball and ``L_m_oracle`` for Lindenstrauss, and the oracle for unit
+vectors, interleaves and block sums.  An exact value is at least the
+oracle's, and its witness scores the value bitwise.
+"""
+
+from __future__ import annotations
+
+import itertools
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from condgreedy import (
+    L_m_exact,
+    L_m_oracle,
+    external_basis,
+    lb_ladder,
+    lindenstrauss,
+    parse_basis,
+    parse_space,
+    verify_witness,
+)
+from condgreedy import conditionality as cond_mod
+from condgreedy._search import all_subset_masks
+
+
+def _inverse(C) -> list:
+    """The inverse of the square matrix C in Fractions (Gauss-Jordan)."""
+    n = len(C)
+    rows = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+            for i, row in enumerate(C)]
+    for k in range(n):
+        piv = next(i for i in range(k, n) if rows[i][k] != 0)
+        rows[k], rows[piv] = rows[piv], rows[k]
+        rows[k] = [x / rows[k][k] for x in rows[k]]
+        for i in range(n):
+            if i != k and rows[i][k] != 0:
+                rows[i] = [x - rows[i][k] * y for x, y in zip(rows[i], rows[k])]
+    return [row[n:] for row in rows]
+
+
+def _check_exact(b, m, reference=None):
+    """Run ``L_m_exact(b, m)``: the witness lives in 1..m, is dyadic, and scores
+    the value in floats; the value is at least ``reference``."""
+    val, wit = L_m_exact(b, m)
+    assert wit.kind == "exact" and wit.ratio == val
+    assert verify_witness(b, wit) == val
+    assert set(wit.indices) <= set(range(1, m + 1))
+    assert not any(wit.coeffs[m:])
+    assert all(Fraction(c).denominator & (Fraction(c).denominator - 1) == 0 for c in wit.coeffs)
+    if reference is not None:
+        assert val >= reference
+    return val, wit
+
+
+# ---------------------------------------------------------------------------
+# chain recipes: 2^m enumeration of ||C D_A C^-1||
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("recipe,axis", [("difference", 0), ("summing", 1)], ids=["l1", "c0"])
+@pytest.mark.parametrize("m", range(1, 13))
+def test_chain_exact_equals_the_subset_enumeration(recipe, axis, m):
+    # the m-prefix C is square: L_m = max over A of the largest column sum
+    # (l1) or row sum (c0) of |C D_A C^-1|; C^-1 is integral here, so the
+    # enumeration runs exactly in integers
+    C = parse_basis(f"{recipe}:12").prefix(m).columns
+    assert C.shape == (m, m)
+    inv = _inverse(C.tolist())
+    assert all(x.denominator == 1 for row in inv for x in row)
+    C, inv = C.astype(np.int64), np.array(inv, dtype=np.int64)
+    masks = all_subset_masks(m).astype(np.int64)
+    ops = np.einsum("ij,aj,jk->aik", C, masks, inv)
+    brute = int(np.abs(ops).sum(axis=1 + axis).max())
+    value, _, _ = cond_mod._exact((recipe, 12), 12, m)
+    assert value == Fraction(brute) == m
+    assert _check_exact(parse_basis(f"{recipe}:12"), m)[0] == brute
+
+
+# ---------------------------------------------------------------------------
+# Lindenstrauss: the tree DP against vertex enumeration and the oracle
+# ---------------------------------------------------------------------------
+
+
+def _vertex_maximum(m: int) -> float:
+    """max ||S_A f||_1 / ||f|| over the vertices f of the unit ball of the
+    Lindenstrauss m-prefix and every A: each vertex is the null direction of
+    m - 1 independent rows of C."""
+    C = lindenstrauss(m).prefix(m).columns
+    subsets = np.array(list(itertools.combinations(range(C.shape[0]), m - 1)), dtype=np.intp)
+    sub = C[subsets] if m > 1 else np.zeros((1, 0, 1))
+    _, s, vt = np.linalg.svd(sub)
+    rank = (s > 1e-9).sum(axis=1) if m > 1 else np.zeros(1, dtype=int)
+    dirs = vt[rank == m - 1, -1, :]
+    masks = all_subset_masks(m)
+    kept = np.abs(np.einsum("ij,aj,vj->vai", C, masks, dirs)).sum(axis=2)
+    return float((kept.max(axis=1) / np.abs(dirs @ C.T).sum(axis=1)).max())
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+def test_lindenstrauss_exact_equals_the_vertex_enumeration(m):
+    val, _ = _check_exact(lindenstrauss(m), m)
+    assert val == pytest.approx(_vertex_maximum(m), rel=1e-9)
+
+
+@pytest.mark.parametrize("m", range(1, 11))
+def test_lindenstrauss_exact_reaches_the_oracle(m):
+    b = lindenstrauss(10)
+    oracle, _ = L_m_oracle(b, m)
+    val, _ = _check_exact(b, m, reference=oracle)
+    assert val == oracle  # the oracle's grid and ascent already reach it here
+
+
+def test_lindenstrauss_exact_staircase():
+    b = lindenstrauss(64)
+    got = [_check_exact(b, m)[0] for m in (4, 8, 16, 32, 64)]
+    assert got == [1.25, 2.0, 33 / 16, 3.0, 193 / 64]
+    assert [cond_mod._exact(("lindenstrauss", n), n, n)[0] for n in (128, 256, 512)] == [
+        4, Fraction(1025, 256), 5]
+
+
+# ---------------------------------------------------------------------------
+# unit vectors and combinators against the oracle
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("spec", ["unit:6@lp:1", "unit:6@lp:2", "unit:6@c0:6"])
+def test_unit_exact_is_one(spec):
+    b = parse_basis(spec)
+    for m in range(1, 7):
+        assert _check_exact(b, m, reference=L_m_oracle(b, m)[0])[0] == 1.0
+
+
+@pytest.mark.parametrize("spec", ["interleave(lindenstrauss:4,summing:4)",
+                                  "blocksum(summing:4,dims=2..4,p=2)",
+                                  "blocksum(difference:4,dims=2..4,p=0)"])
+def test_combinator_exact_reaches_the_oracle(spec):
+    b = parse_basis(spec)
+    for m in range(1, 9):
+        _check_exact(b, m, reference=L_m_oracle(b, m)[0])
+
+
+def test_combinator_exact_is_the_largest_part():
+    b = parse_basis("blocksum(lindenstrauss,dims=2^1..2^6,p=3)")
+    # 1..30 holds the blocks of length 2, 4, 8 and 16 in full; the largest L is L_16
+    val, wit = _check_exact(b, 30)
+    assert val == 33 / 16 and set(wit.indices) <= set(range(15, 31))
+
+
+@pytest.mark.parametrize("spec", ["pqhalf(lindenstrauss,dims=2^1..2^2,p=1,q=1)",
+                                  "unit:6@bv", "interleave(difference:3,unit:3@bv)",
+                                  "blocksum(unit:3@bv,dims=1..3,p=1)"])
+def test_no_exact_route(spec):
+    b = parse_basis(spec)
+    assert L_m_exact(b, b.d) is None
+
+
+def test_no_exact_route_on_external_or_prefix_bases():
+    b = parse_basis("difference:6")
+    assert L_m_exact(external_basis(b.columns, parse_space("lp:1"), "ext"), 4) is None
+    assert L_m_exact(b.prefix(5), 4) is None
+
+
+def test_exact_route_raises_when_floats_disagree(monkeypatch):
+    real = cond_mod._pair_ratios
+    monkeypatch.setattr(cond_mod, "_pair_ratios", lambda b, pairs: np.nextafter(real(b, pairs), 9.0))
+    with pytest.raises(ArithmeticError, match="exact L_4"):
+        L_m_exact(parse_basis("summing:6"), 4)
+
+
+# ---------------------------------------------------------------------------
+# ladders
+# ---------------------------------------------------------------------------
+
+
+def test_auto_ladder_is_exact_past_the_guard():
+    b = lindenstrauss(64)
+    for budget, seed in ((None, 1), (16, 7)):
+        ladder = lb_ladder(b, (4, 8, 16, 32, 64), budget=budget, seed=seed, guard=8)
+        assert [(v, w.kind) for _, v, w in ladder] == [
+            (v, "exact") for v in (1.25, 2.0, 2.0625, 3.0, 3.015625)]
+
+
+def test_oracle_ladder_takes_the_exact_route_and_keeps_its_guard():
+    b = parse_basis("interleave(difference:5,unit:5@lp:2)")
+    assert {w.kind for _, _, w in lb_ladder(b, range(2, 11), mode="oracle", guard=10)} == {"exact"}
+    with pytest.raises(cond_mod.ConditionalityError, match="exceeds guard 4"):
+        lb_ladder(b, (2, 6), mode="oracle", guard=4)
+
+
+def test_estimate_and_k_ladders_and_routeless_bases_still_search():
+    b = parse_basis("difference:6")
+    assert "exact" not in {w.kind for _, _, w in lb_ladder(b, (2, 4), mode="estimate", budget=16)}
+    assert "exact" not in {w.kind for _, _, w in lb_ladder(b, (2, 6), kind="k", budget=16)}
+    pq = parse_basis("pqhalf(lindenstrauss,dims=2^1..2^2,p=1,q=1)")
+    assert [w.kind for _, _, w in lb_ladder(pq, (2, 3), mode="oracle")] == ["oracle", "oracle"]

@@ -1,7 +1,7 @@
 """Every norm of a coefficient row restricted to a set goes through
 ``BasisTruncation.kept_norms`` or ``ratio_norms``: outside ``bases.py`` only
 the phi_m routes, which norm 0/1 rows and restrict nothing, call
-``synth_norms``."""
+``synth_norms``.  An L ladder on a recipe basis calls no oracle."""
 
 from __future__ import annotations
 
@@ -9,6 +9,10 @@ import ast
 from pathlib import Path
 
 import pytest
+
+from condgreedy import bases as bases_mod
+from condgreedy import conditionality as cond_mod
+from condgreedy import lb_ladder, parse_basis
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "condgreedy"
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "bases.py")
@@ -38,3 +42,29 @@ def test_scan_finds_planted_calls():
 @pytest.mark.parametrize("module", MODULES)
 def test_synth_norms_is_called_only_from_the_allow_list(module):
     assert synth_norms_callers((SRC / module).read_text()) <= ALLOWED.get(module, set())
+
+
+# ---------------------------------------------------------------------------
+# recipe ladders take the exact route: no oracle grid, one norms call a rung
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("spec", ["difference:9", "summing:9"])
+def test_recipe_ladders_make_no_oracle_call(spec, monkeypatch):
+    b, ms = parse_basis(spec), range(2, 10)
+    calls = {"L_m_oracle": 0, "norms": 0}
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, call)
+
+    counted(cond_mod, "L_m_oracle")
+    counted(bases_mod, "norms")
+    ladder = lb_ladder(b, ms)
+    assert [v for _, v, _ in ladder] == [float(m) for m in ms]
+    # the exact route's float check is the only norms call of a rung
+    assert calls["L_m_oracle"] == 0 and calls["norms"] <= len(ms)

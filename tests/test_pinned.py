@@ -86,14 +86,14 @@ PINS = {
     ('lindenstrauss:16', 'oracle+template'): '76f1aff56acc',
     ('lindenstrauss:16', 'L'): 'c5aa8b496a1f',
     ('lindenstrauss:16', 'k'): '358f2a6ca94a',
-    ('lindenstrauss:16', 'ladder'): '587593fe5cf9',
+    ('lindenstrauss:16', 'ladder'): '3611d9eeac74',
     ('lindenstrauss:16', 'quasi-greedy'): 'bcfdf8a00f29',
     ('lindenstrauss:16', 'almost-greedy'): '0b5b20975923',
     ('difference:10', 'oracle'): '0e332e91d36c',
     ('difference:10', 'oracle+template'): '0e332e91d36c',
     ('difference:10', 'L'): '45dcd9a7fcd1',
     ('difference:10', 'k'): '45dcd9a7fcd1',
-    ('difference:10', 'ladder'): '005a4742f56f',
+    ('difference:10', 'ladder'): '03e628e0f7a8',
     ('difference:10', 'quasi-greedy'): '57e341f0aa87',
     ('difference:10', 'almost-greedy'): '9a6a9667949c',
 }
