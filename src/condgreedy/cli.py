@@ -95,7 +95,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         "(L ladders only)")
     c.add_argument("--estimate", action="store_true",
                    help="template+search route, but an L rung inside the guard "
-                        "takes the oracle unless --budget is below 5^m")
+                        "takes the exact route, else the oracle, unless --budget "
+                        "is below 5^m")
     c.add_argument("--budget", type=_positive_int, default=None)
     c.add_argument("--seed", type=_seed_arg, default=DEFAULT_SEED)
     c.add_argument("--guard", type=_positive_int, default=None,

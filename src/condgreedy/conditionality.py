@@ -8,10 +8,12 @@ supremum over |A| <= m with unrestricted support instead.
 Three search routes return certified lower bounds with a witness, and one
 exact route returns the value itself:
 
-* ``L_m_exact``    -- L_m in rationals with a dyadic witness for every recipe
+* ``L_m_exact``    -- L_m exactly, with a dyadic witness, for every recipe
   basis but pqhalf: a chain DP (difference, summing), a heap-tree DP
   (Lindenstrauss), 1 for unit vectors on lattice norms, and the largest
-  part for interleaves and block sums.  None elsewhere.
+  part for interleaves and block sums.  None elsewhere.  The same DPs
+  (``_exact``) with a cap c on |A| give the exact k_m witness, and their
+  witnesses are the recipe templates of both estimates.
 * ``L_m_oracle``   -- reference sweep: structured coefficient profiles at
   every support size up to m, the recipe's template pairs, the full joint
   grid over {-1,0,1} coefficients and subset membership when m <= 10
@@ -20,12 +22,13 @@ exact route returns the value itself:
   2^m subsets.  Deterministic; no user seed enters.  On the full grid both
   f and S_A f are sign vectors, so one norm table over the 3^m sign
   vectors holds every ratio, and each f's best A takes about m steps.
-* ``L_m_estimate`` -- the oracle route when m is inside the guard and the
-  budget covers the full grid; otherwise template evaluation plus seeded
-  random sampling with ascent against a fixed family of structured sets.
+* ``L_m_estimate`` -- the exact route, else the oracle, when m is inside the
+  guard and the budget covers the full grid; otherwise template evaluation
+  plus seeded random sampling with ascent against a fixed family of
+  structured sets.
 * ``k_m_estimate`` -- like the estimate but with full-support samples and
-  sets capped at m elements; coincides with L_d when m = d.  Its templates
-  are the L templates of supports m..d, A cut to its first m indices.
+  sets capped at m elements; coincides with L_d when m = d.  Its template is
+  the exact k_m witness.
 
 Every search route evaluates on ``BasisTruncation.prefix(m)`` (``prefix(d)`` for
 k_m).  Its objective is ``_mask_sweep``, which scores a batch of
@@ -208,55 +211,35 @@ def verify_witness(b: BasisTruncation, w: Witness) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _level(j: int) -> int:
-    return j.bit_length() - 1
+def _levels(m: int) -> np.ndarray:
+    """The heap-tree level floor(log2 j) of each j in 1..m."""
+    return np.array([j.bit_length() - 1 for j in range(1, m + 1)], dtype=np.int64)
 
 
-def profile_ones(m: int) -> np.ndarray:
-    return np.ones(m)
-
-
-def profile_alternating(m: int) -> np.ndarray:
-    return (-1.0) ** np.arange(m)
-
-
-def profile_alternating_half_last(m: int) -> np.ndarray:
-    a = profile_alternating(m)
-    a[-1] *= 0.5
+def _alternating(m: int, last: float = 1.0) -> np.ndarray:
+    a = (-1.0) ** np.arange(m)
+    a[-1] *= last
     return a
 
 
-def profile_dyadic_levels(m: int) -> np.ndarray:
-    return np.array([2.0 ** -_level(j) for j in range(1, m + 1)])
-
-
-def profile_geometric(m: int) -> np.ndarray:
-    return 2.0 ** -np.arange(m, dtype=np.float64)
-
-
+# the oracle's coefficient profiles of support m: ones, alternating signs with
+# the last one whole or halved, the dyadic level weights 2^-level(j), 2^-(j-1)
 PROFILES = (
-    profile_ones,
-    profile_alternating,
-    profile_alternating_half_last,
-    profile_dyadic_levels,
-    profile_geometric,
+    np.ones,
+    _alternating,
+    lambda m: _alternating(m, 0.5),
+    lambda m: 2.0 ** -_levels(m),
+    lambda m: 2.0 ** -np.arange(m, dtype=np.float64),
 )
 
 
-def parity_set(m: int, parity: int) -> tuple:
-    return tuple(j for j in range(1, m + 1) if j % 2 == parity % 2)
-
-
-def level_parity_set(m: int, parity: int) -> tuple:
-    return tuple(j for j in range(1, m + 1) if _level(j) % 2 == parity % 2)
-
-
 def _structured_masks(m: int) -> np.ndarray:
-    """The distinct 0/1 rows of the parity, level-parity, half and full sets of 1..m, sorted."""
-    half = m // 2
-    sets = (parity_set(m, 1), parity_set(m, 0), level_parity_set(m, 0), level_parity_set(m, 1),
-            tuple(range(1, half + 1)), tuple(range(half + 1, m + 1)), tuple(range(1, m + 1)))
-    return np.array(sorted({tuple(_mask(m, s)) for s in sets if s}))
+    """The distinct nonempty 0/1 rows of the parity, level-parity, half and
+    full sets of 1..m, sorted."""
+    j = np.arange(1, m + 1)
+    odd, low, odd_level = j % 2 == 1, j <= m // 2, _levels(m) % 2 == 1
+    rows = np.array([odd, ~odd, ~odd_level, odd_level, low, ~low, j > 0], dtype=np.float64)
+    return np.unique(rows[rows.any(axis=1)], axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -457,9 +440,10 @@ def L_m_estimate(
     templates=None,
     guard: int = DEFAULT_GUARD,
 ):
-    """Lower bound for L_m from templates plus seeded search (oracle route
-    when m is within the guard and the budget covers the full grid); the
-    support and A of each caller template must lie inside 1..m."""
+    """Lower bound for L_m from templates plus seeded search (the exact
+    route, else the oracle, when m is within the guard and the budget covers
+    the full grid); the support and A of each caller template must lie
+    inside 1..m."""
     m = check_m(m, b.d, ConditionalityError)
     check_budget(budget, ConditionalityError)
     guard = check_int(guard, 1, math.inf, ConditionalityError, "guard")
@@ -471,8 +455,8 @@ def L_m_estimate(
         check_indices(A, m, ConditionalityError)
 
     if m <= guard and (budget is None or budget >= 5**m):
-        # the oracle has swept the recipe's templates already
-        value, wit = L_m_oracle(b, m, guard=guard)
+        # the exact route, else the oracle, which has swept the recipe's templates already
+        value, wit = L_m_exact(b, m) or L_m_oracle(b, m, guard=guard)
         best = _Best(b.d, wit.kind, wit.indices, value, wit.coeffs)
         for r, (a_t, A_t) in zip(_pair_ratios(b, pairs), pairs):
             best.offer(r, a_t[:m], A_t, kind="template")
@@ -517,8 +501,10 @@ def _k_block(p: BasisTruncation, sets: np.ndarray, m: int, seed: int, bi: int):
 def k_m_estimate(
     b: BasisTruncation, m: int, budget: int | None = None, seed: int = DEFAULT_SEED
 ):
-    """Lower bound for k_m = sup over |A| <= m of the projection norm; at m = d,
-    ``L_m_estimate`` with the same budget (the oracle route when it is None)."""
+    """Lower bound for k_m = sup over |A| <= m of the projection norm: the
+    recipe's exact k_m witness (``k_template_pairs``) as the template of the
+    seeded search; at m = d, ``L_m_estimate`` with the same budget (the
+    exact route, else the oracle, when it is None)."""
     m = check_m(m, b.d, ConditionalityError)
     check_budget(budget, ConditionalityError)
     if m == b.d:
@@ -533,7 +519,7 @@ def k_m_estimate(
 
 
 # ---------------------------------------------------------------------------
-# template families
+# templates: the exact witnesses
 # ---------------------------------------------------------------------------
 
 
@@ -556,65 +542,22 @@ def _pad_to(a: np.ndarray, d: int) -> np.ndarray:
 
 
 def template_pairs(recipe: tuple, d: int, m: int) -> list:
-    """Hand-built (coefficients, A) lower-bound witnesses for L_m.
-
-    Coefficient arrays have length d with support inside [1..m]; A is a
-    1-based tuple inside [1..m].  Families are frozen against the oracle at
-    small m (the pair values are exact there) and generalise the observed
-    maximisers upward.  m = 0 gives no pair.
-    """
+    """The recipe's witness for L_m as a one-pair list: ``_exact`` with support
+    and A inside [1..m], coefficients of length d.  [] where no part of the
+    recipe has a route, and at m = 0."""
     d = check_int(d, 1, math.inf, ConditionalityError, "d")
     m = check_int(m, 0, d, ConditionalityError, "m")
-    if m == 0:
-        return []
-    tag = recipe[0]
-    out = []
-    if tag == "difference":
-        # f = e_m has norm 1; spread sets telescope to 2|A| (or 2|A|-1 with 1 in A)
-        a = _pad_to(profile_ones(m), d)
-        out.append((a, parity_set(m, 1)))
-        out.append((a, parity_set(m, 0)))
-    elif tag == "summing":
-        # alternating partial sums of height 1; halving the last step makes
-        # every kept block stack to the full m
-        for prof in (profile_alternating_half_last, profile_alternating):
-            a = _pad_to(prof(m), d)
-            out.append((a, parity_set(m, 1)))
-            out.append((a, parity_set(m, 0)))
-    elif tag == "lindenstrauss":
-        # level-weighted tree vector telescopes to mass 2; alternating level
-        # bands avoid parent-child cancellation inside S_A
-        a = _pad_to(profile_dyadic_levels(m), d)
-        out.append((a, level_parity_set(m, 0)))
-        out.append((a, level_parity_set(m, 1)))
-    elif tag == "interleave":
-        r0, r1 = recipe[1], recipe[2]
-        d0, d1 = recipe_dim(r0), recipe_dim(r1)
-        if d0 is not None and d1 is not None:
-            for side, (r_in, d_in) in enumerate(((r0, d0), (r1, d1))):
-                pos = interleave_positions(d0, d1)[side]
-                s = sum(1 for p in pos if p <= m)
-                for a_in, A_in in template_pairs(r_in, d_in, min(s, d_in)):
-                    a_out, A_out = interleave_pair(a_in[:d_in], A_in, side, d0, d1)
-                    out.append((_pad_to(a_out, d), A_out))
-    elif tag == "block_sum":
-        base, dims = recipe[1], recipe[2]
-        for r_idx, (dn, off) in enumerate(zip(dims, block_offsets(dims)), start=1):
-            if off >= m:
-                break
-            s = min(int(dn), m - off)
-            for a_in, A_in in template_pairs(base, int(dn), s):
-                a_out, A_out = block_embed_pair(a_in[: int(dn)], A_in, dims, r_idx)
-                out.append((_pad_to(a_out, d), A_out))
-    return out
+    found = _exact(recipe, d, m, m) if m else None
+    return [] if found is None else [found[1:3]]
 
 
 def k_template_pairs(recipe: tuple, d: int, m: int) -> list:
-    """(coefficients, A) witnesses for k_m: ``template_pairs`` at every support
-    m..d, A cut to its first m indices (|A| <= m is all a k_m witness needs)."""
+    """The recipe's witness for k_m as a one-pair list: ``_exact`` with support
+    in [1..d] and |A| <= m; [] where no part of the recipe has a route."""
     d = check_int(d, 1, math.inf, ConditionalityError, "d")
     m = check_m(m, d, ConditionalityError)
-    return [(a, tuple(A)[:m]) for s in range(m, d + 1) for a, A in template_pairs(recipe, d, s)]
+    found = _exact(recipe, d, d, m)
+    return [] if found is None else [found[1:3]]
 
 
 def interleave_pair(coeffs, indices, side: int, d0: int, d1: int):
@@ -641,122 +584,142 @@ def block_embed_pair(coeffs, indices, dims, r: int):
 
 
 # ---------------------------------------------------------------------------
-# exact L_m
+# exact L_m and k_m
 # ---------------------------------------------------------------------------
 
 
-def _chain_string(m: int) -> tuple:
-    """(n, b): the 0/1 string b_1..b_m with the most changes n = sum_i
-    |b_i - b_{i+1}| under the closing b_{m+1} = 0.  A two-state DP from the
-    closing end: ``best[s]`` is the best (changes, string) of b_i..b_m with
-    b_i = s."""
-    best = [(0, ()), (-math.inf, ())]  # b_{m+1} = 0
-    for _ in range(m):
-        best = [max((int(s != t) + best[t][0], (s,) + best[t][1]) for t in (0, 1)) for s in (0, 1)]
-    return max(best)
+def _chain_string(n: int, c: int) -> tuple:
+    """(changes, b): a 0/1 string b_1..b_n with at most c ones and the most
+    changes sum_i |b_i - b_{i+1}| under the closing b_{n+1} = 0.  A one makes
+    at most two changes and there are n places, so the ones at n, n - 2, ...
+    make the most, min(2c, n)."""
+    ones = range(n, max(n - 2 * c, 0), -2)
+    return min(2 * c, n), tuple(int(i in ones) for i in range(1, n + 1))
 
 
-def _tree_profile(m: int) -> tuple:
-    """(L_m, phi, A) of the Lindenstrauss system by a DP on the heap tree 1..m.
+def _tree_profile(n: int, c: int) -> tuple:
+    """(value, phi, A): the sup of ||S_A f|| / ||f|| of the Lindenstrauss
+    system over f supported in 1..n and |A| <= c, by a DP on the heap tree 1..n.
 
-    The unit ball {f : ||Cf||_1 <= 1} has m - 1 independent rows of C
-    vanishing at a vertex, so a vertex is, up to sign and scale, a halving
-    profile: phi_j = 2^-(depth j - depth r) on a subtree S rooted at r, 0
-    elsewhere, with ||C phi||_1 = 2 (Kraft).  ||S_A phi||_1 is 1 if r is in
-    A, plus phi_c for each edge inside S with exactly one end in A, plus
-    phi_p / 2 for each edge leaving S from a p in A.  W(j, a) is the best
-    such mass below j, scaled to phi_j = 1, when j lies in S with [j in A] = a.
+    For a fixed A the ratio is convex in f, so it peaks at a vertex of the
+    unit ball {f : ||Cf||_1 <= 1}.  There n - 1 independent rows of C vanish,
+    so a vertex is, up to sign and scale, a halving profile: phi_j =
+    2^-(depth j - depth r) on a subtree S rooted at r, 0 elsewhere, with
+    ||C phi||_1 = 2 (Kraft).  ||S_A phi||_1 is 1 if r is in A, plus phi_c for
+    each edge inside S with exactly one end in A, plus phi_p / 2 for each edge
+    leaving S from a p in A; members of A outside S add nothing.  W[j, a][t]
+    is the best such mass below j, scaled to phi_j = 1, when j lies in S with
+    [j in A] = a and at most t members of A lie in S at or below j.  On a
+    subtree of height h it is k / 2^h with 0 <= k <= n 2^h, so every value
+    and sum is exact in floats.  Ties keep the largest budget of the first
+    child, so a budget that does not bind gives the witness of the DP
+    without one.
     """
-    from fractions import Fraction  # imported here: it brings decimal, about 2 ms of every start
+    size = [0] * (2 * n + 2)  # subtree sizes, 0 past n
+    for j in range(n, 0, -1):
+        size[j] = 1 + size[2 * j] + size[2 * j + 1]
+    W = {}  # (j, a) -> per budget t: (W, each child's (gain, [k in A] or None, budget))
 
-    W = {}  # (j, a) -> (W(j, a), per child: None if it leaves S, else its [c in A])
-    for j in range(m, 0, -1):
+    def gains(k: int, a: int) -> list:
+        # per budget, child k's first best of: leaving S (None), then in S with [k in A] = 0, 1
+        out = [(a, None, 0)] * (min(c, size[k]) + 1)
+        for bk in (0, 1):
+            for t, (w, _) in enumerate(W.get((k, bk), ())):
+                if (a != bk) + w > out[t][0]:
+                    out[t] = ((a != bk) + w, bk, t)
+        return out
+
+    for j in range(n, 0, -1):
         for a in (0, 1):
-            total, picks = Fraction(0), []
-            for c in (2 * j, 2 * j + 1):
-                gain, pick = Fraction(a), None  # c outside S: the leaving edge
-                for bc in (0, 1):
-                    if c <= m and (a != bc) + W[c, bc][0] > gain:
-                        gain, pick = (a != bc) + W[c, bc][0], bc
-                total += gain
-                picks.append(pick)
-            W[j, a] = (total / 2, picks)
+            g1, g2 = gains(2 * j, a), gains(2 * j + 1, a)
+            row = [(-math.inf, None)] * a  # budget 0 cannot hold j itself
+            for t in range(a, min(c, size[j]) + 1):
+                u = min(t - a, len(g1) + len(g2) - 2)  # the children's budget
+                # the first best split, from the largest share of child 2j down
+                s = max(range(min(u, len(g1) - 1), max(u - len(g2) + 1, 0) - 1, -1),
+                        key=lambda s: g1[s][0] + g2[u - s][0])
+                row.append(((g1[s][0] + g2[u - s][0]) / 2, (g1[s], g2[u - s])))
+            W[j, a] = row
     # the first best root r, then a = 1 on a tie
-    value, neg_r, a = max(((a + W[r, a][0]) / 2, -r, a) for r in range(1, m + 1) for a in (0, 1))
-    phi, A, todo = np.zeros(m), [], [(-neg_r, a, 1.0)]
+    value, neg_r, a = max(((a + W[r, a][-1][0]) / 2, -r, a) for r in range(1, n + 1) for a in (0, 1))
+    phi, A, todo = np.zeros(n), [], [(-neg_r, a, min(c, size[-neg_r]), 1.0)]
     while todo:
-        j, a, w = todo.pop()
+        j, a, t, w = todo.pop()
         phi[j - 1] = w
         A += [j] * a
-        todo += [(c, pick, w / 2) for c, pick in zip((2 * j, 2 * j + 1), W[j, a][1])
+        todo += [(k, pick, tk, w / 2) for k, (_, pick, tk) in zip((2 * j, 2 * j + 1), W[j, a][t][1])
                  if pick is not None]
     return value, phi, tuple(sorted(A))
 
 
-def _exact(recipe: tuple, d: int, m: int):
-    """(L_m as an exact rational, an int or a Fraction; dyadic coefficients of
-    length d; A) of a recipe basis of length d, or None where the recipe has
-    no exact route."""
+def _exact(recipe: tuple, d: int, n: int, c: int):
+    """(value, dyadic coefficients of length d with support in 1..n, A with
+    |A| <= c, exact) for a recipe basis of length d.  The value is the
+    witness's ||S_A f|| / ||f||, an exact int or dyadic float; exact says it
+    is the sup over all such f and A: L_m at n = c = m, k_m at n = d, c = m.
+    A combinator with a routeless part in 1..n gives its best routed part's
+    witness with exact False; None where no part has a route."""
     tag = recipe[0]
     if tag == "unit":  # monotone norms, and |S_A f| <= |f| coordinatewise
         if not isinstance(parse_space(recipe[2]), (Lp, C0Trunc, Lorentz)):
             return None
-        return 1, _pad_to(np.ones(1), d), (1,)
+        return 1, _pad_to(np.ones(1), d), (1,), True
     if tag in ("difference", "summing"):
-        # the m-prefix C is square, so L_m = max_A ||C D_A C^-1||; each column
-        # (l1) or row (c0) of C D_A C^-1 counts the changes of a 0/1 string
-        n, bits = _chain_string(m)
-        if tag == "difference":  # column m: C 1_A, from f = C^-1 e_m
-            a, A = np.ones(m), bits
+        # the n-prefix C is square, so the sup is the max over |A| <= c of
+        # ||C D_A C^-1||; each column (l1) or row (c0) counts the changes of a 0/1 string
+        value, bits = _chain_string(n, c)
+        if tag == "difference":  # column n: C 1_A, from f = C^-1 e_n
+            a, A = np.ones(n), bits
         else:  # row 1: the changes x of 1_A opened by 0, attained by f = C^-1 x
             A = bits[::-1]
             x = np.diff(np.r_[0.0, A])
             a = x - np.r_[x[1:], 0.0]
-        return n, _pad_to(a, d), tuple(i + 1 for i, s in enumerate(A) if s)
+        return value, _pad_to(a, d), tuple(i + 1 for i, s in enumerate(A) if s), True
     if tag == "lindenstrauss":
-        value, phi, A = _tree_profile(m)
-        return value, _pad_to(phi, d), A
+        value, phi, A = _tree_profile(n, c)
+        return value, _pad_to(phi, d), A, True
     # a combinator's ratio is at most its largest part's and is attained in one
-    # part, so L_m is the largest part's L at its share of 1..m
+    # part, so the sup is the largest part's at its share of 1..n
     if tag == "interleave":
         d0, d1 = recipe_dim(recipe[1]), recipe_dim(recipe[2])
         if d0 is None or d1 is None:
             return None
-        parts = [(recipe[1 + side], (d0, d1)[side], sum(1 for p in pos if p <= m),
+        parts = [(recipe[1 + side], (d0, d1)[side], sum(1 for p in pos if p <= n),
                   lambda a, A, side=side: interleave_pair(a, A, side, d0, d1))
                  for side, pos in enumerate(interleave_positions(d0, d1))]
     elif tag == "block_sum":
         base, dims = recipe[1], recipe[2]
-        parts = [(base, dn, min(dn, m - off), lambda a, A, r=r: block_embed_pair(a, A, dims, r))
+        parts = [(base, dn, min(dn, n - off), lambda a, A, r=r: block_embed_pair(a, A, dims, r))
                  for r, (dn, off) in enumerate(zip(dims, block_offsets(dims)), start=1)]
     else:
         return None
-    best = None
+    best, exact = None, True
     for r_in, d_in, s, embed in parts:
-        if s < 1:  # the part holds no position of 1..m
+        if s < 1:  # the part holds no position of 1..n
             continue
-        found = _exact(r_in, d_in, s)
-        if found is None:
-            return None
-        if best is None or found[0] > best[0]:
-            best = (found[0], *embed(*found[1:]))
-    return best
+        found = _exact(r_in, d_in, s, min(c, s))
+        exact = exact and found is not None and found[3]
+        if found is not None and (best is None or found[0] > best[0]):
+            best = (found[0], *embed(*found[1:3]))
+    return None if best is None else (*best, exact)
 
 
 def L_m_exact(b: BasisTruncation, m: int):
     """Exact L_m with a dyadic witness of kind "exact", or None where no exact
-    route exists (pqhalf and external bases, unit vectors on BV).
+    route exists (pqhalf and external bases, unit vectors on BV, and a
+    combinator with such a part inside 1..m).
 
-    Computed in rationals: a chain DP for difference (l1) and summing (c0), a
-    heap-tree DP for Lindenstrauss, 1 for unit vectors on Lp, c0 and Lorentz
-    ambients, and for interleaves and block sums the largest part's value.
-    The witness must score the value bitwise in floats, else ArithmeticError.
+    Computed exactly, in ints and dyadic floats: a chain DP for difference
+    (l1) and summing (c0), a heap-tree DP for Lindenstrauss, 1 for unit
+    vectors on Lp, c0 and Lorentz ambients, and for interleaves and block
+    sums the largest part's value.  The witness must score the value bitwise
+    in floats, else ArithmeticError.
     """
     m = check_m(m, b.d, ConditionalityError)
-    found = _exact(b.recipe, b.d, m)
-    if found is None:
+    found = _exact(b.recipe, b.d, m, m)
+    if found is None or not found[3]:
         return None
-    value, coeffs, A = found
+    value, coeffs, A, _ = found
     ratio = float(_pair_ratios(b, [(coeffs, A)])[0])
     if ratio != float(value):
         raise ArithmeticError(f"exact L_{m} = {value} but its witness scores {ratio!r}")

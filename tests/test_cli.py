@@ -102,13 +102,13 @@ def test_constants_hex_seed_and_linear_target(capsys):
 def test_constants_estimate_takes_the_oracle_where_the_budget_covers_the_grid(budget, capsys):
     # --estimate forces the search route only where the budget is below 5^m;
     # with no budget, or one covering the full grid, an L rung inside the
-    # guard takes the oracle
+    # guard takes the full-grid route: the exact one on a recipe basis
     args = [] if budget is None else ["--budget", str(budget)]
     rc = main(["constants", "--basis", "difference:8", "--m", "2..4", "--estimate", *args])
     assert rc == 0
     for line in _csv_lines(capsys.readouterr().out)[1:]:
         m, _, method, _ = line.split(",")
-        assert (method == "oracle") == (budget is None or budget >= 5 ** int(m))
+        assert (method == "exact") == (budget is None or budget >= 5 ** int(m))
 
 
 def test_constants_json_includes_fit(capsys):
@@ -213,10 +213,10 @@ def test_constants_ignored_flag_is_usage_error(args, flag, capsys):
 
 def test_constants_k_guard_message_names_the_route_of_the_last_rung(capsys):
     # the rung m = d of a k ladder is L_d, taken under the default guard:
-    # the oracle here, so a --guard could not reach it
+    # the exact route here, so a --guard could not reach it
     assert main(["constants", "--basis", "difference:6", "--kind", "k", "--m", "2..6"]) == 0
     methods = [line.split(",")[2] for line in _csv_lines(capsys.readouterr().out)[1:]]
-    assert methods[-1] == "oracle" and "oracle" not in methods[:-1]
+    assert methods[-1] == "exact" and "exact" not in methods[:-1]
     assert main(["constants", "--basis", "difference:6", "--kind", "k", "--m", "2..6",
                  "--guard", "6"]) == 2
     err = capsys.readouterr().err

@@ -471,10 +471,11 @@ def test_k_m_full_length_equals_l_d():
 
 def test_k_m_without_budget_means_what_it_means_for_l_m():
     # the default budget was 2048, so k_m_estimate(b, d) took the seeded
-    # route (kind "template") while budget=None and the k ladder took the oracle
+    # route (kind "template") while budget=None and the k ladder took the
+    # full-grid route, which is the exact one on a recipe basis
     b = lindenstrauss(6)
     val, wit = k_m_estimate(b, 6)
-    assert wit.kind == "oracle"
+    assert wit.kind == "exact"
     assert (val, wit) == k_m_estimate(b, 6, budget=None) == lb_ladder(b, [6], kind="k")[0][1:]
     assert (val, wit) == L_m_estimate(b, 6)
     assert k_m_estimate(b, 3) == k_m_estimate(b, 3, budget=2048)
@@ -488,10 +489,10 @@ def test_k_m_validation():
 
 
 # ---------------------------------------------------------------------------
-# k templates: every L template of support m..d, A cut to its first m indices
+# templates: the one exact witness of L_m (support 1..m) and of k_m (|A| <= m)
 # ---------------------------------------------------------------------------
 
-# every recipe family, the interleave on two pairs of sides; pqhalf and unit have no templates
+# every recipe family, the interleave on two pairs of sides; pqhalf has no templates
 TEMPLATE_SPECS = ["difference:12", "summing:12", "lindenstrauss:16",
                   "interleave(difference:8,unit:8@lp:2)", "interleave(summing:6,lindenstrauss:8)",
                   "blocksum(lindenstrauss,dims=2^1..2^4,p=1)",
@@ -540,7 +541,18 @@ def test_k_template_pairs_are_k_witnesses(spec):
             assert len(set(A)) == len(A) <= m
             assert all(1 <= i <= b.d for i in A)
             total += 1
-    assert (total > 0) == (b.recipe[0] not in ("unit", "pq_block_sum"))
+    assert total == (0 if b.recipe[0] == "pq_block_sum" else b.d)
+
+
+@pytest.mark.parametrize("spec", TEMPLATE_SPECS)
+def test_templates_score_their_exact_value_bitwise(spec):
+    b = parse_basis(spec)
+    for m in range(1, b.d + 1):
+        for n, pairs in ((m, template_pairs(b.recipe, b.d, m)), (b.d, k_template_pairs(b.recipe, b.d, m))):
+            found = cond_mod._exact(b.recipe, b.d, n, m)
+            assert len(pairs) == (found is not None)
+            for a, A in pairs:
+                assert sa_ratio(b, a, A) == found[0]
 
 
 @pytest.mark.parametrize("spec", TEMPLATE_SPECS)
@@ -823,7 +835,8 @@ def _golden_basis(spec):
 # batch, and every value comes from the random blocks and their ascents
 @pytest.mark.parametrize("fn,spec,m,seed,want,indices,kind,digest", [
     (L_m_estimate, PQHALF, 6, 1, 1.3060025725803714, (2, 3), "random", "54b1d10461b5344a"),
-    (L_m_estimate, "lindenstrauss:16", 13, 1, 2.0, (1, 4, 5, 6, 7), "template", "e29886b3c345e030"),
+    (L_m_estimate, "lindenstrauss:16", 13, 1, 2.0, (1, 7, 8, 9, 10, 11, 12, 13), "template",
+     "e29886b3c345e030"),
     (k_m_estimate, PQHALF, 3, 1, 1.4162053578738152, (1, 3, 6), "random", "35ad48b158b688d9"),
     (k_m_estimate, "lindenstrauss:16", 4, 1, 1.75, (1, 4, 5, 6), "template", "61ca66ba74b5bb69"),
     (L_m_estimate, "external bv", 13, 1, 3.7055084004861323, (1, 3, 4, 5, 8, 10, 11), "random",
@@ -1008,8 +1021,10 @@ def test_seeded_estimate_norms_calls_ceiling(fn, m, ceiling, monkeypatch):
 # ``ratio_norms`` takes the norms of the kept sets and of the rows in one
 # call; with a norms call for each the same runs made 1,027 and 763.  The
 # ascent windows predict each coordinate's move of the sweep before; with
-# the first sweep's prediction in every sweep they made 514 and 383
-@pytest.mark.parametrize("fn,m,count", [(L_m_estimate, 13, 362), (k_m_estimate, 4, 311)],
+# the first sweep's prediction in every sweep they made 514 and 383.  With
+# the exact L_13 witness as its template (not the dyadic-level profile with
+# the level-parity sets) the L run made 362 -> 389
+@pytest.mark.parametrize("fn,m,count", [(L_m_estimate, 13, 389), (k_m_estimate, 4, 311)],
                          ids=["L m=13", "k k=4"])
 def test_seeded_estimate_norms_calls_pinned(fn, m, count, monkeypatch):
     b = lindenstrauss(16)

@@ -1,29 +1,39 @@
-"""The exact L_m route against independent references.
+"""The exact L_m and k_m witnesses against independent references.
 
-``L_m_exact`` computes L_m in rationals.  Each recipe is held to a reference
-that shares nothing with it: the 2^m enumeration of ||C D_A C^-1|| for the
-chain recipes (difference in l1, summing in c0), a vertex enumeration of the
-unit ball and ``L_m_oracle`` for Lindenstrauss, and the oracle for unit
-vectors, interleaves and block sums.  An exact value is at least the
-oracle's, and its witness scores the value bitwise.
+``L_m_exact`` computes L_m exactly, and the same DPs (``_exact``) give the k_m
+witness that ``k_template_pairs`` returns.  Each recipe is held to a
+reference that shares nothing with them: the enumeration of ||C D_A C^-1||
+over the sets A for the chain recipes (difference in l1, summing in c0), a
+vertex enumeration of the unit ball and ``L_m_oracle`` for Lindenstrauss,
+and the oracle for unit vectors, interleaves and block sums.  An exact value
+is at least the oracle's, and its witness scores the value bitwise.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from condgreedy import (
+    L_m_estimate,
     L_m_exact,
     L_m_oracle,
     external_basis,
+    k_m_estimate,
+    k_template_pairs,
     lb_ladder,
     lindenstrauss,
     parse_basis,
     parse_space,
+    sa_ratio,
+    template_pairs,
     verify_witness,
 )
 from condgreedy import conditionality as cond_mod
@@ -59,17 +69,26 @@ def _check_exact(b, m, reference=None):
     return val, wit
 
 
+def _check_k(b, m) -> float:
+    """The exact k_m of ``b`` (support 1..d, |A| <= m): its one witness is
+    dyadic and scores the value bitwise."""
+    value = cond_mod._exact(b.recipe, b.d, b.d, m)[0]
+    (a, A), = k_template_pairs(b.recipe, b.d, m)
+    assert len(set(A)) == len(A) <= m and set(A) <= set(range(1, b.d + 1))
+    assert all(Fraction(c).denominator & (Fraction(c).denominator - 1) == 0 for c in a)
+    assert sa_ratio(b, a, A) == value
+    return value
+
+
 # ---------------------------------------------------------------------------
-# chain recipes: 2^m enumeration of ||C D_A C^-1||
+# chain recipes: enumeration of ||C D_A C^-1|| over the sets A
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("recipe,axis", [("difference", 0), ("summing", 1)], ids=["l1", "c0"])
-@pytest.mark.parametrize("m", range(1, 13))
-def test_chain_exact_equals_the_subset_enumeration(recipe, axis, m):
-    # the m-prefix C is square: L_m = max over A of the largest column sum
-    # (l1) or row sum (c0) of |C D_A C^-1|; C^-1 is integral here, so the
-    # enumeration runs exactly in integers
+def _chain_operator_norms(recipe: str, axis: int, m: int):
+    """(|A|, ||C D_A C^-1||) of every subset A of 1..m on the square m-prefix:
+    the largest column sum (l1, axis 0) or row sum (c0, axis 1); C^-1 is
+    integral here, so the enumeration runs exactly in integers."""
     C = parse_basis(f"{recipe}:12").prefix(m).columns
     assert C.shape == (m, m)
     inv = _inverse(C.tolist())
@@ -77,10 +96,28 @@ def test_chain_exact_equals_the_subset_enumeration(recipe, axis, m):
     C, inv = C.astype(np.int64), np.array(inv, dtype=np.int64)
     masks = all_subset_masks(m).astype(np.int64)
     ops = np.einsum("ij,aj,jk->aik", C, masks, inv)
-    brute = int(np.abs(ops).sum(axis=1 + axis).max())
-    value, _, _ = cond_mod._exact((recipe, 12), 12, m)
-    assert value == Fraction(brute) == m
+    return masks.sum(axis=1), np.abs(ops).sum(axis=1 + axis).max(axis=1)
+
+
+@pytest.mark.parametrize("recipe,axis", [("difference", 0), ("summing", 1)], ids=["l1", "c0"])
+@pytest.mark.parametrize("m", range(1, 13))
+def test_chain_exact_equals_the_subset_enumeration(recipe, axis, m):
+    # the m-prefix C is square: L_m = max over A of ||C D_A C^-1||
+    brute = int(_chain_operator_norms(recipe, axis, m)[1].max())
+    value, _, _, exact = cond_mod._exact((recipe, 12), 12, m, m)
+    assert exact and value == Fraction(brute) == m
     assert _check_exact(parse_basis(f"{recipe}:12"), m)[0] == brute
+
+
+@pytest.mark.parametrize("recipe,axis", [("difference", 0), ("summing", 1)], ids=["l1", "c0"])
+@pytest.mark.parametrize("d", range(1, 11))
+def test_chain_k_equals_the_subset_enumeration(recipe, axis, d):
+    # the d-prefix is the whole basis: k_m = max over |A| <= m of ||C D_A C^-1||
+    sizes, norms = _chain_operator_norms(recipe, axis, d)
+    for m in range(1, d + 1):
+        brute = int(norms[sizes <= m].max())
+        assert brute == min(2 * m, d)
+        assert _check_k(parse_basis(f"{recipe}:{d}"), m) == brute
 
 
 # ---------------------------------------------------------------------------
@@ -88,10 +125,10 @@ def test_chain_exact_equals_the_subset_enumeration(recipe, axis, m):
 # ---------------------------------------------------------------------------
 
 
-def _vertex_maximum(m: int) -> float:
+def _vertex_maximum(m: int, c: int | None = None) -> float:
     """max ||S_A f||_1 / ||f|| over the vertices f of the unit ball of the
-    Lindenstrauss m-prefix and every A: each vertex is the null direction of
-    m - 1 independent rows of C."""
+    Lindenstrauss m-prefix and every A with |A| <= c (any A by default): each
+    vertex is the null direction of m - 1 independent rows of C."""
     C = lindenstrauss(m).prefix(m).columns
     subsets = np.array(list(itertools.combinations(range(C.shape[0]), m - 1)), dtype=np.intp)
     sub = C[subsets] if m > 1 else np.zeros((1, 0, 1))
@@ -99,6 +136,7 @@ def _vertex_maximum(m: int) -> float:
     rank = (s > 1e-9).sum(axis=1) if m > 1 else np.zeros(1, dtype=int)
     dirs = vt[rank == m - 1, -1, :]
     masks = all_subset_masks(m)
+    masks = masks[masks.sum(axis=1) <= (m if c is None else c)]
     kept = np.abs(np.einsum("ij,aj,vj->vai", C, masks, dirs)).sum(axis=2)
     return float((kept.max(axis=1) / np.abs(dirs @ C.T).sum(axis=1)).max())
 
@@ -121,8 +159,22 @@ def test_lindenstrauss_exact_staircase():
     b = lindenstrauss(64)
     got = [_check_exact(b, m)[0] for m in (4, 8, 16, 32, 64)]
     assert got == [1.25, 2.0, 33 / 16, 3.0, 193 / 64]
-    assert [cond_mod._exact(("lindenstrauss", n), n, n)[0] for n in (128, 256, 512)] == [
+    assert [cond_mod._exact(("lindenstrauss", n), n, n, n)[0] for n in (128, 256, 512)] == [
         4, Fraction(1025, 256), 5]
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_lindenstrauss_k_equals_the_vertex_enumeration(d):
+    b = lindenstrauss(d)
+    for m in range(1, d + 1):
+        assert _check_k(b, m) == pytest.approx(_vertex_maximum(d, m), rel=1e-9)
+
+
+def test_lindenstrauss_k_staircase():
+    b = lindenstrauss(64)
+    assert [_check_k(b, m) for m in (2, 4, 8, 16, 32)] == [5 / 4, 7 / 4, 35 / 16, 43 / 16, 193 / 64]
+    # the seeded k estimate starts from that witness and ends on it
+    assert [k_m_estimate(b, m, budget=16, seed=1)[0] for m in (2, 8)] == [5 / 4, 35 / 16]
 
 
 # ---------------------------------------------------------------------------
@@ -161,10 +213,35 @@ def test_no_exact_route(spec):
     assert L_m_exact(b, b.d) is None
 
 
+def test_routeless_part_keeps_the_template_of_the_routed_part():
+    # unit on BV has no route, so L_m_exact gives nothing, but the
+    # difference side still gives the template of the seeded search
+    b = parse_basis("interleave(difference:6,unit:6@bv)")
+    assert L_m_exact(b, 12) is None
+    (a, A), = template_pairs(b.recipe, b.d, 12)
+    assert sa_ratio(b, a, A) == 6.0 and set(A) <= set(range(1, 12, 2))
+    assert L_m_estimate(b, 12, budget=64, seed=1)[0] == 6.0
+    (a, A), = k_template_pairs(b.recipe, b.d, 2)
+    assert sa_ratio(b, a, A) == 4.0 and len(A) == 2
+    assert template_pairs(parse_basis("unit:6@bv").recipe, 6, 6) == []
+
+
 def test_no_exact_route_on_external_or_prefix_bases():
     b = parse_basis("difference:6")
     assert L_m_exact(external_basis(b.columns, parse_space("lp:1"), "ext"), 4) is None
     assert L_m_exact(b.prefix(5), 4) is None
+
+
+def test_the_dps_import_no_fractions():
+    # fractions brings decimal, about 2 ms of every fresh interpreter; the
+    # DPs run in ints and dyadic floats, so no estimate path needs it
+    code = ("import sys\nfrom condgreedy import L_m_estimate, lindenstrauss\n"
+            "L_m_estimate(lindenstrauss(16), 8, budget=64)\n"
+            "print('fractions' in sys.modules)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_exact_route_raises_when_floats_disagree(monkeypatch):

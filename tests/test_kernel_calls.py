@@ -1,7 +1,8 @@
 """Every norm of a coefficient row restricted to a set goes through
 ``BasisTruncation.kept_norms`` or ``ratio_norms``: outside ``bases.py`` only
 the phi_m routes, which norm 0/1 rows and restrict nothing, call
-``synth_norms``.  An L ladder on a recipe basis calls no oracle."""
+``synth_norms``.  An L ladder on a recipe basis calls no oracle, nor does
+its k rung m = d."""
 
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ import pytest
 
 from condgreedy import bases as bases_mod
 from condgreedy import conditionality as cond_mod
-from condgreedy import lb_ladder, parse_basis
+from condgreedy import L_m_exact, k_m_estimate, lb_ladder, parse_basis
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "condgreedy"
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "bases.py")
@@ -68,3 +69,7 @@ def test_recipe_ladders_make_no_oracle_call(spec, monkeypatch):
     assert [v for _, v, _ in ladder] == [float(m) for m in ms]
     # the exact route's float check is the only norms call of a rung
     assert calls["L_m_oracle"] == 0 and calls["norms"] <= len(ms)
+    # k_d = L_d: the k estimate without a budget and the k rung m = d take it too
+    calls["norms"] = 0
+    assert k_m_estimate(b, 9) == lb_ladder(b, [9], kind="k")[0][1:] == L_m_exact(b, 9)
+    assert calls["L_m_oracle"] == 0 and calls["norms"] == 3

@@ -83,16 +83,16 @@ PINS = {
     ('external lorentz', 'quasi-greedy'): '9eeb0faed18f',
     ('external lorentz', 'almost-greedy'): 'c267f1b36a4d',
     ('lindenstrauss:16', 'oracle'): '76f1aff56acc',
-    ('lindenstrauss:16', 'oracle+template'): '76f1aff56acc',
+    ('lindenstrauss:16', 'oracle+template'): '7a3246c5a497',
     ('lindenstrauss:16', 'L'): 'c5aa8b496a1f',
-    ('lindenstrauss:16', 'k'): '358f2a6ca94a',
+    ('lindenstrauss:16', 'k'): '4a5dd4fff185',
     ('lindenstrauss:16', 'ladder'): '3611d9eeac74',
     ('lindenstrauss:16', 'quasi-greedy'): 'bcfdf8a00f29',
     ('lindenstrauss:16', 'almost-greedy'): '0b5b20975923',
     ('difference:10', 'oracle'): '0e332e91d36c',
-    ('difference:10', 'oracle+template'): '0e332e91d36c',
+    ('difference:10', 'oracle+template'): '51d6663dcec4',
     ('difference:10', 'L'): '45dcd9a7fcd1',
-    ('difference:10', 'k'): '45dcd9a7fcd1',
+    ('difference:10', 'k'): 'afdb8fae617a',
     ('difference:10', 'ladder'): '03e628e0f7a8',
     ('difference:10', 'quasi-greedy'): '57e341f0aa87',
     ('difference:10', 'almost-greedy'): '9a6a9667949c',
