@@ -257,6 +257,8 @@ def _cmd_experiment(ns) -> int:
     if ns.config is not None:
         if ns.names:
             raise _UsageError("give scenario names or --config, not both")
+        if ns.budget is not None:
+            raise _UsageError("--budget has no effect with --config: each section sets its own budget")
         try:
             specs = load_scenarios_config(ns.config)
         except Exception as exc:  # noqa: BLE001

@@ -262,8 +262,10 @@ def quasi_greedy_constant_lb(
     if d <= QG_EXHAUSTIVE_MAX_D:
         return _qg_exhaustive(b)
     heads = [_qg_block_head(b, seed, i) for i in range(math.ceil(budget / BLOCK))]
-    # product entries per row: the d+1 dense residuals, or ~6 per column nonzero of the sweep
-    cost = (d + 1) * b.ambient_dim if b.l1_pairs is None else 6 * b.l1_pairs[0].size
+    # product entries per row: the d+1 dense residuals, or the sweep's one bincount entry per
+    # column nonzero (a sweep call costs about 50 us plus 40 ns per nonzero and row, so wide
+    # windows save more in calls than their rows scored past a wrong prediction cost)
+    cost = (d + 1) * b.ambient_dim if b.l1_pairs is None else b.l1_pairs[0].size
     climbs = ascend([p[0] for _, p in heads], lambda rows: _qg_ratios(b, rows), scale_moves, cost)
     tails = [(_dense_ratio(b, a, len(A)), (a, A)) for _, a, A in climbs]  # reported densely
     best = _Best(d, "quasi-greedy")

@@ -350,6 +350,17 @@ def test_experiment_names_and_config_conflict(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_experiment_config_with_budget_is_usage_error(tmp_path, capsys):
+    # each section's own budget is used, so a --budget would only reach the manifest
+    cfg = tmp_path / "c.ini"
+    cfg.write_text("[scenario:x]\nrecipe = difference:8\nladder = 2..8\n", encoding="utf-8")
+    out = tmp_path / "r"
+    rc = main(["experiment", "--config", str(cfg), "--budget", "64", "--out", str(out)])
+    assert rc == 2
+    assert "--budget has no effect with --config" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_experiment_config_pass(tmp_path, capsys):
     cfg = tmp_path / "c.ini"
     cfg.write_text(
@@ -358,7 +369,8 @@ def test_experiment_config_pass(tmp_path, capsys):
         encoding="utf-8",
     )
     out = tmp_path / "r"
-    rc = main(["experiment", "--config", str(cfg), "--out", str(out), "--no-timestamp"])
+    rc = main(["experiment", "--config", str(cfg), "--seed", "7", "--out", str(out),
+               "--no-timestamp"])  # --seed is accepted beside --config, unlike --budget
     assert rc == 0
     assert "diffcheck: PASS" in capsys.readouterr().out
     assert (out / "diffcheck-ladder.csv").exists()
@@ -420,10 +432,10 @@ SEED42_BUNDLE = {
     "blocksum-L1-ladder.csv": "9d66c2fb48f152cf",
     "blocksum-L1-plot.svg": "5ba9f4fa9382ef37",
     "blocksum-L1-report.json": "9f4976b44ccb7db9",
-    "difference-linear-checks.csv": "224845e73845f8ba",
+    "difference-linear-checks.csv": "a9471a74d9d25c27",
     "difference-linear-ladder.csv": "e49830634c9c67d0",
     "difference-linear-plot.svg": "acd195a6d5b21f9d",
-    "difference-linear-report.json": "328378abdf6a248e",
+    "difference-linear-report.json": "43db6dbeca01ddd6",
     "interleave-transfer-checks.csv": "80890151a408148d",
     "interleave-transfer-ladder.csv": "5fd3dc3f107e7938",
     "interleave-transfer-plot.svg": "3a922470fdc98181",

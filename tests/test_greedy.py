@@ -33,6 +33,7 @@ from condgreedy import _search as search_mod
 from condgreedy import greedy as greedy_mod
 from condgreedy._search import (
     ASCENT_TOL,
+    BATCH_ENTRIES,
     BLOCK,
     MAX_SWEEPS,
     SIGN_VALUES,
@@ -813,13 +814,33 @@ def test_ascend_matches_qg_loop(spec):
 # (calls, rows) of _swept_ratios over quasi_greedy_constant_lb at budget
 # 512, seeds 1-3; the windows predict each coordinate's move of the sweep
 # before, and predicting the halving in every sweep took (970, 17,383),
-# (1,337, 18,431), (1,034, 14,327) and (2,709, 17,741)
+# (1,337, 18,431), (1,034, 14,327) and (2,709, 17,741).  A row is declared
+# to cost one entry per column nonzero; at 6 entries it took (273, 6,626),
+# (653, 9,648), (555, 8,526) and (2,197, 14,485)
 QG_SWEPT_COUNTS = {
-    "lindenstrauss:16": (273, 6_626),
-    "lindenstrauss:32": (653, 9_648),
-    "blocksum(lindenstrauss,dims=2^1..2^4,p=1)": (555, 8_526),
-    "blocksum(lindenstrauss,dims=2^1..2^5,p=1)": (2_197, 14_485),
+    "lindenstrauss:16": (172, 6_887),
+    "lindenstrauss:32": (265, 13_461),
+    "blocksum(lindenstrauss,dims=2^1..2^4,p=1)": (214, 10_837),
+    "blocksum(lindenstrauss,dims=2^1..2^5,p=1)": (520, 20_613),
 }
+
+
+def _qg_evaluator_counts(monkeypatch, name, spec):
+    """(calls, rows) of the prefix evaluator ``name`` over
+    quasi_greedy_constant_lb at budget 512, seeds 1-3."""
+    seen = [0, 0]
+    real = getattr(greedy_mod, name)
+
+    def counted(b, coeff_rows):
+        seen[0] += 1
+        seen[1] += coeff_rows.shape[0]
+        return real(b, coeff_rows)
+
+    monkeypatch.setattr(greedy_mod, name, counted)
+    b = parse_basis(spec)
+    for seed in (1, 2, 3):
+        quasi_greedy_constant_lb(b, budget=512, seed=seed)
+    return tuple(seen)
 
 
 @pytest.mark.parametrize("spec", list(QG_SWEPT_COUNTS))
@@ -827,20 +848,38 @@ def test_qg_ascent_swept_calls_and_rows(monkeypatch, spec):
     # every call scores one predicted-path window of each live block
     # ascent; one candidate per call took 4,210 / 7,060 / 6,102 / 12,399
     # calls for 5,740 / 8,590 / 7,632 / 13,929 rows, so the windows trade
-    # a few rows scored past a wrong prediction for 5-15x fewer calls
-    seen = [0, 0]
-    real = greedy_mod._swept_ratios
+    # 20-57 % more rows, scored past a wrong prediction, for 24-28x fewer calls
+    assert _qg_evaluator_counts(monkeypatch, "_swept_ratios", spec) == QG_SWEPT_COUNTS[spec]
 
-    def counted(b, coeff_rows):
-        seen[0] += 1
-        seen[1] += coeff_rows.shape[0]
-        return real(b, coeff_rows)
 
-    monkeypatch.setattr(greedy_mod, "_swept_ratios", counted)
+@pytest.mark.parametrize("budget", [512, 4096])
+@pytest.mark.parametrize("spec", SWEPT_SPECS + list(QG_SWEPT_COUNTS))
+def test_qg_swept_results_do_not_depend_on_window_width(monkeypatch, spec, budget):
+    # a sweep row's bins add up in the same order in any batch, and a window
+    # is walked only up to its first wrong prediction: one candidate per
+    # window, the default width and 8x it give the same value, A and coeffs
     b = parse_basis(spec)
-    for seed in (1, 2, 3):
-        quasi_greedy_constant_lb(b, budget=512, seed=seed)
-    assert tuple(seen) == QG_SWEPT_COUNTS[spec]
+    got = []
+    for entries in (1, BATCH_ENTRIES, 8 * BATCH_ENTRIES):
+        monkeypatch.setattr(search_mod, "BATCH_ENTRIES", entries)
+        got.append(quasi_greedy_constant_lb(b, budget=budget, seed=1))
+    assert got[0] == got[1] == got[2]
+
+
+# (calls, rows) of _prefix_residual_ratios over quasi_greedy_constant_lb at
+# budget 512, seeds 1-3: two 256-row block heads per seed, then the ascent's
+# windows at (d + 1) * ambient_dim product entries per row.  BLAS rounds a
+# row with its batch, so these windows must not widen unnoticed.
+QG_DENSE_COUNTS = {
+    "summing:20": (81, 2_458),
+    "interleave(difference:8,unit:8@lp:2)": (67, 2_412),
+}
+
+
+@pytest.mark.parametrize("spec", list(QG_DENSE_COUNTS))
+def test_qg_ascent_dense_calls_and_rows(monkeypatch, spec):
+    assert parse_basis(spec).l1_pairs is None
+    assert _qg_evaluator_counts(monkeypatch, "_prefix_residual_ratios", spec) == QG_DENSE_COUNTS[spec]
 
 
 def test_qg_swept_basis_keeps_dense_rows_few(monkeypatch):

@@ -15,6 +15,7 @@ from condgreedy import (
     run_config_scenario,
     run_scenario,
 )
+from condgreedy import conditionality
 from condgreedy import scenarios as scenarios_mod
 
 EXPECTED_NAMES = {
@@ -61,12 +62,30 @@ def test_difference_linear_passes():
     v = _verdicts(res)
     assert v == {
         "lb-floor": "PASS",
-        "template-equals-oracle": "PASS",
+        "closed-form": "PASS",
         "witness-reverify": "PASS",
         "growth-fit": "PASS",
     }
     assert res.fit is not None and res.fit.verdict == "PASS"
     assert res.fit.slope == pytest.approx(1.0, rel=1e-9)
+
+
+def test_difference_linear_closed_form_catches_a_planted_chain_error(monkeypatch):
+    # the exact route's 0/1 strings one place low, with their own change
+    # counts: every witness still scores its value and LB_m >= m - 1 holds,
+    # so only the closed form L_m = m sees that the values are wrong
+    real = conditionality._chain_string
+
+    def planted(n, c):
+        bits = real(n, c)[1][1:] + (0,)
+        return sum(abs(x - y) for x, y in zip(bits, bits[1:] + (0,))), bits
+
+    monkeypatch.setattr(conditionality, "_chain_string", planted)
+    res = run_scenario("difference-linear")
+    v = _verdicts(res)
+    assert v["closed-form"] == "FAIL" and v["lb-floor"] == "PASS"
+    assert v["witness-reverify"] == "PASS" and res.verdict == "FAIL"
+    assert [lb for _, lb, _ in res.ladder] != list(range(2, 11))
 
 
 def test_summing_linear_passes():
