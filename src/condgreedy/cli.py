@@ -91,8 +91,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="rungs: 2..10 or a comma list like 4,8,16")
     c.add_argument("--oracle", action="store_true",
                    help="exact route at every rung where the basis has one (every "
-                        "recipe but pqhalf and unit on bv), else the oracle "
-                        "(L ladders only)")
+                        "recipe but pqhalf and unit on bv), else the oracle for an "
+                        "L rung and exit code 2 for a k rung")
     c.add_argument("--estimate", action="store_true",
                    help="template+search route, but an L rung inside the guard "
                         "takes the exact route, else the oracle, unless --budget "
@@ -169,11 +169,10 @@ def _cmd_constants(ns) -> int:
     if ns.oracle and ns.estimate:
         raise _UsageError("--oracle and --estimate are mutually exclusive")
     mode = "oracle" if ns.oracle else ("estimate" if ns.estimate else "auto")
-    if ns.kind == "k" and mode == "oracle":
-        raise _UsageError("--oracle is not available for --kind k")
     if ns.kind == "k" and ns.guard is not None:
-        raise _UsageError("--guard has no effect with --kind k: a k rung below d searches, and "
-                          f"the rung m = d takes the L route under the default guard {DEFAULT_GUARD}")
+        raise _UsageError("--guard has no effect with --kind k: a k rung takes the exact route "
+                          "where the basis has one, else it searches below d, and the rung m = d "
+                          f"takes the L route under the default guard {DEFAULT_GUARD}")
     if mode == "oracle" and ns.budget is not None:
         raise _UsageError("--budget has no effect with --oracle: the oracle route takes no budget")
     guard = ns.guard

@@ -5,15 +5,15 @@ first m basis positions; since S_A f = S_{A cap [1..m]} f for such f, the
 search restricts A to subsets of {1..m} without loss.  k_m takes the
 supremum over |A| <= m with unrestricted support instead.
 
-Three search routes return certified lower bounds with a witness, and one
-exact route returns the value itself:
+Three search routes return certified lower bounds with a witness, and two
+exact routes return the value itself:
 
-* ``L_m_exact``    -- L_m exactly, with a dyadic witness, for every recipe
-  basis but pqhalf: a chain DP (difference, summing), a heap-tree DP
-  (Lindenstrauss), 1 for unit vectors on lattice norms, and the largest
-  part for interleaves and block sums.  None elsewhere.  The same DPs
-  (``_exact``) with a cap c on |A| give the exact k_m witness, and their
-  witnesses are the recipe templates of both estimates.
+* ``L_m_exact``, ``k_m_exact`` -- L_m and k_m exactly, with a dyadic
+  witness, for every recipe basis but pqhalf: a chain DP (difference,
+  summing), a heap-tree DP (Lindenstrauss), 1 for unit vectors on lattice
+  norms, and the largest part for interleaves and block sums.  None
+  elsewhere.  Both are one DP, ``_exact``, with support 1..n and a cap c on
+  |A|, and its witnesses are the recipe templates of both estimates.
 * ``L_m_oracle``   -- reference sweep: structured coefficient profiles at
   every support size up to m, the recipe's template pairs, the full joint
   grid over {-1,0,1} coefficients and subset membership when m <= 10
@@ -46,6 +46,7 @@ when the budget grows with the seed held fixed.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,10 +86,10 @@ __all__ = [
     "sa_ratio",
     "L_m_oracle",
     "L_m_exact",
+    "k_m_exact",
     "L_m_estimate",
     "k_m_estimate",
     "template_pairs",
-    "k_template_pairs",
     "recipe_dim",
     "interleave_pair",
     "block_embed_pair",
@@ -382,22 +383,21 @@ def _oracle_grid(p: BasisTruncation, best: _Best, leaders: list):
 # ---------------------------------------------------------------------------
 
 
-def _seeded_search(b: BasisTruncation, p: BasisTruncation, floor_set, sets, pairs, block_fn,
+def _seeded_search(b: BasisTruncation, p: BasisTruncation, floor_set, sets, found, block_fn,
                    budget: int | None):
     """Body of both seeded estimates on the prefix ``p`` of ``b``.
 
-    Starts at the floor (e_1, ``floor_set``), offers every template pair, of
-    which the first best one's set joins the family ``sets``; ascends from the
-    best offer; then offers the best of ceil(budget / BLOCK) random blocks
-    ``block_fn(sets, i)`` (DEFAULT_BUDGET when ``budget`` is None).
+    Starts at the floor (e_1, ``floor_set``), offers the template ``found``
+    (an ``_exact`` result, or None), whose set joins the sorted family
+    ``sets``; ascends from the best offer; then offers the best of
+    ceil(budget / BLOCK) random blocks ``block_fn(sets, i)``.
     """
     m = p.d
     best = _Best(b.d, "random", floor_set)
-    ratios = _pair_ratios(b, pairs)
-    for r, (a_t, A_t) in zip(ratios, pairs):
-        best.offer(r, a_t[:m], A_t, kind="template")
-    top = [_mask(m, pairs[int(np.argmax(ratios))][1])] if pairs else []
-    sets = np.unique(np.vstack([sets, *top]), axis=0)
+    if found is not None:
+        _, a_t, A_t, _ = found
+        best.offer(_pair_ratios(b, [(a_t, A_t)])[0], a_t[:m], A_t, kind="template")
+        sets = np.unique(np.vstack([sets, _mask(m, A_t)]), axis=0)
 
     # deterministic ascent from the best template before spending the budget
     r, a_fin, si = _ascend(p, _pad_to(best.coeffs, m), sets)
@@ -437,35 +437,20 @@ def L_m_estimate(
     m: int,
     budget: int | None = None,
     seed: int = DEFAULT_SEED,
-    templates=None,
     guard: int = DEFAULT_GUARD,
 ):
-    """Lower bound for L_m from templates plus seeded search (the exact
-    route, else the oracle, when m is within the guard and the budget covers
-    the full grid); the support and A of each caller template must lie
-    inside 1..m."""
+    """Lower bound for L_m from the recipe's template plus seeded search (the
+    exact route, else the oracle, when m is within the guard and the budget
+    covers the full grid)."""
     m = check_m(m, b.d, ConditionalityError)
     check_budget(budget, ConditionalityError)
     guard = check_int(guard, 1, math.inf, ConditionalityError, "guard")
-    pairs = [] if templates is None else [
-        (check_coeffs(a, b.d, ConditionalityError), A) for a, A in templates]
-    for a, A in pairs:
-        if np.any(a[m:]):
-            raise ConditionalityError(f"template coefficients need support in 1..{m}")
-        check_indices(A, m, ConditionalityError)
-
     if m <= guard and (budget is None or budget >= 5**m):
-        # the exact route, else the oracle, which has swept the recipe's templates already
-        value, wit = L_m_exact(b, m) or L_m_oracle(b, m, guard=guard)
-        best = _Best(b.d, wit.kind, wit.indices, value, wit.coeffs)
-        for r, (a_t, A_t) in zip(_pair_ratios(b, pairs), pairs):
-            best.offer(r, a_t[:m], A_t, kind="template")
-        return best.result()
+        return L_m_exact(b, m) or L_m_oracle(b, m, guard=guard)
 
     p = b.prefix(m)
     return _seeded_search(
-        b, p, tuple(range(1, m + 1)), _structured_masks(m),
-        pairs + template_pairs(b.recipe, b.d, m),
+        b, p, tuple(range(1, m + 1)), _structured_masks(m), _exact(b.recipe, b.d, m, m),
         lambda sets, i: _L_block(p, sets, seed, i), budget,
     )
 
@@ -502,9 +487,9 @@ def k_m_estimate(
     b: BasisTruncation, m: int, budget: int | None = None, seed: int = DEFAULT_SEED
 ):
     """Lower bound for k_m = sup over |A| <= m of the projection norm: the
-    recipe's exact k_m witness (``k_template_pairs``) as the template of the
-    seeded search; at m = d, ``L_m_estimate`` with the same budget (the
-    exact route, else the oracle, when it is None)."""
+    recipe's exact k_m witness (``_exact`` with support 1..d and |A| <= m) as
+    the template of the seeded search; at m = d, ``L_m_estimate`` with the
+    same budget (the exact route, else the oracle, when it is None)."""
     m = check_m(m, b.d, ConditionalityError)
     check_budget(budget, ConditionalityError)
     if m == b.d:
@@ -513,7 +498,7 @@ def k_m_estimate(
     d = b.d
     p = b.prefix(d)
     return _seeded_search(
-        b, p, (1,), _cap_sets(_structured_masks(d), m), k_template_pairs(b.recipe, d, m),
+        b, p, (1,), _cap_sets(_structured_masks(d), m), _exact(b.recipe, d, d, m),
         lambda sets, i: _k_block(p, sets, m, seed, i), budget,
     )
 
@@ -548,15 +533,6 @@ def template_pairs(recipe: tuple, d: int, m: int) -> list:
     d = check_int(d, 1, math.inf, ConditionalityError, "d")
     m = check_int(m, 0, d, ConditionalityError, "m")
     found = _exact(recipe, d, m, m) if m else None
-    return [] if found is None else [found[1:3]]
-
-
-def k_template_pairs(recipe: tuple, d: int, m: int) -> list:
-    """The recipe's witness for k_m as a one-pair list: ``_exact`` with support
-    in [1..d] and |A| <= m; [] where no part of the recipe has a route."""
-    d = check_int(d, 1, math.inf, ConditionalityError, "d")
-    m = check_m(m, d, ConditionalityError)
-    found = _exact(recipe, d, d, m)
     return [] if found is None else [found[1:3]]
 
 
@@ -704,6 +680,19 @@ def _exact(recipe: tuple, d: int, n: int, c: int):
     return None if best is None else (*best, exact)
 
 
+def _exact_witness(b: BasisTruncation, n: int, c: int, name: str):
+    """``_exact``'s (value, Witness of kind "exact") where it is the sup; the
+    witness must score the value bitwise, else ArithmeticError on ``name``."""
+    found = _exact(b.recipe, b.d, n, c)
+    if found is None or not found[3]:
+        return None
+    value, coeffs, A, _ = found
+    ratio = float(_pair_ratios(b, [(coeffs, A)])[0])
+    if ratio != float(value):
+        raise ArithmeticError(f"exact {name} = {value} but its witness scores {ratio!r}")
+    return _Best(b.d, "exact", A, ratio, coeffs).result()
+
+
 def L_m_exact(b: BasisTruncation, m: int):
     """Exact L_m with a dyadic witness of kind "exact", or None where no exact
     route exists (pqhalf and external bases, unit vectors on BV, and a
@@ -716,14 +705,14 @@ def L_m_exact(b: BasisTruncation, m: int):
     in floats, else ArithmeticError.
     """
     m = check_m(m, b.d, ConditionalityError)
-    found = _exact(b.recipe, b.d, m, m)
-    if found is None or not found[3]:
-        return None
-    value, coeffs, A, _ = found
-    ratio = float(_pair_ratios(b, [(coeffs, A)])[0])
-    if ratio != float(value):
-        raise ArithmeticError(f"exact L_{m} = {value} but its witness scores {ratio!r}")
-    return _Best(b.d, "exact", A, ratio, coeffs).result()
+    return _exact_witness(b, m, m, f"L_{m}")
+
+
+def k_m_exact(b: BasisTruncation, m: int):
+    """``L_m_exact``'s route for k_m, over support 1..d and |A| <= m: None
+    also for a combinator with a routeless part anywhere in 1..d."""
+    m = check_m(m, b.d, ConditionalityError)
+    return _exact_witness(b, b.d, m, f"k_{m}")
 
 
 # ---------------------------------------------------------------------------
@@ -815,7 +804,10 @@ def growth_fit(
     target: GrowthTarget,
     r2_min: float = 0.95,
 ) -> GrowthReport:
-    """Least-squares fit of the lower bounds against delta(m) with a verdict."""
+    """Least-squares fit of the lower bounds against delta(m) with a verdict;
+    ``r2_min`` must be a number in [0, 1]."""
+    if not (isinstance(r2_min, numbers.Real) and 0.0 <= r2_min <= 1.0):  # NaN passed every fit
+        raise ConditionalityError(f"r2_min must be a number in [0, 1], got {r2_min!r}")
     rows = []
     for item in series:
         m, lb = check_int(item[0], 1, math.inf, ConditionalityError, "m"), float(item[1])
@@ -872,11 +864,13 @@ def lb_ladder(
 ):
     """Lower-bound ladder [(m, value, witness)] with witnesses carried forward.
 
-    An L rung in mode "auto" or "oracle" takes ``L_m_exact`` wherever the
-    recipe has it, at every rung (mode "oracle" still refuses m past the
-    guard); elsewhere "auto" takes ``L_m_oracle`` inside the guard and
-    ``L_m_estimate`` beyond, "oracle" takes ``L_m_oracle``, and "estimate"
-    always searches.  k rungs take ``k_m_estimate``.
+    Modes "auto" and "oracle" take ``L_m_exact`` or ``k_m_exact`` at every
+    rung that has it; elsewhere "auto" takes ``L_m_oracle`` at an L rung
+    inside the guard, else the estimate, and "oracle" takes ``L_m_oracle``,
+    refusing L rungs past the guard and k rungs.  Mode "estimate" takes
+    ``L_m_estimate`` or ``k_m_estimate``: the exact route, else the oracle,
+    at a rung inside the guard whose budget is None or at least 5^m (for k
+    only at m = d, under the default guard), else the search.
 
     A witness valid at support m stays valid at every larger support, so each
     rung reports the running maximum; ladder values are therefore
@@ -889,19 +883,20 @@ def lb_ladder(
         raise ConditionalityError(f"ladder kind must be 'L' or 'k', got {kind!r}")
     if mode not in ("auto", "oracle", "estimate"):
         raise ConditionalityError(f"unknown ladder mode {mode!r}")
-    if kind == "k" and mode == "oracle":
-        raise ConditionalityError("k ladders have no oracle route; use mode 'auto' or 'estimate'")
     check_budget(budget, ConditionalityError)
     guard = check_int(guard, 1, math.inf, ConditionalityError, "guard")
     ms = [check_m(m, b.d, ConditionalityError) for m in ms]
     over = [m for m in ms if m > guard]
-    if mode == "oracle" and over:
+    if mode == "oracle" and kind == "L" and over:
         raise ConditionalityError(f"oracle refused: m={over[0]} exceeds guard {guard}")
     out, carry = [], None  # the (value, witness) of the last strict gain
     for m in ms:
-        exact = L_m_exact(b, m) if kind == "L" and mode != "estimate" else None
+        exact = None if mode == "estimate" else (L_m_exact if kind == "L" else k_m_exact)(b, m)
         if exact is not None:
             val, wit = exact
+        elif kind == "k" and mode == "oracle":
+            raise ConditionalityError(f"oracle refused: the k rung m={m} has no exact route "
+                                      f"on {b.label}")
         elif kind == "k":
             val, wit = k_m_estimate(b, m, budget=budget, seed=seed)
         elif mode == "oracle" or (mode == "auto" and m <= guard):

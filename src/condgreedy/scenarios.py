@@ -417,7 +417,8 @@ _CONFIG_KEYS = ("recipe", "ladder", "kind", "target", "budget", "seed", "r2_min"
 def load_scenarios_config(path: str) -> list:
     """Read [scenario:<name>] sections: recipe, ladder, and optional kind,
     target, budget, seed, r2_min; any other key, a recipe that does not
-    build, or a rung outside 1..d of its basis is an error."""
+    build, a rung outside 1..d of its basis, or an r2_min outside [0, 1] is
+    an error."""
     cp = configparser.ConfigParser()
     with open(path, encoding="utf-8") as fh:
         cp.read_file(fh)
@@ -449,6 +450,9 @@ def load_scenarios_config(path: str) -> list:
             raise ValueError(f"section {section}: ladder rung {outside[0]} outside 1..{d}")
         if spec["budget"] is not None and spec["budget"] < 1:
             raise ValueError(f"section {section} needs a budget of at least 1")
+        if not 0.0 <= spec["r2_min"] <= 1.0:  # growth_fit's rule; NaN fails it too
+            raise ValueError(f"section {section}: r2_min must be a number in [0, 1], "
+                             f"got {spec['r2_min']!r}")
         if spec["kind"] not in ("L", "k"):
             raise ValueError(f"section {section}: kind must be 'L' or 'k', got {spec['kind']!r}")
         specs.append(spec)

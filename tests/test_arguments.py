@@ -37,7 +37,7 @@ from condgreedy import (
     half_split_maps,
     interleave_pair,
     interleave_positions,
-    k_template_pairs,
+    k_m_exact,
     lb_ladder,
     lindenstrauss,
     pq_block_sum,
@@ -112,26 +112,22 @@ BAD = {
     "growth_fit m": (ConditionalityError, lambda v: growth_fit(_ladder(v), LINEAR_TARGET), [2.5, True, NAN, 0]),
     "growth_fit lb": (ConditionalityError, lambda v: growth_fit(
         [(2, 1.0), (4, v), (8, 3.0), (16, 4.0)], LINEAR_TARGET), [math.inf, -math.inf, NAN]),
+    # a NaN r2_min passed every fit, as r2 < NaN is False, and -1 passed an R^2 of 0.57
+    "growth_fit r2_min": (ConditionalityError, lambda v: growth_fit(
+        [(2, 1.0), (4, 3.0), (8, 2.0), (16, 4.0)], LINEAR_TARGET, r2_min=v), [NAN, -1.0, 2.0, "0.9", None]),
     "L_m_oracle guard": (ConditionalityError, lambda v: L_m_oracle(difference(4), 2, guard=v),
                          [None, 2.5, True, NAN, 0]),
     "L_m_estimate guard": (ConditionalityError, lambda v: L_m_estimate(difference(4), 2, guard=v),
                            [None, 2.5, True, NAN, 0, -1]),
-    "L_m_estimate templates": (ConditionalityError, lambda v: L_m_estimate(
-        difference(4), 2, budget=16, templates=[v]),
-        [([1.0, NAN, 0.0, 0.0], (1,)), (np.ones(3), (1,)), ([1.0, 0.0, 1.0, 0.0], (1,)),
-         ([1.0, 0.0, 0.0, 0.0], (3,)), ([1.0, 0.0, 0.0, 0.0], (True,))]),
     "lb_ladder guard": (ConditionalityError, lambda v: lb_ladder(difference(4), [2], guard=v),
                         [None, 2.5, True, NAN, 0]),
     "L_m_exact m": (ConditionalityError, lambda v: L_m_exact(difference(4), v), [2.5, True, NAN, 0, 5]),
+    "k_m_exact m": (ConditionalityError, lambda v: k_m_exact(difference(4), v), [2.5, True, NAN, 0, 5]),
     # template_pairs once raised a bare TypeError at m = 2.5 and gave [] at d = -1
     "template_pairs d": (ConditionalityError, lambda v: template_pairs(("difference", 4), v, 2),
                          [2.5, True, NAN, 0, -1]),
     "template_pairs m": (ConditionalityError, lambda v: template_pairs(("difference", 4), 4, v),
                          [2.5, True, NAN, -1, 5]),
-    "k_template_pairs d": (ConditionalityError, lambda v: k_template_pairs(("difference", 4), v, 2),
-                           [2.5, True, NAN, 0, -1]),
-    "k_template_pairs m": (ConditionalityError, lambda v: k_template_pairs(("difference", 4), 4, v),
-                           [2.5, True, NAN, 0, 5]),
 }
 
 
@@ -181,7 +177,7 @@ ACCEPTED = {
     "lb_ladder guard": (lambda v: lb_ladder(difference(4), [2, 3], mode="oracle", guard=v), 3),
     "L_m_exact m": (lambda v: L_m_exact(difference(4), v), 3),
     "template_pairs m": (lambda v: template_pairs(("difference", 4), 4, v), 3),
-    "k_template_pairs d": (lambda v: k_template_pairs(("summing", 4), v, 2), 3),
+    "k_m_exact m": (lambda v: k_m_exact(summing(4), v), 3),
 }
 
 

@@ -139,13 +139,29 @@ def test_constants_k_kind(capsys):
     assert float(rows[1][1]) >= 7.0 - 1e-9  # k_4 >= 2*4-1
 
 
-def test_constants_k_kind_rejects_oracle(capsys):
+def test_constants_k_oracle_takes_the_exact_route_or_exits_2(capsys):
     rc = main(["constants", "--basis", "difference:8", "--kind", "k",
                "--m", "2,4", "--oracle"])
+    assert rc == 0
+    rows = [line.split(",") for line in _csv_lines(capsys.readouterr().out)[1:]]
+    assert [(float(lb), method) for _, lb, method, _ in rows] == [(4.0, "exact"), (8.0, "exact")]
+    # the p,q half-split sum has no exact route: its first rung is refused, and nothing printed
+    rc = main(["constants", "--basis", "pqhalf(lindenstrauss,dims=2^1..2^2,p=1,q=1)",
+               "--kind", "k", "--m", "2,3", "--oracle"])
     assert rc == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "--oracle is not available for --kind k" in captured.err
+    assert "the k rung m=2 has no exact route" in captured.err
+
+
+def test_constants_k_ladder_of_the_block_sum_is_exact(capsys):
+    # the block of length 64 holds every maximum, and k_64 = L_64 there
+    rc = main(["constants", "--basis", "blocksum(lindenstrauss,dims=2^1..2^6,p=1)",
+               "--kind", "k", "--m", "2,4,8,16,32,64"])
+    assert rc == 0
+    rows = [line.split(",") for line in _csv_lines(capsys.readouterr().out)[1:]]
+    assert [(float(lb), method) for _, lb, method, _ in rows] == [
+        (v, "exact") for v in (5 / 4, 7 / 4, 35 / 16, 43 / 16, 193 / 64, 193 / 64)]
 
 
 def test_constants_flag_conflicts(capsys):
@@ -212,16 +228,17 @@ def test_constants_ignored_flag_is_usage_error(args, flag, capsys):
 
 
 def test_constants_k_guard_message_names_the_route_of_the_last_rung(capsys):
-    # the rung m = d of a k ladder is L_d, taken under the default guard:
-    # the exact route here, so a --guard could not reach it
+    # every k rung takes the exact route here; where none exists a rung below
+    # d searches and the rung m = d is L_d under the default guard, so a
+    # --guard could reach no rung
     assert main(["constants", "--basis", "difference:6", "--kind", "k", "--m", "2..6"]) == 0
     methods = [line.split(",")[2] for line in _csv_lines(capsys.readouterr().out)[1:]]
-    assert methods[-1] == "exact" and "exact" not in methods[:-1]
+    assert methods == ["exact"] * 5
     assert main(["constants", "--basis", "difference:6", "--kind", "k", "--m", "2..6",
                  "--guard", "6"]) == 2
     err = capsys.readouterr().err
+    assert "a k rung takes the exact route where the basis has one" in err
     assert "the rung m = d takes the L route under the default guard 12" in err
-    assert "no oracle route" not in err
 
 
 def test_constants_target_forms_match_config_parser(capsys):
@@ -394,6 +411,10 @@ def test_experiment_config_failing_fit_exits_one(tmp_path, capsys):
     ("ladder = 8..2", "descending ladder range"),
     ("ladder = 2..20", "section scenario:x: ladder rung 9 outside 1..8"),
     ("ladder = 0..3", "section scenario:x: ladder rung 0 outside 1..8"),
+    # a NaN r2_min passed every fit, and r2 < r2_min is False for any r2 at -1
+    ("r2_min = nan", "section scenario:x: r2_min must be a number in [0, 1], got nan"),
+    ("r2_min = -1", "section scenario:x: r2_min must be a number in [0, 1], got -1.0"),
+    ("r2_min = 2", "section scenario:x: r2_min must be a number in [0, 1], got 2.0"),
 ])
 def test_experiment_config_bad_section_is_usage_error(line, message, tmp_path, capsys):
     cfg = tmp_path / "c.ini"

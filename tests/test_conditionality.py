@@ -28,7 +28,7 @@ from condgreedy import (
     interleave,
     interleave_pair,
     k_m_estimate,
-    k_template_pairs,
+    k_m_exact,
     lb_ladder,
     lindenstrauss,
     sa_ratio,
@@ -434,27 +434,6 @@ def test_estimate_budget_monotone():
     assert hi >= lo
 
 
-def test_estimate_extra_templates_are_honoured():
-    b = difference(12)
-    a = np.zeros(12)
-    a[:10] = 1.0
-    # hand the known maximiser in; the reported bound can only match or beat it
-    val, _ = L_m_estimate(b, 10, budget=64, templates=[(a, tuple(range(1, 11, 2)))])
-    assert val >= 10.0 - 1e-12
-
-
-@pytest.mark.parametrize("budget", (None, 16), ids=("oracle", "seeded"))
-def test_estimate_rejects_templates_outside_the_support(budget):
-    b = summing(8)
-    a = np.array([1.0, -1.0] * 4)
-    head = np.r_[a[:3], np.zeros(5)]
-    for coeffs, A in ((a, (1, 3, 5, 7)), (a, (1, 3)), (head, (1, 3, 5)), (a[:3], (1, 3))):
-        with pytest.raises(ConditionalityError):
-            L_m_estimate(b, 3, budget=budget, templates=[(coeffs, A)])
-    val, wit = L_m_estimate(b, 3, budget=budget, templates=[(head, (1, 3))])
-    assert verify_witness(b, wit) == pytest.approx(val, rel=1e-12)
-
-
 def test_k_m_spread_set_bound():
     val, wit = k_m_estimate(difference(8), 4)
     assert val >= 7.0 - 1e-12
@@ -499,6 +478,13 @@ TEMPLATE_SPECS = ["difference:12", "summing:12", "lindenstrauss:16",
                   "pqhalf(lindenstrauss,dims=2^1..2^2,p=1,q=1)", "unit:5"]
 
 
+def _k_template(b, m: int) -> list:
+    """The template of ``k_m_estimate``: ``_exact``'s k_m witness (support
+    1..d, |A| <= m) as a one-pair list, [] where no part has a route."""
+    found = cond_mod._exact(b.recipe, b.d, b.d, m)
+    return [] if found is None else [found[1:3]]
+
+
 def _exact_k(b, m: int, axis: int) -> float:
     """Exact k_m of a square basis in l1 (axis 0) or c0 (axis 1): the largest
     column or row sum of |C D_A C^-1| over every |A| = m."""
@@ -536,7 +522,7 @@ def test_k_template_pairs_are_k_witnesses(spec):
     b = parse_basis(spec)
     total = 0
     for m in range(1, b.d + 1):
-        for a, A in k_template_pairs(b.recipe, b.d, m):
+        for a, A in _k_template(b, m):
             assert np.asarray(a).shape == (b.d,)
             assert len(set(A)) == len(A) <= m
             assert all(1 <= i <= b.d for i in A)
@@ -548,11 +534,16 @@ def test_k_template_pairs_are_k_witnesses(spec):
 def test_templates_score_their_exact_value_bitwise(spec):
     b = parse_basis(spec)
     for m in range(1, b.d + 1):
-        for n, pairs in ((m, template_pairs(b.recipe, b.d, m)), (b.d, k_template_pairs(b.recipe, b.d, m))):
+        for n, pairs in ((m, template_pairs(b.recipe, b.d, m)), (b.d, _k_template(b, m))):
             found = cond_mod._exact(b.recipe, b.d, n, m)
             assert len(pairs) == (found is not None)
             for a, A in pairs:
                 assert sa_ratio(b, a, A) == found[0]
+        # every template here is the sup, so the exact route returns it
+        exact = k_m_exact(b, m)
+        assert (exact is None) == (b.recipe[0] == "pq_block_sum")
+        if exact is not None:
+            assert exact[0] == exact[1].ratio == sa_ratio(b, *_k_template(b, m)[0])
 
 
 @pytest.mark.parametrize("spec", TEMPLATE_SPECS)
@@ -561,7 +552,7 @@ def test_pair_ratios_equal_sa_ratio_bitwise(spec, monkeypatch):
     gives each pair's own one-pair value."""
     b = parse_basis(spec)
     pairs = [pair for m in range(1, b.d + 1)
-             for pair in template_pairs(b.recipe, b.d, m) + k_template_pairs(b.recipe, b.d, m)]
+             for pair in template_pairs(b.recipe, b.d, m) + _k_template(b, m)]
     want = [sa_ratio(b, a, A) for a, A in pairs]
     got = []
     assert _norms_calls(monkeypatch, lambda: got.extend(cond_mod._pair_ratios(b, pairs))) == (1 if pairs else 0)
@@ -751,10 +742,13 @@ def test_lb_ladder_k_kind():
         assert val >= 2.0 * m - 1.0 - 1e-12
 
 
-def test_lb_ladder_k_kind_rejects_oracle_mode():
-    b = difference(8)
-    with pytest.raises(ConditionalityError, match="oracle"):
-        lb_ladder(b, (2, 4), kind="k", mode="oracle")
+def test_lb_ladder_k_oracle_mode_refuses_a_rung_without_exact_route():
+    # difference has the exact k route; the p,q half-split sum has none
+    ladder = lb_ladder(difference(8), (2, 4), kind="k", mode="oracle")
+    assert [(v, w.kind) for _, v, w in ladder] == [(4.0, "exact"), (8.0, "exact")]
+    pq = parse_basis("pqhalf(lindenstrauss,dims=2^1..2^2,p=1,q=1)")
+    with pytest.raises(ConditionalityError, match="the k rung m=2 has no exact route"):
+        lb_ladder(pq, (2, 4), kind="k", mode="oracle")
 
 
 @pytest.mark.parametrize("ms", [[2.7, 4.2], [2, 4.5], [2, float("nan")], [np.float64(1.5)]])

@@ -1,7 +1,7 @@
 """The exact L_m and k_m witnesses against independent references.
 
-``L_m_exact`` computes L_m exactly, and the same DPs (``_exact``) give the k_m
-witness that ``k_template_pairs`` returns.  Each recipe is held to a
+``L_m_exact`` and ``k_m_exact`` compute L_m and k_m exactly, by the same DPs
+(``_exact``).  Each recipe is held to a
 reference that shares nothing with them: the enumeration of ||C D_A C^-1||
 over the sets A for the chain recipes (difference in l1, summing in c0), a
 vertex enumeration of the unit ball and ``L_m_oracle`` for Lindenstrauss,
@@ -27,7 +27,7 @@ from condgreedy import (
     L_m_oracle,
     external_basis,
     k_m_estimate,
-    k_template_pairs,
+    k_m_exact,
     lb_ladder,
     lindenstrauss,
     parse_basis,
@@ -70,14 +70,15 @@ def _check_exact(b, m, reference=None):
 
 
 def _check_k(b, m) -> float:
-    """The exact k_m of ``b`` (support 1..d, |A| <= m): its one witness is
-    dyadic and scores the value bitwise."""
-    value = cond_mod._exact(b.recipe, b.d, b.d, m)[0]
-    (a, A), = k_template_pairs(b.recipe, b.d, m)
-    assert len(set(A)) == len(A) <= m and set(A) <= set(range(1, b.d + 1))
-    assert all(Fraction(c).denominator & (Fraction(c).denominator - 1) == 0 for c in a)
-    assert sa_ratio(b, a, A) == value
-    return value
+    """Run ``k_m_exact(b, m)`` (support 1..d, |A| <= m): the value is the DP's,
+    and its witness is dyadic and scores the value bitwise."""
+    val, wit = k_m_exact(b, m)
+    assert val == cond_mod._exact(b.recipe, b.d, b.d, m)[0]
+    assert wit.kind == "exact" and wit.ratio == val
+    assert verify_witness(b, wit) == val
+    assert len(wit.indices) <= m and set(wit.indices) <= set(range(1, b.d + 1))
+    assert all(Fraction(c).denominator & (Fraction(c).denominator - 1) == 0 for c in wit.coeffs)
+    return val
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +212,8 @@ def test_combinator_exact_is_the_largest_part():
 def test_no_exact_route(spec):
     b = parse_basis(spec)
     assert L_m_exact(b, b.d) is None
+    # k_m takes support 1..d, so a routeless part anywhere leaves no k route
+    assert [k_m_exact(b, m) for m in range(1, b.d + 1)] == [None] * b.d
 
 
 def test_routeless_part_keeps_the_template_of_the_routed_part():
@@ -221,15 +224,17 @@ def test_routeless_part_keeps_the_template_of_the_routed_part():
     (a, A), = template_pairs(b.recipe, b.d, 12)
     assert sa_ratio(b, a, A) == 6.0 and set(A) <= set(range(1, 12, 2))
     assert L_m_estimate(b, 12, budget=64, seed=1)[0] == 6.0
-    (a, A), = k_template_pairs(b.recipe, b.d, 2)
-    assert sa_ratio(b, a, A) == 4.0 and len(A) == 2
+    _, a, A, exact = cond_mod._exact(b.recipe, b.d, b.d, 2)
+    assert sa_ratio(b, a, A) == 4.0 and len(A) == 2 and not exact
+    assert k_m_exact(b, 2) is None
     assert template_pairs(parse_basis("unit:6@bv").recipe, 6, 6) == []
 
 
 def test_no_exact_route_on_external_or_prefix_bases():
     b = parse_basis("difference:6")
-    assert L_m_exact(external_basis(b.columns, parse_space("lp:1"), "ext"), 4) is None
-    assert L_m_exact(b.prefix(5), 4) is None
+    ext = external_basis(b.columns, parse_space("lp:1"), "ext")
+    assert L_m_exact(ext, 4) is None and k_m_exact(ext, 4) is None
+    assert L_m_exact(b.prefix(5), 4) is None and k_m_exact(b.prefix(5), 4) is None
 
 
 def test_the_dps_import_no_fractions():
@@ -249,6 +254,8 @@ def test_exact_route_raises_when_floats_disagree(monkeypatch):
     monkeypatch.setattr(cond_mod, "_pair_ratios", lambda b, pairs: np.nextafter(real(b, pairs), 9.0))
     with pytest.raises(ArithmeticError, match="exact L_4"):
         L_m_exact(parse_basis("summing:6"), 4)
+    with pytest.raises(ArithmeticError, match="exact k_2"):
+        k_m_exact(parse_basis("summing:6"), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -272,8 +279,22 @@ def test_oracle_ladder_takes_the_exact_route_and_keeps_its_guard():
 
 
 def test_estimate_and_k_ladders_and_routeless_bases_still_search():
+    # mode "estimate" skips the exact route of L and k rungs alike below 5^m,
+    # and a k rung with no exact route searches in mode "auto"
     b = parse_basis("difference:6")
-    assert "exact" not in {w.kind for _, _, w in lb_ladder(b, (2, 4), mode="estimate", budget=16)}
-    assert "exact" not in {w.kind for _, _, w in lb_ladder(b, (2, 6), kind="k", budget=16)}
+    for kind in ("L", "k"):
+        ladder = lb_ladder(b, (2, 6), kind=kind, mode="estimate", budget=16)
+        assert "exact" not in {w.kind for _, _, w in ladder}
     pq = parse_basis("pqhalf(lindenstrauss,dims=2^1..2^2,p=1,q=1)")
     assert [w.kind for _, _, w in lb_ladder(pq, (2, 3), mode="oracle")] == ["oracle", "oracle"]
+    assert "exact" not in {w.kind for _, _, w in lb_ladder(pq, (2, 3), kind="k", budget=16)}
+
+
+@pytest.mark.parametrize("mode", ["auto", "oracle"])
+def test_k_ladder_is_exact(mode):
+    # the k staircase of the Lindenstrauss block of length 64, by k_m_exact at every rung
+    b = lindenstrauss(64)
+    ladder = lb_ladder(b, (2, 4, 8, 16, 32), kind="k", mode=mode, seed=1)
+    assert [(Fraction(v), w.kind) for _, v, w in ladder] == [
+        (Fraction(n, d), "exact") for n, d in ((5, 4), (7, 4), (35, 16), (43, 16), (193, 64))]
+    assert [verify_witness(b, w) for _, _, w in ladder] == [v for _, v, _ in ladder]

@@ -34,11 +34,6 @@ def _external(space: str, d: int):
     return external_basis(rng.standard_normal((d + 2, d)), parse_space(space), space)
 
 
-def _ones(m: int, d: int) -> np.ndarray:
-    """1 on the first m of d coefficients: a template supported in 1..m."""
-    return np.r_[np.ones(m), np.zeros(d - m)]
-
-
 # one basis per estimator tier: d <= 8 exhaustive, 9..12 exhaustive
 # quasi-greedy in sign-table chunks and almost-greedy with exact
 # denominators, > 12 random blocks (dense, and by event sweep on l1_pairs)
@@ -52,7 +47,6 @@ BASES = {
 
 ROUTES = {
     "oracle": lambda b, s: [L_m_oracle(b, 4)],
-    "oracle+template": lambda b, s: [L_m_estimate(b, 4, templates=[(_ones(4, b.d), (1, 3))])],
     "L": lambda b, s: [L_m_estimate(b, 6, budget=256, seed=s)],
     "k": lambda b, s: [k_m_estimate(b, 3, budget=256, seed=s)],
     "ladder": lambda b, s: [r[1:] for r in lb_ladder(b, (2, 3, 5), budget=256, seed=s, guard=3)],
@@ -62,35 +56,30 @@ ROUTES = {
 
 PINS = {
     ('external lp:3', 'oracle'): 'eebc5c869cb4',
-    ('external lp:3', 'oracle+template'): 'eebc5c869cb4',
     ('external lp:3', 'L'): 'a17269143a34',
     ('external lp:3', 'k'): 'b56cf7642326',
     ('external lp:3', 'ladder'): 'cc7ea3734945',
     ('external lp:3', 'quasi-greedy'): 'f3b165f45208',
     ('external lp:3', 'almost-greedy'): '24fdb04da0e7',
     ('external bv', 'oracle'): '60703ffc892b',
-    ('external bv', 'oracle+template'): '60703ffc892b',
     ('external bv', 'L'): '8f1f96c594a2',
     ('external bv', 'k'): '6931e669f364',
     ('external bv', 'ladder'): 'e584b2f40c70',
     ('external bv', 'quasi-greedy'): 'a6433d97a714',
     ('external bv', 'almost-greedy'): '820f0306d651',
     ('external lorentz', 'oracle'): '5499878b5513',
-    ('external lorentz', 'oracle+template'): '5499878b5513',
     ('external lorentz', 'L'): 'a21431005d76',
     ('external lorentz', 'k'): '0a6a0695da33',
     ('external lorentz', 'ladder'): 'd8fc63265042',
     ('external lorentz', 'quasi-greedy'): '9eeb0faed18f',
     ('external lorentz', 'almost-greedy'): 'c267f1b36a4d',
     ('lindenstrauss:16', 'oracle'): '76f1aff56acc',
-    ('lindenstrauss:16', 'oracle+template'): '7a3246c5a497',
     ('lindenstrauss:16', 'L'): 'c5aa8b496a1f',
     ('lindenstrauss:16', 'k'): '4a5dd4fff185',
     ('lindenstrauss:16', 'ladder'): '3611d9eeac74',
     ('lindenstrauss:16', 'quasi-greedy'): 'bcfdf8a00f29',
     ('lindenstrauss:16', 'almost-greedy'): '0b5b20975923',
     ('difference:10', 'oracle'): '0e332e91d36c',
-    ('difference:10', 'oracle+template'): '51d6663dcec4',
     ('difference:10', 'L'): '45dcd9a7fcd1',
     ('difference:10', 'k'): 'afdb8fae617a',
     ('difference:10', 'ladder'): '03e628e0f7a8',
