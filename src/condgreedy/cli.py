@@ -92,15 +92,17 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--oracle", action="store_true",
                    help="exact route at every rung where the basis has one (every "
                         "recipe but pqhalf and unit on bv), else the oracle for an "
-                        "L rung and exit code 2 for a k rung")
+                        "L rung inside --guard; exit code 2 naming any other rung")
     c.add_argument("--estimate", action="store_true",
-                   help="template+search route, but an L rung inside the guard "
-                        "takes the exact route, else the oracle, unless --budget "
-                        "is below 5^m")
+                   help="search route, but an L rung (and the k rung m = d) inside "
+                        "--guard takes the exact route, else the oracle, unless "
+                        "--budget is below 5^m")
     c.add_argument("--budget", type=_positive_int, default=None)
     c.add_argument("--seed", type=_seed_arg, default=DEFAULT_SEED)
-    c.add_argument("--guard", type=_positive_int, default=None,
-                   help="largest m the oracle route may take on")
+    c.add_argument("--guard", type=_positive_int, default=DEFAULT_GUARD,
+                   help="largest m at which an L rung, or the k rung m = d (k_d = L_d), "
+                        "takes the oracle (with --estimate also the exact route); "
+                        "otherwise the exact route ignores it (default %(default)s)")
     c.add_argument("--target", default="log",
                    help="growth target for the delta_m column: log, linear, power:a")
     c.add_argument("--out", default="-")
@@ -169,20 +171,12 @@ def _cmd_constants(ns) -> int:
     if ns.oracle and ns.estimate:
         raise _UsageError("--oracle and --estimate are mutually exclusive")
     mode = "oracle" if ns.oracle else ("estimate" if ns.estimate else "auto")
-    if ns.kind == "k" and ns.guard is not None:
-        raise _UsageError("--guard has no effect with --kind k: a k rung takes the exact route "
-                          "where the basis has one, else it searches below d, and the rung m = d "
-                          f"takes the L route under the default guard {DEFAULT_GUARD}")
     if mode == "oracle" and ns.budget is not None:
         raise _UsageError("--budget has no effect with --oracle: the oracle route takes no budget")
-    guard = ns.guard
-    if guard is None:
-        # an explicit oracle request overrides the default oracle cap
-        guard = max(max(ms), DEFAULT_GUARD) if mode == "oracle" else DEFAULT_GUARD
     target = _parse_target_arg(ns.target)
 
     ladder = lb_ladder(b, ms, kind=ns.kind, mode=mode, budget=ns.budget,
-                       seed=ns.seed, guard=guard)
+                       seed=ns.seed, guard=ns.guard)
     rows = [(m, val, wit.kind) for m, val, wit in ladder]
 
     if ns.format == "csv":
@@ -265,6 +259,7 @@ def _cmd_experiment(ns) -> int:
         if not specs:
             raise _UsageError(f"no [scenario:NAME] sections in {ns.config!r}")
         results = [run_config_scenario(spec) for spec in specs]
+        seed = {spec["name"]: spec["seed"] for spec in specs}  # each section runs at its own
     else:
         names = list(ns.names)
         if not names:
@@ -276,13 +271,14 @@ def _cmd_experiment(ns) -> int:
         if unknown:
             raise _UsageError(f"unknown scenario(s): {', '.join(unknown)}")
         results = [run_scenario(n, budget=ns.budget, seed=ns.seed) for n in names]
+        seed = ns.seed
 
     files = {}
     for res in results:
         files.update(result_files(res))
     meta = {
         "command": "experiment",
-        "seed": ns.seed,
+        "seed": seed,
         "budget": ns.budget,
         "scenarios": {r.name: r.verdict for r in results},
     }

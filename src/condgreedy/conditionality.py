@@ -48,6 +48,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -439,9 +440,9 @@ def L_m_estimate(
     seed: int = DEFAULT_SEED,
     guard: int = DEFAULT_GUARD,
 ):
-    """Lower bound for L_m from the recipe's template plus seeded search (the
-    exact route, else the oracle, when m is within the guard and the budget
-    covers the full grid)."""
+    """Lower bound for L_m: the exact route, else the oracle, when m is within
+    the guard and the budget is None or at least 5^m (the full grid); else
+    the recipe's template plus seeded search."""
     m = check_m(m, b.d, ConditionalityError)
     check_budget(budget, ConditionalityError)
     guard = check_int(guard, 1, math.inf, ConditionalityError, "guard")
@@ -488,8 +489,8 @@ def k_m_estimate(
 ):
     """Lower bound for k_m = sup over |A| <= m of the projection norm: the
     recipe's exact k_m witness (``_exact`` with support 1..d and |A| <= m) as
-    the template of the seeded search; at m = d, ``L_m_estimate`` with the
-    same budget (the exact route, else the oracle, when it is None)."""
+    the template of the seeded search; at m = d, where k_d = L_d,
+    ``L_m_estimate`` with the same budget and seed and the default guard."""
     m = check_m(m, b.d, ConditionalityError)
     check_budget(budget, ConditionalityError)
     if m == b.d:
@@ -864,13 +865,14 @@ def lb_ladder(
 ):
     """Lower-bound ladder [(m, value, witness)] with witnesses carried forward.
 
-    Modes "auto" and "oracle" take ``L_m_exact`` or ``k_m_exact`` at every
-    rung that has it; elsewhere "auto" takes ``L_m_oracle`` at an L rung
-    inside the guard, else the estimate, and "oracle" takes ``L_m_oracle``,
-    refusing L rungs past the guard and k rungs.  Mode "estimate" takes
-    ``L_m_estimate`` or ``k_m_estimate``: the exact route, else the oracle,
-    at a rung inside the guard whose budget is None or at least 5^m (for k
-    only at m = d, under the default guard), else the search.
+    Every rung's route is chosen before any oracle or search runs.  Modes
+    "auto" and "oracle" take ``L_m_exact`` or ``k_m_exact`` wherever it
+    exists, at any m.  Elsewhere an L rung takes ``L_m_oracle`` inside the
+    guard; past it "auto" searches (``L_m_estimate``).  Mode "estimate" takes
+    ``L_m_estimate`` at every L rung.  "auto" and "estimate" take
+    ``k_m_estimate`` at a k rung below d, and at m = d, where k_d = L_d,
+    ``L_m_estimate`` under the ladder's guard.  Mode "oracle" refuses every
+    other rung, naming the first.
 
     A witness valid at support m stays valid at every larger support, so each
     rung reports the running maximum; ladder values are therefore
@@ -886,23 +888,24 @@ def lb_ladder(
     check_budget(budget, ConditionalityError)
     guard = check_int(guard, 1, math.inf, ConditionalityError, "guard")
     ms = [check_m(m, b.d, ConditionalityError) for m in ms]
-    over = [m for m in ms if m > guard]
-    if mode == "oracle" and kind == "L" and over:
-        raise ConditionalityError(f"oracle refused: m={over[0]} exceeds guard {guard}")
-    out, carry = [], None  # the (value, witness) of the last strict gain
+    routes = []  # per rung, the call that gives its (value, witness)
     for m in ms:
         exact = None if mode == "estimate" else (L_m_exact if kind == "L" else k_m_exact)(b, m)
         if exact is not None:
-            val, wit = exact
-        elif kind == "k" and mode == "oracle":
-            raise ConditionalityError(f"oracle refused: the k rung m={m} has no exact route "
-                                      f"on {b.label}")
-        elif kind == "k":
-            val, wit = k_m_estimate(b, m, budget=budget, seed=seed)
-        elif mode == "oracle" or (mode == "auto" and m <= guard):
-            val, wit = L_m_oracle(b, m, guard=guard)
+            routes.append(lambda exact=exact: exact)
+        elif mode == "oracle" and (kind == "k" or m > guard):
+            why = f" and exceeds guard {guard}" if kind == "L" else ""
+            raise ConditionalityError(f"oracle refused: the {kind} rung m={m} has no exact route "
+                                      f"on {b.label}{why}")
+        elif kind == "k" and m < b.d:
+            routes.append(partial(k_m_estimate, b, m, budget=budget, seed=seed))
+        elif kind == "L" and mode != "estimate" and m <= guard:
+            routes.append(partial(L_m_oracle, b, m, guard=guard))
         else:
-            val, wit = L_m_estimate(b, m, budget=budget, seed=seed, guard=guard)
+            routes.append(partial(L_m_estimate, b, m, budget=budget, seed=seed, guard=guard))
+    out, carry = [], None  # the (value, witness) of the last strict gain
+    for m, route in zip(ms, routes):
+        val, wit = route()
         if carry is None or val > carry[0]:
             carry = (val, wit)
         elif carry[0] > val:

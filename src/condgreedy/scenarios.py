@@ -150,7 +150,7 @@ def _fit_finish(name, b: BasisTruncation, ladder, checks: _Checks, target: Growt
 
 def _run_unit_control(budget, seed):
     b = unit_vector_system(16, Lp(2.0))
-    ladder = lb_ladder(b, (2, 4, 8, 16), kind="L", mode="oracle", guard=16)
+    ladder = lb_ladder(b, (2, 4, 8, 16), kind="L", mode="oracle")
     checks = _Checks()
     dev = max(abs(val - 1.0) for _, val, _ in ladder)
     checks.add("constant-one", dev <= _ABS_TOL, f"max |L_m - 1| = {dev:.2e}")

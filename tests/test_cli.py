@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -182,7 +183,8 @@ def test_constants_bad_ladder(capsys):
     ("difference:8", ["--m", "2..20"], "m must lie in 1..8, got 9"),
     ("difference:8", ["--m", "0..3"], "m must lie in 1..8, got 0"),
     ("difference:8", ["--m", "4,2"], "strictly increasing"),
-    ("difference:8", ["--m", "2..5", "--oracle", "--guard", "3"], "exceeds guard 3"),
+    ("pqhalf(lindenstrauss,dims=2^1..2^3,p=1,q=1)", ["--m", "12,13", "--oracle"],
+     "exceeds guard 12"),
     ("lindenstrauss:16", ["--m", "2,20", "--kind", "k"], "got 20"),
 ], ids=["empty oracle", "empty", "beyond d", "zero", "descending list", "beyond guard", "k beyond d"])
 def test_constants_bad_ladder_is_usage_error(basis, args, message, capsys):
@@ -216,9 +218,8 @@ def test_constants_rejects_nonpositive_guard(guard, capsys):
 
 
 @pytest.mark.parametrize("args,flag", [
-    (["--kind", "k", "--guard", "1"], "--guard"),
     (["--oracle", "--budget", "7"], "--budget"),
-], ids=["k guard", "oracle budget"])
+], ids=["oracle budget"])
 def test_constants_ignored_flag_is_usage_error(args, flag, capsys):
     rc = main(["constants", "--basis", "difference:8", "--m", "2,3", *args])
     assert rc == 2
@@ -227,18 +228,34 @@ def test_constants_ignored_flag_is_usage_error(args, flag, capsys):
     assert f"{flag} has no effect" in captured.err
 
 
-def test_constants_k_guard_message_names_the_route_of_the_last_rung(capsys):
-    # every k rung takes the exact route here; where none exists a rung below
-    # d searches and the rung m = d is L_d under the default guard, so a
-    # --guard could reach no rung
-    assert main(["constants", "--basis", "difference:6", "--kind", "k", "--m", "2..6"]) == 0
-    methods = [line.split(",")[2] for line in _csv_lines(capsys.readouterr().out)[1:]]
-    assert methods == ["exact"] * 5
-    assert main(["constants", "--basis", "difference:6", "--kind", "k", "--m", "2..6",
-                 "--guard", "6"]) == 2
-    err = capsys.readouterr().err
-    assert "a k rung takes the exact route where the basis has one" in err
-    assert "the rung m = d takes the L route under the default guard 12" in err
+def test_constants_guard_reaches_the_k_rung_m_equal_d(capsys):
+    # k_9 = L_9 on this d = 9 basis, which has no exact route: inside the
+    # guard the rung takes the oracle, past it the search
+    spec = "pqhalf(summing,dims=2..4,p=1,q=1)"
+    methods = {}
+    for guard in ([], ["--guard", "8"]):
+        assert main(["constants", "--basis", spec, "--kind", "k", "--m", "9", *guard]) == 0
+        methods[len(guard)] = _csv_lines(capsys.readouterr().out)[1].split(",")[2]
+    assert methods[0] == "oracle" and methods[2] in ("template", "random")
+
+
+def test_constants_oracle_takes_the_exact_route_past_the_guard(capsys):
+    assert main(["constants", "--basis", "difference:20", "--m", "2..20", "--oracle"]) == 0
+    rows = [line.split(",")[:3] for line in _csv_lines(capsys.readouterr().out)[1:]]
+    assert rows == [[str(m), str(m), "exact"] for m in range(2, 21)]
+
+
+def test_readme_constants_example_is_the_cli_output(capsys):
+    # the rows README shows for its constants example, before and after its "..."
+    command = "condgreedy constants --basis difference:8 --m 2..8 --oracle"
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    shown = readme.split(f"{command}\n```\n\n```\n", 1)[1].split("\n```", 1)[0].split("\n")
+    cut = shown.index("...")
+    assert shown[:2] == ["m,lb,method,delta_m", "2,2,exact,1"] and shown[-1] == "8,8,exact,3"
+    assert main(command.split()[1:]) == 0
+    lines = _csv_lines(capsys.readouterr().out)
+    assert lines[:cut] == shown[:cut]
+    assert lines[len(lines) - len(shown) + cut + 1:] == shown[cut + 1:]
 
 
 def test_constants_target_forms_match_config_parser(capsys):
@@ -391,6 +408,22 @@ def test_experiment_config_pass(tmp_path, capsys):
     assert rc == 0
     assert "diffcheck: PASS" in capsys.readouterr().out
     assert (out / "diffcheck-ladder.csv").exists()
+
+
+def test_experiment_config_manifest_records_each_section_seed(tmp_path, capsys):
+    # the manifest once read the --seed, which no section ran at
+    cfg = tmp_path / "c.ini"
+    cfg.write_text("[scenario:a]\nrecipe = difference:8\nladder = 2..8\nseed = 11\n"
+                   "[scenario:b]\nrecipe = summing:8\nladder = 2..8\n", encoding="utf-8")
+    out = tmp_path / "r"
+    assert main(["experiment", "--config", str(cfg), "--seed", "7", "--out", str(out),
+                 "--no-timestamp"]) == 0
+    capsys.readouterr()
+    meta = json.loads((out / "manifest.json").read_text())["meta"]
+    assert meta["seed"] == {"a": 11, "b": 0xC0FFEE}
+    for name in meta["seed"]:
+        report = json.loads((out / f"{name}-report.json").read_text())
+        assert report["meta"]["seed"] == meta["seed"][name]
 
 
 def test_experiment_config_failing_fit_exits_one(tmp_path, capsys):

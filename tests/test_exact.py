@@ -271,11 +271,61 @@ def test_auto_ladder_is_exact_past_the_guard():
             (v, "exact") for v in (1.25, 2.0, 2.0625, 3.0, 3.015625)]
 
 
-def test_oracle_ladder_takes_the_exact_route_and_keeps_its_guard():
-    b = parse_basis("interleave(difference:5,unit:5@lp:2)")
-    assert {w.kind for _, _, w in lb_ladder(b, range(2, 11), mode="oracle", guard=10)} == {"exact"}
-    with pytest.raises(cond_mod.ConditionalityError, match="exceeds guard 4"):
-        lb_ladder(b, (2, 6), mode="oracle", guard=4)
+PQ14 = "pqhalf(lindenstrauss,dims=2^1..2^3,p=1,q=1)"  # d = 14, no exact route
+ROUTE_GUARD = 4
+# the route of one rung under guard 4 and no budget, at m = 3 (inside the
+# guard), 5 (past it) and d; "search" is a witness of kind template or random
+ROUTES = [
+    ("auto", "L", "difference:20", ("exact", "exact", "exact")),
+    ("auto", "k", "difference:20", ("exact", "exact", "exact")),
+    ("oracle", "L", "difference:20", ("exact", "exact", "exact")),
+    ("oracle", "k", "difference:20", ("exact", "exact", "exact")),
+    ("estimate", "L", "difference:20", ("exact", "search", "search")),
+    ("estimate", "k", "difference:20", ("search", "search", "search")),
+    ("auto", "L", PQ14, ("oracle", "search", "search")),
+    ("auto", "k", PQ14, ("search", "search", "search")),
+    ("oracle", "L", PQ14, ("oracle", "refused", "refused")),
+    ("oracle", "k", PQ14, ("refused", "refused", "refused")),
+    ("estimate", "L", PQ14, ("oracle", "search", "search")),
+    ("estimate", "k", PQ14, ("search", "search", "search")),
+]
+
+
+@pytest.mark.parametrize("mode,kind,spec,rung,route", [
+    pytest.param(mode, kind, spec, rung, route, id=f"{mode}-{kind}-{spec.split('(')[0]}-{rung}")
+    for mode, kind, spec, routes in ROUTES
+    for rung, route in zip(("inside", "past", "d"), routes)])
+def test_ladder_route_rule(mode, kind, spec, rung, route):
+    b = parse_basis(spec)
+    m = {"inside": 3, "past": 5, "d": b.d}[rung]
+    try:
+        [(_, _, w)] = lb_ladder(b, (m,), kind=kind, mode=mode, seed=1, guard=ROUTE_GUARD)
+    except cond_mod.ConditionalityError as exc:
+        why = "" if kind == "k" else f" on {b.label} and exceeds guard {ROUTE_GUARD}"
+        assert f"the {kind} rung m={m} has no exact route{why}" in str(exc)
+        assert route == "refused"
+    else:
+        assert {"template": "search", "random": "search"}.get(w.kind, w.kind) == route
+
+
+def test_refused_oracle_ladder_runs_no_oracle(monkeypatch):
+    # every rung is routed before the first runs: the first refused one is
+    # named and the rungs before it never reach the oracle
+    calls = []
+    real = cond_mod.L_m_oracle
+    monkeypatch.setattr(cond_mod, "L_m_oracle", lambda *a, **k: calls.append(a) or real(*a, **k))
+    pq = parse_basis(PQ14)
+    with pytest.raises(cond_mod.ConditionalityError, match="m=13 has no exact route.*exceeds guard 12"):
+        lb_ladder(pq, (2, 13), mode="oracle")
+    with pytest.raises(cond_mod.ConditionalityError, match="the k rung m=2 has no exact route"):
+        lb_ladder(pq, (2, 3), kind="k", mode="oracle")
+    assert calls == []
+    # an exact route is taken at any m, past the default guard too
+    ladder = lb_ladder(parse_basis("difference:20"), range(2, 21), mode="oracle")
+    assert [(m, v, w.kind) for m, v, w in ladder] == [(m, m, "exact") for m in range(2, 21)]
+    assert [(m, w.kind) for m, _, w in lb_ladder(pq, (2, 3), mode="oracle")] == [
+        (2, "oracle"), (3, "oracle")]
+    assert len(calls) == 2
 
 
 def test_estimate_and_k_ladders_and_routeless_bases_still_search():
