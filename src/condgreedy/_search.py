@@ -137,7 +137,7 @@ scale_moves.predicted = 0  # the halving: the quasi-greedy ascent takes 77 % of 
 
 def _climb(rec: list, moves, width: list):
     """One start of ``ascend``: yields its windows (None when done), takes back (ratios,
-    payload, offset, call size), keeps rec = [ratio, a, (payload, row), call size] current."""
+    payload, offset), keeps rec = [ratio, a, (payload, row)] current."""
     guess = [moves.predicted] * rec[1].size  # the first sweep's prior
     for _ in range(MAX_SWEEPS):
         a = rec[1].tolist()  # a move at coordinate j leaves a[i] for i > j as it was
@@ -167,12 +167,12 @@ def _climb(rec: list, moves, width: list):
                 rows[r, i] = v
                 if taken:
                     rows[r + 1 :, i] = v
-            ratios, payload, off, size = yield rows
+            ratios, payload, off = yield rows
             for h, m in enumerate(path, off):
                 i, v, taken, move = cands[m]
                 gain = ratios[h] >= rec[0] + ASCENT_TOL
                 if gain:
-                    rec[:], improved = (ratios[h], rows[h - off], (payload, h), size), True
+                    rec[:], improved = (ratios[h], rows[h - off], (payload, h)), True
                     guess[i] = move if (a[i] == 0.0) == (v == 0.0) else None
                 if gain != taken:  # go on where the scalar loop goes on
                     k = past[i] if gain else m + 1
@@ -203,12 +203,12 @@ def ascend(starts, score, moves, cost) -> list:
     up to its first wrong prediction, so for a batch-invariant scorer every
     trajectory is that of one candidate per call, whatever the predictions.
     BLAS may round a row differently with its batch, which can only turn a
-    gain within rounding of ASCENT_TOL; a final vector scored beside other
-    rows is scored again alone.
+    gain within rounding of ASCENT_TOL; each returned ratio is the one its
+    window scored.
     """
     a = np.array(starts, dtype=np.float64)
     ratios, payload = score(a)
-    recs = [[r, a[s], (payload, s), len(a)] for s, r in enumerate(ratios.tolist())]
+    recs = [[r, a[s], (payload, s)] for s, r in enumerate(ratios.tolist())]
     total, width = max(1, BATCH_ENTRIES // cost), [1]  # width: candidates per window
     climbs = [_climb(rec, moves, width) for rec in recs if payload(rec[2][1]) is not None]
     width[0] = max(1, total // max(1, len(climbs)))
@@ -219,14 +219,10 @@ def ascend(starts, score, moves, cost) -> list:
         ratios, width[0] = ratios.tolist(), max(1, total // len(live))
         windows, live, off = live, [], 0
         for c, rows in windows:
-            if (nxt := c.send((ratios, payload, off, len(ratios)))) is not None:
+            if (nxt := c.send((ratios, payload, off))) is not None:
                 live.append((c, nxt))
             off += len(rows)
-    for rec in recs:
-        if rec[3] > 1:
-            ratios, payload = score(rec[1][None])
-            rec[0], rec[2] = float(ratios[0]), (payload, 0)
-    return [(cur, a, payload(h)) for cur, a, (payload, h), _ in recs]
+    return [(cur, a, payload(h)) for cur, a, (payload, h) in recs]
 
 
 def digit_rows(start: int, stop: int, n_digits: int, base: int) -> np.ndarray:

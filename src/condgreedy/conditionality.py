@@ -37,7 +37,9 @@ coefficient rows against a family of sets, as ``_block_best`` does, in one
 the oracle's leader pick and the grid kernel come from ``_search``.  Both
 estimates share one body, ``_seeded_search``, and one block body,
 ``_block_best`` then ``_block_ascent``.  Every estimator, the greedy ones
-too, builds its result in one record, ``_Best``.
+too, builds its result in one record, ``_Best``, the one scorer of every
+reported value: search values only choose the witnesses it is offered, and
+it reports each one's ``verify_witness`` ratio.
 
 Estimates are reproducible for fixed (inputs, seed), and never decrease
 when the budget grows with the seed held fixed.
@@ -47,7 +49,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -193,7 +195,8 @@ def sa_ratio(b: BasisTruncation, coeffs, indices) -> float:
 def verify_witness(b: BasisTruncation, w: Witness) -> float:
     """Recompute the witness ratio from scratch (same norm pipeline) on the
     sets (A, every index) of the projection kinds, (not A, every index) of
-    quasi-greedy or (not A, not B) of almost-greedy."""
+    quasi-greedy or (not A, not B) of almost-greedy; ConditionalityError
+    unless a greedy witness has A greedy for f and |B| <= |A|."""
     a = check_coeffs(w.coeffs, b.d, ConditionalityError)
     if (w.b_indices is None) == (w.kind == "almost-greedy"):
         raise ConditionalityError(f"B = {w.b_indices!r} on a {w.kind!r} witness: "
@@ -202,7 +205,13 @@ def verify_witness(b: BasisTruncation, w: Witness) -> float:
     if w.kind in ("exact", "oracle", "template", "random"):
         sets = [A, np.ones(b.d)]
     elif w.kind in ("quasi-greedy", "almost-greedy"):  # quasi-greedy: B = () keeps f whole
-        sets = [1.0 - A, 1.0 - _mask(b.d, w.b_indices or ())]
+        B, mags = _mask(b.d, w.b_indices or ()), np.abs(a)
+        if mags[A > 0.5].min(initial=math.inf) < mags[A < 0.5].max(initial=0.0):  # ties allowed
+            raise ConditionalityError(f"A = {w.indices!r} is not greedy for f: min over A of |a| "
+                                      "is below the max outside A")
+        if B.sum() > A.sum():
+            raise ConditionalityError(f"|B| = {int(B.sum())} exceeds |A| = {int(A.sum())}")
+        sets = [1.0 - A, 1.0 - B]
     else:
         raise ConditionalityError(f"unknown witness kind {w.kind!r}")
     return float(_set_ratios(b, a[None], np.array([sets]))[0])
@@ -270,29 +279,26 @@ def _mask_to_set(mask_row) -> tuple:
 
 
 class _Best:
-    """The running (ratio, coefficients, A[, B]) of every estimator: from the
-    floor ratio 1 of f = e_1 with the set ``A`` (B = () for almost-greedy), or
-    from a given ``ratio`` and ``coeffs``; ``offer`` takes only strict gains."""
+    """The running witness of every estimator, from f = ``coeffs`` (the floor
+    e_1) with the set ``A`` (B = () for almost-greedy): ``offer`` builds a
+    Witness, scores it with ``verify_witness`` (which raises on an f that
+    vanishes) and keeps it on a strict gain."""
 
-    def __init__(self, d: int, kind: str, A=(), ratio: float = 1.0, coeffs=(1.0,)):
-        self.d, self.ratio = d, -math.inf
-        self.offer(ratio, coeffs, A, kind, () if kind == "almost-greedy" else None)
+    def __init__(self, b: BasisTruncation, kind: str, A=(), coeffs=(1.0,)):
+        self.b, self.kind, self.ratio = b, kind, -math.inf
+        self.offer(coeffs, A, b_indices=() if kind == "almost-greedy" else None)
 
-    def offer(self, ratio: float, coeffs, A, kind: str | None = None, b_indices=None):
-        if ratio <= self.ratio:
-            return
-        self.ratio = float(ratio)
-        self.coeffs = np.asarray(coeffs, dtype=np.float64).copy()
-        self.indices = tuple(sorted(int(i) for i in A))
-        self.b_indices = None if b_indices is None else tuple(sorted(int(i) for i in b_indices))
-        self.kind = kind or self.kind
+    def offer(self, coeffs, A, kind: str | None = None, b_indices=None):
+        B = None if b_indices is None else tuple(sorted(int(i) for i in b_indices))
+        w = Witness(tuple(_pad_to(np.asarray(coeffs, dtype=np.float64), self.b.d).tolist()),
+                    tuple(sorted(int(i) for i in A)), math.nan, kind or self.kind, B)
+        ratio = verify_witness(self.b, w)
+        if ratio > self.ratio:
+            self.ratio, self.witness = ratio, replace(w, ratio=ratio)
 
     def result(self) -> tuple:
-        """(ratio, Witness) with the coefficients padded to d."""
-        padded = np.zeros(self.d)
-        padded[: self.coeffs.size] = self.coeffs
-        return self.ratio, Witness(tuple(padded.tolist()), self.indices, self.ratio, self.kind,
-                                   self.b_indices)
+        """(ratio, Witness)."""
+        return self.ratio, self.witness
 
 
 # ---------------------------------------------------------------------------
@@ -308,9 +314,9 @@ def L_m_oracle(b: BasisTruncation, m: int, guard: int = DEFAULT_GUARD):
     (``_oracle_grid``).  Where every synthesised coordinate is exact, as on
     the shipped recipes, its best equals that of synthesising every (f, A)
     pair.  Otherwise BLAS may round a row differently with the batch it
-    sits in, and they agree to a few ulps, well inside the 1e-12 to which a
-    witness re-verifies.  For larger m the reduced tier samples
-    REDUCED_PAIRS pairs and cuts each batch to its own leaders.
+    sits in, and they agree to a few ulps; either way the grid only picks
+    the witness, and ``_Best`` scores it.  For larger m the reduced tier
+    samples REDUCED_PAIRS pairs and cuts each batch to its own leaders.
     """
     m = check_m(m, b.d, ConditionalityError)
     guard = check_int(guard, 1, math.inf, ConditionalityError, "guard")
@@ -318,7 +324,7 @@ def L_m_oracle(b: BasisTruncation, m: int, guard: int = DEFAULT_GUARD):
         raise ConditionalityError(f"oracle refused: m={m} exceeds guard {guard}")
     p = b.prefix(m)
     masks = all_subset_masks(m)
-    best = _Best(b.d, "oracle", range(1, m + 1))  # A = {1..m} reproduces f = e_1 itself
+    best = _Best(b, "oracle", range(1, m + 1))  # A = {1..m} reproduces f = e_1 itself
     leaders = []  # (ratios, rows) pieces in offer order
 
     # structured profiles at every support size (keeps the values monotone in m)
@@ -330,13 +336,13 @@ def L_m_oracle(b: BasisTruncation, m: int, guard: int = DEFAULT_GUARD):
             r, mi = ratios[0], payload(0)
             if mi is not None:
                 a_full = _pad_to(a_s, m)
-                best.offer(r, a_full, _mask_to_set(masks_s[mi]))
+                best.offer(a_full, _mask_to_set(masks_s[mi]))
                 leaders.append(([r], a_full[None]))
 
     # recipe templates, swept over the same support sizes in one batch
     pairs = [pair for s in range(1, m + 1) for pair in template_pairs(b.recipe, b.d, s)]
     for r, (a_t, A_t) in zip(_pair_ratios(b, pairs), pairs):
-        best.offer(r, a_t[:m], A_t)
+        best.offer(a_t, A_t)
         leaders.append(([r], a_t[None, :m]))
 
     # joint coefficient/membership grid
@@ -350,16 +356,16 @@ def L_m_oracle(b: BasisTruncation, m: int, guard: int = DEFAULT_GUARD):
             nums, dens = p.ratio_norms(coefs, inmask[:, None, :])
             ratios = guarded_ratio(nums[:, 0], dens)
             i = int(np.argmax(ratios))
-            best.offer(ratios[i], coefs[i], _mask_to_set(inmask[i]))
+            best.offer(coefs[i], _mask_to_set(inmask[i]))
             kept = np.flatnonzero(dens > TINY)
             sel = kept[top_positions(ratios[kept], ORACLE_TOPK)]
             leaders.append((ratios[sel], coefs[sel]))
 
     # ascent from the distinct leaders, rescanning all subsets each step
     for a_start in distinct_leaders(leaders, ORACLE_TOPK):
-        r, a_fin, mi = _ascend(p, a_start, masks)
+        _, a_fin, mi = _ascend(p, a_start, masks)
         if mi is not None:
-            best.offer(r, a_fin, _mask_to_set(masks[mi]))
+            best.offer(a_fin, _mask_to_set(masks[mi]))
 
     return best.result()
 
@@ -375,7 +381,7 @@ def _oracle_grid(p: BasisTruncation, best: _Best, leaders: list):
     codes, subs, ratios = sign_leaders(sign_table(p.synth_norms, m), m, ORACLE_TOPK, residual=False)
     rows = sign_row(codes, m)
     if codes.size:
-        best.offer(ratios[0], rows[0], np.flatnonzero(sign_row(subs[0], m)) + 1)
+        best.offer(rows[0], np.flatnonzero(sign_row(subs[0], m)) + 1)
     leaders.append((ratios, rows))
 
 
@@ -394,20 +400,20 @@ def _seeded_search(b: BasisTruncation, p: BasisTruncation, floor_set, sets, foun
     ceil(budget / BLOCK) random blocks ``block_fn(sets, i)``.
     """
     m = p.d
-    best = _Best(b.d, "random", floor_set)
+    best = _Best(b, "random", floor_set)
     if found is not None:
         _, a_t, A_t, _ = found
-        best.offer(_pair_ratios(b, [(a_t, A_t)])[0], a_t[:m], A_t, kind="template")
+        best.offer(a_t, A_t, kind="template")
         sets = np.unique(np.vstack([sets, _mask(m, A_t)]), axis=0)
 
     # deterministic ascent from the best template before spending the budget
-    r, a_fin, si = _ascend(p, _pad_to(best.coeffs, m), sets)
-    best.offer(r, a_fin, _mask_to_set(sets[si]), kind="random")
+    _, a_fin, si = _ascend(p, np.array(best.witness.coeffs[:m]), sets)
+    best.offer(a_fin, _mask_to_set(sets[si]))
 
     n_blocks = math.ceil((DEFAULT_BUDGET if budget is None else budget) / BLOCK)
-    val, payload = parallel_block_max(lambda i: block_fn(sets, i), n_blocks)
+    _, payload = parallel_block_max(lambda i: block_fn(sets, i), n_blocks)
     if payload is not None:
-        best.offer(val, payload[0], _mask_to_set(payload[1]), kind="random")
+        best.offer(payload[0], _mask_to_set(payload[1]))
     return best.result()
 
 
@@ -688,10 +694,10 @@ def _exact_witness(b: BasisTruncation, n: int, c: int, name: str):
     if found is None or not found[3]:
         return None
     value, coeffs, A, _ = found
-    ratio = float(_pair_ratios(b, [(coeffs, A)])[0])
-    if ratio != float(value):
-        raise ArithmeticError(f"exact {name} = {value} but its witness scores {ratio!r}")
-    return _Best(b.d, "exact", A, ratio, coeffs).result()
+    best = _Best(b, "exact", A, coeffs)
+    if best.ratio != float(value):
+        raise ArithmeticError(f"exact {name} = {value} but its witness scores {best.ratio!r}")
+    return best.result()
 
 
 def L_m_exact(b: BasisTruncation, m: int):

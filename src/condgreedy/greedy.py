@@ -25,35 +25,35 @@ Estimator tiers, chosen by the basis length d:
 The block sampler, the greedy order, the ascent and the block maximum are
 the shared search engine of ``_search``; the ascent objective is ``_qg_ratios``.
 
-The quasi-greedy random tier scores the d+1 canonical greedy prefixes of a
-row with one of two evaluators, chosen by the basis alone.
+The random tiers score the d+1 canonical greedy prefixes of a row with
+one of two evaluators, chosen by the basis alone (``_prefix_residuals``).
 ``_swept_ratios`` is an event sweep in O(nnz) per row; it applies when the
 ambient norm is a plain l1 sum (``Lp(1)``, or a ``MixedSum`` with
 ``outer_q == 1`` over such blocks) and every ambient row of the columns
 touches at most two of them (``BasisTruncation.l1_pairs``): Lindenstrauss,
 difference, unit@lp:1 and their p=1 block sums; every other basis uses the
-dense ``_prefix_residual_ratios``.  The sweep only selects: the block
-winner and the ascent's final vector are scored again densely, so every
-reported value and every value compared with one is dense.  The
-almost-greedy random tiers (d > 8) take their numerators from the dense
-prefix residual norms, fill one (rows x d+1) denominator matrix per block
-(``_ag_denominators``) and select the winning (row, m) by one scan
-(``_last_gain``).  On an ``l1_pairs`` basis the norm of f restricted to a
-set is a quadratic form in the set's 0/1 mask (``_kept_norms_form``), so
-the 2^d exact denominators of a chunk of rows are one matrix product.  Here
-too the matrix only selects: the winner's candidate sets are scored again
-densely, alone, and ``_min_denominators`` (the minimum over |B| <= t, and
-the minimising B) gives the reported value, A and B.
+dense ``_prefix_residual_ratios``.  The almost-greedy random tiers (d > 8)
+take their numerators from those prefix residuals, fill one (rows x d+1)
+denominator matrix per block (``_ag_denominators``) and select the winning
+(row, m) by one scan (``_last_gain``).  On an ``l1_pairs`` basis the norm
+of f restricted to a set is a quadratic form in the set's 0/1 mask
+(``_kept_norms_form``), so the 2^d exact denominators of a chunk of rows
+are one matrix product.  The matrix only selects: the winner's candidate
+sets are scored again densely, alone, and ``_min_denominators`` (the
+minimum over |B| <= t, and the minimising B) finds B.
 
-Every dense norm of a row restricted to a set (prefix residuals, the block
-heads' drop rounds, re-scores, the winners' candidate sets) comes from
+Every dense norm of a row restricted to a set (dense prefix residuals, the
+block heads' drop rounds, the winners' candidate sets) comes from
 ``BasisTruncation.kept_norms`` or ``ratio_norms``; only the sign tables and
 phi_m, which restrict nothing, call ``synth_norms``.
 
 Every tier builds its result in ``conditionality._Best`` from the floor
-f = e_1, A = B = (); the sign-vector tiers offer only a gain of more than
-TINY, which also decides when the winner is decoded.  All reported values are
-running-max lower bounds and are reproducible for a fixed seed.
+f = e_1, A = B = ().  The search values only choose the witness it is
+offered; ``_Best`` scores that witness with ``verify_witness``, which also
+checks that A is greedy for f and |B| <= |A|, and reports that score.  The
+sign-vector tiers offer only a gain of more than TINY, which also decides
+when the winner is decoded.  All reported values are running-max lower
+bounds and are reproducible for a fixed seed.
 """
 
 from __future__ import annotations
@@ -170,12 +170,12 @@ def _qg_exhaustive(b: BasisTruncation):
     every ratio (``_search.sign_leaders``).
     """
     d = b.d
-    best = _Best(d, "quasi-greedy")
+    best = _Best(b, "quasi-greedy")
     table = _search.sign_table(b.synth_norms, d)
     codes, res, ratios = _search.sign_leaders(table, d, 1, residual=True)
     if codes.size and ratios[0] > best.ratio + TINY:
         f = _search.sign_row(codes[0], d)
-        best.offer(ratios[0], f, np.flatnonzero(f != _search.sign_row(res[0], d)) + 1)
+        best.offer(f, np.flatnonzero(f != _search.sign_row(res[0], d)) + 1)
     return best.result()
 
 
@@ -205,19 +205,16 @@ def _swept_ratios(b: BasisTruncation, rows: np.ndarray):
     return guarded_ratio(resid, resid[:, 0]), order, resid
 
 
-def _dense_ratio(b: BasisTruncation, row: np.ndarray, k: int) -> float:
-    """||f - S_A f|| / ||f|| for the canonical greedy prefix A of length k:
-    one ``kept_norms`` call on (the complement of A, every index)."""
-    kept = np.ones((2, b.d), dtype=bool)
-    kept[0, greedy_order(row)[:k]] = False
-    return float(guarded_ratio(*b.kept_norms(row[None], kept)[0]))
+def _prefix_residuals(b: BasisTruncation, rows: np.ndarray):
+    """The canonical-prefix residuals of ``rows``: ``_swept_ratios`` on an
+    ``l1_pairs`` basis, else ``_prefix_residual_ratios``."""
+    return (_prefix_residual_ratios if b.l1_pairs is None else _swept_ratios)(b, rows)
 
 
 def _qg_ratios(b: BasisTruncation, rows: np.ndarray):
     """Batch ascent objective: the best canonical-prefix residual ratio of
     each row, and a payload k -> that prefix of row k as a 1-based set."""
-    evaluate = _prefix_residual_ratios if b.l1_pairs is None else _swept_ratios
-    ratios, order, _ = evaluate(b, rows)
+    ratios, order, _ = _prefix_residuals(b, rows)
     best = ratios.argmax(axis=1)
     return ratios[np.arange(best.size), best], lambda k: tuple(
         sorted(int(j) + 1 for j in order[k, : best[k]]))
@@ -233,8 +230,7 @@ def _qg_block_head(b: BasisTruncation, seed: int, block_i: int):
     rows = sample_block(rng, b.d, keep=0.85)
     ratios, prefix = _qg_ratios(b, rows)
     i = int(np.argmax(ratios))
-    pair = (rows[i].copy(), prefix(i))
-    best = float(ratios[i]) if b.l1_pairs is None else _dense_ratio(b, rows[i], len(pair[1]))
+    best, pair = float(ratios[i]), (rows[i].copy(), prefix(i))
     signs = rows[BLOCK // 2 :]
     drops = rng.random((4,) + signs.shape) < 0.5  # the kept sets of the four rounds
     nums, full = b.ratio_norms(signs, drops.transpose(1, 0, 2))
@@ -267,11 +263,11 @@ def quasi_greedy_constant_lb(
     # windows save more in calls than their rows scored past a wrong prediction cost)
     cost = (d + 1) * b.ambient_dim if b.l1_pairs is None else b.l1_pairs[0].size
     climbs = ascend([p[0] for _, p in heads], lambda rows: _qg_ratios(b, rows), scale_moves, cost)
-    tails = [(_dense_ratio(b, a, len(A)), (a, A)) for _, a, A in climbs]  # reported densely
-    best = _Best(d, "quasi-greedy")
-    val, (a, A) = _search.parallel_block_max(
+    tails = [(r, (a, A)) for r, a, A in climbs]
+    best = _Best(b, "quasi-greedy")
+    _, (a, A) = _search.parallel_block_max(
         lambda i: tails[i] if tails[i][0] > heads[i][0] else heads[i], len(heads))
-    best.offer(val, a, A)
+    best.offer(a, A)
     return best.result()
 
 
@@ -289,7 +285,7 @@ def _ag_exhaustive(b: BasisTruncation):
     keeps its first best A, ``_last_gain`` carries the winner across chunks
     and ``_min_denominators`` gives its B (the last B code among ties)."""
     d = b.d
-    best = _Best(d, "almost-greedy")
+    best = _Best(b, "almost-greedy")
     table = _search.sign_table(b.synth_norms, d)
     subsets, sizes, by_size, starts = _subsets_by_size(d)
     kept = (1 - subsets.T).astype(np.int64) * 3 ** np.arange(d)[:, None]  # sub-code of f kept off X
@@ -304,9 +300,8 @@ def _ag_exhaustive(b: BasisTruncation):
         hit = _last_gain(nrm[rows, a, None], denom[rows, sizes[a], None], best.ratio)
         if hit >= 0:
             A, cand = a[hit], np.flatnonzero(outside[hit] == 0)[::-1]  # B in the support, last first
-            low, first = _min_denominators(nrm[hit, cand], sizes[cand], d)
-            best.offer(nrm[hit, A] / low[sizes[A]], _search.sign_row(start + hit, d),
-                       np.flatnonzero(subsets[A]) + 1,
+            _, first = _min_denominators(nrm[hit, cand], sizes[cand], d)
+            best.offer(_search.sign_row(start + hit, d), np.flatnonzero(subsets[A]) + 1,
                        b_indices=np.flatnonzero(subsets[cand[first(sizes[A])]]) + 1)
     return best.result()
 
@@ -420,14 +415,15 @@ def _ag_random_block(b: BasisTruncation, seed: int, block_i: int, exact_denom: b
 
     The denominators of the block fill one matrix and ``_last_gain``
     selects the winning (row, m); only the winner's family is scored again,
-    densely and alone, and gives the value, A and B.
+    densely and alone, to find B.  Returns the winner's ratio (which picks
+    the block maximum) and (row, A, B).
     """
     d = b.d
     rng = rng_stream(seed, "ag", block_i)
     mags = rng.uniform(0.5, 2.0, size=(BLOCK, d))
     sig = np.where(rng.random((BLOCK, d)) < 0.5, 1.0, -1.0)
     rows = mags * sig
-    _, order, resid = _prefix_residual_ratios(b, rows)  # ||f - S_{A_m} f|| for prefixes
+    _, order, resid = _prefix_residuals(b, rows)  # ||f - S_{A_m} f|| for prefixes
     extra = None if exact_denom else np.stack(
         [rng.random((32, d)) < rng.random((32, 1)) for _ in range(BLOCK)])
     hit = _last_gain(resid, _ag_denominators(b, rows, resid, extra))
@@ -457,19 +453,20 @@ def almost_greedy_constant_lb(
     ratio is a certified lower bound for its (f, A) pair.  For 8 < d each
     block selects its winner from a matrix of all its rows' denominators,
     built on ``l1_pairs`` bases (d <= 12) from a quadratic form in the
-    sets' masks, and reports the winner's dense norms.
+    sets' masks; the reported value is the ``verify_witness`` ratio of
+    the best block's witness.
     """
     budget = check_budget(budget, GreedyError, AG_DEFAULT_BUDGET)
     d = b.d
     if d <= AG_EXHAUSTIVE_MAX_D:
         return _ag_exhaustive(b)
     exact = d <= AG_EXACT_DENOM_MAX_D
-    val, payload = _search.parallel_block_max(
+    _, payload = _search.parallel_block_max(
         lambda i: _ag_random_block(b, seed, i, exact), math.ceil(budget / BLOCK)
     )
-    best = _Best(d, "almost-greedy")
+    best = _Best(b, "almost-greedy")
     if payload is not None:  # None when no block had a positive ratio
-        best.offer(val, payload[0], payload[1], b_indices=payload[2])
+        best.offer(payload[0], payload[1], b_indices=payload[2])
     return best.result()
 
 

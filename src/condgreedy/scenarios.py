@@ -38,6 +38,7 @@ from .bases import (
 from .conditionality import (
     GrowthReport,
     GrowthTarget,
+    L_m_exact,
     L_m_oracle,
     LINEAR_TARGET,
     LOG_TARGET,
@@ -262,8 +263,7 @@ def _run_blocksum_l1(budget, seed):
 
     worst = 0.0
     for r, dn in enumerate(dims, start=1):
-        m_w = min(dn, 8)
-        val, wit = L_m_oracle(base, m_w)
+        val, wit = L_m_exact(base, dn)
         a_in = np.asarray(wit.coeffs)[:dn]
         a2, A2 = block_embed_pair(a_in, wit.indices, dims, r)
         r2 = sa_ratio(bs, a2, A2)

@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from condgreedy import (
     L_m_estimate,
     L_m_oracle,
     Witness,
+    almost_greedy_constant_lb,
     block_embed_pair,
     democracy_ratio,
     difference,
@@ -31,6 +33,7 @@ from condgreedy import (
     k_m_exact,
     lb_ladder,
     lindenstrauss,
+    quasi_greedy_constant_lb,
     sa_ratio,
     summing,
     target_doubling,
@@ -48,6 +51,7 @@ from condgreedy._search import (
     TINY,
     _sweep_rank,
     digit_rows,
+    greedy_order,
     sign_rows,
 )
 from condgreedy.bases import external_basis, parse_basis
@@ -186,6 +190,56 @@ def test_verify_witness_rejects_b_on_other_kinds(kind, B):
         verify_witness(lindenstrauss(4), w)
 
 
+GREEDY_COEFFS = (2.0, -1.0, 0.5, -2.0, 1.0, 0.0)  # ties: |a_1| = |a_4|, |a_2| = |a_5|
+
+
+@pytest.mark.parametrize("kind", ["quasi-greedy", "almost-greedy"])
+@pytest.mark.parametrize("A", [(), (1,), (4,), (1, 4), (1, 2, 4), (1, 4, 5), (1, 2, 3, 4, 5),
+                               (1, 2, 3, 4, 5, 6)])
+def test_verify_witness_accepts_greedy_sets_with_ties(kind, A):
+    b = lindenstrauss(6)
+    w = Witness(GREEDY_COEFFS, A, 1.0, kind, () if kind == "almost-greedy" else None)
+    assert verify_witness(b, w) >= 0.0
+
+
+@pytest.mark.parametrize("kind", ["quasi-greedy", "almost-greedy"])
+@pytest.mark.parametrize("A", [(2,), (1, 2), (1, 2, 3), (1, 3, 4), (2, 4, 5), (1, 2, 3, 4, 6)])
+def test_verify_witness_rejects_a_set_that_is_not_greedy(kind, A):
+    # each A misses a coefficient larger than its own smallest one
+    b = lindenstrauss(6)
+    w = Witness(GREEDY_COEFFS, A, 1.0, kind, () if kind == "almost-greedy" else None)
+    with pytest.raises(ConditionalityError, match="not greedy for f"):
+        verify_witness(b, w)
+
+
+@pytest.mark.parametrize("A,B", [((), (1,)), ((1,), (2, 3)), ((1, 2, 4), (1, 2, 3, 6))])
+def test_verify_witness_rejects_b_larger_than_a(A, B):
+    b = lindenstrauss(6)
+    assert verify_witness(b, Witness(GREEDY_COEFFS, A, 1.0, "almost-greedy", B[1:])) > 0.0
+    with pytest.raises(ConditionalityError, match=f"[|]B[|] = {len(B)} exceeds [|]A[|] = {len(A)}"):
+        verify_witness(b, Witness(GREEDY_COEFFS, A, 1.0, "almost-greedy", B))
+
+
+@pytest.mark.parametrize("kind", ["quasi-greedy", "almost-greedy"])
+def test_mutated_estimator_witnesses_fail(kind):
+    # an estimator's own witness passes; A one short of greedy (its largest
+    # member swapped for the largest coefficient outside A) and |B| = |A| + 1 raise
+    b = lindenstrauss(14 if kind == "quasi-greedy" else 10)
+    run = quasi_greedy_constant_lb if kind == "quasi-greedy" else almost_greedy_constant_lb
+    val, w = run(b, budget=256, seed=1)
+    assert verify_witness(b, w) == val and w.indices
+    mags = np.abs(w.coeffs)
+    top = max(w.indices, key=lambda i: mags[i - 1])
+    out = max(set(range(1, b.d + 1)) - set(w.indices), key=lambda i: mags[i - 1])
+    assert mags[top - 1] > mags[out - 1]
+    with pytest.raises(ConditionalityError, match="not greedy for f"):
+        verify_witness(b, replace(w, indices=tuple(out if i == top else i for i in w.indices)))
+    if kind == "almost-greedy":
+        B = tuple(range(1, len(w.indices) + 2))
+        with pytest.raises(ConditionalityError, match="exceeds"):
+            verify_witness(b, replace(w, b_indices=B))
+
+
 def _restricted(a: np.ndarray, A) -> np.ndarray:
     """The old restriction: a copy of a on the 1-based indices A, zero elsewhere."""
     out = np.zeros_like(a)
@@ -197,19 +251,21 @@ def _restricted(a: np.ndarray, A) -> np.ndarray:
 @pytest.mark.parametrize("space", ["lp:1", "lp:3", "bv", "lorentz:p=2,q=1", "lp:inf"])
 def test_verify_witness_matches_restricted_rows_bitwise(space):
     # every kind is one kept_norms call on (numerator set, denominator set);
-    # the reference synthesises the rows S_A f, f - S_A f and f - S_B f
+    # the reference synthesises the rows S_A f, f - S_A f and f - S_B f.  The
+    # greedy kinds take the greedy set G of f of the size of A, and B cut to |G|
     b = _random_external(space, 9)
     rng = np.random.default_rng([8, len(space)])
     for _ in range(12):
         a = rng.standard_normal(9)
         A, B = (tuple(sorted(int(i) + 1 for i in rng.choice(9, size=k, replace=False)))
                 for k in rng.integers(0, 9, size=2))
-        cases = [(kind, None, [_restricted(a, A), a]) for kind in ("oracle", "template", "random")]
-        cases += [("quasi-greedy", None, [a - _restricted(a, A), a]),
-                  ("almost-greedy", B, [a - _restricted(a, A), a - _restricted(a, B)])]
-        for kind, b_set, rows in cases:
+        G = tuple(sorted(int(i) + 1 for i in greedy_order(a)[: len(A)]))
+        cases = [(kind, A, None, [_restricted(a, A), a]) for kind in ("oracle", "template", "random")]
+        cases += [("quasi-greedy", G, None, [a - _restricted(a, G), a]),
+                  ("almost-greedy", G, B[: len(G)], [a - _restricted(a, G), a - _restricted(a, B[: len(G)])])]
+        for kind, a_set, b_set, rows in cases:
             num, den = b.synth_norms(np.vstack(rows))
-            assert verify_witness(b, Witness(tuple(a), A, 0.0, kind, b_set)) == float(num) / float(den)
+            assert verify_witness(b, Witness(tuple(a), a_set, 0.0, kind, b_set)) == float(num) / float(den)
 
 
 def test_verify_witness_rejects_unknown_kind():
@@ -303,7 +359,7 @@ def _dense_oracle_grid(p, best, leaders):
     ok = dens > TINY
     ratios = np.where(ok, nums / np.where(ok, dens, 1.0), 0.0)
     i = int(np.argmax(ratios))
-    best.offer(ratios[i], coefs[i], cond_mod._mask_to_set(inmask[i]))
+    best.offer(coefs[i], cond_mod._mask_to_set(inmask[i]))
     order = np.flatnonzero(ok)[np.argsort(-ratios[ok], kind="stable")]
     f_codes = (coefs.astype(np.int64) % 3) @ 3 ** np.arange(m)
     first = np.sort(np.unique(f_codes[order], return_index=True)[1])[: cond_mod.ORACLE_TOPK]
@@ -346,7 +402,7 @@ def test_oracle_grid_matches_dense_reference(name, make, monkeypatch):
     b = make()
     for m in range(1, min(b.d, 7) + 1):
         p = b.prefix(m)
-        got_best, ref_best = cond_mod._Best(b.d, "oracle"), cond_mod._Best(b.d, "oracle")
+        got_best, ref_best = cond_mod._Best(b, "oracle"), cond_mod._Best(b, "oracle")
         got_lead, ref_lead = [], []
         cond_mod._oracle_grid(p, got_best, got_lead)
         _dense_oracle_grid(p, ref_best, ref_lead)
@@ -833,15 +889,15 @@ def _golden_basis(spec):
      "e29886b3c345e030"),
     (k_m_estimate, PQHALF, 3, 1, 1.4162053578738152, (1, 3, 6), "random", "35ad48b158b688d9"),
     (k_m_estimate, "lindenstrauss:16", 4, 1, 1.75, (1, 4, 5, 6), "template", "61ca66ba74b5bb69"),
-    (L_m_estimate, "external bv", 13, 1, 3.7055084004861323, (1, 3, 4, 5, 8, 10, 11), "random",
+    (L_m_estimate, "external bv", 13, 1, 3.705508400486132, (1, 3, 4, 5, 8, 10, 11), "random",
      "e24cd2ce2f71923e"),
     (L_m_estimate, "external bv", 13, 2, 4.292932535842053, (4, 5, 7, 8, 9, 10, 12, 13), "random",
      "5ca076e50dbc138d"),
-    (L_m_estimate, "external bv", 13, 3, 5.731417933449208, (2, 4, 6, 8, 10, 12), "random",
+    (L_m_estimate, "external bv", 13, 3, 5.731417933449207, (2, 4, 6, 8, 10, 12), "random",
      "a94bc4623205ec08"),
-    (k_m_estimate, "external bv", 4, 1, 3.833526133791525, (1, 2, 3, 6), "random", "70647ca04d893586"),
-    (k_m_estimate, "external bv", 4, 2, 4.432001852114225, (1, 3, 5, 7), "random", "ce31ec99637642ea"),
-    (k_m_estimate, "external bv", 4, 3, 4.731028888437692, (1, 3, 5, 7), "random", "4069986bb0ac944a"),
+    (k_m_estimate, "external bv", 4, 1, 3.833526133791524, (1, 2, 3, 6), "random", "70647ca04d893586"),
+    (k_m_estimate, "external bv", 4, 2, 4.432001852114224, (1, 3, 5, 7), "random", "ce31ec99637642ea"),
+    (k_m_estimate, "external bv", 4, 3, 4.7310288884376925, (1, 3, 5, 7), "random", "4069986bb0ac944a"),
 ], ids=["L pqhalf m=6", "L lindenstrauss16 m=13", "k pqhalf k=3", "k lindenstrauss16 k=4"]
    + [f"{k} bv14 seed={s}" for k in ("L m=13", "k k=4") for s in (1, 2, 3)])
 def test_golden_seeded_estimates(fn, spec, m, seed, want, indices, kind, digest):
@@ -950,6 +1006,13 @@ ASCENT_BASES = [
 ]
 
 
+def _same_ratio(name, r, ref_r) -> bool:
+    """Bitwise on recipe bases, whose synthesis is exact; within 4 ulp on
+    external ones, where BLAS rounds a row with its batch and the ascent
+    returns the ratio its window scored."""
+    return r == ref_r if not name.startswith("external") else abs(r - ref_r) <= 4 * np.spacing(ref_r)
+
+
 @pytest.mark.parametrize("name,make", ASCENT_BASES, ids=[n for n, _ in ASCENT_BASES])
 def test_ascend_matches_oracle_mask_loop(name, make):
     b = make()
@@ -959,7 +1022,7 @@ def test_ascend_matches_oracle_mask_loop(name, make):
     for a0 in _seeded_starts(m, 1):
         r, a, mi = cond_mod._ascend(p, a0, masks)
         ref_r, ref_a, ref_mi = _ascend_masks_ref(p, a0, masks)
-        assert (r, mi) == (ref_r, ref_mi)
+        assert mi == ref_mi and _same_ratio(name, r, ref_r)
         assert np.array_equal(a, ref_a) and np.array_equal(np.signbit(a), np.signbit(ref_a))
     zero = np.zeros(m)
     assert cond_mod._ascend(p, zero, masks)[2] is None
@@ -977,7 +1040,7 @@ def test_ascend_matches_estimate_sets_loop(name, make):
     for a0 in _seeded_starts(m, 2):
         r, a, si = cond_mod._ascend(p, a0, sets)
         ref_r, ref_a, ref_si = _ascend_sets_ref(p, a0, sets)
-        assert (r, si) == (ref_r, ref_si)
+        assert si == ref_si and _same_ratio(name, r, ref_r)
         assert np.array_equal(a, ref_a) and np.array_equal(np.signbit(a), np.signbit(ref_a))
 
 
@@ -1017,8 +1080,12 @@ def test_seeded_estimate_norms_calls_ceiling(fn, m, ceiling, monkeypatch):
 # ascent windows predict each coordinate's move of the sweep before; with
 # the first sweep's prediction in every sweep they made 514 and 383.  With
 # the exact L_13 witness as its template (not the dyadic-level profile with
-# the level-parity sets) the L run made 362 -> 389
-@pytest.mark.parametrize("fn,m,count", [(L_m_estimate, 13, 389), (k_m_estimate, 4, 311)],
+# the level-parity sets) the L run made 362 -> 389.  Each of the four
+# offers to the result record (the floor, the template, the first ascent,
+# the block winner) is one verify_witness norms call, in place of the
+# template's own score and two ascents' final re-scores alone: 389 -> 390
+# and 311 -> 312
+@pytest.mark.parametrize("fn,m,count", [(L_m_estimate, 13, 390), (k_m_estimate, 4, 312)],
                          ids=["L m=13", "k k=4"])
 def test_seeded_estimate_norms_calls_pinned(fn, m, count, monkeypatch):
     b = lindenstrauss(16)

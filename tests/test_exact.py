@@ -250,8 +250,8 @@ def test_the_dps_import_no_fractions():
 
 
 def test_exact_route_raises_when_floats_disagree(monkeypatch):
-    real = cond_mod._pair_ratios
-    monkeypatch.setattr(cond_mod, "_pair_ratios", lambda b, pairs: np.nextafter(real(b, pairs), 9.0))
+    real = cond_mod.verify_witness
+    monkeypatch.setattr(cond_mod, "verify_witness", lambda b, w: np.nextafter(real(b, w), 9.0))
     with pytest.raises(ArithmeticError, match="exact L_4"):
         L_m_exact(parse_basis("summing:6"), 4)
     with pytest.raises(ArithmeticError, match="exact k_2"):

@@ -1,8 +1,9 @@
 """Every norm of a coefficient row restricted to a set goes through
 ``BasisTruncation.kept_norms`` or ``ratio_norms``: outside ``bases.py`` only
 the phi_m routes, which norm 0/1 rows and restrict nothing, call
-``synth_norms``.  An L ladder on a recipe basis calls no oracle, nor does
-its k rung m = d."""
+``synth_norms``.  Every reported witness is built, and scored, in
+``conditionality._Best``; only ``witness_from_doc`` builds one besides.  An
+L ladder on a recipe basis calls no oracle, nor does its k rung m = d."""
 
 from __future__ import annotations
 
@@ -18,18 +19,20 @@ from condgreedy import L_m_exact, k_m_estimate, lb_ladder, parse_basis
 SRC = Path(__file__).resolve().parents[1] / "src" / "condgreedy"
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "bases.py")
 ALLOWED = {"greedy.py": {"_sum_norm_extremum", "_sum_norm_search"}}
+WITNESS_BUILDERS = {"conditionality.py": {"_Best", "witness_from_doc"}}
 
 
-def synth_norms_callers(source: str) -> set:
+def callers(source: str, name: str) -> set:
     """Names of the top-level definitions (``<module>`` for other statements)
-    that call ``.synth_norms(``; passing the method on, as
+    that call ``name(`` or ``.name(``; passing the function on, as
     ``sign_table(b.synth_norms, d)`` does, is no call."""
-    callers = set()
-    for top in ast.parse(source).body:
-        if any(isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
-               and n.func.attr == "synth_norms" for n in ast.walk(top)):
-            callers.add(getattr(top, "name", "<module>"))
-    return callers
+    def calls(node) -> bool:
+        func = getattr(node, "func", None)
+        return isinstance(node, ast.Call) and name in (getattr(func, "id", None),
+                                                       getattr(func, "attr", None))
+
+    return {getattr(top, "name", "<module>") for top in ast.parse(source).body
+            if any(calls(n) for n in ast.walk(top))}
 
 
 def test_scan_finds_planted_calls():
@@ -37,12 +40,26 @@ def test_scan_finds_planted_calls():
               "def table(b, d):\n    return sign_table(b.synth_norms, d)\n"
               "class K:\n    def f(self, b):\n        return [b.synth_norms(r) for r in self.rows]\n"
               "VALUES = basis.synth_norms(ROWS)\n")
-    assert synth_norms_callers(source) == {"restricted", "K", "<module>"}
+    assert callers(source, "synth_norms") == {"restricted", "K", "<module>"}
+
+
+def test_scan_finds_planted_witnesses():
+    source = ("def route(b, a, A):\n    return 1.0, Witness(tuple(a), A, 1.0, 'random')\n"
+              "def kind_of(w):\n    return isinstance(w, Witness) and w.kind\n"
+              "class R:\n    def result(self):\n        return cg.Witness(self.a, (), 1.0, 'oracle')\n"
+              "FLOOR = Witness((1.0,), (), 1.0, 'quasi-greedy')\n")
+    assert callers(source, "Witness") == {"route", "R", "<module>"}
 
 
 @pytest.mark.parametrize("module", MODULES)
 def test_synth_norms_is_called_only_from_the_allow_list(module):
-    assert synth_norms_callers((SRC / module).read_text()) <= ALLOWED.get(module, set())
+    assert callers((SRC / module).read_text(), "synth_norms") <= ALLOWED.get(module, set())
+
+
+@pytest.mark.parametrize("module", MODULES + ["bases.py"])
+def test_witnesses_are_built_only_in_the_result_record(module):
+    # a route that built its own Witness could report a value its witness does not give
+    assert callers((SRC / module).read_text(), "Witness") <= WITNESS_BUILDERS.get(module, set())
 
 
 # ---------------------------------------------------------------------------

@@ -56,19 +56,19 @@ ROUTES = {
 
 PINS = {
     ('external lp:3', 'oracle'): 'eebc5c869cb4',
-    ('external lp:3', 'L'): 'a17269143a34',
-    ('external lp:3', 'k'): 'b56cf7642326',
+    ('external lp:3', 'L'): '1b840708f543',
+    ('external lp:3', 'k'): '577355406fd1',
     ('external lp:3', 'ladder'): 'cc7ea3734945',
     ('external lp:3', 'quasi-greedy'): 'f3b165f45208',
     ('external lp:3', 'almost-greedy'): '24fdb04da0e7',
     ('external bv', 'oracle'): '60703ffc892b',
-    ('external bv', 'L'): '8f1f96c594a2',
-    ('external bv', 'k'): '6931e669f364',
+    ('external bv', 'L'): 'b59621fadf54',
+    ('external bv', 'k'): '0880d306d6f3',
     ('external bv', 'ladder'): 'e584b2f40c70',
     ('external bv', 'quasi-greedy'): 'a6433d97a714',
     ('external bv', 'almost-greedy'): '820f0306d651',
     ('external lorentz', 'oracle'): '5499878b5513',
-    ('external lorentz', 'L'): 'a21431005d76',
+    ('external lorentz', 'L'): '5e4b9cc5efe1',
     ('external lorentz', 'k'): '0a6a0695da33',
     ('external lorentz', 'ladder'): 'd8fc63265042',
     ('external lorentz', 'quasi-greedy'): '9eeb0faed18f',

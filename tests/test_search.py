@@ -104,16 +104,13 @@ def ascend_one(a0, score, moves, cost):
     return ascend([a0], score, moves, cost)[0]
 
 
-def assert_sequential(calls, log, final):
+def assert_sequential(calls, log):
     """Each call's window, up to its first wrong prediction, is the next
-    rows the scalar loop scored; the rest of the window is dropped, and a
-    last one-row call may re-score the final vector."""
+    rows the scalar loop scored; the rest of the window is dropped, and no
+    call follows the last window."""
     pos = 0
-    for n, call in enumerate(calls):
-        if pos == len(log):
-            assert n == len(calls) - 1 and len(call) == 1
-            assert np.array_equal(call[0], final)
-            return
+    for call in calls:
+        assert pos < len(log)
         for row in call:
             want, taken, predicted = log[pos]
             assert np.array_equal(row, want) and np.array_equal(np.signbit(row), np.signbit(want))
@@ -130,7 +127,7 @@ def test_ascend_rejects_gains_below_tolerance():
         r, a, p = ascend_one(np.array([1.0, 0.0]), score, scale_moves, cost)
         assert a.tolist() == [1.0, 0.0]
         assert r == 0.5 * ASCENT_TOL and p == "p"
-        # the start, x0.5 and x2 on the nonzero coordinate; nothing to re-score
+        # the start, x0.5 and x2 on the nonzero coordinate
         assert [v.tolist() for v in score.seen] == [[1.0, 0.0], [0.5, 0.0], [2.0, 0.0]]
 
 
@@ -154,7 +151,7 @@ def test_ascend_scores_in_sequential_order(cost):
         want = _scalar_ascend(a0, lambda a: (float(a[0]), "p"), signed_moves, log)
         got = ascend_one(np.array(a0), score, signed_moves, cost)
         assert got[0] == want[0] and np.array_equal(got[1], want[1])
-        assert_sequential(score.calls, log, got[1])
+        assert_sequential(score.calls, log)
 
 
 def test_ascend_skips_all_zero_candidates():
@@ -185,7 +182,7 @@ def test_ascend_scores_zero_moves_with_another_nonzero_coordinate():
         want = _scalar_ascend([1.0, 1.0], fn, signed_moves, log)
         assert got[0] == want[0] and np.array_equal(got[1], want[1])
         assert not any((~row.any()) for call in calls for row in call)
-        assert_sequential(calls, log, got[1])
+        assert_sequential(calls, log)
 
 
 def test_ascend_returns_none_payload_start_unchanged():
@@ -208,16 +205,16 @@ def test_ascend_stops_after_max_sweeps():
     assert a[0] == 2.0**MAX_SWEEPS and r == 2.0**MAX_SWEEPS
     # one call per sweep: the first sweep's three moves (the move to 0.0
     # left out), then x0.5 and the x2 taken the sweep before, after which
-    # the window ends; then the final vector is scored again alone (with
-    # the prediction of the first sweep only, the calls held 3 rows each)
-    assert [len(c) for c in batched.calls] == [1, 3] + [2] * (MAX_SWEEPS - 1) + [1]
+    # the window ends (with the prediction of the first sweep only, the
+    # calls held 3 rows each)
+    assert [len(c) for c in batched.calls] == [1, 3] + [2] * (MAX_SWEEPS - 1)
     # the first sweep's window ends at the halving that scale_moves predicts
     # taken, and the x2 follows alone; from then on each window is x0.5 and
     # the predicted x2 (with the prior alone, every call held one row)
     batched = Recorder()
     r, a, _ = ascend_one(np.array([1.0]), batched, scale_moves, 1)
     assert a[0] == 2.0**MAX_SWEEPS and r == 2.0**MAX_SWEEPS
-    assert [len(c) for c in batched.calls] == [1, 1, 1] + [2] * (MAX_SWEEPS - 1) + [1]
+    assert [len(c) for c in batched.calls] == [1, 1, 1] + [2] * (MAX_SWEEPS - 1)
 
 
 def test_ascend_stale_predictions_cost_calls_not_trajectories():
@@ -239,10 +236,10 @@ def test_ascend_stale_predictions_cost_calls_not_trajectories():
     got = ascend_one(np.array([1.0, 1.0]), lambda rows: calls.append(rows.copy()) or score(rows),
                      signed_moves, 1)
     assert got[0] == want[0] and np.array_equal(got[1], want[1])
-    assert_sequential(calls, log, got[1])
+    assert_sequential(calls, log)
     # each stale prediction ends a window, one call more per sweep than
-    # the prior alone takes (1, 8, 3, 5, 4, 8, 1)
-    assert [len(c) for c in calls] == [1, 8, 3, 4, 2, 2, 7, 1, 1]
+    # the prior alone takes (1, 8, 3, 5, 4, 8)
+    assert [len(c) for c in calls] == [1, 8, 3, 4, 2, 2, 7, 1]
 
     # any prior, stale from the first sweep on, gives the same trajectory
     for prior in (None, 0, 1, 2, 3):
@@ -255,7 +252,7 @@ def test_ascend_stale_predictions_cost_calls_not_trajectories():
             got = ascend_one(np.array([1.0, 1.0]),
                              lambda rows: calls.append(rows.copy()) or score(rows), moves, cost)
             assert got[0] == want[0] and np.array_equal(got[1], want[1])
-            assert_sequential(calls, log, got[1])
+            assert_sequential(calls, log)
 
 
 def _table_objective(table, default=0.0):
@@ -311,7 +308,7 @@ def test_ascend_matches_scalar_loop_on_seeded_toys(cost, moves):
             assert got[0] == want[0] and got[2] == want[2]
             assert np.array_equal(got[1], want[1])
             assert np.array_equal(np.signbit(got[1]), np.signbit(want[1]))
-            assert_sequential(calls, log, got[1])
+            assert_sequential(calls, log)
 
 
 @pytest.mark.parametrize("cost", COSTS)
@@ -342,41 +339,13 @@ def test_ascend_lockstep_matches_scalar_loop_per_start(n_starts, moves, cost):
         staggered += len({len(log) for log in logs if len(log) > 1}) > 1
         if cost == ONE:
             # one candidate of every live start per call, in start order,
-            # then single-row re-scores of final vectors
+            # and no call after the last round
             rounds = max(len(log) for log in logs)
+            assert len(calls) == rounds
             for k in range(1, rounds):
                 want = [log[k][0] for log in logs if len(log) > k]
                 assert np.array_equal(calls[k], np.array(want))
-            finals = [a for _, a, _ in got]
-            for call in calls[rounds:]:
-                assert len(call) == 1 and any(np.array_equal(call[0], a) for a in finals)
     assert n_starts == 1 or (staggered > 0 and nones > 0)
-
-
-def test_ascend_rescores_the_final_vector_alone():
-    # a scorer that is not batch-invariant: rows scored beside others read
-    # one ulp high and carry another payload
-    def score(rows):
-        vals = rows[:, 0].copy()
-        if len(rows) > 1:
-            vals = np.nextafter(vals, np.inf)
-        return vals, lambda k: len(rows)
-
-    r, a, p = ascend_one(np.array([1.0]), score, signed_moves, 1)
-    assert r == a[0] == 2.0**MAX_SWEEPS and p == 1
-    # starts scored in lockstep, one row each per call, are re-scored alone
-    calls = []
-    got = ascend([[1.0], [4.0]], lambda rows: calls.append(len(rows)) or score(rows),
-                 scale_moves, ONE)
-    top = [2.0**MAX_SWEEPS, 2.0 ** (MAX_SWEEPS + 2)]
-    assert [(r, a.tolist(), p) for r, a, p in got] == [(t, [t], 1) for t in top]
-    assert calls == [2] * (1 + 2 * MAX_SWEEPS) + [1, 1]
-    # when the last accepted move was scored alone there is nothing to redo
-    calls = []
-    r, a, p = ascend_one(np.array([1.0]), lambda rows: calls.append(len(rows)) or score(rows),
-                         scale_moves, ONE)
-    assert r == 2.0**MAX_SWEEPS and p == 1 and set(calls) == {1}
-    assert len(calls) == 1 + 2 * MAX_SWEEPS
 
 
 def test_move_sets():
