@@ -1,11 +1,13 @@
 """The search engine of every lower-bound estimator: the block sampler
 ``sample_block``, ``guarded_ratio``, ``greedy_order``, the lockstep coordinate
 ascent ``ascend`` with its move sets (each start's windows predict every
-coordinate's move of its previous sweep), the block maximum ``parallel_block_max``,
-the oracle's leader pick ``distinct_leaders``, the argument checks, and the
-chunked sign-vector table ``sign_table`` and kernel ``sign_leaders`` of the
-routes over every sign vector.  What is specific to one family of constants stays
-beside its estimators: ``conditionality._seeded_search`` for L_m and k_m,
+coordinate's move of its previous sweep and, on a norm, leave out the
+candidates that a triangle-inequality bound from their last score proves to
+miss), the block maximum ``parallel_block_max``, the oracle's leader pick
+``distinct_leaders``, the argument checks, and the chunked sign-vector table
+``sign_table`` and kernel ``sign_leaders`` of the routes over every sign
+vector.  What is specific to one family of constants stays beside its
+estimators: ``conditionality._seeded_search`` for L_m and k_m,
 ``greedy._min_denominators`` for the greedy constants.
 
 Determinism contract: every random draw comes from a counter-based Philox
@@ -29,6 +31,9 @@ ASCENT_TOL = 1e-10
 MAX_SWEEPS = 200
 BATCH_ENTRIES = 8192  # product entries per batched ascent call
 TINY = 1e-12  # norms at or below this count as zero
+ROUNDING = 2.0**-36  # relative rounding ``ascend``'s bound allows per norm, 2^17 units of 2^-53
+BOUND_SLACK = 16.0 * ROUNDING
+BOUND_SLOPE = 3.0 + 2.0 * BOUND_SLACK
 
 
 def rng_stream(seed: int, *key) -> np.random.Generator:
@@ -135,10 +140,55 @@ signed_moves.predicted = None  # the L and k ascents take about 10 % of their mo
 scale_moves.predicted = 0  # the halving: the quasi-greedy ascent takes 77 % of them
 
 
-def _climb(rec: list, moves, width: list):
+def _window(cands, past, k: int, width: int, pnz: int, a: list) -> tuple:
+    """The next window from candidate k, ``width`` candidates at most, each predicted
+    move jumping past its coordinate; a move to 0.0 of the only nonzero (``pnz``
+    counts the path's nonzeros) is left out.  Returns (positions, the position after)."""
+    path, n, end = [], k, len(cands)
+    for _ in range(width):
+        if n == end:
+            break
+        i, v, taken, _ = cands[n]
+        n += 1
+        if v == 0.0 and pnz == (a[i] != 0.0):
+            continue
+        path.append(n - 1)
+        if taken:
+            pnz, n = pnz + (v != 0.0) - (a[i] != 0.0), past[i]
+    return path, n
+
+
+def _bounded_window(cands, past, k: int, width: int, pnz: int, a: list, room: list,
+                    drift: float, col_norms) -> tuple:
+    """``_window`` of ``width`` scored rows that also leaves out each candidate n
+    proven to miss, BOUND_SLOPE (drift + its predicted moves' drift) < room[n],
+    taking a predicted move among them as a miss (see ``ascend``).  Returns
+    (positions, the position after, each position's predicted moves' drift)."""
+    path, preds, pred, reach, n, end = [], [], 0.0, BOUND_SLOPE * drift, k, len(cands)
+    while len(path) < width and n < end:
+        i, v, taken, _ = cands[n]
+        n += 1
+        if v == 0.0 and pnz == (a[i] != 0.0) or reach < room[n - 1]:
+            continue
+        path.append(n - 1)
+        preds.append(pred)
+        if taken:
+            pnz, n = pnz + (v != 0.0) - (a[i] != 0.0), past[i]
+            pred += abs(v - a[i]) * col_norms[i]
+            reach = BOUND_SLOPE * (drift + pred)
+    return path, n, preds
+
+
+def _climb(rec: list, moves, width: list, col_norms):
     """One start of ``ascend``: yields its windows (None when done), takes back (ratios,
-    payload, offset), keeps rec = [ratio, a, (payload, row)] current."""
+    payload, norms of the rows, offset), keeps rec = [ratio, a, (payload, row)] current.
+    With ``col_norms`` it keeps ``drift`` and, from each candidate's last score, its
+    room: ``ascend``'s bound proves it to miss while BOUND_SLOPE (drift + predicted
+    drift) stays below that, at the walk's threshold (no later one is lower)."""
     guess = [moves.predicted] * rec[1].size  # the first sweep's prior
+    memo, drift = {}, 0.0  # memo: (i, move, a[i] == 0.0) -> room
+    if col_norms is not None:
+        scale = float(np.abs(rec[1]) @ col_norms)  # sum |a_j| ||x_j|| <= scale + drift
     for _ in range(MAX_SWEEPS):
         a = rec[1].tolist()  # a move at coordinate j leaves a[i] for i > j as it was
         cands = [(i, v, m == guess[i], m)
@@ -146,19 +196,15 @@ def _climb(rec: list, moves, width: list):
         guess = [None] * len(a)  # the next sweep's: the move each coordinate takes now
         past = {i: n + 1 for n, (i, *_) in enumerate(cands)}  # position past i's moves
         end, improved, k = len(cands), False, 0
+        if col_norms is not None:  # a sweep walks each candidate once: its room holds till then
+            room = [memo.get((i, m, a[i] == 0.0), -math.inf) for i, _, _, m in cands]
         while k < end:
-            path, n, pnz = [], k, np.count_nonzero(rec[1])  # pnz: nonzeros on the path
-            for _ in range(width[0]):
-                if n == end:
-                    break
-                i, v, taken, _ = cands[n]
-                n += 1
-                if v == 0.0 and pnz == (a[i] != 0.0):  # a move to 0.0 of the only nonzero
-                    continue
-                path.append(n - 1)
-                if taken:
-                    pnz, n = pnz + (v != 0.0) - (a[i] != 0.0), past[i]
-            k = n
+            pnz = np.count_nonzero(rec[1])
+            if col_norms is None:
+                path, k = _window(cands, past, k, width[0], pnz, a)
+            else:
+                path, k, preds = _bounded_window(cands, past, k, width[0], pnz, a, room, drift,
+                                                 col_norms)
             if not path:
                 continue
             rows = rec[1][None].repeat(len(path), 0)
@@ -167,7 +213,7 @@ def _climb(rec: list, moves, width: list):
                 rows[r, i] = v
                 if taken:
                     rows[r + 1 :, i] = v
-            ratios, payload, off = yield rows
+            ratios, payload, dens, off = yield rows
             for h, m in enumerate(path, off):
                 i, v, taken, move = cands[m]
                 gain = ratios[h] >= rec[0] + ASCENT_TOL
@@ -177,12 +223,22 @@ def _climb(rec: list, moves, width: list):
                 if gain != taken:  # go on where the scalar loop goes on
                     k = past[i] if gain else m + 1
                     break
+            if col_norms is not None:  # each walked row's room, then the walk's moves
+                thr = rec[0] + ASCENT_TOL
+                for r in range(h - off + 1):
+                    i, v, _, move = cands[path[r]]
+                    step = abs(v - a[i]) * col_norms[i]
+                    if dens[off + r] > TINY:
+                        memo[i, move, a[i] == 0.0] = (
+                            dens[off + r] * (thr - ratios[off + r]) / (1.0 + thr)
+                            + 3.0 * (drift + preds[r]) - BOUND_SLACK * (scale + step))
+                drift += preds[r] + (step if gain else 0.0)
         if not improved:
             break
     yield None
 
 
-def ascend(starts, score, moves, cost) -> list:
+def ascend(starts, score, moves, cost, col_norms=None) -> list:
     """First-improvement coordinate ascent from each row of ``starts`` (S, d);
     returns one (ratio, a, payload) per start.
 
@@ -205,21 +261,46 @@ def ascend(starts, score, moves, cost) -> list:
     BLAS may round a row differently with its batch, which can only turn a
     gain within rounding of ASCENT_TOL; each returned ratio is the one its
     window scored.
+
+    With ``col_norms``, the column norms ||x_j||, ``score`` also returns
+    ||f|| of each row, and a window leaves out the candidates proven to
+    miss.  This needs R(r) = max over a fixed family S of ||S_A f|| / ||f||,
+    f = sum r_j x_j, in a norm: for rows r, r0 at D = sum |r_j - r0_j|
+    ||x_j|| < ||f0||, the triangle inequality gives R(r) <= (R(r0) ||f0|| +
+    D) / (||f0|| - D).  Each start keeps ``drift``, the sum of |delta|
+    ||x_j|| over its moves, and each candidate's (i, move, a[i] == 0) last
+    score with the drift then.  A move maps a[i] to at most twice it, or to
+    a constant where a[i] == 0, so D <= 3 (drift now - drift then + the
+    drift of the window's predicted moves before it).  A candidate whose
+    bound is below rec + ASCENT_TOL is left out, a predicted move among them
+    taken as the miss the scalar loop finds, and only scored rows fill its
+    window; so each trajectory is that of the ascent without ``col_norms``,
+    bitwise for a batch-invariant scorer.  Rounding: in any batch, a
+    computed norm of row r is within ROUNDING s(r) of the exact one, s(r) =
+    sum |r_j| ||x_j||, while n = d (2 ambient_dim + MAX_SWEEPS) + 8
+    ambient_dim + 8 roundings of 2^-53 stay within ROUNDING / 2 (d per
+    synthesised coordinate, times 2 ambient_dim under BV; 8 ambient_dim + 8
+    in a norm; MAX_SWEEPS d in the drift sums).  So D also carries 16
+    ROUNDING (s(r0) + drift + predicted drift).  ``conditionality._bound_norms``
+    passes ``col_norms`` only where both conditions hold; the quasi-greedy
+    ascent passes none, as its sets follow each row's greedy order and are
+    no fixed family.
     """
     a = np.array(starts, dtype=np.float64)
-    ratios, payload = score(a)
+    ratios, payload = score(a)[:2]
     recs = [[r, a[s], (payload, s)] for s, r in enumerate(ratios.tolist())]
     total, width = max(1, BATCH_ENTRIES // cost), [1]  # width: candidates per window
-    climbs = [_climb(rec, moves, width) for rec in recs if payload(rec[2][1]) is not None]
+    climbs = [_climb(rec, moves, width, col_norms) for rec in recs if payload(rec[2][1]) is not None]
     width[0] = max(1, total // max(1, len(climbs)))
     live = [(c, rows) for c in climbs if (rows := next(c)) is not None]
     while live:
         rows = live[0][1] if len(live) == 1 else np.concatenate([rows for _, rows in live])
-        ratios, payload = score(rows)
+        ratios, payload, *dens = score(rows)
         ratios, width[0] = ratios.tolist(), max(1, total // len(live))
+        dens = dens[0].tolist() if col_norms is not None else None
         windows, live, off = live, [], 0
         for c, rows in windows:
-            if (nxt := c.send((ratios, payload, off))) is not None:
+            if (nxt := c.send((ratios, payload, dens, off))) is not None:
                 live.append((c, nxt))
             off += len(rows)
     return [(cur, a, payload(h)) for cur, a, (payload, h) in recs]

@@ -34,12 +34,17 @@ Every search route evaluates on ``BasisTruncation.prefix(m)`` (``prefix(d)`` for
 k_m).  Its objective is ``_mask_sweep``, which scores a batch of
 coefficient rows against a family of sets, as ``_block_best`` does, in one
 ``ratio_norms`` pass; the sampler, the coordinate ascent, the block maximum,
-the oracle's leader pick and the grid kernel come from ``_search``.  Both
+the oracle's leader pick and the grid kernel come from ``_search``.  Every
+ascent here, of both estimates, their blocks and the oracle's 2^m masks,
+runs through ``_ascend``, which hands ``ascend`` the prefix's column norms
+where the ambient is a norm (``_bound_norms``), so it leaves out the
+candidates its bound proves to miss without changing any trajectory.  Both
 estimates share one body, ``_seeded_search``, and one block body,
 ``_block_best`` then ``_block_ascent``.  Every estimator, the greedy ones
 too, builds its result in one record, ``_Best``, the one scorer of every
-reported value: search values only choose the witnesses it is offered, and
-it reports each one's ``verify_witness`` ratio.
+reported value: search values only choose the witnesses it is offered (and
+pass over one far below its record), and it reports each one's
+``verify_witness`` ratio.
 
 Estimates are reproducible for fixed (inputs, seed), and never decrease
 when the budget grows with the seed held fixed.
@@ -58,6 +63,8 @@ from ._search import (
     BLOCK,
     DEFAULT_BUDGET,
     DEFAULT_SEED,
+    MAX_SWEEPS,
+    ROUNDING,
     TINY,
     all_subset_masks,
     ascend,
@@ -79,7 +86,7 @@ from ._search import (
     top_positions,
 )
 from .bases import BasisTruncation, block_offsets, interleave_positions
-from .spaces import C0Trunc, Lorentz, Lp, parse_space
+from .spaces import C0Trunc, Lorentz, Lp, is_norm, parse_space
 
 __all__ = [
     "ConditionalityError",
@@ -261,17 +268,27 @@ def _structured_masks(m: int) -> np.ndarray:
 def _mask_sweep(p: BasisTruncation, rows: np.ndarray, sets: np.ndarray):
     """Batch ascent objective of the oracle and of both estimates on the
     prefix ``p``: the best ||S_A f||/||f|| over the set rows for each row f,
-    and a payload k -> the index of row k's first best set (None when f
-    vanishes)."""
+    a payload k -> the index of row k's first best set (None when f
+    vanishes), and ||f|| of each row."""
     nums, dens = p.ratio_norms(rows, sets)
     return (guarded_ratio(nums.max(axis=1), dens),
-            lambda k: int(nums[k].argmax()) if dens[k] > TINY else None)
+            lambda k: int(nums[k].argmax()) if dens[k] > TINY else None, dens)
+
+
+def _bound_norms(p: BasisTruncation):
+    """The column norms of ``ascend``'s bound on the prefix ``p``, or None where
+    the bound does not hold: an ambient that is only a quasi-norm, or more
+    roundings than ROUNDING covers (see ``ascend``)."""
+    roundings = p.d * (2 * p.ambient_dim + MAX_SWEEPS) + 8 * p.ambient_dim + 8
+    return p.column_norms() if is_norm(p.space) and roundings * 2.0**-52 <= ROUNDING else None
 
 
 def _ascend(p: BasisTruncation, a0: np.ndarray, sets: np.ndarray):
-    """Signed-move ``ascend`` from ``a0`` on ``_mask_sweep`` over ``sets``."""
+    """Signed-move ``ascend`` from ``a0`` on ``_mask_sweep`` over ``sets``, with
+    the column norms of its bound where it holds."""
     cost = (sets.shape[0] + 1) * p.ambient_dim
-    return ascend([a0], lambda rows: _mask_sweep(p, rows, sets), signed_moves, cost)[0]
+    return ascend([a0], lambda rows: _mask_sweep(p, rows, sets), signed_moves, cost,
+                  _bound_norms(p))[0]
 
 
 def _mask_to_set(mask_row) -> tuple:
@@ -282,13 +299,22 @@ class _Best:
     """The running witness of every estimator, from f = ``coeffs`` (the floor
     e_1) with the set ``A`` (B = () for almost-greedy): ``offer`` builds a
     Witness, scores it with ``verify_witness`` (which raises on an f that
-    vanishes) and keeps it on a strict gain."""
+    vanishes) and keeps it on a strict gain.
+
+    An offer's ``value``, the search's own ratio of the witness, skips the
+    score where it lies below the record by more than 16 ROUNDING (1 +
+    record)^2: two evaluations of one ratio differ by at most 2 ROUNDING
+    (s / ||f||) (1 + ratio), s = sum |a_j| ||x_j|| (see ``ascend``), so such
+    an offer cannot gain while s <= 8 (1 + record) ||f||, which the offers
+    on the test bases keep (``test_offers_stay_within_the_skip_margin``)."""
 
     def __init__(self, b: BasisTruncation, kind: str, A=(), coeffs=(1.0,)):
         self.b, self.kind, self.ratio = b, kind, -math.inf
         self.offer(coeffs, A, b_indices=() if kind == "almost-greedy" else None)
 
-    def offer(self, coeffs, A, kind: str | None = None, b_indices=None):
+    def offer(self, coeffs, A, value: float = math.inf, kind: str | None = None, b_indices=None):
+        if value < self.ratio - 16.0 * ROUNDING * (1.0 + self.ratio) ** 2:
+            return
         B = None if b_indices is None else tuple(sorted(int(i) for i in b_indices))
         w = Witness(tuple(_pad_to(np.asarray(coeffs, dtype=np.float64), self.b.d).tolist()),
                     tuple(sorted(int(i) for i in A)), math.nan, kind or self.kind, B)
@@ -332,17 +358,17 @@ def L_m_oracle(b: BasisTruncation, m: int, guard: int = DEFAULT_GUARD):
         p_s, masks_s = (p if s == m else b.prefix(s)), masks[: 2**s, :s]
         for profile in PROFILES:
             a_s = profile(s)
-            ratios, payload = _mask_sweep(p_s, a_s[None], masks_s)
+            ratios, payload, _ = _mask_sweep(p_s, a_s[None], masks_s)
             r, mi = ratios[0], payload(0)
             if mi is not None:
                 a_full = _pad_to(a_s, m)
-                best.offer(a_full, _mask_to_set(masks_s[mi]))
+                best.offer(a_full, _mask_to_set(masks_s[mi]), r)
                 leaders.append(([r], a_full[None]))
 
     # recipe templates, swept over the same support sizes in one batch
     pairs = [pair for s in range(1, m + 1) for pair in template_pairs(b.recipe, b.d, s)]
     for r, (a_t, A_t) in zip(_pair_ratios(b, pairs), pairs):
-        best.offer(a_t, A_t)
+        best.offer(a_t, A_t, r)
         leaders.append(([r], a_t[None, :m]))
 
     # joint coefficient/membership grid
@@ -356,16 +382,16 @@ def L_m_oracle(b: BasisTruncation, m: int, guard: int = DEFAULT_GUARD):
             nums, dens = p.ratio_norms(coefs, inmask[:, None, :])
             ratios = guarded_ratio(nums[:, 0], dens)
             i = int(np.argmax(ratios))
-            best.offer(coefs[i], _mask_to_set(inmask[i]))
+            best.offer(coefs[i], _mask_to_set(inmask[i]), ratios[i])
             kept = np.flatnonzero(dens > TINY)
             sel = kept[top_positions(ratios[kept], ORACLE_TOPK)]
             leaders.append((ratios[sel], coefs[sel]))
 
     # ascent from the distinct leaders, rescanning all subsets each step
     for a_start in distinct_leaders(leaders, ORACLE_TOPK):
-        _, a_fin, mi = _ascend(p, a_start, masks)
+        r, a_fin, mi = _ascend(p, a_start, masks)
         if mi is not None:
-            best.offer(a_fin, _mask_to_set(masks[mi]))
+            best.offer(a_fin, _mask_to_set(masks[mi]), r)
 
     return best.result()
 
@@ -381,7 +407,7 @@ def _oracle_grid(p: BasisTruncation, best: _Best, leaders: list):
     codes, subs, ratios = sign_leaders(sign_table(p.synth_norms, m), m, ORACLE_TOPK, residual=False)
     rows = sign_row(codes, m)
     if codes.size:
-        best.offer(rows[0], np.flatnonzero(sign_row(subs[0], m)) + 1)
+        best.offer(rows[0], np.flatnonzero(sign_row(subs[0], m)) + 1, ratios[0])
     leaders.append((ratios, rows))
 
 
@@ -402,18 +428,18 @@ def _seeded_search(b: BasisTruncation, p: BasisTruncation, floor_set, sets, foun
     m = p.d
     best = _Best(b, "random", floor_set)
     if found is not None:
-        _, a_t, A_t, _ = found
-        best.offer(a_t, A_t, kind="template")
+        v_t, a_t, A_t, _ = found
+        best.offer(a_t, A_t, v_t, kind="template")
         sets = np.unique(np.vstack([sets, _mask(m, A_t)]), axis=0)
 
     # deterministic ascent from the best template before spending the budget
-    _, a_fin, si = _ascend(p, np.array(best.witness.coeffs[:m]), sets)
-    best.offer(a_fin, _mask_to_set(sets[si]))
+    r, a_fin, si = _ascend(p, np.array(best.witness.coeffs[:m]), sets)
+    best.offer(a_fin, _mask_to_set(sets[si]), r)
 
     n_blocks = math.ceil((DEFAULT_BUDGET if budget is None else budget) / BLOCK)
-    _, payload = parallel_block_max(lambda i: block_fn(sets, i), n_blocks)
+    r, payload = parallel_block_max(lambda i: block_fn(sets, i), n_blocks)
     if payload is not None:
-        best.offer(payload[0], _mask_to_set(payload[1]))
+        best.offer(payload[0], _mask_to_set(payload[1]), r)
     return best.result()
 
 

@@ -39,6 +39,7 @@ __all__ = [
     "BV",
     "SpaceDesc",
     "SpaceError",
+    "is_norm",
     "norm",
     "norms",
     "space_dim",
@@ -184,6 +185,21 @@ def space_dim(space: SpaceDesc):
     if isinstance(space, MixedSum):
         return sum(d for _, d in space.blocks)
     return None
+
+
+def is_norm(space: SpaceDesc) -> bool:
+    """Whether ``space`` satisfies the triangle inequality: every family does
+    but a Lorentz space whose weights increase somewhere (``LorentzPQ`` with
+    q > p, or ``ExplicitWeights`` that are not non-increasing), which is only
+    a quasi-norm; a mixed sum is a norm when each of its blocks is."""
+    if isinstance(space, MixedSum):
+        return all(is_norm(s) for s, _ in space.blocks)
+    if isinstance(space, Lorentz):
+        w = space.weights
+        if isinstance(w, LorentzPQ):
+            return w.q <= w.p
+        return all(x >= y for x, y in zip(w.values_tuple, w.values_tuple[1:]))
+    return True
 
 
 def nonincreasing_rearrangement(v) -> np.ndarray:

@@ -50,9 +50,11 @@ from condgreedy._search import (
     MAX_SWEEPS,
     TINY,
     _sweep_rank,
+    ascend,
     digit_rows,
     greedy_order,
     sign_rows,
+    signed_moves,
 )
 from condgreedy.bases import external_basis, parse_basis
 from condgreedy.spaces import parse_space
@@ -1045,6 +1047,132 @@ def test_ascend_matches_estimate_sets_loop(name, make):
 
 
 # ---------------------------------------------------------------------------
+# the ascent's bound: candidates proven to miss are left out, nothing else moves
+# ---------------------------------------------------------------------------
+
+BOUND_BASES = ASCENT_BASES + [("pqhalf summing", lambda: parse_basis("pqhalf(summing,dims=2..4,p=1,q=1)"))]
+
+
+def _bound_cases(b):
+    """(prefix, sets, starts): the oracle's 2^m masks at m = min(d, 6) and the
+    estimates' sets at m = d, from seeded starts."""
+    m = min(b.d, 6)
+    rng = np.random.default_rng([3, b.d])
+    extra = (rng.random((8, b.d)) < 0.5).astype(np.float64)
+    sets = np.unique(np.vstack([cond_mod._structured_masks(b.d), extra]), axis=0)
+    return [(b.prefix(m), cond_mod.all_subset_masks(m), _seeded_starts(m, 1)),
+            (b.prefix(b.d), sets, _seeded_starts(b.d, 2))]
+
+
+def _logged_ascent(p, sets, a0, col_norms):
+    """``ascend`` from a0 on ``_mask_sweep``, with every score call's rows."""
+    calls = []
+
+    def score(rows):
+        calls.append(rows.copy())
+        return cond_mod._mask_sweep(p, rows, sets)
+
+    cost = (sets.shape[0] + 1) * p.ambient_dim
+    return ascend([a0], score, signed_moves, cost, col_norms)[0], calls
+
+
+@pytest.mark.parametrize("name,make", BOUND_BASES, ids=[n for n, _ in BOUND_BASES])
+def test_pruned_ascent_matches_the_unpruned_one_bitwise(name, make):
+    rows = [0, 0]
+    for p, sets, starts in _bound_cases(make()):
+        norms_ = cond_mod._bound_norms(p)
+        assert norms_ is not None
+        for a0 in starts:
+            (r, a, si), pruned = _logged_ascent(p, sets, a0, norms_)
+            (ref_r, ref_a, ref_si), plain = _logged_ascent(p, sets, a0, None)
+            assert r == ref_r and si == ref_si
+            assert np.array_equal(a, ref_a) and np.array_equal(np.signbit(a), np.signbit(ref_a))
+            got_r, got_a, got_si = cond_mod._ascend(p, a0, sets)
+            assert got_r == r and got_si == si and np.array_equal(got_a, a)
+            rows[0] += sum(map(len, pruned))
+            rows[1] += sum(map(len, plain))
+    assert rows[0] < rows[1]
+
+
+@pytest.mark.parametrize("name,make", BOUND_BASES, ids=[n for n, _ in BOUND_BASES])
+def test_pruned_ascent_leaves_out_only_misses_of_the_scalar_loop(name, make):
+    from test_search import _scalar_ascend
+
+    left_out = 0
+    for p, sets, starts in _bound_cases(make()):
+        def fn(a, p=p, sets=sets):
+            ratios, payload, _ = cond_mod._mask_sweep(p, a[None], sets)
+            return float(ratios[0]), payload(0)
+
+        for a0 in starts:
+            log = []
+            _scalar_ascend(a0, fn, signed_moves, log)
+            _, calls = _logged_ascent(p, sets, a0, cond_mod._bound_norms(p))
+            pos = 0
+            for call in calls:
+                for row in call:  # walked rows follow the scalar loop; the rows between are misses
+                    while not (np.array_equal(log[pos][0], row)
+                               and np.array_equal(np.signbit(log[pos][0]), np.signbit(row))):
+                        assert not log[pos][1]
+                        pos, left_out = pos + 1, left_out + 1
+                    _, taken, predicted = log[pos]
+                    pos += 1
+                    if taken != predicted:
+                        break
+            assert not any(taken for _, taken, _ in log[pos:])
+            left_out += len(log) - pos
+    assert left_out > 0
+
+
+def test_ascent_on_a_quasi_norm_takes_no_bound():
+    b = _random_external("lorentz:p=1,q=3", 7)
+    for p, sets, starts in _bound_cases(b):
+        assert cond_mod._bound_norms(p) is None
+        for a0 in starts:
+            r, a, si = cond_mod._ascend(p, a0, sets)
+            (ref_r, ref_a, ref_si), _ = _logged_ascent(p, sets, a0, None)
+            assert r == ref_r and si == ref_si
+            assert np.array_equal(a, ref_a) and np.array_equal(np.signbit(a), np.signbit(ref_a))
+
+
+def test_offers_far_below_the_record_are_not_scored(monkeypatch):
+    b = parse_basis("pqhalf(lindenstrauss,dims=2^1..2^3,p=1,q=1)")
+    got, want = [], []
+    calls = _norms_calls(monkeypatch, lambda: got.append(L_m_oracle(b, 6)))
+    real = cond_mod._Best.offer
+    monkeypatch.setattr(cond_mod._Best, "offer",
+                        lambda self, coeffs, A, value=math.inf, **kw: real(self, coeffs, A, **kw))
+    every = _norms_calls(monkeypatch, lambda: want.append(L_m_oracle(b, 6)))
+    assert got == want and calls < every
+
+
+OFFER_RUNS = [
+    lambda b: L_m_oracle(b, min(b.d, 6)),
+    lambda b: L_m_estimate(b, b.d - 1, budget=512, seed=1),
+    lambda b: k_m_estimate(b, 3, budget=256, seed=2),
+]
+
+
+@pytest.mark.parametrize("name,make", BOUND_BASES, ids=[n for n, _ in BOUND_BASES])
+def test_offers_stay_within_the_skip_margin(name, make, monkeypatch):
+    # the skip margin of ``_Best.offer`` covers sum |a_j| ||x_j|| <= 8 (1 + record) ||f||
+    real, worst = cond_mod._Best.offer, [0.0]
+
+    def offer(self, coeffs, A, *args, **kwargs):
+        a = cond_mod._pad_to(np.asarray(coeffs, dtype=np.float64), self.b.d)
+        s = float(np.abs(a) @ self.b.column_norms())
+        if self.ratio > -math.inf:
+            worst[0] = max(worst[0], s / self.b.synth_norms(a[None])[0] / (1.0 + self.ratio))
+        return real(self, coeffs, A, *args, **kwargs)
+
+    monkeypatch.setattr(cond_mod._Best, "offer", offer)
+    b = make()
+    for run in OFFER_RUNS:
+        run(b)
+    assert 0.0 < worst[0] <= 8.0
+
+
+# ---------------------------------------------------------------------------
 # norms-call ceilings: the batched ascent scores several candidates per call
 # ---------------------------------------------------------------------------
 
@@ -1065,9 +1193,10 @@ def _norms_calls(monkeypatch, run):
     return calls[0]
 
 
-# measured with the batched ascent; one call per candidate made 10,082 and
-# 6,984 calls (the basis build not counted)
-@pytest.mark.parametrize("fn,m,ceiling", [(L_m_estimate, 13, 1_028), (k_m_estimate, 4, 828)],
+# measured with the batched ascent that leaves out the candidates its bound
+# proves to miss (1,028 and 828 before); one call per candidate made 10,082
+# and 6,984 calls (the basis build not counted)
+@pytest.mark.parametrize("fn,m,ceiling", [(L_m_estimate, 13, 189), (k_m_estimate, 4, 192)],
                          ids=["L m=13", "k k=4"])
 def test_seeded_estimate_norms_calls_ceiling(fn, m, ceiling, monkeypatch):
     b = lindenstrauss(16)
@@ -1084,8 +1213,11 @@ def test_seeded_estimate_norms_calls_ceiling(fn, m, ceiling, monkeypatch):
 # offers to the result record (the floor, the template, the first ascent,
 # the block winner) is one verify_witness norms call, in place of the
 # template's own score and two ascents' final re-scores alone: 389 -> 390
-# and 311 -> 312
-@pytest.mark.parametrize("fn,m,count", [(L_m_estimate, 13, 390), (k_m_estimate, 4, 312)],
+# and 311 -> 312.  The ascents leave out the candidates their bound proves
+# to miss, each ascent taking one column-norms call, and only scored rows
+# fill a window: 390 -> 190 and 312 -> 193; an offer far below the record
+# is not scored: 190 -> 189 and 193 -> 192
+@pytest.mark.parametrize("fn,m,count", [(L_m_estimate, 13, 189), (k_m_estimate, 4, 192)],
                          ids=["L m=13", "k k=4"])
 def test_seeded_estimate_norms_calls_pinned(fn, m, count, monkeypatch):
     b = lindenstrauss(16)

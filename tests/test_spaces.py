@@ -18,6 +18,7 @@ from condgreedy.spaces import (
     MixedSum,
     SpaceError,
     format_space,
+    is_norm,
     nonincreasing_rearrangement,
     norm,
     norms,
@@ -53,6 +54,28 @@ def test_rearrangement_examples():
     assert np.array_equal(nonincreasing_rearrangement([0, -3, 1]), [3, 1, 0])
     assert np.array_equal(nonincreasing_rearrangement([0, 0, 0]), [0, 0, 0])
     assert np.array_equal(nonincreasing_rearrangement([2, 2, -2]), [2, 2, 2])
+
+
+NORM_FAMILIES = [
+    (Lp(1.0), True), (Lp(3.5), True), (Lp(INF), True), (C0Trunc(4), True), (BV(), True),
+    (Lorentz(1.0, LorentzPQ(2.0, 1.0)), True), (Lorentz(2.0, LorentzPQ(2.0, 2.0)), True),
+    (Lorentz(3.0, LorentzPQ(1.0, 3.0)), False),
+    (Lorentz(2.0, ExplicitWeights((1.0, 0.5, 0.5))), True),
+    (Lorentz(1.0, ExplicitWeights((1.0, 100.0))), False),
+    (MixedSum(1.0, ((Lp(1.0), 2), (BV(), 3))), True),
+    (MixedSum(0.0, ((Lp(2.0), 2), (MixedSum(2.0, ((Lorentz(3.0, LorentzPQ(1.0, 3.0)), 2),)), 2))),
+     False),
+]
+
+
+@pytest.mark.parametrize("space,want", NORM_FAMILIES, ids=[format_space(s) for s, _ in NORM_FAMILIES])
+def test_is_norm_on_each_family(space, want):
+    assert is_norm(space) is want
+
+
+def test_increasing_lorentz_weights_break_the_triangle_inequality():
+    space = Lorentz(1.0, ExplicitWeights((1.0, 100.0)))
+    assert norm(space, [1.0, 1.0]) > norm(space, [1.0, 0.0]) + norm(space, [0.0, 1.0])
 
 
 def test_lp_examples_and_inf():
