@@ -1,13 +1,13 @@
 """The search engine of every lower-bound estimator: the block sampler
 ``sample_block``, ``guarded_ratio``, ``greedy_order``, the lockstep coordinate
-ascent ``ascend`` with its move sets (each start's windows predict every
-coordinate's move of its previous sweep and, on a norm, leave out the
-candidates that a triangle-inequality bound from their last score proves to
-miss), the block maximum ``parallel_block_max``, the oracle's leader pick
-``distinct_leaders``, the argument checks, and the chunked sign-vector table
-``sign_table`` and kernel ``sign_leaders`` of the routes over every sign
-vector.  What is specific to one family of constants stays beside its
-estimators: ``conditionality._seeded_search`` for L_m and k_m,
+ascent ``ascend`` with its move sets (one window walk, ``_window``, predicts
+every coordinate's move of its previous sweep and, given column norms, also
+leaves out the candidates that a triangle-inequality bound from their last
+score proves to miss), the block maximum ``parallel_block_max``, the oracle's
+leader pick ``distinct_leaders``, the argument checks, and the chunked
+sign-vector table ``sign_table`` and kernel ``sign_leaders`` of the routes
+over every sign vector.  What is specific to one family of constants stays
+beside its estimators: ``conditionality._seeded_search`` for L_m and k_m,
 ``greedy._min_denominators`` for the greedy constants.
 
 Determinism contract: every random draw comes from a counter-based Philox
@@ -140,51 +140,41 @@ signed_moves.predicted = None  # the L and k ascents take about 10 % of their mo
 scale_moves.predicted = 0  # the halving: the quasi-greedy ascent takes 77 % of them
 
 
-def _window(cands, past, k: int, width: int, pnz: int, a: list) -> tuple:
-    """The next window from candidate k, ``width`` candidates at most, each predicted
-    move jumping past its coordinate; a move to 0.0 of the only nonzero (``pnz``
-    counts the path's nonzeros) is left out.  Returns (positions, the position after)."""
-    path, n, end = [], k, len(cands)
-    for _ in range(width):
-        if n == end:
-            break
-        i, v, taken, _ = cands[n]
-        n += 1
-        if v == 0.0 and pnz == (a[i] != 0.0):
-            continue
-        path.append(n - 1)
-        if taken:
-            pnz, n = pnz + (v != 0.0) - (a[i] != 0.0), past[i]
-    return path, n
-
-
-def _bounded_window(cands, past, k: int, width: int, pnz: int, a: list, room: list,
-                    drift: float, col_norms) -> tuple:
-    """``_window`` of ``width`` scored rows that also leaves out each candidate n
-    proven to miss, BOUND_SLOPE (drift + its predicted moves' drift) < room[n],
-    taking a predicted move among them as a miss (see ``ascend``).  Returns
-    (positions, the position after, each position's predicted moves' drift)."""
+def _window(cands, past, k: int, width: int, pnz: int, a: list, room, drift: float,
+            col_norms) -> tuple:
+    """The next window from candidate k, ``width`` scored candidates at most, each
+    predicted move jumping past its coordinate; a move to 0.0 of the only nonzero
+    (``pnz`` counts the path's nonzeros) is left out.  With the ``room`` of a
+    bounded climb (see ``_climb``) it also leaves out each candidate n proven to
+    miss, BOUND_SLOPE (drift + its predicted moves' drift) < room[n], taking a
+    predicted move among them as a miss (see ``ascend``).  Returns (positions,
+    the position after, each position's predicted moves' drift when bounded)."""
     path, preds, pred, reach, n, end = [], [], 0.0, BOUND_SLOPE * drift, k, len(cands)
     while len(path) < width and n < end:
         i, v, taken, _ = cands[n]
         n += 1
-        if v == 0.0 and pnz == (a[i] != 0.0) or reach < room[n - 1]:
+        if v == 0.0 and pnz == (a[i] != 0.0):
             continue
+        if room:
+            if reach < room[n - 1]:
+                continue
+            preds.append(pred)
         path.append(n - 1)
-        preds.append(pred)
         if taken:
             pnz, n = pnz + (v != 0.0) - (a[i] != 0.0), past[i]
-            pred += abs(v - a[i]) * col_norms[i]
-            reach = BOUND_SLOPE * (drift + pred)
+            if room:
+                pred += abs(v - a[i]) * col_norms[i]
+                reach = BOUND_SLOPE * (drift + pred)
     return path, n, preds
 
 
 def _climb(rec: list, moves, width: list, col_norms):
-    """One start of ``ascend``: yields its windows (None when done), takes back (ratios,
-    payload, norms of the rows, offset), keeps rec = [ratio, a, (payload, row)] current.
-    With ``col_norms`` it keeps ``drift`` and, from each candidate's last score, its
-    room: ``ascend``'s bound proves it to miss while BOUND_SLOPE (drift + predicted
-    drift) stays below that, at the walk's threshold (no later one is lower)."""
+    """One start of ``ascend``: yields its ``_window`` walks (None when done), takes back
+    (ratios, payload, norms of the rows, offset), keeps rec = [ratio, a, (payload, row)]
+    current.  Only with ``col_norms`` does it keep ``drift`` and, from each candidate's
+    last score, the sweep's room list: ``ascend``'s bound proves a candidate to miss
+    while BOUND_SLOPE (drift + predicted drift) stays below its room, at the walk's
+    threshold (no later one is lower); without them the walk takes no bound clause."""
     guess = [moves.predicted] * rec[1].size  # the first sweep's prior
     memo, drift = {}, 0.0  # memo: (i, move, a[i] == 0.0) -> room
     if col_norms is not None:
@@ -195,16 +185,12 @@ def _climb(rec: list, moves, width: list, col_norms):
                  for i in range(len(a)) for m, v in enumerate(moves(a[i]))]
         guess = [None] * len(a)  # the next sweep's: the move each coordinate takes now
         past = {i: n + 1 for n, (i, *_) in enumerate(cands)}  # position past i's moves
-        end, improved, k = len(cands), False, 0
+        end, improved, k, room = len(cands), False, 0, None
         if col_norms is not None:  # a sweep walks each candidate once: its room holds till then
             room = [memo.get((i, m, a[i] == 0.0), -math.inf) for i, _, _, m in cands]
         while k < end:
-            pnz = np.count_nonzero(rec[1])
-            if col_norms is None:
-                path, k = _window(cands, past, k, width[0], pnz, a)
-            else:
-                path, k, preds = _bounded_window(cands, past, k, width[0], pnz, a, room, drift,
-                                                 col_norms)
+            path, k, preds = _window(cands, past, k, width[0], np.count_nonzero(rec[1]), a, room,
+                                     drift, col_norms)
             if not path:
                 continue
             rows = rec[1][None].repeat(len(path), 0)

@@ -103,7 +103,8 @@ class BasisTruncation:
         return norms(self.space, self.synth_rows(coeff_rows), overwrite=True)
 
     def column_norms(self) -> np.ndarray:
-        return norms(self.space, self.columns.T)
+        """The ambient norm of each column: one read-only array, computed once."""
+        return self._column_norms
 
     def kept_norms(self, rows: np.ndarray, sets: np.ndarray) -> np.ndarray:
         """(n, K) norms of the coefficient rows (n, d) restricted to the 0/1
@@ -151,6 +152,12 @@ class BasisTruncation:
         cols.flags.writeable = False
         return BasisTruncation(m, cols.shape[0], cols, space, f"{self.label}[1..{m}]",
                                ("prefix", self.recipe, m), self.seminorm_c)
+
+    @cached_property
+    def _column_norms(self) -> np.ndarray:
+        out = norms(self.space, self.columns.T)
+        out.flags.writeable = False
+        return out
 
     @cached_property
     def l1_pairs(self):

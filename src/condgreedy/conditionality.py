@@ -276,9 +276,10 @@ def _mask_sweep(p: BasisTruncation, rows: np.ndarray, sets: np.ndarray):
 
 
 def _bound_norms(p: BasisTruncation):
-    """The column norms of ``ascend``'s bound on the prefix ``p``, or None where
-    the bound does not hold: an ambient that is only a quasi-norm, or more
-    roundings than ROUNDING covers (see ``ascend``)."""
+    """The column norms of ``ascend``'s bound on the prefix ``p`` (its cached
+    ``column_norms()``), or None where the bound does not hold: an ambient
+    that is only a quasi-norm, or more roundings than ROUNDING covers (see
+    ``ascend``)."""
     roundings = p.d * (2 * p.ambient_dim + MAX_SWEEPS) + 8 * p.ambient_dim + 8
     return p.column_norms() if is_norm(p.space) and roundings * 2.0**-52 <= ROUNDING else None
 

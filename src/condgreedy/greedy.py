@@ -1,8 +1,7 @@
 """Thresholding-greedy machinery.
 
-Greedy sets of a coefficient vector, coordinate projections, and seeded
-lower-bound estimators for the quasi-greedy constant
-``sup ||f - S_A f|| / ||f||`` and the almost-greedy constant
+Coordinate projections and seeded lower-bound estimators for the quasi-greedy
+constant ``sup ||f - S_A f|| / ||f||`` and the almost-greedy constant
 ``sup ||f - S_A f|| / min_{|B| <= |A|} ||f - S_B f||`` (sup over greedy A),
 plus the fundamental function ``phi_m = sup_{|A| <= m} ||sum_{j in A} x_j||``
 and the democracy ratio.
@@ -59,22 +58,18 @@ bounds and are reproducible for a fixed seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
 from . import _search
 from ._search import (BLOCK, DEFAULT_BUDGET, DEFAULT_SEED, TINY, ascend, check_budget,
-                      check_coeffs, check_indices, check_int, check_m, greedy_order,
-                      guarded_ratio, rng_stream, sample_block, scale_moves)
+                      check_coeffs, check_indices, check_m, greedy_order, guarded_ratio,
+                      rng_stream, sample_block, scale_moves)
 from .bases import BasisTruncation
 from .conditionality import _Best
 
 __all__ = [
     "GreedyError",
-    "GreedySetFamily",
-    "greedy_sets",
     "project",
     "quasi_greedy_constant_lb",
     "almost_greedy_constant_lb",
@@ -93,41 +88,6 @@ PHI_CHUNK_ROWS = 4096  # candidate subsets per synth_norms call of exact phi_m
 
 class GreedyError(ValueError):
     """Parameter outside the supported range."""
-
-
-@dataclass(frozen=True)
-class GreedySetFamily:
-    """Greedy sets of size m for one coefficient vector (1-based indices)."""
-
-    coeffs: tuple
-    m: int
-    canonical: tuple
-    all_sets: tuple | None = None
-
-    @property
-    def count(self) -> int:
-        return len(self.all_sets) if self.all_sets is not None else 1
-
-
-def greedy_sets(coeffs, m: int, mode: str = "canonical") -> GreedySetFamily:
-    """Sets A with min_{k in A} |a_k| >= max_{j not in A} |a_j|, |A| = m."""
-    a = check_coeffs(coeffs, np.size(coeffs), GreedyError)
-    m = check_int(m, 0, a.size, GreedyError, "m")
-    if mode not in ("canonical", "all"):
-        raise GreedyError(f"mode must be 'canonical' or 'all', got {mode!r}")
-    order = greedy_order(a)
-    canonical = tuple(sorted(int(i) + 1 for i in order[:m]))
-    if mode == "canonical":
-        return GreedySetFamily(tuple(a.tolist()), m, canonical)
-    if m == 0:
-        return GreedySetFamily(tuple(a.tolist()), m, canonical, ((),))
-    mags = np.abs(a)
-    threshold = mags[order[m - 1]]
-    above = [int(i) + 1 for i in np.flatnonzero(mags > threshold)]
-    ties = [int(i) + 1 for i in np.flatnonzero(mags == threshold)]
-    need = m - len(above)
-    all_sets = tuple(tuple(sorted(above + list(combo))) for combo in combinations(ties, need))
-    return GreedySetFamily(tuple(a.tolist()), m, canonical, all_sets)
 
 
 def project(b: BasisTruncation, coeffs, A) -> np.ndarray:

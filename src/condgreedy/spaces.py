@@ -26,6 +26,8 @@ from typing import Union
 
 import numpy as np
 
+from ._search import check_int
+
 INF = math.inf
 
 __all__ = [
@@ -72,9 +74,7 @@ class C0Trunc:
     dim: int
 
     def __post_init__(self):
-        if int(self.dim) < 1:
-            raise SpaceError(f"C0Trunc dimension must be >= 1, got {self.dim!r}")
-        object.__setattr__(self, "dim", int(self.dim))
+        object.__setattr__(self, "dim", check_int(self.dim, 1, INF, SpaceError, "C0Trunc dimension"))
 
 
 def outer_q_ok(q) -> bool:
@@ -93,12 +93,11 @@ class MixedSum:
     def __post_init__(self):
         if not outer_q_ok(self.outer_q):
             raise SpaceError(f"outer_q must be 0 or in [1, inf), got {self.outer_q!r}")
-        blocks = tuple((s, int(d)) for s, d in self.blocks)
+        blocks = tuple((s, check_int(d, 1, INF, SpaceError, "block dimension"))
+                       for s, d in self.blocks)
         if not blocks:
             raise SpaceError("MixedSum needs at least one block")
         for s, d in blocks:
-            if d < 1:
-                raise SpaceError(f"block dimension must be >= 1, got {d}")
             inner = space_dim(s)
             if inner is not None and inner != d:
                 raise SpaceError(f"block space {format_space(s)} wants dim {inner}, got {d}")

@@ -20,6 +20,7 @@ import pytest
 
 from condgreedy import (
     BasisError,
+    C0Trunc,
     ConditionalityError,
     GreedyError,
     LINEAR_TARGET,
@@ -27,12 +28,13 @@ from condgreedy import (
     L_m_exact,
     L_m_oracle,
     Lp,
+    MixedSum,
+    SpaceError,
     block_embed_pair,
     block_index_split,
     block_offsets,
     block_sum,
     difference,
-    greedy_sets,
     growth_fit,
     half_split_maps,
     interleave_pair,
@@ -59,6 +61,9 @@ def _ladder(m0):
 
 # name -> (error, call of the bad value, bad values)
 BAD = {
+    # 2.5 and True were truncated to a dimension of 2 and 1
+    "C0Trunc dim": (SpaceError, C0Trunc, [2.5, True, NAN, 0, -1, "3"]),
+    "MixedSum block dim": (SpaceError, lambda v: MixedSum(1.0, ((Lp(1.0), v),)), [2.5, True, NAN, 0]),
     "unit_vector_system d": (BasisError, lambda v: unit_vector_system(v, Lp(2.0)), [2.5, True, NAN, 0, -1]),
     "lindenstrauss d": (BasisError, lindenstrauss, [2.5, True, NAN, 0, -1, math.inf]),
     "summing d": (BasisError, summing, [2.5, True, NAN, 0]),
@@ -75,8 +80,6 @@ BAD = {
     "pq_block_sum dims": (BasisError, lambda v: pq_block_sum(
         difference(4), [(v, half_split_maps(difference(4), 2))], 1, 1), [2.5, True, 0, 5]),
     "half_split_maps dn": (BasisError, lambda v: half_split_maps(difference(4), v), [2.5, True, NAN, 0, 5]),
-    "greedy_sets m": (GreedyError, lambda v: greedy_sets([1.0, 2.0, 3.0], v), [2.5, True, NAN, -1, 4]),
-    "greedy_sets coeffs": (GreedyError, lambda v: greedy_sets(v, 1), [[1.0, NAN], [1.0, math.inf], np.ones((2, 2))]),
     "project coeffs": (GreedyError, lambda v: project(difference(3), v, (1,)),
                        [[1.0, NAN, 1.0], [1.0, 1.0], np.ones(4)]),
     "project A": (GreedyError, lambda v: project(difference(3), np.ones(3), v),
@@ -158,6 +161,8 @@ def _plain(x):
 
 # name -> (call of the value, the plain int it must behave as)
 ACCEPTED = {
+    "C0Trunc dim": (C0Trunc, 3),
+    "MixedSum block dim": (lambda v: MixedSum(1.0, ((Lp(1.0), v),)), 3),
     "unit_vector_system d": (lambda v: unit_vector_system(v, Lp(2.0)), 3),
     "lindenstrauss d": (lindenstrauss, 3),
     "prefix m": (lambda v: difference(4).prefix(v), 3),
@@ -166,7 +171,6 @@ ACCEPTED = {
     "block_index_split k": (lambda v: block_index_split([2, 4], v), 3),
     "block_sum dims": (lambda v: block_sum(difference(4), [2, v], 1), 3),
     "half_split_maps dn": (lambda v: half_split_maps(difference(4), v), 3),
-    "greedy_sets m": (lambda v: greedy_sets([1.0, -2.0, 2.0, 0.5], v, mode="all"), 3),
     "project A": (lambda v: project(difference(4), np.ones(4), (1, v)), 3),
     "sa_ratio A": (lambda v: sa_ratio(lindenstrauss(4), np.ones(4), (1, v)), 3),
     "witness_from_doc A": (lambda v: witness_from_doc({**DOC, "A": [1, v]}), 3),

@@ -118,6 +118,26 @@ def test_difference_column_norms():
     assert np.allclose(got[1:], 2.0)
 
 
+@pytest.mark.parametrize("spec", ["lindenstrauss:16", "summing:6", "blocksum(lindenstrauss,dims=2^1..2^3,p=2)"])
+def test_column_norms_are_one_read_only_array_per_basis(spec, monkeypatch):
+    calls, real = [0], bases_mod.norms
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(bases_mod, "norms", counted)
+    b = parse_basis(spec)
+    for basis in (b, b.prefix(b.d - 2)):
+        before = calls[0]
+        got = basis.column_norms()
+        assert basis.column_norms() is got and not got.flags.writeable
+        assert calls[0] == before + 1
+        assert np.array_equal(got, real(basis.space, basis.columns.T))
+        with pytest.raises(ValueError):
+            got[0] = 0.0
+
+
 @pytest.mark.parametrize("ctor", [lindenstrauss, summing, difference])
 def test_constructors_reject_nonpositive_d(ctor):
     with pytest.raises(BasisError):

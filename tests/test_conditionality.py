@@ -7,6 +7,7 @@ import itertools
 import math
 import tracemalloc
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -1153,8 +1154,22 @@ OFFER_RUNS = [
 ]
 
 
-@pytest.mark.parametrize("name,make", BOUND_BASES, ids=[n for n, _ in BOUND_BASES])
-def test_offers_stay_within_the_skip_margin(name, make, monkeypatch):
+# the estimates and ladders of the ladder-estimate benchmark workload, at seeds 1-5
+BENCH_OFFER_RUNS = {
+    "lindenstrauss:16": [lambda b, sd: L_m_estimate(b, 13, budget=512, seed=sd),
+                         lambda b, sd: k_m_estimate(b, 4, budget=512, seed=sd)],
+    "interleave(difference:8,unit:8@lp:2)": [lambda b, sd: L_m_estimate(b, 12, budget=512, seed=sd)],
+    "pqhalf(lindenstrauss,dims=2^1..2^2,p=1,q=1)": [
+        lambda b, sd: lb_ladder(b, (4, 5, 6), mode="estimate", budget=512, seed=sd),
+        lambda b, sd: lb_ladder(b, (2, 3, 4), kind="k", budget=512, seed=sd)],
+}
+OFFER_CASES = [(name, make, OFFER_RUNS) for name, make in BOUND_BASES] + [
+    (spec, partial(parse_basis, spec), [partial(run, sd=sd) for run in runs for sd in range(1, 6)])
+    for spec, runs in BENCH_OFFER_RUNS.items()]
+
+
+@pytest.mark.parametrize("name,make,runs", OFFER_CASES, ids=[n for n, *_ in OFFER_CASES])
+def test_offers_stay_within_the_skip_margin(name, make, runs, monkeypatch):
     # the skip margin of ``_Best.offer`` covers sum |a_j| ||x_j|| <= 8 (1 + record) ||f||
     real, worst = cond_mod._Best.offer, [0.0]
 
@@ -1167,7 +1182,7 @@ def test_offers_stay_within_the_skip_margin(name, make, monkeypatch):
 
     monkeypatch.setattr(cond_mod._Best, "offer", offer)
     b = make()
-    for run in OFFER_RUNS:
+    for run in runs:
         run(b)
     assert 0.0 < worst[0] <= 8.0
 
@@ -1194,9 +1209,10 @@ def _norms_calls(monkeypatch, run):
 
 
 # measured with the batched ascent that leaves out the candidates its bound
-# proves to miss (1,028 and 828 before); one call per candidate made 10,082
-# and 6,984 calls (the basis build not counted)
-@pytest.mark.parametrize("fn,m,ceiling", [(L_m_estimate, 13, 189), (k_m_estimate, 4, 192)],
+# proves to miss and a basis that computes its column norms once (1,028 and
+# 828 before the bound, 189 and 192 before the cache); one call per
+# candidate made 10,082 and 6,984 calls (the basis build not counted)
+@pytest.mark.parametrize("fn,m,ceiling", [(L_m_estimate, 13, 187), (k_m_estimate, 4, 190)],
                          ids=["L m=13", "k k=4"])
 def test_seeded_estimate_norms_calls_ceiling(fn, m, ceiling, monkeypatch):
     b = lindenstrauss(16)
@@ -1216,8 +1232,10 @@ def test_seeded_estimate_norms_calls_ceiling(fn, m, ceiling, monkeypatch):
 # and 311 -> 312.  The ascents leave out the candidates their bound proves
 # to miss, each ascent taking one column-norms call, and only scored rows
 # fill a window: 390 -> 190 and 312 -> 193; an offer far below the record
-# is not scored: 190 -> 189 and 193 -> 192
-@pytest.mark.parametrize("fn,m,count", [(L_m_estimate, 13, 189), (k_m_estimate, 4, 192)],
+# is not scored: 190 -> 189 and 193 -> 192.  A basis computes its column
+# norms once, so the three ascents on one prefix share one call: 189 -> 187
+# and 192 -> 190
+@pytest.mark.parametrize("fn,m,count", [(L_m_estimate, 13, 187), (k_m_estimate, 4, 190)],
                          ids=["L m=13", "k k=4"])
 def test_seeded_estimate_norms_calls_pinned(fn, m, count, monkeypatch):
     b = lindenstrauss(16)

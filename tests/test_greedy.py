@@ -19,7 +19,6 @@ from condgreedy import (
     democracy_ratio,
     difference,
     fundamental_function,
-    greedy_sets,
     lindenstrauss,
     norm,
     project,
@@ -75,43 +74,8 @@ PHI_LIND12 = {1: 2.0, 6: 12.0, 12: 16.0}
 
 
 # ---------------------------------------------------------------------------
-# greedy sets and projections
+# projections
 # ---------------------------------------------------------------------------
-
-
-def test_greedy_sets_canonical():
-    fam = greedy_sets([3.0, -1.0, 2.0], 2)
-    assert fam.canonical == (1, 3)
-    assert fam.all_sets is None and fam.count == 1
-
-
-def test_greedy_sets_all_enumerates_ties():
-    fam = greedy_sets([1.0, -1.0, 2.0], 2, mode="all")
-    assert fam.all_sets == ((1, 3), (2, 3))
-    assert fam.count == 2
-    assert fam.canonical in fam.all_sets
-
-
-def test_greedy_sets_empty():
-    fam = greedy_sets([1.0, 2.0], 0, mode="all")
-    assert fam.canonical == ()
-    assert fam.all_sets == ((),)
-
-
-def test_greedy_sets_tie_order_prefers_low_index():
-    fam = greedy_sets([2.0, -2.0, 2.0], 2)
-    assert fam.canonical == (1, 2)
-
-
-def test_greedy_sets_validation():
-    with pytest.raises(GreedyError):
-        greedy_sets([1.0, 2.0], 3)
-    with pytest.raises(GreedyError):
-        greedy_sets([1.0, 2.0], -1)
-    with pytest.raises(GreedyError):
-        greedy_sets(np.ones((2, 2)), 1)
-    with pytest.raises(GreedyError):
-        greedy_sets([1.0, 2.0], 1, mode="bogus")
 
 
 def test_project_example():
@@ -512,8 +476,10 @@ def test_golden_qg_random_tier_lockstep(spec, budget):
 
 
 def _is_greedy_witness(wit) -> bool:
-    """A of the witness is one of the greedy sets of its size for f."""
-    return wit.indices in greedy_sets(wit.coeffs, len(wit.indices), mode="all").all_sets
+    """A of the witness is greedy for f: min over A of |a| >= max outside A of |a|."""
+    mags = np.abs(wit.coeffs)
+    inside = np.isin(np.arange(1, mags.size + 1), wit.indices)
+    return mags[inside].min(initial=math.inf) >= mags[~inside].max(initial=0.0)
 
 
 def test_golden_qg_lindenstrauss10_sign_grid():

@@ -18,6 +18,7 @@ from condgreedy._search import (
     best_subcodes,
     digit_rows,
     distinct_leaders,
+    greedy_order,
     guarded_ratio,
     parallel_block_max,
     rng_stream,
@@ -353,6 +354,11 @@ def test_move_sets():
     assert signed_moves(0.0) == (1.0, -1.0)
     assert scale_moves(-3.0) == (-1.5, -6.0)
     assert scale_moves(0.0) == ()
+
+
+def test_greedy_order_prefers_low_index_among_ties():
+    assert greedy_order(np.array([2.0, -2.0, 2.0])).tolist() == [0, 1, 2]
+    assert greedy_order(np.array([[3.0, -1.0, 2.0], [1.0, -2.0, 2.0]])).tolist() == [[0, 2, 1], [1, 2, 0]]
 
 
 # ---------------------------------------------------------------------------
