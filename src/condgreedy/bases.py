@@ -106,6 +106,13 @@ class BasisTruncation:
         """The ambient norm of each column: one read-only array, computed once."""
         return self._column_norms
 
+    def parts(self) -> tuple:
+        """((part basis, 0-based column positions), ...), computed once: one
+        part per block that columns touch, those columns on the block's
+        coordinates and space, when the ambient is a MixedSum of two or more
+        blocks and every column lies inside one block; else ()."""
+        return self._parts
+
     def kept_norms(self, rows: np.ndarray, sets: np.ndarray) -> np.ndarray:
         """(n, K) norms of the coefficient rows (n, d) restricted to the 0/1
         sets: one family (K, d) for every row, or one per row (n, K, d)."""
@@ -158,6 +165,19 @@ class BasisTruncation:
         out = norms(self.space, self.columns.T)
         out.flags.writeable = False
         return out
+
+    @cached_property
+    def _parts(self) -> tuple:
+        blocks = self.space.blocks if isinstance(self.space, MixedSum) else ()
+        ends, nz = np.cumsum([n for _, n in blocks]), self.columns != 0.0
+        first, last = (np.searchsorted(ends, rows, side="right")  # the blocks of each column's ends
+                       for rows in (nz.argmax(axis=0), len(nz) - 1 - nz[::-1].argmax(axis=0)))
+        if len(blocks) < 2 or (first != last).any():
+            return ()
+        return tuple((_make(self.columns[ends[r] - n : ends[r], list(pos)], sub,
+                            f"{self.label}:part{r + 1}", ("part", self.recipe, r + 1)), pos)
+                     for r, (sub, n) in enumerate(blocks)
+                     if (pos := tuple(np.flatnonzero(first == r).tolist())))
 
     @cached_property
     def l1_pairs(self):

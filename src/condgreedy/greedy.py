@@ -8,6 +8,9 @@ and the democracy ratio.
 
 Estimator tiers, chosen by the basis length d:
 
+* split    -- quasi-greedy on a basis with ``parts()`` (block sums, interleaves):
+              each part through these tiers, its witness offered on the sum
+              (``_qg_search`` searches the sum itself).
 * d <= 8   -- every sign vector of {-1,0,1}^d and every greedy set (for sign
               vectors every subset of the support is greedy) from the chunked
               ``_search.sign_table``: a lower bound for any budget and seed.
@@ -202,18 +205,8 @@ def _qg_block_head(b: BasisTruncation, seed: int, block_i: int):
     return best, pair
 
 
-def quasi_greedy_constant_lb(
-    b: BasisTruncation, budget: int = DEFAULT_BUDGET, seed: int = DEFAULT_SEED
-):
-    """Lower bound for the quasi-greedy constant with its witness.
-
-    For d <= QG_EXHAUSTIVE_MAX_D (12) the value is the largest ratio
-    ||f - S_A f|| / ||f|| over every sign vector f and every greedy set A
-    (``_qg_exhaustive``), the same for every budget and seed; beyond that,
-    the best of ceil(budget / BLOCK) seeded random blocks and of a lockstep
-    ascent from each block's winner.
-    """
-    budget = check_budget(budget, GreedyError)
+def _qg_search(b: BasisTruncation, budget: int, seed: int):
+    """The quasi-greedy tiers by d on ``b`` itself, without the split."""
     d = b.d
     if d <= QG_EXHAUSTIVE_MAX_D:
         return _qg_exhaustive(b)
@@ -228,6 +221,31 @@ def quasi_greedy_constant_lb(
     _, (a, A) = _search.parallel_block_max(
         lambda i: tails[i] if tails[i][0] > heads[i][0] else heads[i], len(heads))
     best.offer(a, A)
+    return best.result()
+
+
+def quasi_greedy_constant_lb(
+    b: BasisTruncation, budget: int = DEFAULT_BUDGET, seed: int = DEFAULT_SEED
+):
+    """Lower bound for the quasi-greedy constant with its witness.
+
+    On a basis with ``parts()`` each part is searched alone with the same
+    budget and seed, and its witness, placed at its columns, is offered on
+    ``b``: the sum's constant is the largest part's, as the outer norm is an
+    l_p sum (p >= 1) or the sup and a greedy set of f meets each part in a
+    greedy set of that part of f.  Elsewhere ``_qg_search``: every sign
+    vector and greedy set for d <= 12 (any budget and seed), beyond that
+    ceil(budget / BLOCK) seeded random blocks, each ascended from its winner.
+    """
+    budget = check_budget(budget, GreedyError)
+    if not b.parts():
+        return _qg_search(b, budget, seed)
+    best = _Best(b, "quasi-greedy")
+    for part, pos in b.parts():
+        value, w = quasi_greedy_constant_lb(part, budget, seed)
+        a = np.zeros(b.d)
+        a[list(pos)] = w.coeffs
+        best.offer(a, [pos[i - 1] + 1 for i in w.indices], value)
     return best.result()
 
 

@@ -50,7 +50,7 @@ from .conditionality import (
     sa_ratio,
     verify_witness,
 )
-from .greedy import fundamental_function, quasi_greedy_constant_lb
+from .greedy import _qg_search, fundamental_function, quasi_greedy_constant_lb
 from .reportio import csv_bytes, json_bytes, svg_polyline
 from .spaces import norm
 
@@ -270,8 +270,8 @@ def _run_blocksum_l1(budget, seed):
         worst = max(worst, abs(r2 - val) / max(1.0, val))
     checks.add("witness-embed", worst <= _REL_TOL, f"max rel dev {worst:.2e}")
 
-    qg_bs, _ = quasi_greedy_constant_lb(bs, budget=budget, seed=seed)
     qg_l, _ = quasi_greedy_constant_lb(base, budget=budget, seed=seed)
+    qg_bs, _ = _qg_search(bs, budget, seed)  # the direct search: its parts would give qg_l
     checks.add("qg-bounded", qg_bs <= 1.1 * qg_l + _ABS_TOL,
                f"qg[blocksum] {qg_bs:.4f} vs 1.1*qg[base] {1.1 * qg_l:.4f}")
 

@@ -448,6 +448,7 @@ def parse_space(text: str) -> SpaceDesc:
             if "^" not in part:
                 raise SpaceError(f"mixed block {part!r} needs space^dim")
             sub, dim = part.rsplit("^", 1)
-            blocks.append((parse_space(sub), int(dim)))
+            size = int(dim) if dim.strip().isdecimal() else dim  # any other text: check_int rejects it
+            blocks.append((parse_space(sub), check_int(size, 1, INF, SpaceError, f"block size in {text!r}")))
         return MixedSum(q, tuple(blocks))
     raise SpaceError(f"cannot parse space {text!r}")

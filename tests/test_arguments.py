@@ -13,6 +13,7 @@ from __future__ import annotations
 import ast
 import dataclasses
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +51,7 @@ from condgreedy import (
     unit_vector_system,
     witness_from_doc,
 )
+from condgreedy.spaces import parse_space
 
 NAN = float("nan")
 DOC = {"coeffs": [1.0, 1.0, -1.0, 0.0], "A": [1, 3], "ratio": 1.0, "kind": "oracle"}
@@ -64,6 +66,9 @@ BAD = {
     # 2.5 and True were truncated to a dimension of 2 and 1
     "C0Trunc dim": (SpaceError, C0Trunc, [2.5, True, NAN, 0, -1, "3"]),
     "MixedSum block dim": (SpaceError, lambda v: MixedSum(1.0, ((Lp(1.0), v),)), [2.5, True, NAN, 0]),
+    # a bare ValueError from int(); 3.0 stays text, refused as in a basis spec
+    "parse_space mixed block size": (SpaceError, lambda v: parse_space(f"mixed:q=1[lp:1^{v}]"),
+                                     ["2.5", "3.0", "x", "True", "0", "inf", "nan", "-1"]),
     "unit_vector_system d": (BasisError, lambda v: unit_vector_system(v, Lp(2.0)), [2.5, True, NAN, 0, -1]),
     "lindenstrauss d": (BasisError, lindenstrauss, [2.5, True, NAN, 0, -1, math.inf]),
     "summing d": (BasisError, summing, [2.5, True, NAN, 0]),
@@ -132,6 +137,13 @@ BAD = {
     "template_pairs m": (ConditionalityError, lambda v: template_pairs(("difference", 4), 4, v),
                          [2.5, True, NAN, -1, 5]),
 }
+
+
+@pytest.mark.parametrize("size", BAD["parse_space mixed block size"][2])
+def test_mixed_block_size_error_names_the_spec(size):
+    spec = f"mixed:q=1[lp:1^{size}]"
+    with pytest.raises(SpaceError, match=re.escape(repr(spec))):
+        parse_space(spec)
 
 
 def _id(value) -> str:

@@ -138,6 +138,65 @@ def test_column_norms_are_one_read_only_array_per_basis(spec, monkeypatch):
             got[0] = 0.0
 
 
+def _mixed_external(columns, blocks):
+    return external_basis(np.asarray(columns, dtype=np.float64), MixedSum(1.0, blocks), "ext")
+
+
+@pytest.mark.parametrize("b", [
+    pytest.param(parse_basis("pqhalf(lindenstrauss,dims=2^1..2^3,p=1,q=1)"), id="pqhalf"),
+    pytest.param(lindenstrauss(8), id="lp:1"),
+    pytest.param(_mixed_external(np.eye(3), ((Lp(1.0), 3),)), id="one-block mixed"),
+    pytest.param(_mixed_external([[1, 0], [1, 1], [0, 1]], ((Lp(1.0), 1), (Lp(2.0), 2))),
+                 id="column across blocks"),
+])
+def test_parts_are_empty_where_the_split_rule_does_not_apply(b):
+    assert b.parts() == ()
+
+
+def test_parts_are_cached_and_read_only():
+    b = _mixed_external([[1, 0, 0], [0, 0, 2], [0, 1, 0], [0, 1, 0]],
+                        ((Lp(1.0), 2), (Lp(2.0), 2)))
+    assert b.parts() is b.parts()
+    (p0, pos0), (p1, pos1) = b.parts()
+    assert pos0 == (0, 2) and pos1 == (1,)
+    assert np.array_equal(p0.columns, [[1.0, 0.0], [0.0, 2.0]]) and p0.space == Lp(1.0)
+    assert np.array_equal(p1.columns, [[1.0], [1.0]]) and p1.space == Lp(2.0)
+    for arr in (p0.columns, p1.columns):
+        with pytest.raises(ValueError):
+            arr[0] = 0
+
+
+def test_parts_leave_out_blocks_no_column_touches():
+    b = _mixed_external([[1, 0], [0, 1], [0, 0]], ((Lp(1.0), 2), (Lp(1.0), 1)))
+    assert [pos for _, pos in b.parts()] == [(0, 1)]
+
+
+@pytest.mark.parametrize("spec,standalone", [
+    ("blocksum(lindenstrauss,dims=2^1..2^4,p=1)", [lindenstrauss(n) for n in (2, 4, 8, 16)]),
+    ("blocksum(summing,dims=3..5,p=2)", [summing(n) for n in (3, 4, 5)]),
+    ("blocksum(difference,dims=2..4,p=0)", [difference(n) for n in (2, 3, 4)]),
+    ("interleave(difference:8,unit:8@lp:2)", [difference(8), unit_vector_system(8, Lp(2.0))]),
+    ("interleave(lindenstrauss:5,summing:6)", [lindenstrauss(5), summing(6)]),
+    ("unit:4@mixed:q=2[lp:1^2,lp:2^2]", [unit_vector_system(2, Lp(1.0)), unit_vector_system(2, Lp(2.0))]),
+])
+def test_parts_are_the_standalone_bases_bitwise(spec, standalone):
+    b = parse_basis(spec)
+    assert len(b.parts()) == len(standalone)
+    placed = np.zeros(b.d, dtype=np.int64)
+    for (part, pos), want in zip(b.parts(), standalone):
+        assert part.space == want.space and part.columns.tobytes() == want.columns.tobytes()
+        assert part.columns.flags.c_contiguous and part.seminorm_c == want.seminorm_c
+        placed[list(pos)] += 1
+    assert (placed == 1).all()
+
+
+def test_nested_sum_splits_into_mixed_parts():
+    b = parse_basis("blocksum(interleave(difference:4,unit:4@lp:2),dims=4..8,p=1)")
+    assert [part.d for part, _ in b.parts()] == list(range(4, 9))
+    inner = b.parts()[-1][0]
+    assert [p.d for p, _ in inner.parts()] == [4, 4]
+
+
 @pytest.mark.parametrize("ctor", [lindenstrauss, summing, difference])
 def test_constructors_reject_nonpositive_d(ctor):
     with pytest.raises(BasisError):

@@ -14,11 +14,13 @@ import pytest
 from condgreedy import (
     C0Trunc,
     GreedyError,
+    L_m_estimate,
     Lp,
     almost_greedy_constant_lb,
     democracy_ratio,
     difference,
     fundamental_function,
+    k_m_estimate,
     lindenstrauss,
     norm,
     project,
@@ -59,6 +61,7 @@ from condgreedy.greedy import (
     _qg_block_head,
     _qg_exhaustive,
     _qg_ratios,
+    _qg_search,
     _sum_norm_extremum,
     _swept_ratios,
 )
@@ -432,28 +435,34 @@ def _coeff_digest(coeffs) -> str:
 
 
 def test_golden_qg_blocksum_random_tier():
+    # the direct search on the sum read 1.2636718040935908, (9,), fd89cf2205e52a58
     b = parse_basis("blocksum(lindenstrauss,dims=2^1..2^4,p=1)")
     val, wit = quasi_greedy_constant_lb(b, budget=256, seed=1)
-    assert val == 1.2636718040935908
-    assert wit.indices == (9,)
-    assert _coeff_digest(wit.coeffs) == "fd89cf2205e52a58"
+    assert val == 1.2666521775707926
+    assert wit.indices == (19,)
+    assert _coeff_digest(wit.coeffs) == "b6b1af95061b2104"
 
 
 def test_golden_qg_blocksum_to_32_budget_512():
+    # the direct search on the sum read 1.279900609917841, (21,), d5b56e9586ae5aeb
     b = parse_basis("blocksum(lindenstrauss,dims=2^1..2^5)")
     val, wit = quasi_greedy_constant_lb(b, budget=512, seed=1)
-    assert val == 1.279900609917841
-    assert wit.indices == (21,)
-    assert _coeff_digest(wit.coeffs) == "d5b56e9586ae5aeb"
+    assert val == 1.2871705431187435
+    assert wit.indices == (32, 41)
+    assert _coeff_digest(wit.coeffs) == "804736b39712cb3e"
 
 
 # value, witness A and coefficient digest at the default seed, measured with
-# one ascent candidate per score call and one block ascent at a time
+# one ascent candidate per score call and one block ascent at a time.  The
+# sums take their parts' values: the direct search on the block sum read
+# (1.247381389417086, (19, 39), "ed5b281bd456e76e") at 512 and
+# (1.31880370620626, (19,), "eda911ac24bd6279") at 4096, on the interleave
+# (2.3333333333333335, (2, 3, 4, 9, 10, 15, 16), "3c0949c3c3dad598") and
+# (3.0, (4, 5, 6, 9, 10, 13, 14, 16), "01ee0ef765795e1d")
 QG_PINS = {
-    ("blocksum(lindenstrauss,dims=2^1..2^5,p=1)", 512):
-        (1.247381389417086, (19, 39), "ed5b281bd456e76e"),
+    ("blocksum(lindenstrauss,dims=2^1..2^5,p=1)", 512): (1.25, (8, 9), "0281ca3a1744d989"),
     ("blocksum(lindenstrauss,dims=2^1..2^5,p=1)", 4096):
-        (1.31880370620626, (19,), "eda911ac24bd6279"),
+        (1.312350856983869, (35,), "7f0f57cb59831a7e"),
     ("lindenstrauss:64", 512): (1.2519563471165647, (2, 10, 22), "329dc058eb4bc7a1"),
     ("lindenstrauss:64", 4096): (1.283054723351687, (7,), "8901a25e771b7c1a"),
     ("difference:20", 512): (1.7777777777777777, (1, 7, 12, 16, 19), "66da6ebebbdcd4ee"),
@@ -462,10 +471,8 @@ QG_PINS = {
     ("summing:20", 4096): (6.146677738439897, (3, 6, 12, 15), "a0288c982da2abdf"),
     ("unit:20@lp:3", 512): (1.0, (), "fe7998e76e0023fb"),
     ("unit:20@lp:3", 4096): (1.0, (), "fe7998e76e0023fb"),
-    ("interleave(difference:8,unit:8@lp:2)", 512):
-        (2.3333333333333335, (2, 3, 4, 9, 10, 15, 16), "3c0949c3c3dad598"),
-    ("interleave(difference:8,unit:8@lp:2)", 4096):
-        (3.0, (4, 5, 6, 9, 10, 13, 14, 16), "01ee0ef765795e1d"),
+    ("interleave(difference:8,unit:8@lp:2)", 512): (8.0, (1, 5, 9, 13), "bedea2c9d1a7f13b"),
+    ("interleave(difference:8,unit:8@lp:2)", 4096): (8.0, (1, 5, 9, 13), "bedea2c9d1a7f13b"),
 }
 
 
@@ -786,12 +793,15 @@ def test_ascend_matches_qg_loop(spec):
 # to cost one entry per column nonzero; at 6 entries it took (273, 6,626),
 # (653, 9,648), (555, 8,526) and (2,197, 14,485).  No ascent re-scores its
 # final vectors alone (one row per block and seed): that took (172, 6,887),
-# (265, 13,461), (214, 10,837) and (520, 20,613)
+# (265, 13,461), (214, 10,837) and (520, 20,613).  The block sums search their
+# parts: the d <= 12 parts take the sign tier, so 2^1..2^4 sweeps only
+# lindenstrauss:16 (the direct search on the sum took (208, 10,831), on
+# 2^1..2^5 (514, 20,607))
 QG_SWEPT_COUNTS = {
     "lindenstrauss:16": (166, 6_881),
     "lindenstrauss:32": (259, 13_455),
-    "blocksum(lindenstrauss,dims=2^1..2^4,p=1)": (208, 10_831),
-    "blocksum(lindenstrauss,dims=2^1..2^5,p=1)": (514, 20_607),
+    "blocksum(lindenstrauss,dims=2^1..2^4,p=1)": (166, 6_881),
+    "blocksum(lindenstrauss,dims=2^1..2^5,p=1)": (425, 20_336),
 }
 
 
@@ -841,9 +851,12 @@ def test_qg_swept_results_do_not_depend_on_window_width(monkeypatch, spec, budge
 # windows at (d + 1) * ambient_dim product entries per row.  BLAS rounds a
 # row with its batch, so these windows must not widen unnoticed.  The
 # ascents' final re-scores alone took six calls more: (81, 2,458), (67, 2,412)
+# on summing:20 and interleave(difference:8,unit:8@lp:2).  That interleave
+# now searches its two d = 8 parts in the sign tier, at (0, 0) from (61, 2,406);
+# the pq half-split sum, whose columns touch both stacks, is searched whole
 QG_DENSE_COUNTS = {
     "summing:20": (75, 2_452),
-    "interleave(difference:8,unit:8@lp:2)": (61, 2_406),
+    "pqhalf(lindenstrauss,dims=2^1..2^3,p=1,q=1)": (298, 5_166),
 }
 
 
@@ -854,16 +867,20 @@ def test_qg_ascent_dense_calls_and_rows(monkeypatch, spec):
 
 
 def test_qg_swept_basis_keeps_dense_rows_few(monkeypatch):
-    # on an l1 block sum only the drop search over the sign half of a block
-    # and the witnesses offered to the result record are synthesised
-    # densely; a fallback to dense prefix residuals for every scored row
-    # synthesises 880,599 rows, the dense ||f|| of all 256 rows of a block
-    # 5,364, and dense re-scores of the block heads and ascent tails 3,864
+    # an l1 block sum is searched part by part: the d <= 12 parts read their
+    # sign tables (3^2 + 3^4 + 3^8 rows per seed), and on the swept d = 16
+    # and 32 parts only the drop search over the sign half of a block and the
+    # witnesses offered to the result records are synthesised densely, 7,760
+    # rows in all (27,713 with the tables).  On the direct search of the sum
+    # that was 3,852 rows for its one random search; a fallback to dense
+    # prefix residuals for every scored row synthesised 880,599 rows, the
+    # dense ||f|| of all 256 rows of a block 5,364, and dense re-scores of the
+    # block heads and ascent tails 3,864
     b = parse_basis("blocksum(lindenstrauss,dims=2^1..2^5,p=1)")
     rows = _count_synth_rows(monkeypatch)
     for seed in (1, 2, 3):
         quasi_greedy_constant_lb(b, budget=512, seed=seed)
-    assert 0 < rows[0] <= 3_852
+    assert 0 < rows[0] - 3 * (3**2 + 3**4 + 3**8) <= 7_760
 
 
 def _qg_block_head_ref(b, seed, block_i):
@@ -895,6 +912,60 @@ def test_qg_block_head_matches_sequential_rounds(spec):
             got, (a, A) = _qg_block_head(b, seed, block_i)
             want, (ref_a, ref_A) = _qg_block_head_ref(b, seed, block_i)
             assert got == want and A == ref_A and np.array_equal(a, ref_a)
+
+
+# ---------------------------------------------------------------------------
+# the quasi-greedy constant of a sum is its largest part's
+# ---------------------------------------------------------------------------
+
+SPLIT_SPECS = ["blocksum(lindenstrauss,dims=2^1..2^5,p=1)",
+               "blocksum(lindenstrauss,dims=2^1..2^5,p=2)",
+               "blocksum(summing,dims=2^2..2^4,p=0)",
+               "interleave(difference:8,unit:8@lp:2)",
+               "interleave(lindenstrauss:16,summing:14)"]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("spec", SPLIT_SPECS)
+def test_qg_of_a_sum_is_its_largest_parts(spec, seed):
+    # each part is searched alone with the same budget and seed, and its
+    # witness, padded with zeros, keeps its ratio on the sum bitwise
+    b = parse_basis(spec)
+    val, wit = quasi_greedy_constant_lb(b, budget=512, seed=seed)
+    assert val == max(quasi_greedy_constant_lb(part, 512, seed)[0] for part, _ in b.parts())
+    assert verify_witness(b, wit) == val and _is_greedy_witness(wit)
+
+
+@pytest.mark.parametrize("spec", [
+    "blocksum(lindenstrauss,dims=2^1..2^2,p=1)", "blocksum(lindenstrauss,dims=1..4,p=2)",
+    "blocksum(difference,dims=2..4,p=0)", "blocksum(summing,dims=3..5,p=1)",
+    "interleave(difference:6,unit:6@lp:2)", "interleave(lindenstrauss:5,summing:5)",
+])
+def test_qg_split_equals_the_direct_sign_tier(spec):
+    # both are the maximum over every sign vector and greedy set
+    b = parse_basis(spec)
+    assert b.d <= QG_EXHAUSTIVE_MAX_D and b.parts()
+    assert quasi_greedy_constant_lb(b)[0] == _qg_search(b, 1, 1)[0]
+
+
+# (almost-greedy at budget 256, L_6 and k_3 estimates at budget 256, phi_4
+# search at budget 256; seed 1), measured before the quasi-greedy split
+OTHER_PINS = {
+    "blocksum(lindenstrauss,dims=2^1..2^4,p=1)": (1.1311683651976103, 1.25, 1.5, 8.0),
+    "blocksum(summing,dims=2..5,p=2)": (2.34971967225957, 3.0, 5.0, 3.1622776601683795),
+    "interleave(difference:8,unit:8@lp:2)": (3.961693158485592, 3.0, 6.0, 8.0),
+}
+
+
+@pytest.mark.parametrize("spec", list(OTHER_PINS))
+def test_only_the_quasi_greedy_constant_splits(spec, monkeypatch):
+    # |B| <= |A| does not split across parts, and L, k and phi_m search the sum
+    monkeypatch.setattr(BasisTruncation, "parts", lambda self: pytest.fail("parts() read"))
+    b = parse_basis(spec)
+    got = (almost_greedy_constant_lb(b, budget=256, seed=1)[0],
+           L_m_estimate(b, 6, budget=256, seed=1)[0], k_m_estimate(b, 3, budget=256, seed=1)[0],
+           fundamental_function(b, 4, mode="search", budget=256, seed=1))
+    assert got == OTHER_PINS[spec]
 
 
 # ---------------------------------------------------------------------------
