@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import zlib
+from itertools import accumulate
 
 import numpy as np
 
@@ -69,6 +70,12 @@ def check_int(x, lo: int, hi, error: type, name: str) -> int:
 def check_budget(budget, error: type, default: int = DEFAULT_BUDGET) -> int:
     """The sample budget as an int (``default`` for None); ``error`` unless integral, not bool, >= 1."""
     return default if budget is None else check_int(budget, 1, math.inf, error, "budget")
+
+
+def check_seed(seed, error: type) -> int:
+    """The seed as an int; ``error`` unless integral, not bool, in 0..2^32 - 1:
+    ``rng_stream`` keys on 32 bits, so a wider seed would alias a narrower one."""
+    return check_int(seed, 0, 0xFFFFFFFF, error, "seed")
 
 
 def check_m(m, d: int, error: type) -> int:
@@ -140,29 +147,30 @@ signed_moves.predicted = None  # the L and k ascents take about 10 % of their mo
 scale_moves.predicted = 0  # the halving: the quasi-greedy ascent takes 77 % of them
 
 
-def _window(cands, past, k: int, width: int, pnz: int, a: list, room, drift: float,
+def _window(cands, past, k: int, width: int, pnz: int, a: list, slots, drift: float,
             col_norms) -> tuple:
     """The next window from candidate k, ``width`` scored candidates at most, each
     predicted move jumping past its coordinate; a move to 0.0 of the only nonzero
-    (``pnz`` counts the path's nonzeros) is left out.  With the ``room`` of a
-    bounded climb (see ``_climb``) it also leaves out each candidate n proven to
-    miss, BOUND_SLOPE (drift + its predicted moves' drift) < room[n], taking a
-    predicted move among them as a miss (see ``ascend``).  Returns (positions,
-    the position after, each position's predicted moves' drift when bounded)."""
+    (``pnz`` counts the path's nonzeros) is left out.  With the room ``slots`` and the
+    column norms list of a bounded climb (see ``_climb``) it also leaves out each
+    candidate (i, v, _, m) proven to miss, BOUND_SLOPE (drift + its predicted moves'
+    drift) < slots[i][m], taking a predicted move among them as a miss (see ``ascend``).
+    Returns (positions, the position after, each position's predicted moves' drift
+    when bounded)."""
     path, preds, pred, reach, n, end = [], [], 0.0, BOUND_SLOPE * drift, k, len(cands)
     while len(path) < width and n < end:
-        i, v, taken, _ = cands[n]
+        i, v, taken, m = cands[n]
         n += 1
         if v == 0.0 and pnz == (a[i] != 0.0):
             continue
-        if room:
-            if reach < room[n - 1]:
+        if slots:
+            if reach < slots[i][m]:
                 continue
             preds.append(pred)
         path.append(n - 1)
         if taken:
             pnz, n = pnz + (v != 0.0) - (a[i] != 0.0), past[i]
-            if room:
+            if slots:
                 pred += abs(v - a[i]) * col_norms[i]
                 reach = BOUND_SLOPE * (drift + pred)
     return path, n, preds
@@ -171,26 +179,31 @@ def _window(cands, past, k: int, width: int, pnz: int, a: list, room, drift: flo
 def _climb(rec: list, moves, width: list, col_norms):
     """One start of ``ascend``: yields its ``_window`` walks (None when done), takes back
     (ratios, payload, norms of the rows, offset), keeps rec = [ratio, a, (payload, row)]
-    current.  Only with ``col_norms`` does it keep ``drift`` and, from each candidate's
-    last score, the sweep's room list: ``ascend``'s bound proves a candidate to miss
-    while BOUND_SLOPE (drift + predicted drift) stays below its room, at the walk's
-    threshold (no later one is lower); without them the walk takes no bound clause."""
+    current.  Each sweep builds its candidates (i, value, predicted, move index) and
+    ``past`` once.  Only with ``col_norms`` does it keep ``drift`` and each candidate's
+    room from its last score, in the slot memo[i][a[i] == 0.0][move index] (``moves(1.0)``
+    and ``moves(0.0)`` size the slots: every nonzero x takes as many moves as 1.0):
+    ``ascend``'s bound proves a candidate to miss while BOUND_SLOPE (drift + predicted
+    drift) stays below its room, at the walk's threshold (no later one is lower);
+    without them the walk takes no bound clause."""
     guess = [moves.predicted] * rec[1].size  # the first sweep's prior
-    memo, drift = {}, 0.0  # memo: (i, move, a[i] == 0.0) -> room
+    drift, pnz = 0.0, int(np.count_nonzero(rec[1]))  # pnz: nonzeros of rec[1]
     if col_norms is not None:
         scale = float(np.abs(rec[1]) @ col_norms)  # sum |a_j| ||x_j|| <= scale + drift
+        col_norms = col_norms.tolist()
+        memo = [([-math.inf] * len(moves(1.0)), [-math.inf] * len(moves(0.0))) for _ in guess]
     for _ in range(MAX_SWEEPS):
         a = rec[1].tolist()  # a move at coordinate j leaves a[i] for i > j as it was
-        cands = [(i, v, m == guess[i], m)
-                 for i in range(len(a)) for m, v in enumerate(moves(a[i]))]
+        options = [moves(x) for x in a]
+        cands = [(i, v, m == g, m) for i, (vs, g) in enumerate(zip(options, guess))
+                 for m, v in enumerate(vs)]
         guess = [None] * len(a)  # the next sweep's: the move each coordinate takes now
-        past = {i: n + 1 for n, (i, *_) in enumerate(cands)}  # position past i's moves
-        end, improved, k, room = len(cands), False, 0, None
-        if col_norms is not None:  # a sweep walks each candidate once: its room holds till then
-            room = [memo.get((i, m, a[i] == 0.0), -math.inf) for i, _, _, m in cands]
+        past = list(accumulate(map(len, options)))  # the position past i's moves
+        end, improved, k, slots = len(cands), False, 0, None
+        if col_norms is not None:  # a sweep walks each candidate once: its slot holds till then
+            slots = [memo[i][x == 0.0] for i, x in enumerate(a)]
         while k < end:
-            path, k, preds = _window(cands, past, k, width[0], np.count_nonzero(rec[1]), a, room,
-                                     drift, col_norms)
+            path, k, preds = _window(cands, past, k, width[0], pnz, a, slots, drift, col_norms)
             if not path:
                 continue
             rows = rec[1][None].repeat(len(path), 0)
@@ -206,6 +219,7 @@ def _climb(rec: list, moves, width: list, col_norms):
                 if gain:
                     rec[:], improved = (ratios[h], rows[h - off], (payload, h)), True
                     guess[i] = move if (a[i] == 0.0) == (v == 0.0) else None
+                    pnz += (v != 0.0) - (a[i] != 0.0)
                 if gain != taken:  # go on where the scalar loop goes on
                     k = past[i] if gain else m + 1
                     break
@@ -215,7 +229,7 @@ def _climb(rec: list, moves, width: list, col_norms):
                     i, v, _, move = cands[path[r]]
                     step = abs(v - a[i]) * col_norms[i]
                     if dens[off + r] > TINY:
-                        memo[i, move, a[i] == 0.0] = (
+                        slots[i][move] = (
                             dens[off + r] * (thr - ratios[off + r]) / (1.0 + thr)
                             + 3.0 * (drift + preds[r]) - BOUND_SLACK * (scale + step))
                 drift += preds[r] + (step if gain else 0.0)
@@ -254,9 +268,9 @@ def ascend(starts, score, moves, cost, col_norms=None) -> list:
     f = sum r_j x_j, in a norm: for rows r, r0 at D = sum |r_j - r0_j|
     ||x_j|| < ||f0||, the triangle inequality gives R(r) <= (R(r0) ||f0|| +
     D) / (||f0|| - D).  Each start keeps ``drift``, the sum of |delta|
-    ||x_j|| over its moves, and each candidate's (i, move, a[i] == 0) last
-    score with the drift then.  A move maps a[i] to at most twice it, or to
-    a constant where a[i] == 0, so D <= 3 (drift now - drift then + the
+    ||x_j|| over its moves, and in the slot (i, a[i] == 0, move index) the
+    last score with the drift then.  A move index maps a[i] to at most twice
+    it, or to a constant where a[i] == 0, so D <= 3 (drift now - drift then + the
     drift of the window's predicted moves before it).  A candidate whose
     bound is below rec + ASCENT_TOL is left out, a predicted move among them
     taken as the miss the scalar loop finds, and only scored rows fill its

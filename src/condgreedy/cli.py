@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._search import DEFAULT_BUDGET, DEFAULT_SEED
+from ._search import DEFAULT_BUDGET, DEFAULT_SEED, check_seed
 from .bases import basis_to_doc, parse_basis
 from .conditionality import (
     ConditionalityError,
@@ -57,7 +57,10 @@ class _UsageError(ValueError):
 
 
 def _seed_arg(txt: str) -> int:
-    return int(txt, 0)  # accepts decimal and 0x... forms
+    try:  # decimal and 0x... forms
+        return check_seed(int(txt, 0), argparse.ArgumentTypeError)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid seed: {txt!r}") from None
 
 
 def _positive_int(txt: str) -> int:

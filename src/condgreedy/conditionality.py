@@ -73,6 +73,7 @@ from ._search import (
     check_indices,
     check_int,
     check_m,
+    check_seed,
     distinct_leaders,
     greedy_order,
     guarded_ratio,
@@ -478,6 +479,7 @@ def L_m_estimate(
     the recipe's template plus seeded search."""
     m = check_m(m, b.d, ConditionalityError)
     check_budget(budget, ConditionalityError)
+    seed = check_seed(seed, ConditionalityError)
     guard = check_int(guard, 1, math.inf, ConditionalityError, "guard")
     if m <= guard and (budget is None or budget >= 5**m):
         return L_m_exact(b, m) or L_m_oracle(b, m, guard=guard)
@@ -526,6 +528,7 @@ def k_m_estimate(
     ``L_m_estimate`` with the same budget and seed and the default guard."""
     m = check_m(m, b.d, ConditionalityError)
     check_budget(budget, ConditionalityError)
+    seed = check_seed(seed, ConditionalityError)
     if m == b.d:
         # identical optimisation domain: A free inside {1..d}, support free
         return L_m_estimate(b, m, budget=budget, seed=seed)
@@ -919,6 +922,7 @@ def lb_ladder(
     if mode not in ("auto", "oracle", "estimate"):
         raise ConditionalityError(f"unknown ladder mode {mode!r}")
     check_budget(budget, ConditionalityError)
+    seed = check_seed(seed, ConditionalityError)
     guard = check_int(guard, 1, math.inf, ConditionalityError, "guard")
     ms = [check_m(m, b.d, ConditionalityError) for m in ms]
     routes = []  # per rung, the call that gives its (value, witness)

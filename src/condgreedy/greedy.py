@@ -66,8 +66,8 @@ import numpy as np
 
 from . import _search
 from ._search import (BLOCK, DEFAULT_BUDGET, DEFAULT_SEED, TINY, ascend, check_budget,
-                      check_coeffs, check_indices, check_m, greedy_order, guarded_ratio,
-                      rng_stream, sample_block, scale_moves)
+                      check_coeffs, check_indices, check_m, check_seed, greedy_order,
+                      guarded_ratio, rng_stream, sample_block, scale_moves)
 from .bases import BasisTruncation
 from .conditionality import _Best
 
@@ -237,7 +237,7 @@ def quasi_greedy_constant_lb(
     vector and greedy set for d <= 12 (any budget and seed), beyond that
     ceil(budget / BLOCK) seeded random blocks, each ascended from its winner.
     """
-    budget = check_budget(budget, GreedyError)
+    budget, seed = check_budget(budget, GreedyError), check_seed(seed, GreedyError)
     if not b.parts():
         return _qg_search(b, budget, seed)
     best = _Best(b, "quasi-greedy")
@@ -435,6 +435,7 @@ def almost_greedy_constant_lb(
     the best block's witness.
     """
     budget = check_budget(budget, GreedyError, AG_DEFAULT_BUDGET)
+    seed = check_seed(seed, GreedyError)
     d = b.d
     if d <= AG_EXHAUSTIVE_MAX_D:
         return _ag_exhaustive(b)
@@ -501,6 +502,7 @@ def _sum_norm(b: BasisTruncation, m: int, want_max: bool, mode: str, budget, see
     in ``mode`` 'exact' (d <= 20) or 'search'."""
     m = check_m(m, b.d, GreedyError)
     budget = check_budget(budget, GreedyError)  # in exact mode too, as every estimator does
+    seed = check_seed(seed, GreedyError)
     if mode == "search":
         return _sum_norm_search(b, m, want_max, budget, seed)
     if mode != "exact":

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._search import DEFAULT_SEED, rng_stream
+from ._search import DEFAULT_SEED, check_seed, rng_stream
 from .bases import (
     BasisTruncation,
     Lp,
@@ -378,6 +378,7 @@ def run_scenario(name: str, budget: int | None = None, seed: int = DEFAULT_SEED)
     if name not in _SCENARIOS:
         raise KeyError(f"unknown scenario {name!r}")
     fn, _ = _SCENARIOS[name]
+    seed = check_seed(seed, ValueError)
     try:
         return fn(budget, seed)
     except Exception as exc:  # noqa: BLE001 - failed invariants become verdicts
@@ -437,7 +438,7 @@ def load_scenarios_config(path: str) -> list:
             "kind": sec.get("kind", "L"),
             "target": parse_target(sec.get("target", "log")),
             "budget": sec.getint("budget", fallback=None),
-            "seed": sec.getint("seed", fallback=DEFAULT_SEED),
+            "seed": check_seed(sec.getint("seed", fallback=DEFAULT_SEED), ValueError),
             "r2_min": sec.getfloat("r2_min", fallback=0.95),
         }
         if not spec["recipe"]:

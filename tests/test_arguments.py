@@ -6,6 +6,7 @@ finite values.  ``_search.check_int``, ``check_indices`` and ``check_coeffs``
 apply the rule, and every public entry point raises its module's error when
 it fails.  The support size ``m`` and the ``budget`` of the estimators are
 covered by ``M_ESTIMATORS`` and the budget tests of test_conditionality.py.
+A seed is such a number in 0..2^32 - 1 at every seeded entry point.
 """
 
 from __future__ import annotations
@@ -37,20 +38,27 @@ from condgreedy import (
     block_sum,
     difference,
     growth_fit,
+    almost_greedy_constant_lb,
+    fundamental_function,
     half_split_maps,
     interleave_pair,
     interleave_positions,
+    k_m_estimate,
     k_m_exact,
     lb_ladder,
     lindenstrauss,
+    parse_basis,
     pq_block_sum,
     project,
+    quasi_greedy_constant_lb,
     sa_ratio,
     summing,
     template_pairs,
     unit_vector_system,
     witness_from_doc,
 )
+from condgreedy.cli import main
+from condgreedy.scenarios import load_scenarios_config, run_scenario
 from condgreedy.spaces import parse_space
 
 NAN = float("nan")
@@ -59,6 +67,26 @@ DOC = {"coeffs": [1.0, 1.0, -1.0, 0.0], "A": [1, 3], "ratio": 1.0, "kind": "orac
 
 def _ladder(m0):
     return [(m0, 1.0), (4, 2.0), (8, 3.0), (16, 4.0)]
+
+
+# name -> (error, call of the seed): every public entry point that takes a seed
+SEEDED = {
+    "L_m_estimate seed": (ConditionalityError,
+                          lambda v: L_m_estimate(lindenstrauss(8), 5, budget=64, guard=1, seed=v)),
+    "k_m_estimate seed": (ConditionalityError, lambda v: k_m_estimate(lindenstrauss(8), 2, budget=64, seed=v)),
+    "lb_ladder seed": (ConditionalityError, lambda v: lb_ladder(
+        parse_basis("pqhalf(summing,dims=2..3,p=1,q=1)"), [3, 4], mode="estimate", budget=64, seed=v)),
+    "quasi_greedy_constant_lb seed": (GreedyError,
+                                      lambda v: quasi_greedy_constant_lb(lindenstrauss(16), 64, seed=v)),
+    "almost_greedy_constant_lb seed": (GreedyError,
+                                       lambda v: almost_greedy_constant_lb(lindenstrauss(16), 64, seed=v)),
+    "fundamental_function seed": (GreedyError, lambda v: fundamental_function(
+        lindenstrauss(8), 3, mode="search", budget=64, seed=v)),
+    "run_scenario seed": (ValueError, lambda v: run_scenario("pq-split", budget=64, seed=v)),
+}
+# the Philox key took int(seed) & 0xFFFFFFFF: 1 + 2^32, 1.5 and True ran as
+# seed 1, -1 as 2^32 - 1, and "x" and None raised a bare ValueError or TypeError
+BAD_SEEDS = [-1, 2**32, 1 + 2**32, 1.5, True, NAN, "x", None]
 
 
 # name -> (error, call of the bad value, bad values)
@@ -137,6 +165,7 @@ BAD = {
     "template_pairs m": (ConditionalityError, lambda v: template_pairs(("difference", 4), 4, v),
                          [2.5, True, NAN, -1, 5]),
 }
+BAD.update({name: (error, run, BAD_SEEDS) for name, (error, run) in SEEDED.items()})
 
 
 @pytest.mark.parametrize("size", BAD["parse_space mixed block size"][2])
@@ -195,6 +224,7 @@ ACCEPTED = {
     "template_pairs m": (lambda v: template_pairs(("difference", 4), 4, v), 3),
     "k_m_exact m": (lambda v: k_m_exact(summing(4), v), 3),
 }
+ACCEPTED.update({name: (run, 0xC0FFEE) for name, (_, run) in SEEDED.items()})
 
 
 def test_template_pairs_take_m_zero():
@@ -203,12 +233,32 @@ def test_template_pairs_take_m_zero():
 
 
 @pytest.mark.parametrize("name", list(ACCEPTED))
-@pytest.mark.parametrize("kind", [float, np.int64, np.float64])
+@pytest.mark.parametrize("kind", [float, np.int64, np.float64, np.uint32])
 def test_integral_argument_of_any_type_gives_the_int_result(name, kind):
     # 3.0 for a side or a block index, or for a length, used to raise a bare
-    # TypeError; np.int64(3) was accepted
+    # TypeError; np.int64(3) was accepted; a benchmark may pass np.uint32 seeds
     run, n = ACCEPTED[name]
     assert _plain(run(kind(n))) == _plain(run(n))
+
+
+@pytest.mark.parametrize("seed", ["-1", "4294967296", "1.5", "x"])
+def test_config_seed_outside_32_bits_is_refused(seed, tmp_path):
+    cfg = tmp_path / "seed.ini"
+    text = "[scenario:a]\nrecipe = difference:4\nladder = 2..3\nseed = {}\n"
+    cfg.write_text(text.format(seed))
+    with pytest.raises(ValueError):
+        load_scenarios_config(str(cfg))
+    cfg.write_text(text.format(2**32 - 1))
+    assert load_scenarios_config(str(cfg))[0]["seed"] == 2**32 - 1
+
+
+@pytest.mark.parametrize("seed", ["-1", "0x100000000", "1.5", "x", "True"])
+def test_cli_seed_outside_32_bits_is_a_usage_error(seed, capsys):
+    # -1 ran as seed 2^32 - 1, and 1.5 printed "invalid _seed_arg value"
+    args = ["constants", "--basis", "difference:4", "--m", "2,3", "--seed"]
+    assert main(args + [seed]) == 2
+    assert "argument --seed: " in capsys.readouterr().err
+    assert main(args + ["0xFFFFFFFF"]) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -1095,6 +1095,45 @@ def test_pruned_ascent_matches_the_unpruned_one_bitwise(name, make):
     assert rows[0] < rows[1]
 
 
+def six_moves(x: float) -> tuple:
+    """``signed_moves`` and the flipped halving and doubling; a zero tries +-1 and +-1/2.
+    Each move maps a[i] to at most twice it, as ``ascend``'s bound needs."""
+    return (x * 0.5, x * 2.0, -x, 0.0, x * -0.5, x * -2.0) if x != 0.0 else (1.0, -1.0, 0.5, -0.5)
+
+
+six_moves.predicted = 4
+
+
+@pytest.mark.parametrize("name,make", BOUND_BASES, ids=[n for n, _ in BOUND_BASES])
+def test_pruned_ascent_of_six_moves_matches_the_scalar_loop(name, make):
+    # the room memo has a slot per move of the family, not per move of signed_moves;
+    # one _mask_sweep call per row makes the scorer batch-invariant, so the match is bitwise
+    from test_search import _scalar_ascend
+
+    scored = {True: 0, False: 0}
+    for p, sets, starts in _bound_cases(make()):
+        def score(rows, p=p, sets=sets):
+            parts = [cond_mod._mask_sweep(p, row[None], sets) for row in rows]
+            return (np.concatenate([r for r, _, _ in parts]), lambda k: parts[k][1](0),
+                    np.concatenate([dens for *_, dens in parts]))
+
+        def fn(a, score=score):
+            ratios, payload, _ = score(a[None])
+            return float(ratios[0]), payload(0)
+
+        cost = (sets.shape[0] + 1) * p.ambient_dim
+        for a0 in starts:
+            want_r, want_a, want_si = _scalar_ascend(a0, fn, six_moves)
+            for bounded in (True, False):
+                calls = []
+                r, a, si = ascend([a0], lambda rows: calls.append(len(rows)) or score(rows), six_moves,
+                                  cost, cond_mod._bound_norms(p) if bounded else None)[0]
+                assert r == want_r and si == want_si
+                assert np.array_equal(a, want_a) and np.array_equal(np.signbit(a), np.signbit(want_a))
+                scored[bounded] += sum(calls)
+    assert scored[True] < scored[False]
+
+
 @pytest.mark.parametrize("name,make", BOUND_BASES, ids=[n for n, _ in BOUND_BASES])
 def test_pruned_ascent_leaves_out_only_misses_of_the_scalar_loop(name, make):
     from test_search import _scalar_ascend
@@ -1240,6 +1279,31 @@ def test_seeded_estimate_norms_calls_ceiling(fn, m, ceiling, monkeypatch):
 def test_seeded_estimate_norms_calls_pinned(fn, m, count, monkeypatch):
     b = lindenstrauss(16)
     assert _norms_calls(monkeypatch, lambda: fn(b, m, budget=512, seed=1)) == count
+
+
+# BLAS may round a row differently with its batch, so the rows of each ascent
+# score call are pinned, not only the trajectories: (calls, rows, sha256 prefix
+# of the comma-joined rows per call), measured with the room memo keyed by
+# (i, move, a[i] == 0) tuples
+@pytest.mark.parametrize("run,calls,rows,digest", [
+    (lambda: L_m_estimate(lindenstrauss(16), 13, budget=512, seed=1), 181, 1711, "671e2252696b7214"),
+    (lambda: k_m_estimate(lindenstrauss(16), 4, budget=512, seed=1), 182, 2247, "314041ae5471b1ec"),
+    (lambda: quasi_greedy_constant_lb(parse_basis("blocksum(lindenstrauss,dims=2^1..2^5,p=1)"),
+                                      budget=512, seed=1), 134, 5751, "939d18694780ddca"),
+], ids=["L m=13", "k k=4", "qg blocksum"])
+def test_ascent_window_composition_pinned(run, calls, rows, digest, monkeypatch):
+    from condgreedy import greedy as greedy_mod
+
+    counts = []
+
+    def counted_ascend(starts, score, *args, **kwargs):
+        return ascend(starts, lambda r: counts.append(len(r)) or score(r), *args, **kwargs)
+
+    for mod in (cond_mod, greedy_mod):
+        monkeypatch.setattr(mod, "ascend", counted_ascend)
+    run()
+    got = hashlib.sha256(",".join(map(str, counts)).encode()).hexdigest()[:16]
+    assert (len(counts), sum(counts), got) == (calls, rows, digest)
 
 
 @pytest.mark.parametrize("run", [
